@@ -16,9 +16,10 @@ Commands
               ``--export-trace`` writes Chrome-trace JSON.
 ``sweep``     Parallel design x generator coverage grid (cache-backed).
 ``bench``     Serial-vs-parallel throughput benchmark -> JSON report;
-              ``--gates`` benches the three gate engine tiers, a bare
-              ``--schedule`` benches predictor-guided batch ordering,
-              and ``--report`` adds a self-contained HTML run report.
+              ``--gates`` benches the exact gate engine against its
+              reference oracle, a bare ``--schedule`` benches
+              predictor-guided batch ordering, and ``--report`` adds a
+              self-contained HTML run report.
 ``serve``     Run the async BIST evaluation service (HTTP + JSON).
 ``cluster``   Shard exact gate-level fault grading across a fleet of
               ``serve`` endpoints and merge the verdicts, coverage
@@ -215,11 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="fan --exact grading across N worker "
                               "processes; their spans merge into the "
                               "profile's trace (default 1 = in-process)")
-    profile.add_argument("--engine", default=None,
-                         metavar="{event,word,reference}",
-                         help="cone evaluator tier for --exact grading "
-                              "(default: the library default; every "
-                              "tier is bit-identical)")
     profile.add_argument("--export-trace", default=None, metavar="PATH",
                          help="also write the session as a Chrome-trace "
                               "JSON file (chrome://tracing, Perfetto)")
@@ -270,9 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "$REPRO_BENCH_NOW, else the wall clock); "
                             "pin it for reproducible report diffs")
     bench.add_argument("--gates", action="store_true",
-                       help="benchmark the gate-level engine tiers "
-                            "(event, word, reference) against each "
-                            "other instead of the sweep grid")
+                       help="benchmark the exact gate-level engine "
+                            "against the reference oracle instead of "
+                            "the sweep grid")
     bench.add_argument("--gates-design", default="LP",
                        metavar="{LP,BP,HP}",
                        help="design graded by --gates (default LP)")
@@ -284,9 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gates-threshold", type=float, default=6.0,
                        help="minimum event-engine/reference speedup for "
                             "--gates --check (default 6.0)")
-    bench.add_argument("--gates-event-threshold", type=float, default=1.2,
-                       help="minimum event-engine/word-engine speedup "
-                            "for --gates --check (default 1.2)")
     bench.add_argument("--gates-out", default="BENCH_gatesim.json",
                        help="report path for --gates "
                             "(default BENCH_gatesim.json)")
@@ -448,12 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "predicted (default 256)")
     cluster.add_argument("--schedule-seed", type=int, default=0x5EED,
                          help="seed of --schedule random")
-    cluster.add_argument("--engine", default="",
-                         metavar="{event,word,reference}",
-                         help="cone evaluator tier the shard workers "
-                              "run (default: each worker's library "
-                              "default; every tier merges "
-                              "bit-identically)")
     cluster.add_argument("--chunk", type=int, default=0,
                          help="time-chunk length for detection times "
                               "(0 = engine default)")
@@ -677,13 +664,6 @@ def _configure_logging(verbosity: int, force_info: bool = False) -> None:
     logging.getLogger("repro").setLevel(level)
 
 
-def _gate_engine_name(engine) -> str:
-    """Canonical gate-engine name for reports and ledger records."""
-    from .gates import resolve_engine
-
-    return resolve_engine(engine)
-
-
 def _cmd_profile(args, ctx: ExperimentContext, tel: Telemetry) -> int:
     """The ``profile`` command: one instrumented coverage session."""
     name = resolve_design(args.design)
@@ -699,19 +679,22 @@ def _cmd_profile(args, ctx: ExperimentContext, tel: Telemetry) -> int:
 
     if args.exact:
         from .gates import elaborate, enumerate_cell_faults, gate_level_missed
+        from .generators import match_width
 
         with tel.span("profile.exact", faults=args.exact, jobs=args.jobs):
             nl = elaborate(design.graph)
             faults = enumerate_cell_faults(design.graph, nl)[:args.exact]
+            # The same width-matched stimulus the cell-level session
+            # above applied to the design's input.
+            raw = match_width(gen.sequence(args.vectors), gen.width,
+                              design.input_fmt.width)
             if args.jobs and args.jobs != 1:
                 from .parallel.gatework import gate_level_missed_parallel
 
-                missed = gate_level_missed_parallel(
-                    nl, gen.sequence(args.vectors), faults, jobs=args.jobs,
-                    engine=args.engine)
+                missed = gate_level_missed_parallel(nl, raw, faults,
+                                                    jobs=args.jobs)
             else:
-                missed = gate_level_missed(nl, gen.sequence(args.vectors),
-                                           faults, engine=args.engine)
+                missed = gate_level_missed(nl, raw, faults)
 
     print(coverage_summary(result))
     print()
@@ -754,8 +737,7 @@ def _cmd_profile(args, ctx: ExperimentContext, tel: Telemetry) -> int:
         "profile",
         config={"design": name, "generator": gen.name,
                 "vectors": args.vectors, "width": args.width,
-                "beta": args.beta, "exact": args.exact, "jobs": args.jobs,
-                "engine": _gate_engine_name(args.engine)},
+                "beta": args.beta, "exact": args.exact, "jobs": args.jobs},
         created_unix=time.time(),
         metrics=summarize_telemetry(tel) or None,
         coverage_curve=curve,
@@ -882,9 +864,10 @@ def _bench_now(args) -> float:
 
 
 #: Counters the gate-sim benchmark and ``profile --exact`` report.
-#: The last three are event-engine telemetry: frontier rows touched by
-#: sparse sweeps, fault-words proven golden and skipped whole, and
-#: single-fanout levels absorbed into LUT super-gates at fuse time.
+#: The last five are event-engine telemetry: frontier rows touched by
+#: sparse sweeps, fault-words proven golden and skipped whole, chunks
+#: evaluated in each adaptive mode, and single-fanout levels absorbed
+#: into LUT super-gates at fuse time.
 _GATE_COUNTERS = (
     "gates.fault_batches",
     "gates.faults_graded",
@@ -894,26 +877,28 @@ _GATE_COUNTERS = (
     "gates.lane_vectors",
     "gates.frontier_nets",
     "gates.words_skipped",
+    "gates.dense_chunks",
+    "gates.sparse_chunks",
     "gates.lut_fused_levels",
 )
 
 
 def _cmd_bench_gates(args) -> int:
-    """``bench --gates``: the three engine tiers on one fault universe.
+    """``bench --gates``: the event engine against the reference oracle.
 
-    Grades the same universe with the event-driven engine, the
-    word-widened engine and the retained pre-optimization reference,
-    asserts all missed-fault lists are identical, and records
-    per-engine rates with a compile/golden/grade phase split in a
-    ``repro-bench-gatesim/2`` report.  ``--check`` gates on
-    ``--gates-threshold`` (event vs reference) and
-    ``--gates-event-threshold`` (event vs word).
+    Grades the same universe with the event-driven engine and the
+    retained pre-optimization reference, asserts both missed-fault
+    lists are identical, and records per-engine rates with a
+    compile/golden/grade phase split in a ``repro-bench-gatesim/3``
+    report.  ``--check`` gates on ``--gates-threshold`` (event vs
+    reference).
     """
     import json
     import time
 
     from .gates import (compiled_program, elaborate, enumerate_cell_faults,
-                        fused_program, gate_level_missed)
+                        fused_program, gate_level_missed,
+                        gate_level_missed_reference)
     from .gates.compiled import golden_net_waves
     from .gates.gatesim import pack_input_bits
     from .generators import Type1Lfsr, match_width
@@ -929,8 +914,8 @@ def _cmd_bench_gates(args) -> int:
     raw = match_width(Type1Lfsr(width).sequence(args.gates_vectors),
                       width, width)
 
-    # --schedule MODE reorders the cone engines' batches; verdicts
-    # scatter back by index so the identical-across-engines assertion
+    # --schedule MODE reorders the event engine's batches; verdicts
+    # scatter back by index so the identical-to-reference assertion
     # still holds for every mode.
     schedule_mode = args.schedule or "cone"
     scheduler = None
@@ -950,9 +935,9 @@ def _cmd_bench_gates(args) -> int:
     engines = {}
     missed_by_engine = {}
     event_counters = {}
-    for eng in ("event", "word", "reference"):
+    for eng in ("event", "reference"):
         # A fresh netlist per engine defeats the per-object program
-        # memo, so each tier's compile phase is measured cold.
+        # memo, so each engine's compile phase is measured cold.
         nl_e = elaborate(design.graph)
         tel = Telemetry()
         previous = set_telemetry(tel)
@@ -963,13 +948,12 @@ def _cmd_bench_gates(args) -> int:
                 # cost lands in the grade phase.
                 compile_s = golden_s = 0.0
                 t0 = time.perf_counter()
-                missed = gate_level_missed(nl_e, raw, faults, engine=eng)
+                missed = gate_level_missed_reference(nl_e, raw, faults)
                 grade_s = time.perf_counter() - t0
             else:
                 t0 = time.perf_counter()
                 prog = compiled_program(nl_e)
-                if eng == "event":
-                    fused_program(prog)  # memoized; EventCones reuse it
+                fused_program(prog)  # memoized; EventCones reuse it
                 compile_s = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 waves = golden_net_waves(
@@ -977,7 +961,7 @@ def _cmd_bench_gates(args) -> int:
                 golden_s = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 missed = gate_level_missed(
-                    nl_e, raw, faults, scheduler=scheduler, engine=eng,
+                    nl_e, raw, faults, scheduler=scheduler,
                     program=prog, net_waves=waves)
                 grade_s = time.perf_counter() - t0
         finally:
@@ -1008,20 +992,11 @@ def _cmd_bench_gates(args) -> int:
             doc["counters"] = event_counters
         engines[eng] = doc
 
-    identical = (missed_by_engine["event"] == missed_by_engine["word"]
-                 == missed_by_engine["reference"])
-
-    def ratio(num: str, den: str) -> float:
-        d = engines[num]["seconds"]
-        return engines[den]["seconds"] / d if d else 0.0
-
-    speedups = {
-        "event_vs_reference": ratio("event", "reference"),
-        "word_vs_reference": ratio("word", "reference"),
-        "event_vs_word": ratio("event", "word"),
-    }
+    identical = missed_by_engine["event"] == missed_by_engine["reference"]
+    event_s = engines["event"]["seconds"]
+    speedup = engines["reference"]["seconds"] / event_s if event_s else 0.0
     report = {
-        "schema": "repro-bench-gatesim/2",
+        "schema": "repro-bench-gatesim/3",
         "created_unix": _bench_now(args),
         "git_sha": current_git_sha(),
         "config": {
@@ -1032,7 +1007,7 @@ def _cmd_bench_gates(args) -> int:
         },
         "engines": engines,
         "missed": len(missed_by_engine["event"]),
-        "speedups": speedups,
+        "speedups": {"event_vs_reference": speedup},
         "identical": identical,
     }
     with open(args.gates_out, "w", encoding="utf-8") as fh:
@@ -1041,23 +1016,21 @@ def _cmd_bench_gates(args) -> int:
 
     # Same provenance (schema, pinned timestamp, git sha) lands in the
     # run ledger, where `repro runs trend` reads the history.  The
-    # headline faults_per_sec stays the optimized-engine rate (now the
-    # event tier), so trend history spans the /1 -> /2 schema change.
+    # headline faults_per_sec stays the optimized-engine rate, so trend
+    # history spans every schema change.
     _ledger_append(args, build_record(
         "bench-gates",
-        config=dict(report["config"], engine="event"),
+        config=report["config"],
         created_unix=report["created_unix"],
         bench={
             "faults_per_sec": engines["event"]["faults_per_sec"],
             "grade_faults_per_sec":
                 engines["event"]["grade_faults_per_sec"],
-            "word_faults_per_sec": engines["word"]["faults_per_sec"],
             "reference_faults_per_sec":
                 engines["reference"]["faults_per_sec"],
-            "optimized_seconds": engines["event"]["seconds"],
+            "optimized_seconds": event_s,
             "reference_seconds": engines["reference"]["seconds"],
-            "speedup": speedups["event_vs_reference"],
-            "event_vs_word": speedups["event_vs_word"],
+            "speedup": speedup,
         },
         metrics={k: float(v) for k, v in event_counters.items()},
         git_sha=report["git_sha"],
@@ -1066,7 +1039,7 @@ def _cmd_bench_gates(args) -> int:
 
     print(f"gate-level universe: {name}, {len(faults)} faults, "
           f"{args.gates_vectors} vectors")
-    for eng in ("event", "word", "reference"):
+    for eng in ("event", "reference"):
         doc = engines[eng]
         ph = doc["phases"]
         print(f"{eng:9s}: {doc['seconds']:8.2f}s  "
@@ -1075,31 +1048,21 @@ def _cmd_bench_gates(args) -> int:
               f"{ph['golden_seconds']:.2f}s, grade "
               f"{ph['grade_seconds']:.2f}s)  "
               f"missed {len(missed_by_engine[eng])}")
-    print(f"speedups:  event/reference "
-          f"{speedups['event_vs_reference']:.2f}x   event/word "
-          f"{speedups['event_vs_word']:.2f}x   identical: {identical}   "
-          f"wrote {args.gates_out}")
+    print(f"speedup:  event/reference {speedup:.2f}x   "
+          f"identical: {identical}   wrote {args.gates_out}")
 
     if args.check:
         if not identical:
             print("bench check FAILED: engine verdicts differ",
                   file=sys.stderr)
             return 1
-        if speedups["event_vs_reference"] < args.gates_threshold:
+        if speedup < args.gates_threshold:
             print(f"bench check FAILED: event/reference speedup "
-                  f"{speedups['event_vs_reference']:.2f} below threshold "
+                  f"{speedup:.2f} below threshold "
                   f"{args.gates_threshold:.2f}", file=sys.stderr)
             return 1
-        if speedups["event_vs_word"] < args.gates_event_threshold:
-            print(f"bench check FAILED: event/word speedup "
-                  f"{speedups['event_vs_word']:.2f} below threshold "
-                  f"{args.gates_event_threshold:.2f}", file=sys.stderr)
-            return 1
-        print(f"bench check passed: event/reference "
-              f"{speedups['event_vs_reference']:.2f} >= "
-              f"{args.gates_threshold:.2f}, event/word "
-              f"{speedups['event_vs_word']:.2f} >= "
-              f"{args.gates_event_threshold:.2f}")
+        print(f"bench check passed: event/reference {speedup:.2f} >= "
+              f"{args.gates_threshold:.2f}")
     return 0
 
 
@@ -1835,7 +1798,6 @@ def _cmd_cluster(args) -> int:
         faults_limit=args.faults, shard_faults=args.shard_faults,
         schedule=args.schedule, schedule_bins=args.schedule_bins,
         schedule_seed=args.schedule_seed, chunk=args.chunk,
-        engine=args.engine,
         misr_width=args.misr_width, shard_timeout=args.shard_timeout,
         max_retries=args.max_retries,
         straggler_factor=args.straggler_factor,
@@ -1844,10 +1806,9 @@ def _cmd_cluster(args) -> int:
         verify=args.verify, cache=cache)
     doc = report.to_doc()
     merged = report.merged
-    engine_name = _gate_engine_name(args.engine or None)
     print(f"cluster sweep: {doc['params']['design']} x "
           f"{doc['params']['generator']}  {doc['params']['vectors']} "
-          f"vectors  {merged.total} faults  engine={engine_name}")
+          f"vectors  {merged.total} faults")
     print(f"  coverage {100.0 * merged.coverage:6.2f}%  "
           f"({merged.total - merged.detected} missed)  "
           f"signature {doc['signature']}")
@@ -1872,14 +1833,13 @@ def _cmd_cluster(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"wrote cluster report to {args.out}")
-    # The throughput headline (merged faults over wall-clock, engine
-    # named alongside) is what `repro runs trend --check` gates on
-    # across cluster-sweep history.
+    # The throughput headline (merged faults over wall-clock) is what
+    # `repro runs trend --check` gates on across cluster-sweep history.
     _ledger_append(args, build_record(
         "cluster-sweep",
         config=dict(doc["params"], endpoints=sorted(set(args.endpoints)),
                     shard_faults=args.shard_faults,
-                    schedule=args.schedule, engine=engine_name),
+                    schedule=args.schedule),
         created_unix=time.time(),
         metrics=summarize_telemetry() or None,
         git_sha=current_git_sha(),

@@ -547,7 +547,6 @@ def run_cluster_sweep(
     schedule_bins: int = 256,
     schedule_seed: int = 0,
     chunk: int = 0,
-    engine: str = "",
     misr_width: int = DEFAULT_MISR_WIDTH,
     shard_timeout: float = 600.0,
     max_retries: int = 4,
@@ -567,13 +566,8 @@ def run_cluster_sweep(
     thing on every node.  ``verify=True`` additionally runs the
     single-node oracle locally and raises
     :class:`~repro.errors.ClusterError` unless verdicts, detection
-    times, checkpoints and the MISR signature are all bit-identical.
-
-    ``engine`` names the cone evaluator tier the workers run
-    (:data:`repro.gates.ENGINES`; empty = the workers' default).  The
-    verify oracle deliberately runs a *different* tier than the fleet
-    whenever it can, so a verified sweep is also a cross-engine
-    equivalence proof.
+    times, checkpoints and the MISR signature are all bit-identical —
+    a live proof that sharding is exact.
     """
     from ..experiments import ExperimentContext
     from ..gates import elaborate, enumerate_cell_faults
@@ -615,10 +609,6 @@ def run_cluster_sweep(
     }
     if chunk:
         job_params["chunk"] = chunk
-    if engine:
-        from ..gates import resolve_engine
-
-        job_params["engine"] = resolve_engine(engine)
     coordinator = ClusterCoordinator(
         endpoints, job_params, total=len(faults), test_length=len(raw),
         misr_width=misr_width, shard_timeout=shard_timeout,
@@ -628,13 +618,9 @@ def run_cluster_sweep(
         client_factory=client_factory)
     report = coordinator.run(shards)
     if verify:
-        from ..gates import resolve_engine
-
-        fleet_engine = resolve_engine(engine or None)
-        oracle_engine = "word" if fleet_engine != "word" else "event"
         oracle = single_node_grade(
             nl, raw, faults, misr_width=misr_width, cache=cache,
-            chunk=chunk or None, engine=oracle_engine)
+            chunk=chunk or None)
         report.verified = report.merged.identical_to(oracle)
         if not report.verified:
             raise ClusterError(

@@ -104,7 +104,6 @@ def grade_shard(
     misr_poly: int = 0,
     cache=None,
     chunk: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Grade one shard — the worker side of the ``grade-shard`` job.
 
@@ -113,9 +112,6 @@ def grade_shard(
     detection times are subset-invariant) and compacts the shard into a
     JSON-able result: per-index verdicts, detection times and the MISR
     signature *partial* for the shard's global stream positions.
-    ``engine`` picks the cone evaluator tier
-    (:data:`repro.gates.ENGINES`); every tier is exact, so a fleet may
-    freely mix engines per worker and still merge bit-identically.
     """
     indices = [int(i) for i in indices]
     for i in indices:
@@ -128,7 +124,7 @@ def grade_shard(
     subset = [faults[i] for i in indices]
     detect = np.full(len(subset), -1, dtype=np.int64)
     gate_level_missed(nl, input_raw, subset, cache=cache, chunk=chunk,
-                      engine=engine, detect_times=detect)
+                      detect_times=detect)
     detected = (detect >= 0).astype(np.int64)
     partial = shard_signature_partial(
         misr_width, indices, [int(t) for t in detect], total,
@@ -259,7 +255,6 @@ def single_node_grade(
     misr_poly: int = 0,
     cache=None,
     chunk: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> MergedGrade:
     """The single-node oracle the fleet must reproduce bit for bit.
 
@@ -270,7 +265,7 @@ def single_node_grade(
     """
     detect = np.full(len(faults), -1, dtype=np.int64)
     gate_level_missed(nl, input_raw, faults, cache=cache, chunk=chunk,
-                      engine=engine, detect_times=detect)
+                      detect_times=detect)
     test_length = int(len(input_raw))
     return MergedGrade(
         verdicts=detect >= 0,

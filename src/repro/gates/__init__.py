@@ -14,20 +14,14 @@ from .compiled import CompiledNetlist, compile_netlist, compiled_program
 from .faults import (
     EnumeratedFault,
     enumerate_cell_faults,
-    gate_level_fault_simulation,
     schedule_fault_batches,
 )
 from .fault_parallel import (
     DEFAULT_CHUNK,
-    DEFAULT_ENGINE,
     DEFAULT_WORDS,
-    ENGINES,
-    fault_parallel_detect,
-    fault_parallel_grade,
     fault_parallel_reference,
     gate_level_missed,
     gate_level_missed_reference,
-    resolve_engine,
 )
 from .eventsim import (
     EventCone,
@@ -58,21 +52,15 @@ __all__ = [
     "compile_netlist",
     "compiled_program",
     "DEFAULT_CHUNK",
-    "DEFAULT_ENGINE",
     "DEFAULT_WORDS",
-    "ENGINES",
     "EventCone",
     "FusedProgram",
     "fuse_program",
     "fused_program",
     "recipe_truth_table",
-    "resolve_engine",
     "EnumeratedFault",
     "enumerate_cell_faults",
-    "gate_level_fault_simulation",
     "schedule_fault_batches",
-    "fault_parallel_detect",
-    "fault_parallel_grade",
     "fault_parallel_reference",
     "gate_level_missed",
     "gate_level_missed_reference",

@@ -16,19 +16,18 @@ The same program drives three consumers:
   simulation of every net, used by
   :func:`repro.gates.gatesim.simulate_netlist`;
 * :func:`golden_net_waves` — the per-net golden waveform matrix the
-  cone-restricted batch engine reads at cone boundaries;
-* :class:`BatchCone` — the fault-parallel (64 copies per ``uint64``
-  lane word, several words side by side) cone-restricted, time-chunked
-  evaluator behind :func:`repro.gates.fault_parallel.fault_parallel_detect`.
+  cone engine reads at cone boundaries;
+* :func:`repro.gates.eventsim.fuse_program` — the fused super-gate
+  program behind the event-driven, fault-parallel (64 copies per
+  ``uint64`` lane word, several words side by side) cone evaluator of
+  :func:`repro.gates.fault_parallel.gate_level_missed`.
 
 The ripple-carry adders of Table 1 designs levelize into hundreds of
 tiny levels, so per-group numpy dispatch overhead — not arithmetic — is
-the cost that matters.  The cone machinery therefore (a) builds cones
-with whole-level vectorized sweeps over a flattened op view
-(:class:`_FlatProgram`), never per-group Python, and (b) evaluates
-``words`` 64-lane fault words side by side in a ``(nets, words, time)``
-scratch cube, amortizing each numpy call over up to
-``64 * words`` faulty machines.
+the cost that matters.  Cones are therefore built with whole-level
+vectorized sweeps over a flattened op view (:class:`_FlatProgram`),
+never per-group Python, and chunk evaluation carves every temporary out
+of a persistent :class:`ConeWorkspace`.
 
 Compiling is cheap (milliseconds) and cached on the netlist object by
 :func:`compiled_program`; the artifact cache can additionally persist
@@ -57,7 +56,6 @@ __all__ = [
     "golden_net_waves",
     "expand_lane_waves",
     "ConeWorkspace",
-    "BatchCone",
 ]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -340,329 +338,3 @@ class ConeWorkspace:
             buf = np.empty(max(n, 1), dtype=np.uint64)
             self._bufs[name] = buf
         return buf[:n].reshape(shape)
-
-
-@dataclass
-class _ConeOp:
-    """A cone-restricted slice of one LevelOp, plus its fault masks.
-
-    Operand positions are **cone rows**, not net ids: every cone gets a
-    private dense row space assigned in evaluation order, so the group's
-    outputs are always the contiguous slice ``[o0, o1)`` of the scratch
-    cube and results are computed straight into it — no scatter pass.
-    ``in0`` / ``in1`` hold input row indices; when an input happens to be
-    a contiguous ascending run (common for the chained adders of Table 1
-    designs) the matching ``*_slice`` is set and the evaluator reads a
-    view instead of gathering.  ``in01`` concatenates both row arrays so
-    a two-input group needs a single ``take``.
-    """
-
-    kind: str
-    o0: int
-    o1: int
-    in0: np.ndarray
-    in1: Optional[np.ndarray]
-    in0_slice: Optional[Tuple[int, int]] = None
-    in1_slice: Optional[Tuple[int, int]] = None
-    in01: Optional[np.ndarray] = None
-    #: per-pin fault forces: (position, pin, set_words, clear_words)
-    pin_masks: List[Tuple[int, int, np.ndarray, np.ndarray]] = field(
-        default_factory=list)
-    #: per-output-net fault forces, vectorized over positions
-    out_pos: Optional[np.ndarray] = None
-    out_set: Optional[np.ndarray] = None
-    out_clr: Optional[np.ndarray] = None
-    #: dff carry words per lane-packed flop, (flops, words) chunk state
-    carry: Optional[np.ndarray] = None
-
-
-def _run_slice(rows: np.ndarray) -> Optional[Tuple[int, int]]:
-    """``(start, stop)`` when ``rows`` is a contiguous ascending run."""
-    n = rows.size
-    if n == 0:
-        return (0, 0)
-    lo = int(rows[0])
-    if int(rows[-1]) - lo + 1 != n:
-        return None
-    if n > 1 and not bool(np.all(np.diff(rows) == 1)):
-        return None
-    return (lo, lo + n)
-
-
-class BatchCone:
-    """The transitive fanout cone of one multi-word fault batch.
-
-    Built once per batch from the compiled program and the batch's fault
-    lines, then evaluated chunk by chunk with :meth:`evaluate_chunk`
-    over a ``(n_nets, words, chunk)`` uint64 scratch cube — ``words``
-    64-lane fault words side by side.  Nets outside the cone are never
-    computed; reads that cross the cone boundary come from the golden
-    per-net waveform matrix, expanded from ``bool`` to
-    all-ones/all-zeros lane words.  :meth:`compact` drops fully-detected
-    words between chunks so dropped faults stop costing work.
-
-    ``net_masks`` / ``pin_masks`` map fault lines to ``(set, clear)``
-    lane masks — scalars for a single-word batch, ``(words,)`` arrays
-    otherwise.
-    """
-
-    def __init__(
-        self,
-        prog: CompiledNetlist,
-        net_masks: Dict[int, Tuple],
-        pin_masks: Dict[Tuple[int, int], Tuple],
-        words: int = 1,
-    ):
-        self.prog = prog
-        self.words = words
-        flat = _flat_program(prog)
-        n_nets = prog.n_nets
-
-        affected = np.zeros(n_nets, dtype=bool)
-        stuck = np.fromiter(net_masks.keys(), dtype=np.int64,
-                            count=len(net_masks))
-        affected[stuck] = True
-
-        # Pin-faulted gates are forced into the cone even when their
-        # inputs carry golden values: the masked pin itself differs.
-        forced = np.zeros(flat.n_ops, dtype=bool)
-        for (gidx, _pin) in pin_masks:
-            forced[flat.gate_flat[int(gidx)]] = True
-
-        # Whole-level sweeps: an op joins the cone when any input is
-        # affected (or it is pin-forced); its inputs that are *not*
-        # affected are boundary reads.  Same-level ops never read
-        # same-level outputs, so updating `affected` after the sweep of
-        # each level is safe.
-        sel_all = np.zeros(flat.n_ops, dtype=bool)
-        bmask = np.zeros(n_nets, dtype=bool)
-        live_levels: List[int] = []
-        for li, (s, e) in enumerate(flat.level_bounds):
-            if s == e:
-                continue
-            sel = affected[flat.in0[s:e]]
-            sel |= affected[flat.in1x[s:e]]
-            sel |= forced[s:e]
-            if not sel.any():
-                continue
-            i0 = flat.in0[s:e][sel]
-            i1 = flat.in1x[s:e][sel]
-            clean = ~affected[i0]
-            if clean.any():
-                bmask[i0[clean]] = True
-            clean = ~affected[i1]
-            if clean.any():
-                bmask[i1[clean]] = True
-            sel_all[s:e] = sel
-            affected[flat.out[s:e][sel]] = True
-            live_levels.append(li)
-
-        driven = np.zeros(n_nets, dtype=bool)
-        driven[flat.out[sel_all]] = True
-        is_stuck = np.zeros(n_nets, dtype=bool)
-        is_stuck[stuck] = True
-
-        # --- private row space -----------------------------------------
-        # Evaluated nets get dense rows in evaluation order (so every
-        # group's outputs are one contiguous slice of the scratch cube),
-        # followed by a block of boundary rows and a block of seed rows.
-        # Small cones therefore evaluate in a small, cache-resident
-        # scratch instead of an (n_nets, ...) cube.
-        row_of = np.full(n_nets, -1, dtype=np.int64)
-        next_row = 0
-        raw_ops: List[Tuple[_ConeOp, np.ndarray, np.ndarray,
-                            Optional[np.ndarray]]] = []
-        for li in live_levels:
-            for kind, gs, ge in flat.group_slices[li]:
-                gsel = sel_all[gs:ge]
-                if not gsel.any():
-                    continue
-                idx = np.nonzero(gsel)[0]
-                out = flat.out[gs:ge][idx]
-                in0 = flat.in0[gs:ge][idx]
-                two = kind in _TWO_INPUT
-                o0 = next_row
-                next_row += len(idx)
-                row_of[out] = np.arange(o0, next_row)
-                cone_op = _ConeOp(
-                    kind=kind, o0=o0, o1=next_row,
-                    in0=in0, in1=flat.in1x[gs:ge][idx] if two else None)
-                if pin_masks:
-                    frows = np.nonzero(forced[gs:ge][idx])[0]
-                    for row in frows:
-                        gidx = int(flat.elem[gs + idx[row]])
-                        for pin in (0, 1) if two else (0,):
-                            entry = pin_masks.get((gidx, pin))
-                            if entry is not None:
-                                cone_op.pin_masks.append(
-                                    (int(row), pin, _word_arr(entry[0]),
-                                     _word_arr(entry[1])))
-                hit = is_stuck[out]
-                if hit.any():
-                    pos = np.nonzero(hit)[0]
-                    cone_op.out_pos = pos
-                    cone_op.out_set = np.stack(
-                        [_word_arr(net_masks[int(out[p])][0]) for p in pos])
-                    cone_op.out_clr = np.stack(
-                        [_word_arr(net_masks[int(out[p])][1]) for p in pos])
-                if kind == "dff":
-                    cone_op.carry = np.zeros((len(idx), words),
-                                             dtype=np.uint64)
-                raw_ops.append((cone_op, in0,
-                                cone_op.in1 if two else in0, cone_op.in1))
-
-        # Rows the chunk evaluator must seed from the golden matrix:
-        # cone-boundary reads, plus masked nets nothing in the cone
-        # drives (their faulty row is the masked golden row).
-        self.boundary = np.nonzero(bmask)[0]
-        self.brow0 = next_row
-        row_of[self.boundary] = np.arange(next_row,
-                                          next_row + self.boundary.size)
-        next_row += self.boundary.size
-        seed = stuck[~driven[stuck]]
-        self.seed_nets = seed
-        self.srow0 = next_row
-        row_of[seed] = np.arange(next_row, next_row + seed.size)
-        next_row += seed.size
-        self.n_rows = next_row
-        if seed.size:
-            self.seed_set = np.stack(
-                [_word_arr(net_masks[int(net)][0]) for net in seed])
-            self.seed_clr = np.stack(
-                [_word_arr(net_masks[int(net)][1]) for net in seed])
-        else:
-            self.seed_set = np.zeros((0, words), dtype=np.uint64)
-            self.seed_clr = np.zeros((0, words), dtype=np.uint64)
-
-        # Second pass: map operand nets to cone rows (boundary/seed rows
-        # only exist now), detect contiguous runs, fuse double gathers.
-        self.ops: List[_ConeOp] = []
-        for cone_op, in0_nets, _in1x, in1_nets in raw_ops:
-            cone_op.in0 = row_of[in0_nets]
-            cone_op.in0_slice = _run_slice(cone_op.in0)
-            if in1_nets is not None:
-                cone_op.in1 = row_of[in1_nets]
-                cone_op.in1_slice = _run_slice(cone_op.in1)
-                if cone_op.in0_slice is None or cone_op.in1_slice is None:
-                    cone_op.in01 = np.concatenate(
-                        (cone_op.in0, cone_op.in1))
-            self.ops.append(cone_op)
-
-        out_bits = prog.output_bits
-        self.affected_outputs = np.unique(out_bits[affected[out_bits]])
-        self.out_rows = row_of[self.affected_outputs]
-        self.cone_nets = int(np.count_nonzero(affected))
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop word columns whose 64 lanes are all detected.
-
-        ``keep`` is a boolean array over the currently active words; all
-        per-word state (dff carries, fault masks) is sliced down so
-        later chunks stop simulating the dropped faults.
-        """
-        self.words = int(np.count_nonzero(keep))
-        self.seed_set = self.seed_set[:, keep]
-        self.seed_clr = self.seed_clr[:, keep]
-        for op in self.ops:
-            if op.carry is not None:
-                op.carry = op.carry[:, keep]
-            if op.out_set is not None:
-                op.out_set = op.out_set[:, keep]
-                op.out_clr = op.out_clr[:, keep]
-            if op.pin_masks:
-                op.pin_masks = [(row, pin, s[keep], c[keep])
-                                for row, pin, s, c in op.pin_masks]
-
-    def bind_golden(self, ws: ConeWorkspace,
-                    lane_waves: np.ndarray) -> None:
-        """Gather the golden rows this cone reads, once per batch.
-
-        ``np.take`` from a time-sliced (strided) view would copy the
-        whole source per chunk, so boundary, seed and output rows are
-        pulled out of the contiguous ``lane_waves`` matrix a single time
-        and the chunk loop slices these compact blocks instead.
-        """
-        length = lane_waves.shape[1]
-        self._bgold = ws.get("bgold", self.boundary.size, length)
-        lane_waves.take(self.boundary, 0, self._bgold, "clip")
-        self._sgold = ws.get("sgold", self.seed_nets.size, length)
-        lane_waves.take(self.seed_nets, 0, self._sgold, "clip")
-        self._ogold = ws.get("ogold", self.affected_outputs.size, length)
-        lane_waves.take(self.affected_outputs, 0, self._ogold, "clip")
-
-    def evaluate_chunk(self, ws: ConeWorkspace, t0: int,
-                       t1: int) -> np.ndarray:
-        """Evaluate the cone over ``[t0, t1)``; returns per-word diffs.
-
-        ``ws`` supplies the persistent scratch buffers;
-        :meth:`bind_golden` must have been called for this run.  Bit
-        ``j`` of returned word ``w`` is set when copy ``64 w + j``'s
-        outputs differ from the golden machine anywhere in the chunk.
-        All gathers/ops run through preallocated buffers (``np.take``
-        with ``out=``) — per-group temporaries would dominate runtime.
-        """
-        wc = self.words
-        span = t1 - t0
-        w = ws.get("nets", self.n_rows, wc, span)
-        if self.boundary.size:
-            w[self.brow0:self.brow0 + self.boundary.size] = \
-                self._bgold[:, None, t0:t1]
-        if self.seed_nets.size:
-            w[self.srow0:self.srow0 + self.seed_nets.size] = \
-                ((self._sgold[:, None, t0:t1]
-                  | self.seed_set[:, :, None])
-                 & ~self.seed_clr[:, :, None])
-        for op in self.ops:
-            n = op.o1 - op.o0
-            v = w[op.o0:op.o1]
-            # Operand views where the input rows are contiguous runs;
-            # buffer gathers otherwise.  Pin-faulted groups always copy
-            # into buffers — their masks may not mutate shared rows.
-            if op.in1 is not None:
-                if op.pin_masks or op.in01 is not None:
-                    if op.pin_masks and op.in01 is None:
-                        ab = ws.get("ab", 2 * n, wc, span)
-                        ab[:n] = w[op.in0_slice[0]:op.in0_slice[1]]
-                        ab[n:] = w[op.in1_slice[0]:op.in1_slice[1]]
-                    else:
-                        ab = ws.get("ab", 2 * n, wc, span)
-                        w.take(op.in01, 0, ab, "clip")
-                    a, b = ab[:n], ab[n:]
-                else:
-                    a = w[op.in0_slice[0]:op.in0_slice[1]]
-                    b = w[op.in1_slice[0]:op.in1_slice[1]]
-            else:
-                if op.in0_slice is not None and not op.pin_masks:
-                    a = w[op.in0_slice[0]:op.in0_slice[1]]
-                else:
-                    a = ws.get("ab", n, wc, span)
-                    w.take(op.in0, 0, a, "clip")
-                b = None
-            for pos, pin, s, c in op.pin_masks:
-                arr = a if pin == 0 else b
-                arr[pos] = (arr[pos] | s[:, None]) & ~c[:, None]
-            if op.kind == "xor":
-                np.bitwise_xor(a, b, out=v)
-            elif op.kind == "and":
-                np.bitwise_and(a, b, out=v)
-            elif op.kind == "or":
-                np.bitwise_or(a, b, out=v)
-            elif op.kind == "not":
-                np.invert(a, out=v)
-            elif op.kind == "buf":
-                v[:] = a
-            else:  # dff: shift in the previous chunk's final d values
-                carry = a[:, :, -1].copy()
-                v[:, :, 1:] = a[:, :, :-1]
-                v[:, :, 0] = op.carry
-                op.carry = carry
-            if op.out_pos is not None:
-                v[op.out_pos] = ((v[op.out_pos]
-                                  | op.out_set[:, :, None])
-                                 & ~op.out_clr[:, :, None])
-        if not self.out_rows.size:
-            return np.zeros(wc, dtype=np.uint64)
-        d = ws.get("diff", self.out_rows.size, wc, span)
-        w.take(self.out_rows, 0, d, "clip")
-        np.bitwise_xor(d, self._ogold[:, None, t0:t1], out=d)
-        return np.bitwise_or.reduce(d, axis=(0, 2))

@@ -1,11 +1,12 @@
 """Event-driven incremental fault evaluation over fused LUT super-gates.
 
-The word-widened cone engine (:class:`repro.gates.compiled.BatchCone`)
-re-evaluates its whole cone at every level for every time chunk, even
-when the faulty waveform has long reconverged to the golden one.  The
-paper's own premise — faults matter only while narrow test zones are
-exercised (§1.1) — means most of those evaluations provably reproduce
-golden values.  This module is the third engine tier exploiting that:
+A dense cone evaluator re-evaluates its whole cone at every level for
+every time chunk, even when the faulty waveform has long reconverged to
+the golden one.  The paper's own premise — faults matter only while
+narrow test zones are exercised (§1.1) — means most of those
+evaluations provably reproduce golden values.  This module is the cone
+engine behind :func:`repro.gates.fault_parallel.gate_level_missed`,
+exploiting that:
 
 * **super-gate fusion** (:func:`fuse_program`) — at program-compile
   time, chains of single-fanout gates spanning up to
@@ -33,14 +34,15 @@ golden values.  This module is the third engine tier exploiting that:
   propagating), and a chunk whose frontier is empty — no dirty seeds,
   no forced units, no dirty flop carries — is skipped outright.
 
-:class:`EventCone` mirrors the :class:`BatchCone` driver contract
-(``bind_golden`` / ``evaluate_chunk`` / ``compact``), so the grading
-loop in :mod:`repro.gates.fault_parallel` — iterative deepening,
-per-word fault dropping, chunk-end detection times — is shared between
-tiers and verdicts, detection times and MISR signatures stay
-bit-identical by construction.  Frontier sizes and skipped chunks
-surface as the telemetry counters ``gates.frontier_nets`` and
-``gates.words_skipped``; levels removed by fusion as
+:class:`EventCone` exposes a small driver contract (``bind_golden`` /
+``evaluate_chunk`` / ``compact``); the grading loop in
+:mod:`repro.gates.fault_parallel` — iterative deepening, per-word fault
+dropping, chunk-end detection times — lives outside it, so verdicts,
+detection times and MISR signatures never depend on the cone's
+dense/sparse mode choices.  Frontier sizes, skipped chunks and mode
+choices surface as the telemetry counters ``gates.frontier_nets``,
+``gates.words_skipped``, ``gates.dense_chunks`` and
+``gates.sparse_chunks``; levels removed by fusion as
 ``gates.lut_fused_levels``.
 """
 
@@ -475,16 +477,16 @@ class _EventOp:
 class EventCone:
     """Event-driven evaluator for one multi-word fault batch.
 
-    Same driver contract as :class:`~repro.gates.compiled.BatchCone`
-    (build, :meth:`bind_golden`, :meth:`evaluate_chunk` per time chunk,
-    :meth:`compact` between chunks), same cone-membership rule — so the
-    shared grading loop produces bit-identical verdicts and chunk-end
-    detection times — but each chunk evaluates only the *frontier*:
-    super-gates with a dirty input, a dirty flop carry, or a resident
-    fault force.  Everything else is proven equal to golden without
-    being computed, and a chunk with an empty frontier is skipped
-    outright (``words_skipped``); ``frontier_rows`` accumulates the
-    super-gate evaluations actually performed.
+    Driven by the grading loop (build, :meth:`bind_golden`,
+    :meth:`evaluate_chunk` per time chunk, :meth:`compact` between
+    chunks) over the batch's transitive fanout cone, but each chunk
+    evaluates only the *frontier*: super-gates with a dirty input, a
+    dirty flop carry, or a resident fault force.  Everything else is
+    proven equal to golden without being computed, and a chunk with an
+    empty frontier is skipped outright (``words_skipped``);
+    ``frontier_rows`` accumulates the super-gate evaluations actually
+    performed, ``dense_chunks`` / ``sparse_chunks`` the mode each
+    evaluated chunk ran in.
     """
 
     def __init__(
@@ -498,13 +500,17 @@ class EventCone:
         self.words = words
         self.frontier_rows = 0
         self.words_skipped = 0
+        #: Chunks evaluated in each mode (skipped chunks count in
+        #: ``words_skipped`` instead).
+        self.dense_chunks = 0
+        self.sparse_chunks = 0
         prog = fused.prog
         n_nets = fused.n_nets
         flat = _fused_flat(fused)
 
         # Net faults on fused-internal nets act as member-output forces
         # on their containing unit; every other masked net is marked
-        # affected up front, exactly like BatchCone.
+        # affected up front.
         internal_stuck = [n for n in net_masks if n in fused.internal_loc]
         ext_stuck = np.array(
             [n for n in net_masks if n not in fused.internal_loc],
@@ -827,11 +833,11 @@ class EventCone:
                        t1: int) -> np.ndarray:
         """Frontier-driven evaluation of ``[t0, t1)``; per-word diffs.
 
-        Same return contract as ``BatchCone.evaluate_chunk``: bit ``j``
-        of word ``w`` is set when copy ``64 w + j`` differs from golden
-        at an observed output anywhere in the chunk.  Both modes —
-        sparse frontier propagation and the dense fused sweep — are
-        exact, so the adaptive mode choice never changes a verdict.
+        Bit ``j`` of returned word ``w`` is set when copy ``64 w + j``
+        differs from golden at an observed output anywhere in the
+        chunk.  Both modes — sparse frontier propagation and the dense
+        fused sweep — are exact, so the adaptive mode choice never
+        changes a verdict.
         """
         tstart = time.perf_counter()
         wc = self.words
@@ -943,6 +949,7 @@ class EventCone:
                 return det
 
         if dense:
+            self.dense_chunks += 1
             self.frontier_rows += self.srow0
             for op in self.ops:
                 if op.is_dff:
@@ -955,6 +962,7 @@ class EventCone:
             self._mode_feedback(True, time.perf_counter() - tstart)
             return det
 
+        self.sparse_chunks += 1
         cand = self._cand
         cand[:] = False
         if seeds_dirty:

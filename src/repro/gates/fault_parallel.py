@@ -1,12 +1,11 @@
 """Fault-parallel exact gate-level fault simulation.
 
-The serial injector in :mod:`repro.gates.faults` re-simulates the whole
-netlist once per fault — fine for spot checks, hopeless for a Table 1
-design's ~60k faults.  This engine packs **64 faulty circuit copies into
-each machine word**: every net's waveform is a ``uint64`` array, bit
-``j`` of each word belonging to copy ``j`` of the batch, and stuck-at
-faults become per-line set/clear masks — so one pass grades 64 faults
-bit-exactly, and the full universe costs ``ceil(F / 64)`` passes.
+Grading re-simulates the netlist with **64 faulty circuit copies packed
+into each machine word**: every net's waveform is a ``uint64`` array,
+bit ``j`` of each word belonging to copy ``j`` of the batch, and
+stuck-at faults become per-line set/clear masks — so one pass grades
+64 faults bit-exactly, and the full universe costs ``ceil(F / 64)``
+passes.
 
 Three composable optimizations make each pass cheap while keeping every
 verdict bit-identical to the straightforward whole-netlist evaluation
@@ -18,20 +17,19 @@ equivalence suite and the baseline of ``repro bench --gates``):
   structure-of-arrays program (:mod:`repro.gates.compiled`), the golden
   machine is simulated once recording every net's waveform, and up to
   :data:`DEFAULT_WORDS` 64-fault words are evaluated side by side so
-  each numpy call is amortized over hundreds of faulty machines — the
-  decisive lever on deeply-levelized ripple-carry datapaths;
-* **cone restriction** — each batch evaluates only the transitive
-  fanout cone of its fault sites, reading golden waveforms at the cone
-  boundary (:class:`~repro.gates.compiled.BatchCone`); the cone-aware
-  scheduler (:func:`repro.gates.faults.schedule_fault_batches`) packs
-  cone-local faults into the same batch to keep cones small;
+  each numpy call is amortized over hundreds of faulty machines;
+* **event-driven cones** — each batch evaluates only the transitive
+  fanout cone of its fault sites, and within it only the frontier of
+  nets whose faulty waveform differs from golden
+  (:class:`~repro.gates.eventsim.EventCone`); the cone-aware scheduler
+  (:func:`repro.gates.faults.schedule_fault_batches`) packs cone-local
+  faults into the same batch to keep cones small;
 * **chunked time with fault dropping** — the cone is evaluated in time
   chunks (:data:`DEFAULT_CHUNK` vectors), per-word detection words
-  accumulate after each chunk, fully-detected words are compacted away
-  (:meth:`~repro.gates.compiled.BatchCone.compact`), and a batch stops
-  early once every lane is detected — which the paper's own coverage
-  curves say happens within the first few hundred vectors for >99% of
-  faults.
+  accumulate after each chunk, fully-detected words are compacted
+  away, and a batch stops early once every lane is detected — which
+  the paper's own coverage curves say happens within the first few
+  hundred vectors for >99% of faults.
 
 Cone sizes, skipped chunks and dropped faults surface as the telemetry
 counters ``gates.cone_nets``, ``gates.chunks_skipped`` and
@@ -47,7 +45,6 @@ import numpy as np
 from ..errors import SimulationError
 from ..telemetry import get_telemetry
 from .compiled import (
-    BatchCone,
     CompiledNetlist,
     ConeWorkspace,
     compiled_program,
@@ -60,15 +57,10 @@ from .netlist import GateNetlist
 
 __all__ = [
     "DEFAULT_CHUNK",
-    "DEFAULT_ENGINE",
     "DEFAULT_WORDS",
-    "ENGINES",
-    "fault_parallel_detect",
-    "fault_parallel_grade",
     "fault_parallel_reference",
     "gate_level_missed",
     "gate_level_missed_reference",
-    "resolve_engine",
 ]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -79,37 +71,15 @@ DEFAULT_CHUNK = 512
 #: 64-fault words evaluated side by side per cone pass.
 DEFAULT_WORDS = 8
 
-#: First-deepening-stage word width for the event engine.  The event
-#: evaluator's per-chunk cost is dominated by fixed per-op Python
-#: overhead while the stage-1 prefix is short, so packing 4x more
+#: First-deepening-stage word width when callers leave ``words`` unset.
+#: The event evaluator's per-chunk cost is dominated by fixed per-op
+#: Python overhead while the stage-1 prefix is short, so packing 4x more
 #: faults per cone pass cuts the pass count (and cone construction)
 #: almost linearly; later stages keep :data:`DEFAULT_WORDS` so the
 #: per-net buffers stay small at full stimulus length.  Verdicts and
 #: chunk-end detection times are batch-size independent, so widening
 #: one stage cannot change a result.
 EVENT_STAGE1_WORDS = 32
-
-#: Selectable engine tiers, fastest first: ``event`` is the
-#: event-driven frontier evaluator over fused LUT super-gates
-#: (:mod:`repro.gates.eventsim`), ``word`` the dense word-widened cone
-#: engine (:class:`~repro.gates.compiled.BatchCone`), ``reference`` the
-#: pre-optimization whole-netlist oracle.  All three produce
-#: bit-identical verdicts; ``event`` and ``word`` additionally share
-#: chunk-end detection times.
-ENGINES = ("event", "word", "reference")
-
-#: Engine used when callers pass ``engine=None``.
-DEFAULT_ENGINE = "event"
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize an ``engine=`` knob value, defaulting and validating."""
-    name = DEFAULT_ENGINE if engine is None else str(engine)
-    if name not in ENGINES:
-        raise SimulationError(
-            f"unknown gate engine {name!r}; choose from "
-            f"{', '.join(ENGINES)}")
-    return name
 
 
 def _line_masks(
@@ -156,17 +126,15 @@ def _grade_cone_batch(
     ws: ConeWorkspace,
     length: Optional[int] = None,
     first_detect: Optional[np.ndarray] = None,
-    engine: str = "word",
     dense_hint: Optional[bool] = None,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """Verdicts + drop statistics for one multi-word cone pass.
 
-    ``engine`` picks the cone evaluator: ``"word"`` builds the dense
-    :class:`BatchCone`, ``"event"`` the frontier-driven
-    :class:`~repro.gates.eventsim.EventCone` over the fused super-gate
-    program.  Both share this driver — chunking, deepening prefix,
-    per-word dropping and chunk-end detection-time capture are
-    identical, so verdicts and times are bit-identical across engines.
+    Builds the frontier-driven :class:`~repro.gates.eventsim.EventCone`
+    over the fused super-gate program and drives it chunk by chunk:
+    per-word dropping and chunk-end detection-time capture live here,
+    so verdicts and times are independent of the cone's internal
+    dense/sparse mode choices.
 
     ``length`` grades only the stimulus prefix ``[0, length)`` — the
     building block of the iterative-deepening driver; detection over a
@@ -179,34 +147,25 @@ def _grade_cone_batch(
     pass grades from ``t=0`` the times are independent of batch
     composition and schedule — the "actual" axis of the predicted-vs-
     actual rank correlation in ``repro bench --schedule``.
+
+    ``dense_hint`` sets the cone's first-chunk mode: the driver knows
+    whether a pass grades an all-fresh population (frontier provably
+    wide, start dense) or deepening survivors.
     """
+    from .eventsim import EventCone, fused_program
+
     n = len(faults)
     words = -(-n // 64)
     if length is None:
         length = lane_waves.shape[1]
     chunk = min(chunk, length) if length else 1
     net_masks, pin_masks = _line_masks(faults, words)
-    if engine == "event":
-        from .eventsim import EventCone, fused_program
-
-        cone = EventCone(fused_program(prog), net_masks, pin_masks, words)
-        # The driver knows whether this pass grades an all-fresh fault
-        # population (first deepening stage: frontier provably wide,
-        # start dense) or deepening survivors (start sparse).
-        if dense_hint is not None:
-            cone.dense_hint = dense_hint
-    else:
-        cone = BatchCone(prog, net_masks, pin_masks, words)
-    if engine == "event":
-        # The event cone reads golden lazily straight from the full
-        # (contiguous) matrix; per-chunk slices stay within [0, length).
-        cone.bind_golden(ws, lane_waves, length)
-    else:
-        # Bind only the graded stimulus window: a deepening-prefix pass
-        # reads golden rows in [0, length) alone, and gathering the full
-        # waveform length would dominate short-prefix stages.
-        cone.bind_golden(ws, lane_waves if length >= lane_waves.shape[1]
-                         else lane_waves[:, :length])
+    cone = EventCone(fused_program(prog), net_masks, pin_masks, words)
+    if dense_hint is not None:
+        cone.dense_hint = dense_hint
+    # Golden is read lazily straight from the full (contiguous) matrix;
+    # per-chunk slices stay within [0, length).
+    cone.bind_golden(ws, lane_waves, length)
 
     full = np.full(words, _ALL_ONES, dtype=np.uint64)
     tail = n - 64 * (words - 1)
@@ -259,11 +218,12 @@ def _grade_cone_batch(
         "chunks_skipped": skipped,
         "faults_dropped": dropped,
         "work": work,
-        "frontier_nets": int(getattr(cone, "frontier_rows", 0)),
-        "words_skipped": int(getattr(cone, "words_skipped", 0)),
+        "frontier_nets": cone.frontier_rows,
+        "words_skipped": cone.words_skipped,
+        "dense_chunks": cone.dense_chunks,
+        "sparse_chunks": cone.sparse_chunks,
     }
-    lanes = np.arange(64, dtype=np.uint64)
-    bits = ((detected[:, None] >> lanes[None, :]) & np.uint64(1))
+    bits = ((detected[:, None] >> lanes64[None, :]) & np.uint64(1))
     return bits.astype(bool).ravel()[:n], stats
 
 
@@ -292,109 +252,88 @@ def _emit_batch_stats(tel, n_faults: int, stats: Dict[str, int]) -> None:
     tel.counter("gates.faults_graded").add(n_faults)
     tel.counter("gates.cone_nets").add(stats["cone_nets"])
     tel.counter("gates.lane_vectors").add(stats["work"])
-    if stats["chunks_skipped"]:
-        tel.counter("gates.chunks_skipped").add(stats["chunks_skipped"])
-    if stats["faults_dropped"]:
-        tel.counter("gates.faults_dropped").add(stats["faults_dropped"])
-    if stats.get("frontier_nets"):
-        tel.counter("gates.frontier_nets").add(stats["frontier_nets"])
-    if stats.get("words_skipped"):
-        tel.counter("gates.words_skipped").add(stats["words_skipped"])
+    for key in ("chunks_skipped", "faults_dropped", "frontier_nets",
+                "words_skipped", "dense_chunks", "sparse_chunks"):
+        if stats[key]:
+            tel.counter(f"gates.{key}").add(stats[key])
 
 
-def fault_parallel_detect(
-    nl: GateNetlist,
-    input_raw: Sequence[int],
-    faults: Sequence[NetlistFault],
-    golden: Optional[np.ndarray] = None,
+def _grade_verdicts(
+    prog: CompiledNetlist,
+    lane_waves: np.ndarray,
+    faults: Sequence[EnumeratedFault],
     *,
-    program: Optional[CompiledNetlist] = None,
-    net_waves: Optional[np.ndarray] = None,
-    chunk: Optional[int] = None,
-    engine: Optional[str] = None,
-) -> np.ndarray:
-    """Exact detection verdicts for up to 64 faults in one pass.
-
-    Returns a boolean array aligned with ``faults``: True when the faulty
-    copy's output sequence differs from the fault-free one anywhere
-    (the alias-free response-analyzer criterion).
-
-    ``golden`` (the fault-free *output* sequence) is accepted for
-    backward compatibility but no longer needed: detection reads the
-    golden per-net waveform matrix, which callers grading many batches
-    should precompute once and pass as ``net_waves`` (with the compiled
-    ``program``) to amortize the single golden simulation.
-    """
-    if len(faults) > 64:
-        raise SimulationError("at most 64 faults per batch")
-    return fault_parallel_grade(nl, input_raw, faults, program=program,
-                                net_waves=net_waves, chunk=chunk,
-                                engine=engine)
-
-
-def fault_parallel_grade(
-    nl: GateNetlist,
-    input_raw: Sequence[int],
-    faults: Sequence[NetlistFault],
-    *,
-    program: Optional[CompiledNetlist] = None,
-    net_waves: Optional[np.ndarray] = None,
     chunk: Optional[int] = None,
     words: Optional[int] = None,
-    workspace: Optional[ConeWorkspace] = None,
-    engine: Optional[str] = None,
+    scheduler: Optional[Callable[[Sequence[EnumeratedFault], int],
+                                 List[List[int]]]] = None,
+    deepening: bool = True,
+    detect_times: Optional[np.ndarray] = None,
+    on_batch: Optional[Callable[[Dict[str, int]], None]] = None,
 ) -> np.ndarray:
-    """Exact detection verdicts for arbitrarily many faults.
+    """The iterative-deepening verdict loop behind every exact grade.
 
-    Faults are graded ``64 * words`` at a time (one cone pass per
-    group); pass pre-scheduled faults (see
-    :func:`repro.gates.faults.schedule_fault_batches`) to keep each
-    pass's cone small.  Verdicts align with ``faults``.  ``engine``
-    selects the cone evaluator tier (:data:`ENGINES`); the
-    ``reference`` tier is only reachable through
-    :func:`gate_level_missed` / :func:`fault_parallel_reference`.
+    Every fault is graded on a short stimulus prefix first; detected
+    faults are final (detection is monotone in the prefix), survivors
+    are repacked into fresh cone-local batches and re-graded on
+    geometrically longer prefixes, the last being the full sequence —
+    so the hard tail of each batch never drags a full-length cone
+    evaluation along with it.  Returns verdicts aligned with ``faults``.
+
+    Emits one ``gates.fault_batch`` span and the per-batch counters,
+    nothing run-level: :func:`gate_level_missed` owns the progress
+    stream and the throughput gauge, so pool workers grading a slice of
+    a larger run never publish a stream whose ``total`` is their slice.
+    ``on_batch`` receives the per-batch record documented there.
     """
     tel = get_telemetry()
-    engine = resolve_engine(engine)
-    if engine == "reference":
-        raise SimulationError(
-            "fault_parallel_grade has no reference tier; use "
-            "fault_parallel_reference")
-    prog = program if program is not None else compiled_program(nl)
-    if net_waves is None:
-        raw = np.asarray(input_raw, dtype=np.int64)
-        net_waves = golden_net_waves(
-            prog, pack_input_bits(raw, len(nl.input_bits)))
-    lane_waves = expand_lane_waves(net_waves)
-    chunk_len = DEFAULT_CHUNK if chunk is None else max(1, int(chunk))
-    auto_words = words is None
-    words = DEFAULT_WORDS if words is None else max(1, int(words))
-    ws = workspace if workspace is not None else ConeWorkspace()
-
-    faults = list(faults)
+    plan_batches = (schedule_fault_batches if scheduler is None
+                    else scheduler)
+    length = lane_waves.shape[1]
+    chunk_len = min(DEFAULT_CHUNK if chunk is None else max(1, int(chunk)),
+                    max(length, 1))
+    n_words = DEFAULT_WORDS if words is None else max(1, int(words))
+    ws = ConeWorkspace()
     verdicts = np.zeros(len(faults), dtype=bool)
-    # Same iterative-deepening strategy as gate_level_missed: finalize
-    # the easy majority on a short prefix, regrade survivors (packed
-    # densely, preserving the caller's locality order) on longer ones.
     remaining = np.arange(len(faults))
-    stages = _deepening_schedule(lane_waves.shape[1], chunk_len)
+    finalized = 0
+    stages = (_deepening_schedule(length, chunk_len) if deepening
+              else [length])
     for stage_len in stages:
+        final = stage_len == length
         stage_words = (EVENT_STAGE1_WORDS
-                       if auto_words and engine == "event"
-                       and stage_len == stages[0] else words)
-        span_size = 64 * stage_words
-        for start in range(0, remaining.size, span_size):
-            idx = remaining[start:start + span_size]
-            batch = [faults[i] for i in idx]
+                       if words is None and stage_len == stages[0]
+                       else n_words)
+        subset = [faults[i] for i in remaining]
+        for batch in plan_batches(subset, 64 * stage_words):
+            idx = remaining[np.asarray(batch, dtype=np.int64)]
+            first_detect = (np.full(len(batch), -1, dtype=np.int64)
+                            if detect_times is not None else None)
             with tel.span("gates.fault_batch", faults=len(batch),
                           prefix=stage_len):
                 batch_verdicts, stats = _grade_cone_batch(
-                    prog, lane_waves, batch, chunk_len, ws,
-                    length=stage_len, engine=engine, dense_hint=True)
+                    prog, lane_waves,
+                    [faults[i].netlist_fault for i in idx],
+                    chunk_len, ws, length=stage_len,
+                    first_detect=first_detect, dense_hint=True)
             verdicts[idx] = batch_verdicts
+            if first_detect is not None:
+                hit = first_detect >= 0
+                detect_times[idx[hit]] = first_detect[hit]
             if tel.enabled:
                 _emit_batch_stats(tel, len(batch), stats)
-        if stage_len == lane_waves.shape[1]:
+            finalized += (len(batch) if final
+                          else int(batch_verdicts.sum()))
+            if on_batch is not None:
+                on_batch({
+                    "faults": len(batch),
+                    "prefix": stage_len,
+                    "work": stats["work"],
+                    "dropped": stats["faults_dropped"],
+                    "detected": int(verdicts.sum()),
+                    "finalized": finalized,
+                })
+        if final:
             break
         remaining = remaining[~verdicts[remaining]]
         if not remaining.size:
@@ -416,7 +355,6 @@ def gate_level_missed(
     on_batch: Optional[Callable[[Dict[str, int]], None]] = None,
     detect_times: Optional[np.ndarray] = None,
     deepening: bool = True,
-    engine: Optional[str] = None,
     program: Optional[CompiledNetlist] = None,
     net_waves: Optional[np.ndarray] = None,
 ) -> List[EnumeratedFault]:
@@ -424,10 +362,12 @@ def gate_level_missed(
 
     Faults are grouped into cone-local batches
     (:func:`repro.gates.faults.schedule_fault_batches`) of
-    ``64 * words`` and graded by the cone engine; the returned list
-    preserves the input fault order, so results are deterministic
-    regardless of scheduling.  ``progress`` ticks once per 64 graded
-    faults, matching the historical batch granularity.
+    ``64 * words`` and graded by the event-driven cone engine; the
+    returned list preserves the input fault order, so results are
+    deterministic regardless of scheduling.  ``progress`` ticks once per
+    64 graded faults, matching the historical batch granularity.
+    ``words`` left unset widens the first deepening stage to
+    :data:`EVENT_STAGE1_WORDS`.
 
     Pass an :class:`~repro.cache.ArtifactCache` as ``cache`` to persist
     (and reuse) the compiled program and the golden per-net waveforms,
@@ -457,35 +397,15 @@ def gate_level_missed(
     only easy-first mechanism; production callers should leave
     deepening on.
 
-    ``engine`` selects the evaluator tier (:data:`ENGINES`, default
-    :data:`DEFAULT_ENGINE`).  ``"event"`` and ``"word"`` share this
-    driver and are bit-identical in verdicts *and* detection times;
-    ``"reference"`` delegates to :func:`gate_level_missed_reference`
-    (verdict-identical, but it predates the hooks below and rejects
-    them).
-
     ``program``/``net_waves`` accept a pre-compiled program and a
     pre-simulated golden per-net waveform matrix, skipping the
     corresponding pipeline stages here.  ``repro bench --gates`` uses
     this to time the compile/golden/grade phases separately.
     """
     tel = get_telemetry()
-    engine = resolve_engine(engine)
-    if engine == "reference":
-        if (scheduler is not None or on_batch is not None
-                or detect_times is not None or program is not None
-                or net_waves is not None):
-            raise SimulationError(
-                "engine='reference' supports none of scheduler=/"
-                "on_batch=/detect_times=/program=/net_waves=")
-        return gate_level_missed_reference(nl, input_raw, faults,
-                                           progress)
-    plan_batches = (schedule_fault_batches if scheduler is None
-                    else scheduler)
     raw = np.asarray(input_raw, dtype=np.int64)
-    auto_words = words is None
-    n_words = DEFAULT_WORDS if words is None else max(1, int(words))
-    with tel.span("gates.fault_parallel", faults=len(faults),
+    n_faults = len(faults)
+    with tel.span("gates.fault_parallel", faults=n_faults,
                   vectors=len(raw)) as span:
         from ..cache.pipeline import cached_gate_program, cached_net_waves
 
@@ -497,83 +417,38 @@ def gate_level_missed(
                 cache, nl, raw,
                 lambda: golden_net_waves(
                     prog, pack_input_bits(raw, len(nl.input_bits))))
-
-        lane_waves = expand_lane_waves(net_waves)
-        if engine == "event" and tel.enabled:
+        if tel.enabled:
             from .eventsim import fused_program
 
             tel.counter("gates.lut_fused_levels").add(
                 fused_program(prog).stats["levels_fused"])
-        chunk_len = DEFAULT_CHUNK if chunk is None else max(1, int(chunk))
-        chunk_len = min(chunk_len, max(len(raw), 1))
-        ws = ConeWorkspace()
-        n_faults = len(faults)
-        verdicts = np.zeros(n_faults, dtype=bool)
-        # Iterative deepening: every fault is graded on a short stimulus
-        # prefix first; detected faults are final (detection is monotone
-        # in the prefix), survivors are repacked into fresh dense
-        # batches and re-graded on geometrically longer prefixes, the
-        # last being the full sequence — so the hard tail of each batch
-        # never drags a full-length cone evaluation along with it.
-        remaining = np.arange(n_faults)
-        finalized = emitted = dropped = 0
-        stages = (_deepening_schedule(len(raw), chunk_len) if deepening
-                  else [len(raw)])
-        for stage_len in stages:
-            final = stage_len == len(raw)
-            stage_words = (EVENT_STAGE1_WORDS
-                           if auto_words and engine == "event"
-                           and stage_len == stages[0] else n_words)
-            subset = [faults[i] for i in remaining]
-            for batch in plan_batches(subset, 64 * stage_words):
-                idx = remaining[np.asarray(batch, dtype=np.int64)]
-                first_detect = (np.full(len(batch), -1, dtype=np.int64)
-                                if detect_times is not None else None)
-                with tel.span("gates.fault_batch", faults=len(batch),
-                              prefix=stage_len):
-                    batch_verdicts, stats = _grade_cone_batch(
-                        prog, lane_waves,
-                        [faults[i].netlist_fault for i in idx],
-                        chunk_len, ws, length=stage_len,
-                        first_detect=first_detect, engine=engine,
-                        dense_hint=True)
-                verdicts[idx] = batch_verdicts
-                if first_detect is not None:
-                    hit = first_detect >= 0
-                    detect_times[idx[hit]] = first_detect[hit]
-                dropped += stats["faults_dropped"]
-                if tel.enabled:
-                    _emit_batch_stats(tel, len(batch), stats)
-                finalized += (len(batch) if final
-                              else int(batch_verdicts.sum()))
-                if on_batch is not None:
-                    on_batch({
-                        "faults": len(batch),
-                        "prefix": stage_len,
-                        "work": stats["work"],
-                        "dropped": stats["faults_dropped"],
-                        "detected": int(verdicts.sum()),
-                        "finalized": finalized,
-                    })
-                if tel.enabled:
-                    tel.progress(
-                        "gates.grade", finalized, n_faults,
-                        detected=int(verdicts.sum()),
-                        coverage=float(verdicts.sum()) / max(1, n_faults),
-                        dropped=dropped, prefix=stage_len)
-                while progress is not None and (emitted + 1) * 64 <= finalized:
-                    emitted += 1
-                    progress(emitted * 64, n_faults)
-            if final:
-                break
-            remaining = remaining[~verdicts[remaining]]
-            if not remaining.size:
-                break
+        dropped = emitted = 0
+
+        def after_batch(record: Dict[str, int]) -> None:
+            nonlocal dropped, emitted
+            dropped += record["dropped"]
+            if on_batch is not None:
+                on_batch(record)
+            if tel.enabled:
+                tel.progress(
+                    "gates.grade", record["finalized"], n_faults,
+                    detected=record["detected"],
+                    coverage=record["detected"] / max(1, n_faults),
+                    dropped=dropped, prefix=record["prefix"])
+            while (progress is not None
+                   and (emitted + 1) * 64 <= record["finalized"]):
+                emitted += 1
+                progress(emitted * 64, n_faults)
+
+        verdicts = _grade_verdicts(
+            prog, expand_lane_waves(net_waves), faults, chunk=chunk,
+            words=words, scheduler=scheduler, deepening=deepening,
+            detect_times=detect_times, on_batch=after_batch)
         if progress is not None and emitted * 64 < n_faults:
             progress(n_faults, n_faults)
         missed = [f for f, hit in zip(faults, verdicts) if not hit]
     if tel.enabled and span.duration > 0:
-        tel.gauge("gates.faults_per_sec").set(len(faults) / span.duration)
+        tel.gauge("gates.faults_per_sec").set(n_faults / span.duration)
     return missed
 
 
@@ -588,9 +463,14 @@ def fault_parallel_reference(
 ) -> np.ndarray:
     """The straightforward fault-parallel pass: every net, every vector.
 
-    Kept as the bit-exactness oracle for the cone-restricted engine (the
-    randomized equivalence suite asserts verdict-for-verdict identity)
-    and as the baseline ``repro bench --gates`` measures speedup against.
+    Returns each fault's first divergent vector: the index of the first
+    stimulus vector at which the faulty copy's outputs differ from the
+    fault-free machine's, or ``-1`` when they never do (so ``>= 0`` is
+    the alias-free detection verdict).  Kept as the bit-exactness oracle
+    for the event engine — the randomized equivalence suite maps these
+    times onto the driver's chunk-end axis and asserts verdicts,
+    detection times and MISR signatures — and as the baseline
+    ``repro bench --gates`` measures speedup against.
     """
     if len(faults) > 64:
         raise SimulationError("at most 64 faults per batch")
@@ -674,14 +554,19 @@ def fault_parallel_reference(
         from .gatesim import simulate_netlist
 
         golden = simulate_netlist(nl, raw)["output"]
-    detected = np.uint64(0)
+    diff = np.zeros(length, dtype=np.uint64)
     for j, net in enumerate(nl.output_bits):
         good = ((golden >> j) & 1).astype(bool)
         good_wave = np.where(good, _ALL_ONES, np.uint64(0))
-        detected |= np.bitwise_or.reduce(read(net) ^ good_wave)
-    # Unpack the detected word: bit j of `detected` is copy j's verdict.
+        diff |= read(net) ^ good_wave
+    if not length:
+        return np.full(len(faults), -1, dtype=np.int64)
+    # Bit j of diff[t] is set when copy j's outputs differ at vector t.
     lanes = np.arange(len(faults), dtype=np.uint64)
-    return ((detected >> lanes) & np.uint64(1)).astype(bool)
+    bits = ((diff[:, None] >> lanes[None, :]) & np.uint64(1)).astype(bool)
+    first = bits.argmax(axis=0).astype(np.int64)
+    first[~bits.any(axis=0)] = -1
+    return first
 
 
 def gate_level_missed_reference(
@@ -702,11 +587,9 @@ def gate_level_missed_reference(
     missed: List[EnumeratedFault] = []
     for start in range(0, len(faults), 64):
         batch = faults[start:start + 64]
-        verdicts = fault_parallel_reference(
+        first = fault_parallel_reference(
             nl, input_raw, [f.netlist_fault for f in batch], golden=golden)
-        for fault, hit in zip(batch, verdicts):
-            if not hit:
-                missed.append(fault)
+        missed.extend(f for f, t in zip(batch, first) if t < 0)
         if progress is not None:
             progress(min(start + 64, len(faults)), len(faults))
     return missed

@@ -3,23 +3,23 @@
 Bridges the collapsed cell-level dictionary of :mod:`repro.gates.cells`
 onto a flat :class:`~repro.gates.netlist.GateNetlist`, producing concrete
 :class:`~repro.gates.gatesim.NetlistFault` objects that the gate-level
-simulator can inject.  Used by the cross-validation tests and by the
-exhaustive (small-design) gate-level fault simulator.
+simulator can inject, and the cone-aware batch schedule the exact
+grader packs them in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..rtl.graph import Graph
 from ..rtl.nodes import OpKind
 from .cells import CellFault, variant_for_bit
-from .gatesim import NetlistFault, netlist_fault_detected, simulate_netlist
+from .gatesim import NetlistFault
 from .netlist import GateNetlist
 
 __all__ = ["EnumeratedFault", "enumerate_cell_faults",
-           "gate_level_fault_simulation", "schedule_fault_batches"]
+           "schedule_fault_batches"]
 
 
 @dataclass(frozen=True)
@@ -95,29 +95,3 @@ def schedule_fault_batches(faults: Sequence[EnumeratedFault],
     order = sorted(range(len(faults)), key=lambda i: _locality_key(faults[i]))
     return [order[start:start + batch_size]
             for start in range(0, len(order), batch_size)]
-
-
-def gate_level_fault_simulation(
-    graph: Graph,
-    nl: GateNetlist,
-    input_raw,
-    faults: Optional[List[EnumeratedFault]] = None,
-    progress_every: int = 0,
-) -> Tuple[List[EnumeratedFault], List[EnumeratedFault]]:
-    """Serial gate-level fault simulation of the full (or given) universe.
-
-    Returns ``(detected, missed)``.  Exact but O(faults x netlist), so
-    intended for small designs and spot checks; the production coverage
-    engine lives in :mod:`repro.faultsim.engine`.
-    """
-    if faults is None:
-        faults = enumerate_cell_faults(graph, nl)
-    golden = simulate_netlist(nl, input_raw)["output"]
-    detected: List[EnumeratedFault] = []
-    missed: List[EnumeratedFault] = []
-    for i, f in enumerate(faults):
-        if progress_every and i % progress_every == 0:
-            print(f"  gate-level fault sim: {i}/{len(faults)}")
-        hit = netlist_fault_detected(nl, input_raw, f.netlist_fault, golden=golden)
-        (detected if hit else missed).append(f)
-    return detected, missed

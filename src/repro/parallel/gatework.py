@@ -1,26 +1,27 @@
 """Distributed exact gate-level fault grading.
 
-:func:`repro.gates.fault_parallel.fault_parallel_detect` grades 64
-faults per cone-restricted pass; a full-universe cross-validation is
-thousands of independent passes over one shared netlist and input
-sequence.  This module fans those 64-fault batches out across the
-process pool: the (netlist, inputs, scheduled faults) payload ships once
-per worker through the pool initializer, tasks are bare batch offsets,
-and verdicts come back as tiny boolean arrays.  Each worker compiles the
-netlist program and simulates the golden machine once, lazily, on its
-first batch; faults are pre-ordered by the cone-aware scheduler
-(:func:`repro.gates.faults.schedule_fault_batches`) so every batch's
-union fanout cone stays small.
+A full-universe grade is thousands of independent cone passes over one
+shared netlist and input sequence.  This module fans fixed-size slices
+of the cone-aware schedule out across the process pool: the (netlist,
+inputs, scheduled faults) payload ships once per worker through the
+pool initializer, tasks are bare slice offsets, and verdicts come back
+as tiny boolean arrays.  Each worker compiles the netlist program and
+simulates the golden machine once, lazily, on its first slice, then
+grades every slice with the same iterative-deepening verdict loop as
+:func:`repro.gates.fault_parallel.gate_level_missed`; faults are
+pre-ordered by :func:`repro.gates.faults.schedule_fault_batches` so
+every slice's union fanout cone stays small.
 
-A worker crash or timeout falls back to the parent-side serial engine,
+A worker crash or timeout falls back to the parent-side serial loop,
 so the result is always the exact missed-fault list.
 
 When telemetry is enabled the pool propagates the trace into each
 worker (see :mod:`repro.telemetry.propagate`): the ``gates.fault_batch``
-spans a worker's :func:`fault_parallel_grade` emits merge back under the
-dispatching ``gates.fault_pool`` span, so pooled and serial-fallback
-runs produce identically shaped span trees — the only difference is the
-``pid`` on the batch spans.
+spans a worker's verdict loop emits merge back under the dispatching
+``gates.fault_pool`` span, so pooled and serial-fallback runs produce
+identically shaped span trees — the only difference is the ``pid`` on
+the batch spans.  Only the parent publishes the ``gates.grade``
+progress stream and the ``gates.faults_per_sec`` gauge.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gates.compiled import compiled_program, golden_net_waves
-from ..gates.fault_parallel import DEFAULT_WORDS, fault_parallel_grade
+from ..gates.compiled import (compiled_program, expand_lane_waves,
+                              golden_net_waves)
+from ..gates.fault_parallel import DEFAULT_WORDS, _grade_verdicts
 from ..gates.faults import schedule_fault_batches
 from ..gates.gatesim import pack_input_bits
 from ..gates.netlist import GateNetlist
@@ -39,7 +41,7 @@ from .pool import parallel_map
 
 __all__ = ["gate_level_missed_parallel"]
 
-#: One task grades this many faults (one multi-word cone pass).
+#: One task grades this many faults (one cone pass per deepening stage).
 BATCH = 64 * DEFAULT_WORDS
 
 #: Per-worker payload installed by :func:`_init_gate_worker`.
@@ -47,32 +49,25 @@ _GATE_STATE: Dict[str, Any] = {}
 
 
 def _init_gate_worker(nl: GateNetlist, raw: np.ndarray,
-                      netlist_faults: Sequence,
-                      engine: Optional[str] = None) -> None:
-    _GATE_STATE["payload"] = (nl, raw, list(netlist_faults))
-    _GATE_STATE["engine"] = engine
+                      faults: Sequence) -> None:
+    _GATE_STATE["payload"] = (nl, raw, list(faults))
     _GATE_STATE.pop("compiled", None)
 
 
-def _compiled_state(nl: GateNetlist, raw: np.ndarray) -> Tuple:
-    """(program, net_waves), compiled/simulated once per worker."""
-    state = _GATE_STATE.get("compiled")
-    if state is None:
-        prog = compiled_program(nl)
-        waves = golden_net_waves(prog,
-                                 pack_input_bits(raw, len(nl.input_bits)))
-        state = (prog, waves)
-        _GATE_STATE["compiled"] = state
-    return state
+def _compile(nl: GateNetlist, raw: np.ndarray) -> Tuple:
+    """(program, lane waves) of the golden machine."""
+    prog = compiled_program(nl)
+    waves = golden_net_waves(prog, pack_input_bits(raw, len(nl.input_bits)))
+    return prog, expand_lane_waves(waves)
 
 
 def _grade_batch(start: int) -> np.ndarray:
-    nl, raw, netlist_faults = _GATE_STATE["payload"]
-    prog, waves = _compiled_state(nl, raw)
-    batch = netlist_faults[start:start + BATCH]
-    return fault_parallel_grade(nl, raw, batch, program=prog,
-                                net_waves=waves,
-                                engine=_GATE_STATE.get("engine"))
+    nl, raw, faults = _GATE_STATE["payload"]
+    state = _GATE_STATE.get("compiled")
+    if state is None:
+        state = _GATE_STATE["compiled"] = _compile(nl, raw)
+    prog, lanes = state
+    return _grade_verdicts(prog, lanes, faults[start:start + BATCH])
 
 
 def gate_level_missed_parallel(
@@ -82,18 +77,14 @@ def gate_level_missed_parallel(
     *,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
-    golden: Optional[np.ndarray] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    engine: Optional[str] = None,
 ) -> List:
-    """Exact missed-fault list, 64-fault batches fanned across workers.
+    """Exact missed-fault list, fixed-size fault slices fanned across
+    workers.
 
     Drop-in parallel counterpart of
     :func:`repro.gates.fault_parallel.gate_level_missed`; identical
-    verdicts, ``ceil(F / 64)`` independent tasks.  (``golden`` is
-    accepted for backward compatibility; workers derive the golden
-    machine from their own compiled simulation.)  ``engine`` picks each
-    worker's cone evaluator tier — every tier is bit-identical.
+    verdicts, ``ceil(F / BATCH)`` independent tasks.
     """
     faults = list(faults)
     tel = get_telemetry()
@@ -104,26 +95,19 @@ def gate_level_missed_parallel(
         # verdicts back so results are independent of the schedule.
         order = [i for batch in schedule_fault_batches(faults, BATCH)
                  for i in batch]
-        netlist_faults = [faults[i].netlist_fault for i in order]
-        starts = list(range(0, len(netlist_faults), BATCH))
+        scheduled = [faults[i] for i in order]
+        starts = list(range(0, len(scheduled), BATCH))
 
         def _serial(chunk: Sequence[int]) -> List[np.ndarray]:
-            prog = compiled_program(nl)
-            waves = golden_net_waves(
-                prog, pack_input_bits(raw, len(nl.input_bits)))
-            out = []
-            for start in chunk:
-                batch = netlist_faults[start:start + BATCH]
-                out.append(fault_parallel_grade(nl, raw, batch,
-                                                program=prog,
-                                                net_waves=waves,
-                                                engine=engine))
-            return out
+            prog, lanes = _compile(nl, raw)
+            return [_grade_verdicts(prog, lanes,
+                                    scheduled[start:start + BATCH])
+                    for start in chunk]
 
         verdict_blocks = parallel_map(
             _grade_batch, starts, jobs=jobs, timeout=timeout,
             initializer=_init_gate_worker,
-            initargs=(nl, raw, netlist_faults, engine),
+            initargs=(nl, raw, scheduled),
             serial_fallback=_serial, label="gates.fault_pool")
 
         verdicts = np.zeros(len(faults), dtype=bool)

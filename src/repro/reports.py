@@ -62,50 +62,34 @@ def _check_bench_parallel(doc: Dict[str, Any]) -> None:
 
 
 def _check_bench_gatesim(doc: Dict[str, Any]) -> None:
-    _require(doc, ("reference", "optimized", "speedup", "identical"),
-             "bench-gatesim report")
-    for side in ("reference", "optimized"):
-        _positive(doc[side], ("seconds", "faults_per_sec"),
-                  f"bench-gatesim report [{side}]")
-    if doc["identical"] is not True:
-        raise ReportSchemaError(
-            "bench-gatesim report: optimized verdicts diverge from the "
-            "reference engine")
-    counters = doc["optimized"].get("counters", {})
-    _positive(counters, ("gates.fault_batches",),
-              "bench-gatesim report [optimized.counters]")
-
-
-def _check_bench_gatesim_v2(doc: Dict[str, Any]) -> None:
-    _require(doc, ("engines", "speedups", "identical"),
-             "bench-gatesim/2 report")
+    where = "bench-gatesim/3 report"
+    _require(doc, ("engines", "speedups", "identical"), where)
     engines = doc["engines"]
-    expected = {"event", "word", "reference"}
+    expected = {"event", "reference"}
     if set(engines) != expected:
         raise ReportSchemaError(
-            f"bench-gatesim/2 report: engines must be exactly "
-            f"{sorted(expected)}, got {sorted(engines)}")
+            f"{where}: engines must be exactly {sorted(expected)}, "
+            f"got {sorted(engines)}")
     for name, entry in engines.items():
         _positive(entry, ("seconds", "faults_per_sec"),
-                  f"bench-gatesim/2 report [engines.{name}]")
+                  f"{where} [engines.{name}]")
         phases = entry.get("phases")
         if not isinstance(phases, dict):
             raise ReportSchemaError(
-                f"bench-gatesim/2 report: engines.{name}.phases missing")
+                f"{where}: engines.{name}.phases missing")
         _require(phases, ("compile_seconds", "golden_seconds",
                           "grade_seconds"),
-                 f"bench-gatesim/2 report [engines.{name}.phases]")
+                 f"{where} [engines.{name}.phases]")
         _positive(phases, ("grade_seconds",),
-                  f"bench-gatesim/2 report [engines.{name}.phases]")
+                  f"{where} [engines.{name}.phases]")
     if doc["identical"] is not True:
         raise ReportSchemaError(
-            "bench-gatesim/2 report: engine verdicts are not identical")
-    _require(doc["speedups"], ("event_vs_reference", "word_vs_reference",
-                               "event_vs_word"),
-             "bench-gatesim/2 report [speedups]")
+            f"{where}: event verdicts diverge from the reference engine")
+    _require(doc["speedups"], ("event_vs_reference",),
+             f"{where} [speedups]")
     counters = engines["event"].get("counters", {})
     _positive(counters, ("gates.fault_batches",),
-              "bench-gatesim/2 report [engines.event.counters]")
+              f"{where} [engines.event.counters]")
 
 
 def _check_bench_schedule(doc: Dict[str, Any]) -> None:
@@ -208,8 +192,7 @@ def _check_fleet(doc: Dict[str, Any]) -> None:
 REPORT_SCHEMAS: Dict[str, Callable[[Dict[str, Any]], None]] = {
     "repro-fleet/1": _check_fleet,
     "repro-bench-parallel/1": _check_bench_parallel,
-    "repro-bench-gatesim/1": _check_bench_gatesim,
-    "repro-bench-gatesim/2": _check_bench_gatesim_v2,
+    "repro-bench-gatesim/3": _check_bench_gatesim,
     "repro-bench-schedule/1": _check_bench_schedule,
     "repro-cluster-sweep/1": _check_cluster_sweep,
     "repro-loadtest/1": _check_loadtest,

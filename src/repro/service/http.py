@@ -9,10 +9,10 @@ and responses are JSON.
 Routes
 ------
 ``POST   /v1/jobs``             submit (rank | grade | spectrum |
-                                serious-fault | gate-grade | recommend |
-                                grade-shard — the cluster coordinator's
-                                unit of dispatch, see
-                                :mod:`repro.cluster`)
+                                serious-fault | recommend | grade-shard
+                                — exact gate-level grading and the
+                                cluster coordinator's unit of dispatch,
+                                see :mod:`repro.cluster`)
 ``GET    /v1/jobs/{id}``        poll; ``?wait=SECONDS`` long-polls
 ``GET    /v1/jobs/{id}/result`` the result document alone
 ``DELETE /v1/jobs/{id}``        cancel a queued job

@@ -34,18 +34,18 @@ from ..telemetry import TraceContext
 __all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "BATCHABLE_KINDS",
            "PRIORITIES", "canonical_params"]
 
-#: Request kinds the service evaluates (ISSUE terminology: spectrum
-#: ranking per Table 3 is ``rank``, fault grading per Tables 4-5 is
-#: ``grade``, serious-fault checks per Figures 2-3 are ``serious-fault``;
-#: ``gate-grade`` is the exact gate-level grader, the long-running kind
-#: whose per-batch progress shows up live on the job document;
+#: Request kinds the service evaluates (spectrum ranking per Table 3
+#: is ``rank``, fault grading per Tables 4-5 is ``grade``,
+#: serious-fault checks per Figures 2-3 are ``serious-fault``;
 #: ``recommend`` answers "best generator for this design" from the
 #: analytic predictor, gate-grading only the top-k candidates;
-#: ``grade-shard`` is one cluster shard of exact gate-level grading —
-#: explicit global fault indices in, per-index verdicts + detection
-#: times + a MISR signature partial out (see :mod:`repro.cluster`).
-JOB_KINDS = ("rank", "grade", "spectrum", "serious-fault", "gate-grade",
-             "recommend", "grade-shard")
+#: ``grade-shard`` is exact gate-level grading — explicit global fault
+#: indices in, per-index verdicts + detection times + a MISR signature
+#: partial out (see :mod:`repro.cluster`) — the long-running kind whose
+#: per-batch progress shows up live on the job document.  Indices
+#: ``0..n-1`` with ``total = n`` grade a universe prefix whole.
+JOB_KINDS = ("rank", "grade", "spectrum", "serious-fault", "recommend",
+             "grade-shard")
 
 #: Kinds whose requests are small enough that the worker pool batches
 #: several queued ones into a single executor pass.
@@ -128,20 +128,6 @@ def _index_list(params: Dict[str, Any], name: str,
     return out
 
 
-def _engine_param(params: Dict[str, Any]) -> str:
-    """The cone evaluator tier a gate-grading job runs (canonical
-    spelling; empty/missing means the executing worker's default)."""
-    raw = params.pop("engine", "")
-    if raw in ("", None):
-        return ""
-    from ..gates import resolve_engine
-
-    try:
-        return resolve_engine(str(raw))
-    except Exception as exc:
-        raise ServiceError(str(exc), status=400) from None
-
-
 def _trace_param(params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """An optional ``{"trace_id": ..., "span_id": ...}`` dict naming
     where the shard's spans hang in the *coordinator's* trace."""
@@ -185,15 +171,6 @@ def canonical_params(kind: str, params: Optional[Dict[str, Any]]
         out["generator"] = resolve_generator(params.pop("generator", "lfsr1"))
         out["width"] = _int_param(params, "width", 12, MIN_WIDTH, MAX_WIDTH)
         out["points"] = _int_param(params, "points", 64, 1, MAX_POINTS)
-    elif kind == "gate-grade":
-        out["design"] = resolve_design(params.pop("design", "LP"))
-        out["generator"] = resolve_generator(params.pop("generator", "lfsr1"))
-        out["vectors"] = _int_param(params, "vectors", 256, 1,
-                                    MAX_GATE_VECTORS)
-        out["width"] = _int_param(params, "width", 12, MIN_WIDTH, MAX_WIDTH)
-        # 0 means "the whole enumerated universe" (still capped at
-        # execution time by the netlist's own fault count).
-        out["faults"] = _int_param(params, "faults", 256, 0, MAX_GATE_FAULTS)
     elif kind == "grade-shard":
         out["design"] = resolve_design(params.pop("design", "LP"))
         out["generator"] = resolve_generator(params.pop("generator",
@@ -206,7 +183,6 @@ def canonical_params(kind: str, params: Optional[Dict[str, Any]]
                                        MIN_MISR_WIDTH, MAX_MISR_WIDTH)
         # 0 = the engine's default time-chunk length.
         out["chunk"] = _int_param(params, "chunk", 0, 0, MAX_VECTORS)
-        out["engine"] = _engine_param(params)
         out["indices"] = _index_list(params, "indices", out["total"])
         trace = _trace_param(params)
         if trace is not None:
@@ -215,7 +191,7 @@ def canonical_params(kind: str, params: Optional[Dict[str, Any]]
         out["design"] = resolve_design(params.pop("design", "LP"))
         out["vectors"] = _int_param(params, "vectors", 4096, 2, MAX_VECTORS)
         # top_k bounds the gate-level confirmation passes (0 = analytic
-        # ranking only); the confirm budgets share the gate-grade caps.
+        # ranking only); the confirm budgets share the grade-shard caps.
         out["top_k"] = _int_param(params, "top_k", 2, 0, 5)
         out["confirm_vectors"] = _int_param(
             params, "confirm_vectors", 256, 0, MAX_GATE_VECTORS)

@@ -440,7 +440,6 @@ class EvaluationService:
             interval=self.config.heartbeat_interval,
             queue_depth=len(self.queue),
             inflight=self.pool.inflight_jobs(),
-            engine=self.pool.last_engine,
             started_unix=self.started_unix,
             extra={"ready": int(self.ready),
                    "events_dropped": self.events.dropped})

@@ -111,35 +111,9 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
         gen = make_generator(params["generator"], params["width"], 4096)
         freqs, power = generator_spectrum(gen)
         return _spectrum_result(params, gen, freqs, power)
-    if kind == "gate-grade":
-        from ..gates import (elaborate, enumerate_cell_faults,
-                             gate_level_missed)
-        from ..generators.base import match_width
-
-        design = ctx.designs[params["design"]]
-        nl = elaborate(design.graph)
-        faults = enumerate_cell_faults(design.graph, nl)
-        if params["faults"]:
-            faults = faults[:params["faults"]]
-        gen = make_generator(params["generator"], params["width"],
-                             params["vectors"])
-        raw = match_width(gen.sequence(params["vectors"]), gen.width,
-                          design.input_fmt.width)
-        missed = gate_level_missed(nl, raw, faults)
-        detected = len(faults) - len(missed)
-        return {
-            "design": params["design"],
-            "generator": params["generator"],
-            "vectors": params["vectors"],
-            "width": params["width"],
-            "fault_count": len(faults),
-            "detected": detected,
-            "missed": len(missed),
-            "coverage": detected / max(1, len(faults)),
-        }
     if kind == "grade-shard":
         from ..cluster.shards import grade_shard
-        from ..gates import elaborate, enumerate_cell_faults, resolve_engine
+        from ..gates import elaborate, enumerate_cell_faults
         from ..generators.base import match_width
         from ..telemetry import child_collector
 
@@ -176,8 +150,7 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
                               params["total"],
                               misr_width=params["misr_width"],
                               cache=ctx.cache,
-                              chunk=params["chunk"] or None,
-                              engine=params.get("engine") or None)
+                              chunk=params["chunk"] or None)
         doc.update({
             "design": params["design"],
             "generator": params["generator"],
@@ -185,7 +158,6 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
             "width": params["width"],
             "total": params["total"],
             "misr_width": params["misr_width"],
-            "engine": resolve_engine(params.get("engine") or None),
         })
         if handle.payload is not None:
             doc["trace"] = handle.payload
@@ -330,9 +302,6 @@ class WorkerPool:
         #: Currently-running job id -> kind (fleet heartbeats report
         #: these as the worker's inflight set).
         self.running: Dict[str, str] = {}
-        #: Gate-engine tier of the most recent batch that named one —
-        #: the fleet view's per-worker "engine" column.
-        self.last_engine: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -407,9 +376,6 @@ class WorkerPool:
             job.state = JobState.RUNNING
             job.started = now
             self.running[job.id] = job.kind
-            engine = (job.params or {}).get("engine")
-            if engine:
-                self.last_engine = str(engine)
             fut = self._inflight.get(job.cache_key)
             if fut is None and job.cache_key not in leader_futs:
                 leaders.append(job)

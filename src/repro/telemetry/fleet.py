@@ -5,9 +5,8 @@ processes, but until now their health was only visible *after* a sweep
 (traces grafted at merge time, ledger records on finish).  This module
 is the live counterpart: every worker periodically emits a
 **heartbeat** — its instrument snapshots, progress cursors, queue
-depth, inflight jobs, engine tier, pid/host — and a :class:`FleetView`
-on the aggregation side merges the stream into one fleet-level
-document.
+depth, inflight jobs, pid/host — and a :class:`FleetView` on the
+aggregation side merges the stream into one fleet-level document.
 
 The merge reuses the established cross-process discipline
 (:meth:`Telemetry.absorb <repro.telemetry.collector.Telemetry.absorb>`):
@@ -60,7 +59,6 @@ FAULT_STREAMS_SUFFIX = ".grade"
 def build_heartbeat(tel, *, worker: str, seq: int, interval: float,
                     queue_depth: Optional[int] = None,
                     inflight: Optional[List[str]] = None,
-                    engine: Optional[str] = None,
                     started_unix: Optional[float] = None,
                     extra: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
@@ -90,8 +88,6 @@ def build_heartbeat(tel, *, worker: str, seq: int, interval: float,
         beat["queue_depth"] = int(queue_depth)
     if inflight is not None:
         beat["inflight"] = list(inflight)
-    if engine is not None:
-        beat["engine"] = str(engine)
     if started_unix is not None:
         beat["started_unix"] = float(started_unix)
     if extra:
@@ -115,7 +111,6 @@ class WorkerHealth:
     restarts: int = 0
     queue_depth: Optional[int] = None
     inflight: List[str] = field(default_factory=list)
-    engine: Optional[str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
     #: Latest instrument snapshot per metric name.
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -164,8 +159,6 @@ class WorkerHealth:
             doc["queue_depth"] = self.queue_depth
         if self.inflight:
             doc["inflight"] = list(self.inflight)
-        if self.engine is not None:
-            doc["engine"] = self.engine
         if self.extra:
             doc["extra"] = dict(self.extra)
         return doc
@@ -263,8 +256,6 @@ class FleetView:
             health.queue_depth = int(beat["queue_depth"])
         if "inflight" in beat:
             health.inflight = [str(x) for x in beat["inflight"]]
-        if "engine" in beat:
-            health.engine = str(beat["engine"])
         if isinstance(beat.get("extra"), dict):
             health.extra.update(beat["extra"])
 

@@ -42,23 +42,6 @@ class TestFleetSweep:
         assert sum(t["faults"] for t in doc["shard_timings"]
                    if not t["duplicate"]) == 600
 
-    def test_engine_sweep_verifies_cross_engine(self, fleet):
-        """engine="event" ships the tier to every shard worker, the
-        verify oracle runs the *other* tier, and the merge is still
-        bit-identical — a live cross-engine equivalence proof."""
-        a, b = fleet
-        report = run_cluster_sweep([a.base_url, b.base_url], verify=True,
-                                   engine="event", **SWEEP)
-        assert report.verified is True
-        assert report.merged.total == 600
-        assert report.to_doc()["params"]["engine"] == "event"
-
-    def test_unknown_engine_rejected_before_dispatch(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError, match="unknown gate engine"):
-            run_cluster_sweep([DEAD_ENDPOINT], engine="warp", **SWEEP)
-
     def test_dead_worker_is_survived(self, fleet):
         a, _b = fleet
         # Generous retry budget: the dead dispatcher burns attempts

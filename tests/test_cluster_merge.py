@@ -21,11 +21,14 @@ from repro.cluster import (
     plan_shards,
     single_node_grade,
 )
-from repro.cluster.shards import coverage_checkpoints
+from repro.cluster.shards import DEFAULT_MISR_WIDTH, coverage_checkpoints
+from repro.cluster.signature import shard_signature_partial, stream_signature
 from repro.errors import ClusterError
 from repro.gates import elaborate, enumerate_cell_faults
 from repro.generators.base import match_width
 from repro.resolve import make_generator
+
+from helpers import chunk_end_times, reference_first_divergence
 
 VECTORS = 96
 FAULTS = 240
@@ -46,6 +49,27 @@ def lp_universe(ctx):
 def oracle(lp_universe):
     nl, raw, faults = lp_universe
     return single_node_grade(nl, raw, faults)
+
+
+@pytest.fixture(scope="module")
+def reference_times(lp_universe):
+    """The reference oracle's detection times on the grader's axis."""
+    nl, raw, faults = lp_universe
+    return chunk_end_times(reference_first_divergence(nl, raw, faults),
+                           len(raw))
+
+
+def _reference_shard(indices, times, total):
+    """A shard result built from the reference oracle's times."""
+    words = [int(times[i]) for i in indices]
+    return {
+        "indices": list(indices),
+        "detected": [int(t >= 0) for t in words],
+        "detect_times": words,
+        "signature_partial": shard_signature_partial(
+            DEFAULT_MISR_WIDTH, indices, words, total),
+        "faults": len(indices),
+    }
 
 
 def _random_partition(rng, n, parts):
@@ -94,31 +118,40 @@ class TestMergeDeterminism:
         assert merged.identical_to(oracle)
 
     def test_mixed_engine_fleet_merges_identically(self, lp_universe,
-                                                   oracle):
-        """A fleet whose workers run different engine tiers still
-        merges bit-identically — verdicts, detection times, signature
-        and checkpoints — because every tier is exact."""
+                                                   oracle, reference_times):
+        """A fleet whose shards come alternately from the event grader
+        and from the reference oracle's detection times still merges
+        bit-identically — verdicts, detection times, signature and
+        checkpoints — because both engines are exact."""
         nl, raw, faults = lp_universe
         shards = plan_shards(faults, max_faults=96, batch_size=48)
-        engines = ("event", "word", None)  # None = worker default
+        assert len(shards) > 1
         results = []
         for shard in shards:
-            res = grade_shard(nl, raw, faults, shard.indices,
-                              len(faults),
-                              engine=engines[shard.shard_id
-                                             % len(engines)])
+            if shard.shard_id % 2:
+                res = _reference_shard(shard.indices, reference_times,
+                                       len(faults))
+            else:
+                res = grade_shard(nl, raw, faults, shard.indices,
+                                  len(faults))
             res["shard"] = shard.shard_id
             results.append(res)
         merged = merge_shard_results(len(faults), results,
                                      test_length=len(raw))
         assert merged.identical_to(oracle)
 
-    def test_single_node_engines_agree(self, lp_universe, oracle):
-        nl, raw, faults = lp_universe
-        assert single_node_grade(nl, raw, faults,
-                                 engine="word").identical_to(oracle)
-        assert single_node_grade(nl, raw, faults,
-                                 engine="event").identical_to(oracle)
+    def test_single_node_engines_agree(self, lp_universe, oracle,
+                                       reference_times):
+        _nl, raw, faults = lp_universe
+        reference = MergedGrade(
+            verdicts=reference_times >= 0,
+            detect_times=reference_times,
+            signature=stream_signature(
+                DEFAULT_MISR_WIDTH, [int(t) for t in reference_times]),
+            checkpoints=coverage_checkpoints(reference_times, len(faults),
+                                             len(raw)),
+            test_length=len(raw))
+        assert oracle.identical_to(reference)
 
     def test_oracle_properties(self, oracle):
         assert oracle.total == FAULTS

@@ -43,8 +43,7 @@ class TestBuildHeartbeat:
         tel.counter("gates.evaluated").add(7)
         tel.progress("gates.grade", 3, 10)
         doc = build_heartbeat(tel, worker="w1", seq=4, interval=2.0,
-                              queue_depth=5, inflight=["j-1"],
-                              engine="event")
+                              queue_depth=5, inflight=["j-1"])
         assert doc["schema"] == HEARTBEAT_SCHEMA
         assert doc["worker"] == "w1"
         assert doc["seq"] == 4

@@ -1,11 +1,13 @@
-"""Randomized equivalence: cone engine vs the reference fault simulator.
+"""Randomized equivalence: the exact grader vs the reference simulator.
 
-The optimized gate-level engine (compiled programs, cone restriction,
+The optimized gate-level engine (compiled programs, event-driven cones,
 word-widened batches, time chunking with fault dropping, iterative
 deepening) must be a *pure speedup*: verdict-for-verdict identical to
 the retained pre-optimization reference engine on every design, batch
-shape, chunk size and word width.  These tests sweep randomized small
-designs and stimulus to pin that contract down.
+shape, chunk size and word width — and, mapped onto the driver's
+chunk-end time axis, identical in detection times and MISR signatures.
+These tests sweep randomized small designs and stimulus to pin that
+contract down.
 """
 
 import numpy as np
@@ -15,8 +17,6 @@ from repro.cache import ArtifactCache
 from repro.gates import (
     elaborate,
     enumerate_cell_faults,
-    fault_parallel_detect,
-    fault_parallel_grade,
     fault_parallel_reference,
     gate_level_missed,
     gate_level_missed_reference,
@@ -24,7 +24,12 @@ from repro.gates import (
 )
 from repro.rtl import design_from_coefficients
 
-from helpers import SMALL_COEFSETS, build_small_design
+from helpers import (
+    SMALL_COEFSETS,
+    build_small_design,
+    chunk_end_times,
+    reference_first_divergence,
+)
 
 
 def _fault_key(fault):
@@ -63,48 +68,58 @@ class TestRandomizedEquivalence:
             assert got == expect, f"trial {trial}"
 
     def test_chunk_sizes_and_word_widths(self, rng):
-        """Chunking/widening are evaluation details, not semantics."""
+        """Chunking/widening are evaluation details, not semantics:
+        verdicts match the reference, and detection times match its
+        first divergent vectors mapped to each chunk size."""
         design = build_small_design("with_zero")
         nl = elaborate(design.graph)
         faults = enumerate_cell_faults(design.graph, nl)
         raw = rng.integers(-2048, 2048, size=333)
         expect = [_fault_key(f)
                   for f in gate_level_missed_reference(nl, raw, faults)]
+        first = reference_first_divergence(nl, raw, faults)
         for chunk in (1, 17, 64, 512, 10_000):
+            ref_dt = chunk_end_times(first, len(raw), chunk)
             for words in (1, 2, 5):
+                dt = np.full(len(faults), -1, dtype=np.int64)
                 got = [_fault_key(f)
                        for f in gate_level_missed(nl, raw, faults,
-                                                  chunk=chunk, words=words)]
+                                                  chunk=chunk, words=words,
+                                                  detect_times=dt)]
                 assert got == expect, (chunk, words)
+                assert np.array_equal(dt, ref_dt), (chunk, words)
 
     def test_straddling_batches_match_reference(self, rng):
-        """fault_parallel_detect == fault_parallel_reference on any
-        64-fault window, including ones straddling scheduler batches."""
+        """The exact grader == fault_parallel_reference on any
+        <=64-fault window, including ones straddling scheduler batches."""
         design = build_small_design("leading_negative")
         nl = elaborate(design.graph)
-        faults = [f.netlist_fault
-                  for f in enumerate_cell_faults(design.graph, nl)]
+        faults = enumerate_cell_faults(design.graph, nl)
         raw = rng.integers(-2048, 2048, size=200)
         for _ in range(6):
             lo = int(rng.integers(0, max(1, len(faults) - 64)))
             batch = faults[lo:lo + int(rng.integers(1, 65))]
-            fast = fault_parallel_detect(nl, raw, batch)
-            slow = fault_parallel_reference(nl, raw, batch)
-            assert np.array_equal(fast, slow), lo
+            missed = gate_level_missed(nl, raw, batch)
+            first = fault_parallel_reference(
+                nl, raw, [f.netlist_fault for f in batch])
+            assert [f for f, t in zip(batch, first) if t < 0] == missed, lo
 
     def test_grade_matches_reference_on_permutations(self, rng):
-        """Verdicts are independent of fault order (scatter-back)."""
+        """Verdicts and detection times are independent of fault order
+        (scatter-back)."""
         design = build_small_design("single_digit")
         nl = elaborate(design.graph)
-        enumerated = enumerate_cell_faults(design.graph, nl)
-        faults = [f.netlist_fault for f in enumerated]
+        faults = enumerate_cell_faults(design.graph, nl)
         raw = rng.integers(-2048, 2048, size=150)
-        base = fault_parallel_grade(nl, raw, faults)
-        assert base.shape == (len(faults),)
+        base = np.full(len(faults), -1, dtype=np.int64)
+        gate_level_missed(nl, raw, faults, detect_times=base)
+        first = reference_first_divergence(nl, raw, faults)
+        assert np.array_equal(base >= 0, first >= 0)
         for _ in range(3):
             perm = rng.permutation(len(faults))
-            shuffled = fault_parallel_grade(nl, raw,
-                                            [faults[i] for i in perm])
+            shuffled = np.full(len(faults), -1, dtype=np.int64)
+            gate_level_missed(nl, raw, [faults[i] for i in perm],
+                              detect_times=shuffled)
             assert np.array_equal(shuffled, base[perm])
 
     def test_schedule_covers_every_fault_exactly_once(self, rng):
@@ -120,13 +135,14 @@ class TestRandomizedEquivalence:
 
 
 class TestEngineEquivalence:
-    """Three-way engine identity: event == word == reference.
+    """Two-way engine identity: event == reference.
 
-    Verdicts must match the reference oracle for every engine tier,
-    and — because detection times are recorded at canonical-chunk-end
-    granularity — detection times and the MISR signature of the
-    detection-time stream must be identical across engines, word
-    widths and schedulers *at a fixed chunk size*.
+    The reference oracle keeps each fault's first divergent vector;
+    mapped onto the driver's chunk-end axis (see
+    :func:`helpers.chunk_end_times`) it must reproduce the event
+    engine's verdicts, detection times and MISR signatures — full
+    stream and sharded partials — across chunk sizes, word widths and
+    schedulers.
     """
 
     def _schedulers(self, design):
@@ -138,6 +154,21 @@ class TestEngineEquivalence:
             "predicted", predictor=FaultPredictor(design, "lfsr1",
                                                   bins=8))
 
+    @staticmethod
+    def _assert_partials_merge(times, full):
+        from repro.cluster.signature import (combine_partials,
+                                             shard_signature_partial)
+
+        words = [int(t) for t in times]
+        total = len(words)
+        cut = total // 3
+        partials = [
+            shard_signature_partial(16, range(0, cut), words[:cut], total),
+            shard_signature_partial(16, range(cut, total), words[cut:],
+                                    total),
+        ]
+        assert combine_partials(partials) == full
+
     def test_engines_verdicts_times_and_signatures(self, rng):
         from repro.cluster.signature import stream_signature
 
@@ -147,62 +178,42 @@ class TestEngineEquivalence:
             faults = enumerate_cell_faults(design.graph, nl)
             raw = rng.integers(-2048, 2048,
                                size=int(rng.integers(120, 320)))
-            expect = [_fault_key(f)
-                      for f in gate_level_missed_reference(nl, raw,
-                                                           faults)]
-            ref = [_fault_key(f)
-                   for f in gate_level_missed(nl, raw, faults,
-                                              engine="reference")]
-            assert ref == expect
-            base = {}  # chunk -> (detect_times, signature)
-            for engine in ("word", "event"):
-                for chunk, words in ((None, None), (64, 2), (64, 1),
-                                     (512, 8)):
-                    for mode, sched in self._schedulers(design):
-                        tag = (trial, engine, chunk, words, mode)
-                        dt = np.full(len(faults), -1, dtype=np.int64)
-                        missed = gate_level_missed(
-                            nl, raw, faults, chunk=chunk, words=words,
-                            engine=engine, scheduler=sched,
-                            detect_times=dt)
-                        assert [_fault_key(f)
-                                for f in missed] == expect, tag
-                        sig = stream_signature(16,
-                                               [int(t) for t in dt])
-                        if chunk not in base:
-                            base[chunk] = (dt.copy(), sig)
-                        else:
-                            bdt, bsig = base[chunk]
-                            assert np.array_equal(dt, bdt), tag
-                            assert sig == bsig, tag
+            first = reference_first_divergence(nl, raw, faults)
+            expect = [_fault_key(f) for f, t in zip(faults, first)
+                      if t < 0]
+            for chunk, words in ((None, None), (64, 2), (64, 1),
+                                 (512, 8)):
+                ref_dt = chunk_end_times(first, len(raw), chunk)
+                ref_sig = stream_signature(16, [int(t) for t in ref_dt])
+                for mode, sched in self._schedulers(design):
+                    tag = (trial, chunk, words, mode)
+                    dt = np.full(len(faults), -1, dtype=np.int64)
+                    missed = gate_level_missed(
+                        nl, raw, faults, chunk=chunk, words=words,
+                        scheduler=sched, detect_times=dt)
+                    assert [_fault_key(f) for f in missed] == expect, tag
+                    assert np.array_equal(dt, ref_dt), tag
+                    assert stream_signature(
+                        16, [int(t) for t in dt]) == ref_sig, tag
+                self._assert_partials_merge(dt, ref_sig)
 
     def test_partial_misr_signatures_merge_identically(self, rng):
         """Sharded partial signatures over each engine's detection
         times combine to the same full-stream MISR signature."""
-        from repro.cluster.signature import (combine_partials,
-                                             shard_signature_partial,
-                                             stream_signature)
+        from repro.cluster.signature import stream_signature
 
         design = build_small_design("plain")
         nl = elaborate(design.graph)
         faults = enumerate_cell_faults(design.graph, nl)
         raw = rng.integers(-2048, 2048, size=256)
+        event = np.full(len(faults), -1, dtype=np.int64)
+        gate_level_missed(nl, raw, faults, detect_times=event)
+        reference = chunk_end_times(
+            reference_first_divergence(nl, raw, faults), len(raw))
         sigs = set()
-        total = len(faults)
-        for engine in ("word", "event"):
-            dt = np.full(total, -1, dtype=np.int64)
-            gate_level_missed(nl, raw, faults, engine=engine,
-                              detect_times=dt)
-            words = [int(t) for t in dt]
-            full = stream_signature(16, words)
-            cut = total // 3
-            partials = [
-                shard_signature_partial(16, range(0, cut),
-                                        words[:cut], total),
-                shard_signature_partial(16, range(cut, total),
-                                        words[cut:], total),
-            ]
-            assert combine_partials(partials) == full
+        for times in (event, reference):
+            full = stream_signature(16, [int(t) for t in times])
+            self._assert_partials_merge(times, full)
             sigs.add(full)
         assert len(sigs) == 1  # engines agree bit for bit
 

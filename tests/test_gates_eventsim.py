@@ -1,12 +1,12 @@
 """Unit tests for the event-driven engine's building blocks.
 
-The randomized three-way equivalence suite
-(``test_gates_equivalence.py``) pins the event engine's *verdicts* to
-the reference oracle; these tests pin the pieces it is built from —
+The randomized equivalence suite (``test_gates_equivalence.py``) pins
+the event engine's verdicts, detection times and signatures to the
+reference oracle; these tests pin the pieces it is built from —
 super-gate fusion, recipe truth tables, the workspace buffer-reuse
-contract, and the frontier-empty whole-chunk skip — so a regression
-localizes to the broken layer instead of surfacing as a distant
-verdict mismatch.
+contract, the frontier-empty whole-chunk skip and the adaptive mode
+counters — so a regression localizes to the broken layer instead of
+surfacing as a distant verdict mismatch.
 """
 
 import numpy as np
@@ -144,7 +144,7 @@ def _ref_verdicts(nl, raw, batch):
     """Reference verdicts for arbitrarily large batches (64 per pass)."""
     parts = [fault_parallel_reference(nl, raw, batch[i:i + 64])
              for i in range(0, len(batch), 64)]
-    return np.concatenate(parts)
+    return np.concatenate(parts) >= 0
 
 
 class TestWorkspaceReuse:
@@ -171,18 +171,18 @@ class TestWorkspaceReuse:
         windows = [faults[:128], faults[5:9], faults[:128],
                    faults[40:44], faults[64:192]]
         for i, batch in enumerate(windows):
-            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws,
-                                            engine="event")
+            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws)
             expect = _ref_verdicts(nl, raw, batch)
             assert np.array_equal(got, expect), i
 
-    def test_word_engine_shares_the_same_contract(self, rng):
+    def test_zero_coefficient_design_shares_the_same_contract(self, rng):
+        """The same shrink/grow reuse holds on the small design with a
+        zero coefficient."""
         nl, prog, raw, lanes, faults = _batch_setup("with_zero", rng)
         ws = ConeWorkspace()
         for i, batch in enumerate([faults[:96], faults[3:7],
                                    faults[:96]]):
-            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws,
-                                            engine="word")
+            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws)
             expect = _ref_verdicts(nl, raw, batch)
             assert np.array_equal(got, expect), i
 
@@ -211,8 +211,7 @@ class TestFrontierSkip:
                  and int(f.lines[1]) in quiet][:64]
         assert len(batch) >= 8
         got, stats = _grade_cone_batch(prog, lanes, batch, 64,
-                                       ConeWorkspace(), engine="event",
-                                       dense_hint=False)
+                                       ConeWorkspace(), dense_hint=False)
         expect = _ref_verdicts(nl, raw, batch)
         assert np.array_equal(got, expect)
         assert not got.any()
@@ -231,8 +230,7 @@ class TestFrontierSkip:
                        for f in gate_level_missed_reference(nl, raw,
                                                             faults)]
         for sched in (None, make_scheduler("random")):
-            missed = gate_level_missed(nl, raw, faults, engine="event",
-                                       scheduler=sched)
+            missed = gate_level_missed(nl, raw, faults, scheduler=sched)
             got_keys = [(f.node_id, f.bit, f.cell_fault)
                         for f in missed]
             assert got_keys == expect_keys
@@ -250,9 +248,32 @@ class TestFrontierSkip:
         tel = Telemetry()
         previous = set_telemetry(tel)
         try:
-            gate_level_missed(nl, raw, faults, engine="event")
+            gate_level_missed(nl, raw, faults)
         finally:
             set_telemetry(previous)
         assert tel.counter("gates.lut_fused_levels").value > 0
         assert tel.counter("gates.frontier_nets").value > 0
         assert tel.counter("gates.fault_batches").value > 0
+        # Fresh populations start dense; every evaluated chunk is
+        # counted in exactly one mode.
+        assert tel.counter("gates.dense_chunks").value > 0
+
+
+class TestModeCounters:
+    @pytest.mark.parametrize("dense_hint,mode", [(False, "sparse_chunks"),
+                                                 (True, "dense_chunks")])
+    def test_first_chunk_mode_is_counted(self, rng, dense_hint, mode):
+        """The mode the first chunk runs in follows ``dense_hint`` and
+        shows up in the batch stats and the batch counters."""
+        from repro.gates.fault_parallel import _emit_batch_stats
+
+        nl, prog, raw, lanes, faults = _batch_setup("plain", rng)
+        batch = faults[:128]
+        got, stats = _grade_cone_batch(prog, lanes, batch, 64,
+                                       ConeWorkspace(),
+                                       dense_hint=dense_hint)
+        assert np.array_equal(got, _ref_verdicts(nl, raw, batch))
+        assert stats[mode] >= 1
+        tel = Telemetry()
+        _emit_batch_stats(tel, len(batch), stats)
+        assert tel.counter(f"gates.{mode}").value == stats[mode]

@@ -7,7 +7,7 @@ from repro.errors import SimulationError
 from repro.gates import (
     elaborate,
     enumerate_cell_faults,
-    fault_parallel_detect,
+    fault_parallel_reference,
     gate_level_missed,
     netlist_fault_detected,
     simulate_netlist,
@@ -34,25 +34,26 @@ class TestFaultParallel:
         design, nl, faults, raw, golden = setup
         for start in range(0, min(len(faults), 320), 64):
             batch = faults[start:start + 64]
-            fast = fault_parallel_detect(
-                nl, raw, [f.netlist_fault for f in batch], golden=golden)
-            slow = [netlist_fault_detected(nl, raw, f.netlist_fault,
-                                           golden=golden) for f in batch]
-            assert list(fast) == slow
+            missed = gate_level_missed(nl, raw, batch)
+            slow = [f for f in batch
+                    if not netlist_fault_detected(nl, raw, f.netlist_fault,
+                                                  golden=golden)]
+            assert missed == slow
 
     def test_partial_batch(self, setup):
         design, nl, faults, raw, golden = setup
         batch = faults[:5]
-        fast = fault_parallel_detect(nl, raw,
-                                     [f.netlist_fault for f in batch],
-                                     golden=golden)
-        assert len(fast) == 5
+        first = fault_parallel_reference(
+            nl, raw, [f.netlist_fault for f in batch], golden=golden)
+        assert len(first) == 5
+        assert gate_level_missed(nl, raw, batch) == [
+            f for f, t in zip(batch, first) if t < 0]
 
     def test_oversized_batch_rejected(self, setup):
         design, nl, faults, raw, golden = setup
         with pytest.raises(SimulationError):
-            fault_parallel_detect(nl, raw,
-                                  [faults[0].netlist_fault] * 65)
+            fault_parallel_reference(nl, raw,
+                                     [faults[0].netlist_fault] * 65)
 
     def test_gate_level_missed_full_universe(self, setup):
         """Whole-universe exact miss list equals the serial engine's."""

@@ -24,14 +24,6 @@ def _bench_parallel():
 
 
 def _bench_gatesim():
-    return {"schema": "repro-bench-gatesim/1",
-            "reference": {"seconds": 2.0, "faults_per_sec": 10.0},
-            "optimized": {"seconds": 1.0, "faults_per_sec": 20.0,
-                          "counters": {"gates.fault_batches": 3}},
-            "speedup": 2.0, "identical": True}
-
-
-def _bench_gatesim_v2():
     def engine(seconds, counters=False):
         doc = {"seconds": seconds,
                "faults_per_sec": 100.0 / seconds,
@@ -41,13 +33,10 @@ def _bench_gatesim_v2():
             doc["counters"] = {"gates.fault_batches": 3}
         return doc
 
-    return {"schema": "repro-bench-gatesim/2",
+    return {"schema": "repro-bench-gatesim/3",
             "engines": {"event": engine(1.0, counters=True),
-                        "word": engine(2.0),
                         "reference": engine(8.0)},
-            "speedups": {"event_vs_reference": 8.0,
-                         "word_vs_reference": 4.0,
-                         "event_vs_word": 2.0},
+            "speedups": {"event_vs_reference": 8.0},
             "identical": True}
 
 
@@ -107,8 +96,7 @@ def _fleet():
 _VALID = {
     "repro-fleet/1": _fleet,
     "repro-bench-parallel/1": _bench_parallel,
-    "repro-bench-gatesim/1": _bench_gatesim,
-    "repro-bench-gatesim/2": _bench_gatesim_v2,
+    "repro-bench-gatesim/3": _bench_gatesim,
     "repro-bench-schedule/1": _bench_schedule,
     "repro-cluster-sweep/1": _cluster_sweep,
     "repro-loadtest/1": _loadtest,
@@ -141,24 +129,24 @@ class TestRejections:
 
     def test_bench_gatesim_zero_rate(self):
         doc = _bench_gatesim()
-        doc["optimized"]["faults_per_sec"] = 0
+        doc["engines"]["event"]["faults_per_sec"] = 0
         with pytest.raises(ReportSchemaError, match="positive"):
             validate_report(doc)
 
-    def test_bench_gatesim_v2_missing_engine(self):
-        doc = _bench_gatesim_v2()
-        del doc["engines"]["word"]
+    def test_bench_gatesim_missing_engine(self):
+        doc = _bench_gatesim()
+        del doc["engines"]["reference"]
         with pytest.raises(ReportSchemaError, match="engines"):
             validate_report(doc)
 
-    def test_bench_gatesim_v2_not_identical(self):
-        doc = _bench_gatesim_v2()
+    def test_bench_gatesim_not_identical(self):
+        doc = _bench_gatesim()
         doc["identical"] = False
-        with pytest.raises(ReportSchemaError, match="identical"):
+        with pytest.raises(ReportSchemaError, match="diverge"):
             validate_report(doc)
 
-    def test_bench_gatesim_v2_missing_phases(self):
-        doc = _bench_gatesim_v2()
+    def test_bench_gatesim_missing_phases(self):
+        doc = _bench_gatesim()
         del doc["engines"]["event"]["phases"]
         with pytest.raises(ReportSchemaError, match="phases"):
             validate_report(doc)

@@ -111,9 +111,10 @@ def client(svc):
 
 
 class TestLiveProgress:
-    def test_gate_grade_job_streams_progress(self, client):
-        job = client.submit("gate-grade", {"design": "LP", "vectors": 128,
-                                           "faults": 512})
+    def test_grade_shard_job_streams_progress(self, client):
+        job = client.submit("grade-shard", {"design": "LP", "vectors": 128,
+                                            "indices": list(range(512)),
+                                            "total": 512})
         events = list(client.events(job["id"], timeout=30))
         progress = [e["data"] for e in events if e["event"] == "progress"]
         assert progress, "no progress events before the job finished"

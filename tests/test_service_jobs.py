@@ -60,20 +60,6 @@ class TestCanonicalParams:
         with pytest.raises(ReproError):
             canonical_params("rank", {"design": "XXL"})
 
-    def test_grade_shard_engine_canonicalizes(self):
-        base = {"total": 100, "indices": [0, 1, 2]}
-        # Empty/missing means "worker's default" and stays empty.
-        assert canonical_params("grade-shard", dict(base))["engine"] == ""
-        assert canonical_params(
-            "grade-shard", dict(base, engine=""))["engine"] == ""
-        for name in ("event", "word", "reference"):
-            got = canonical_params("grade-shard",
-                                   dict(base, engine=name))
-            assert got["engine"] == name
-        with pytest.raises(ServiceError) as err:
-            canonical_params("grade-shard", dict(base, engine="warp"))
-        assert err.value.status == 400
-
     def test_equivalent_spellings_share_cache_key(self):
         store = JobStore()
         a, _ = store.create("grade", {"design": "lp", "generator": "lfsr1"})

@@ -380,6 +380,31 @@ class TestCliIntegration:
         assert len({e["pid"] for e in spans}) >= 2, \
             "worker spans did not merge back"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_profile_exact_grades_width_matched_stimulus(self, ctx, jobs,
+                                                         capsys):
+        """``--exact`` grades the stimulus the cell-level session saw:
+        10-bit generator words widened to LP's 12-bit input."""
+        from repro.cli import main
+        from repro.gates import (elaborate, enumerate_cell_faults,
+                                 gate_level_missed)
+        from repro.generators import match_width
+        from repro.resolve import make_generator
+
+        design = ctx.designs["LP"]
+        nl = elaborate(design.graph)
+        faults = enumerate_cell_faults(design.graph, nl)[:512]
+        gen = make_generator("lfsr1", 10, 256)
+        raw = match_width(gen.sequence(256), gen.width,
+                          design.input_fmt.width)
+        expect = len(gate_level_missed(nl, raw, faults))
+
+        rc = main(["profile", "LP", "lfsr1", "--width", "10",
+                   "--vectors", "256", "--exact", "512", "--jobs", jobs])
+        assert rc == 0
+        assert (f"exact gate-level grading: 512 faults, {expect} missed"
+                in capsys.readouterr().out)
+
     def test_report_from_trace(self, tmp_path, capsys):
         from repro.cli import main
 

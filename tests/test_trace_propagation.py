@@ -224,6 +224,29 @@ class TestGateworkPropagation:
             assert batches, "worker batch spans did not merge back"
             assert tel.counter("gates.faults_graded").value == len(faults)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_only_the_dispatcher_publishes_grade_progress(self,
+                                                          small_design,
+                                                          jobs):
+        """Slices graded by workers (or the serial fallback) publish no
+        ``gates.grade`` stream of their own: a merged slice stream would
+        report the slice size as the run's total."""
+        from repro.gates.faults import enumerate_cell_faults
+        from repro.gates.netlist import elaborate
+        from repro.generators import Type1Lfsr
+        from repro.parallel import gate_level_missed_parallel
+
+        nl = elaborate(small_design.graph)
+        faults = enumerate_cell_faults(small_design.graph, nl)
+        assert len(faults) > 512  # more than one slice
+        raw = Type1Lfsr(small_design.input_fmt.width).sequence(48)
+        totals = []
+        with telemetry_session() as tel:
+            tel.on_progress(lambda state: totals.append(state.total)
+                            if state.name == "gates.grade" else None)
+            gate_level_missed_parallel(nl, raw, faults, jobs=jobs)
+        assert totals and set(totals) == {float(len(faults))}
+
 
 class TestServicePropagation:
     def test_request_to_job_tree(self, ctx):
