@@ -864,10 +864,8 @@ def _bench_now(args) -> float:
 
 
 #: Counters the gate-sim benchmark and ``profile --exact`` report.
-#: The last five are event-engine telemetry: frontier rows touched by
-#: sparse sweeps, fault-words proven golden and skipped whole, chunks
-#: evaluated in each adaptive mode, and single-fanout levels absorbed
-#: into LUT super-gates at fuse time.
+#: The last two are cone-sweep telemetry: super-gate rows evaluated,
+#: and single-fanout levels absorbed into LUT super-gates at fuse time.
 _GATE_COUNTERS = (
     "gates.fault_batches",
     "gates.faults_graded",
@@ -876,9 +874,6 @@ _GATE_COUNTERS = (
     "gates.faults_dropped",
     "gates.lane_vectors",
     "gates.frontier_nets",
-    "gates.words_skipped",
-    "gates.dense_chunks",
-    "gates.sparse_chunks",
     "gates.lut_fused_levels",
 )
 
@@ -886,7 +881,7 @@ _GATE_COUNTERS = (
 def _cmd_bench_gates(args) -> int:
     """``bench --gates``: the event engine against the reference oracle.
 
-    Grades the same universe with the event-driven engine and the
+    Grades the same universe with the event engine and the
     retained pre-optimization reference, asserts both missed-fault
     lists are identical, and records per-engine rates with a
     compile/golden/grade phase split in a ``repro-bench-gatesim/3``

@@ -28,7 +28,6 @@ from .eventsim import (
     FusedProgram,
     fuse_program,
     fused_program,
-    recipe_truth_table,
 )
 from .verilog import generate_testbench, netlist_to_verilog, save_verilog
 
@@ -57,7 +56,6 @@ __all__ = [
     "FusedProgram",
     "fuse_program",
     "fused_program",
-    "recipe_truth_table",
     "EnumeratedFault",
     "enumerate_cell_faults",
     "schedule_fault_batches",

@@ -18,16 +18,16 @@ The same program drives three consumers:
 * :func:`golden_net_waves` — the per-net golden waveform matrix the
   cone engine reads at cone boundaries;
 * :func:`repro.gates.eventsim.fuse_program` — the fused super-gate
-  program behind the event-driven, fault-parallel (64 copies per
-  ``uint64`` lane word, several words side by side) cone evaluator of
+  program behind the fault-parallel (64 copies per ``uint64`` lane
+  word, several words side by side) cone sweep of
   :func:`repro.gates.fault_parallel.gate_level_missed`.
 
 The ripple-carry adders of Table 1 designs levelize into hundreds of
 tiny levels, so per-group numpy dispatch overhead — not arithmetic — is
-the cost that matters.  Cones are therefore built with whole-level
-vectorized sweeps over a flattened op view (:class:`_FlatProgram`),
-never per-group Python, and chunk evaluation carves every temporary out
-of a persistent :class:`ConeWorkspace`.
+the cost that matters.  Super-gate fusion, which reads the flattened
+op view :class:`_FlatProgram`, folds gates into fewer, wider groups,
+and chunk evaluation carves every temporary out of a persistent
+:class:`ConeWorkspace`.
 
 Compiling is cheap (milliseconds) and cached on the netlist object by
 :func:`compiled_program`; the artifact cache can additionally persist
@@ -237,24 +237,19 @@ def golden_net_waves(prog: CompiledNetlist, in_bits: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 @dataclass
 class _FlatProgram:
-    """Level-ordered flat view of a program, for vectorized cone sweeps.
+    """Level-ordered flat view of a program, read by super-gate fusion.
 
     All per-op arrays are concatenated in (level, kind-group, position)
-    order; ``in1x`` duplicates ``in0`` for one-input kinds so cone
-    propagation needs no arity branches.
+    order; ``in1x`` duplicates ``in0`` for one-input kinds so readers
+    need no arity branches.
     """
 
-    n_ops: int
     out: np.ndarray
     in0: np.ndarray
     in1x: np.ndarray
     elem: np.ndarray
-    #: flat [start, end) of each level
-    level_bounds: List[Tuple[int, int]]
     #: per level: (kind, flat_start, flat_end) of each kind group
     group_slices: List[List[Tuple[str, int, int]]]
-    #: gate index -> flat op position
-    gate_flat: Dict[int, int]
 
 
 def _flat_program(prog: CompiledNetlist) -> _FlatProgram:
@@ -265,35 +260,25 @@ def _flat_program(prog: CompiledNetlist) -> _FlatProgram:
     in0s: List[np.ndarray] = []
     in1s: List[np.ndarray] = []
     elems: List[np.ndarray] = []
-    level_bounds: List[Tuple[int, int]] = []
     group_slices: List[List[Tuple[str, int, int]]] = []
-    gate_flat: Dict[int, int] = {}
     pos = 0
     for ops in prog.levels:
-        start = pos
         groups: List[Tuple[str, int, int]] = []
         for op in ops:
             outs.append(op.out)
             in0s.append(op.in0)
             in1s.append(op.in1 if op.in1 is not None else op.in0)
             elems.append(op.elem)
-            if op.kind != "dff":
-                for off, gidx in enumerate(op.elem):
-                    gate_flat[int(gidx)] = pos + off
             groups.append((op.kind, pos, pos + len(op.out)))
             pos += len(op.out)
-        level_bounds.append((start, pos))
         group_slices.append(groups)
     empty = np.zeros(0, dtype=np.int64)
     flat = _FlatProgram(
-        n_ops=pos,
         out=np.concatenate(outs) if outs else empty,
         in0=np.concatenate(in0s) if in0s else empty,
         in1x=np.concatenate(in1s) if in1s else empty,
         elem=np.concatenate(elems) if elems else empty,
-        level_bounds=level_bounds,
         group_slices=group_slices,
-        gate_flat=gate_flat,
     )
     prog._flat = flat  # type: ignore[attr-defined]
     return flat

@@ -18,12 +18,11 @@ equivalence suite and the baseline of ``repro bench --gates``):
   machine is simulated once recording every net's waveform, and up to
   :data:`DEFAULT_WORDS` 64-fault words are evaluated side by side so
   each numpy call is amortized over hundreds of faulty machines;
-* **event-driven cones** — each batch evaluates only the transitive
-  fanout cone of its fault sites, and within it only the frontier of
-  nets whose faulty waveform differs from golden
-  (:class:`~repro.gates.eventsim.EventCone`); the cone-aware scheduler
-  (:func:`repro.gates.faults.schedule_fault_batches`) packs cone-local
-  faults into the same batch to keep cones small;
+* **fused cone sweeps** — each batch evaluates only the transitive
+  fanout cone of its fault sites, swept level by level over fused LUT
+  super-gates (:class:`~repro.gates.eventsim.EventCone`); the
+  cone-aware scheduler (:func:`repro.gates.faults.schedule_fault_batches`)
+  packs cone-local faults into the same batch to keep cones small;
 * **chunked time with fault dropping** — the cone is evaluated in time
   chunks (:data:`DEFAULT_CHUNK` vectors), per-word detection words
   accumulate after each chunk, fully-detected words are compacted
@@ -126,15 +125,12 @@ def _grade_cone_batch(
     ws: ConeWorkspace,
     length: Optional[int] = None,
     first_detect: Optional[np.ndarray] = None,
-    dense_hint: Optional[bool] = None,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """Verdicts + drop statistics for one multi-word cone pass.
 
-    Builds the frontier-driven :class:`~repro.gates.eventsim.EventCone`
-    over the fused super-gate program and drives it chunk by chunk:
-    per-word dropping and chunk-end detection-time capture live here,
-    so verdicts and times are independent of the cone's internal
-    dense/sparse mode choices.
+    Builds the :class:`~repro.gates.eventsim.EventCone` over the fused
+    super-gate program and drives it chunk by chunk: per-word dropping
+    and chunk-end detection-time capture live here.
 
     ``length`` grades only the stimulus prefix ``[0, length)`` — the
     building block of the iterative-deepening driver; detection over a
@@ -147,10 +143,6 @@ def _grade_cone_batch(
     pass grades from ``t=0`` the times are independent of batch
     composition and schedule — the "actual" axis of the predicted-vs-
     actual rank correlation in ``repro bench --schedule``.
-
-    ``dense_hint`` sets the cone's first-chunk mode: the driver knows
-    whether a pass grades an all-fresh population (frontier provably
-    wide, start dense) or deepening survivors.
     """
     from .eventsim import EventCone, fused_program
 
@@ -161,11 +153,9 @@ def _grade_cone_batch(
     chunk = min(chunk, length) if length else 1
     net_masks, pin_masks = _line_masks(faults, words)
     cone = EventCone(fused_program(prog), net_masks, pin_masks, words)
-    if dense_hint is not None:
-        cone.dense_hint = dense_hint
     # Golden is read lazily straight from the full (contiguous) matrix;
     # per-chunk slices stay within [0, length).
-    cone.bind_golden(ws, lane_waves, length)
+    cone.bind_golden(lane_waves)
 
     full = np.full(words, _ALL_ONES, dtype=np.uint64)
     tail = n - 64 * (words - 1)
@@ -218,10 +208,7 @@ def _grade_cone_batch(
         "chunks_skipped": skipped,
         "faults_dropped": dropped,
         "work": work,
-        "frontier_nets": cone.frontier_rows,
-        "words_skipped": cone.words_skipped,
-        "dense_chunks": cone.dense_chunks,
-        "sparse_chunks": cone.sparse_chunks,
+        "frontier_nets": cone.rows_evaluated,
     }
     bits = ((detected[:, None] >> lanes64[None, :]) & np.uint64(1))
     return bits.astype(bool).ravel()[:n], stats
@@ -252,8 +239,7 @@ def _emit_batch_stats(tel, n_faults: int, stats: Dict[str, int]) -> None:
     tel.counter("gates.faults_graded").add(n_faults)
     tel.counter("gates.cone_nets").add(stats["cone_nets"])
     tel.counter("gates.lane_vectors").add(stats["work"])
-    for key in ("chunks_skipped", "faults_dropped", "frontier_nets",
-                "words_skipped", "dense_chunks", "sparse_chunks"):
+    for key in ("chunks_skipped", "faults_dropped", "frontier_nets"):
         if stats[key]:
             tel.counter(f"gates.{key}").add(stats[key])
 
@@ -315,7 +301,7 @@ def _grade_verdicts(
                     prog, lane_waves,
                     [faults[i].netlist_fault for i in idx],
                     chunk_len, ws, length=stage_len,
-                    first_detect=first_detect, dense_hint=True)
+                    first_detect=first_detect)
             verdicts[idx] = batch_verdicts
             if first_detect is not None:
                 hit = first_detect >= 0
@@ -362,7 +348,7 @@ def gate_level_missed(
 
     Faults are grouped into cone-local batches
     (:func:`repro.gates.faults.schedule_fault_batches`) of
-    ``64 * words`` and graded by the event-driven cone engine; the
+    ``64 * words`` and graded by the fused cone sweep; the
     returned list preserves the input fault order, so results are
     deterministic regardless of scheduling.  ``progress`` ticks once per
     64 graded faults, matching the historical batch granularity.

@@ -1,6 +1,6 @@
 """Randomized equivalence: the exact grader vs the reference simulator.
 
-The optimized gate-level engine (compiled programs, event-driven cones,
+The optimized gate-level engine (compiled programs, fused cone sweeps,
 word-widened batches, time chunking with fault dropping, iterative
 deepening) must be a *pure speedup*: verdict-for-verdict identical to
 the retained pre-optimization reference engine on every design, batch
