@@ -48,7 +48,8 @@ Commands
 Global flags: ``--version``, ``-v/--verbose`` (repeatable),
 ``--profile`` (log a telemetry summary for any command) and
 ``--trace-out PATH`` (stream telemetry events as JSON Lines).
-``sweep``/``bench``/``profile``/``serve`` additionally take
+Every command that records a run (``profile``, ``sweep``, ``bench``,
+``serve``, ``cluster``, ``loadtest``, ``alerts check``) takes
 ``--ledger-dir PATH`` / ``--no-ledger`` controlling where (whether)
 the run is recorded in the run ledger.
 """
@@ -138,6 +139,26 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stream telemetry events to PATH as JSON Lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags several commands share, attached with parents=[...].
+    cache_flags = argparse.ArgumentParser(add_help=False)
+    cache_flags.add_argument("--cache-dir", default=None, metavar="PATH",
+                             help="artifact cache directory or http:// "
+                                  "artifact-server URL (default: "
+                                  "$REPRO_CACHE_DIR or ~/.cache/repro)")
+    cache_flags.add_argument("--no-cache", action="store_true",
+                             help="disable the artifact cache")
+    ledger_dir_flag = argparse.ArgumentParser(add_help=False)
+    ledger_dir_flag.add_argument("--ledger-dir", default=None,
+                                 metavar="PATH",
+                                 help="run-ledger directory (default: "
+                                      "$REPRO_LEDGER_DIR or "
+                                      "~/.local/state/repro/ledger)")
+    ledger_flags = argparse.ArgumentParser(add_help=False,
+                                           parents=[ledger_dir_flag])
+    ledger_flags.add_argument("--no-ledger", action="store_true",
+                              help="do not record this run in the run "
+                                   "ledger")
+
     sub.add_parser("stats", help="design statistics (Table 1)")
 
     # Design/generator names are validated by the shared resolver at
@@ -190,18 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="json")
     export.add_argument("--out", required=True)
 
-    def add_ledger_flags(p):
-        p.add_argument("--ledger-dir", default=None, metavar="PATH",
-                       help="run-ledger directory (default: "
-                            "$REPRO_LEDGER_DIR or "
-                            "~/.local/state/repro/ledger)")
-        p.add_argument("--no-ledger", action="store_true",
-                       help="do not record this run in the run ledger")
-
     profile = sub.add_parser(
-        "profile",
+        "profile", parents=[ledger_flags],
         help="profile a BIST session: span tree, vectors/sec, zone hits")
-    add_ledger_flags(profile)
     profile.add_argument("design", metavar="design")
     profile.add_argument("generator", metavar="generator")
     profile.add_argument("--vectors", type=int, default=4096)
@@ -230,15 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=0,
                        help="worker processes (0 = auto: $REPRO_JOBS or "
                             "CPU count)")
-        p.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="artifact cache directory (default: "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk artifact cache")
-        add_ledger_flags(p)
 
     sweep = sub.add_parser(
-        "sweep",
+        "sweep", parents=[cache_flags, ledger_flags],
         help="grade a design x generator grid across worker processes")
     add_grid_flags(sweep, "LFSR-1,LFSR-D,LFSR-M,Ramp", 4096)
     sweep.add_argument("--schedule", default="cone",
@@ -249,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "shuffle (default cone = product order)")
 
     bench = sub.add_parser(
-        "bench",
+        "bench", parents=[cache_flags, ledger_flags],
         help="time serial vs parallel grid grading; write a JSON report")
     add_grid_flags(bench, "LFSR-1,LFSR-D", 2048)
     bench.add_argument("--out", default="BENCH_parallel.json",
@@ -328,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "rates) for the benchmark session")
 
     recommend = sub.add_parser(
-        "recommend",
+        "recommend", parents=[cache_flags],
         help="recommend a test generator for a design: analytic "
              "predictor ranking, gate-level confirmation of the top-k")
     recommend.add_argument("--design", default="LP", metavar="{LP,BP,HP}")
@@ -352,14 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "predictor (default 512)")
     recommend.add_argument("--json", action="store_true",
                            help="print the full result as JSON")
-    recommend.add_argument("--cache-dir", default=None, metavar="PATH",
-                           help="artifact cache directory (default: "
-                                "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    recommend.add_argument("--no-cache", action="store_true",
-                           help="disable the on-disk artifact cache")
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[cache_flags, ledger_flags],
         help="run the async BIST evaluation service (HTTP + JSON)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8337,
@@ -380,20 +381,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seconds to finish in-flight jobs on shutdown")
     serve.add_argument("--grid-jobs", type=int, default=None,
                        help="process-pool width for batched grade jobs")
-    serve.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="artifact cache directory (default: "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk artifact cache")
     serve.add_argument("--access-log", default=None, metavar="PATH",
                        help="append per-request JSON Lines records to PATH")
-    serve.add_argument("--events-keepalive", type=float, default=None,
+    serve.add_argument("--events-keepalive", "--keepalive-secs",
+                       type=float, default=None,
                        help="seconds between SSE keepalive comments on "
                             "idle /v1/events streams (default: "
                             "$REPRO_SSE_KEEPALIVE or 15)")
-    serve.add_argument("--keepalive-secs", type=float, default=None,
-                       dest="keepalive_secs",
-                       help="alias for --events-keepalive")
     serve.add_argument("--heartbeat-interval", type=float, default=2.0,
                        help="seconds between fleet heartbeats "
                             "(0 = disable the health plane; default 2)")
@@ -413,10 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stream the service's telemetry events "
                             "(request spans, job spans, metrics) to PATH "
                             "as JSON Lines")
-    add_ledger_flags(serve)
 
     cluster = sub.add_parser(
-        "cluster",
+        "cluster", parents=[cache_flags, ledger_flags],
         help="shard exact gate-level grading across serve endpoints; "
              "merge verdicts, checkpoints and MISR signature")
     cluster.add_argument("endpoints", nargs="+", metavar="URL",
@@ -463,27 +456,15 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--poll", type=float, default=2.0,
                          help="long-poll interval against workers "
                               "(default 2s)")
-    cluster.add_argument("--heartbeat-poll", type=float, default=0.0,
-                         help="poll each endpoint's /v1/fleet every N "
-                              "seconds; two consecutive failed polls "
-                              "mark it dead and pause dispatch to it "
-                              "(0 = off)")
     cluster.add_argument("--verify", action="store_true",
                          help="also grade single-node locally and fail "
                               "unless verdicts, checkpoints and MISR "
                               "signature are bit-identical")
     cluster.add_argument("--out", default=None, metavar="PATH",
                          help="write the cluster report as JSON")
-    cluster.add_argument("--cache-dir", default=None, metavar="PATH",
-                         help="artifact cache directory or "
-                              "http:// artifact-server URL used by the "
-                              "local (planning/verify) side")
-    cluster.add_argument("--no-cache", action="store_true",
-                         help="disable the local artifact cache")
-    add_ledger_flags(cluster)
 
     loadtest = sub.add_parser(
-        "loadtest",
+        "loadtest", parents=[ledger_flags],
         help="replay job traffic against a service endpoint; report "
              "latency percentiles, throughput and 429 rates")
     loadtest.add_argument("--url", default="http://127.0.0.1:8337",
@@ -517,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="--check: min completed jobs (default 1)")
     loadtest.add_argument("--out", default=None, metavar="PATH",
                           help="write the loadtest report as JSON")
-    add_ledger_flags(loadtest)
 
     artifacts = sub.add_parser(
         "artifacts",
@@ -539,12 +519,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(0 = unbounded)")
 
     runs = sub.add_parser(
-        "runs",
+        "runs", parents=[ledger_dir_flag],
         help="query the run ledger; watch live service jobs")
-    runs.add_argument("--ledger-dir", default=None, metavar="PATH",
-                      help="run-ledger directory (default: "
-                           "$REPRO_LEDGER_DIR or "
-                           "~/.local/state/repro/ledger)")
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
 
     r_list = runs_sub.add_parser("list", help="recent run records")
@@ -629,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     alerts_sub = alerts.add_subparsers(dest="alerts_command",
                                        required=True)
     a_check = alerts_sub.add_parser(
-        "check",
+        "check", parents=[ledger_flags],
         help="exit nonzero when any rule in a rule file is breached")
     a_check.add_argument("--rules", required=True, metavar="PATH",
                          help="JSON alert-rule file "
@@ -644,7 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--loadtest", default=None, metavar="PATH",
                         help="evaluate against a saved loadtest report "
                              "(loadtest.* metric namespace)")
-    add_ledger_flags(a_check)
     return parser
 
 
@@ -678,16 +653,14 @@ def _cmd_profile(args, ctx: ExperimentContext, tel: Telemetry) -> int:
     tracer.publish(tel)
 
     if args.exact:
-        from .gates import elaborate, enumerate_cell_faults, gate_level_missed
-        from .generators import match_width
+        from .cluster.shards import grading_problem
+        from .gates import gate_level_missed
 
         with tel.span("profile.exact", faults=args.exact, jobs=args.jobs):
-            nl = elaborate(design.graph)
-            faults = enumerate_cell_faults(design.graph, nl)[:args.exact]
-            # The same width-matched stimulus the cell-level session
-            # above applied to the design's input.
-            raw = match_width(gen.sequence(args.vectors), gen.width,
-                              design.input_fmt.width)
+            # The same stimulus the cell-level session above applied.
+            _design, nl, faults, raw = grading_problem(
+                ctx, name, args.generator, args.vectors, args.width)
+            faults = faults[:args.exact]
             if args.jobs and args.jobs != 1:
                 from .parallel.gatework import gate_level_missed_parallel
 
@@ -782,10 +755,10 @@ def _ledger_append(args, record) -> None:
     Best-effort: an unwritable ledger degrades to a warning, never a
     failed run — the measurement already happened.
     """
-    if getattr(args, "no_ledger", False):
+    if args.no_ledger:
         return
     try:
-        ledger = RunLedger(getattr(args, "ledger_dir", None))
+        ledger = RunLedger(args.ledger_dir)
         rid = ledger.append(record)
         logger.info("run %s recorded in %s", rid[:12], ledger.path)
     except Exception as exc:
@@ -891,23 +864,19 @@ def _cmd_bench_gates(args) -> int:
     import json
     import time
 
-    from .gates import (compiled_program, elaborate, enumerate_cell_faults,
-                        fused_program, gate_level_missed,
-                        gate_level_missed_reference)
+    from .cluster.shards import grading_problem
+    from .gates import (compiled_program, elaborate, fused_program,
+                        gate_level_missed, gate_level_missed_reference)
     from .gates.compiled import golden_net_waves
     from .gates.gatesim import pack_input_bits
-    from .generators import Type1Lfsr, match_width
 
     name = resolve_design(args.gates_design)
     ctx = ExperimentContext()
-    design = ctx.designs[name]
-    nl = elaborate(design.graph)
-    faults = enumerate_cell_faults(design.graph, nl)
+    design, _nl, faults, raw = grading_problem(
+        ctx, name, "lfsr1", args.gates_vectors,
+        ctx.config.generator_width)
     if args.gates_faults:
         faults = faults[:args.gates_faults]
-    width = ctx.config.generator_width
-    raw = match_width(Type1Lfsr(width).sequence(args.gates_vectors),
-                      width, width)
 
     # --schedule MODE reorders the event engine's batches; verdicts
     # scatter back by index so the identical-to-reference assertion
@@ -1080,25 +1049,21 @@ def _cmd_bench_schedule(args) -> int:
 
     import numpy as np
 
-    from .gates import elaborate, enumerate_cell_faults, gate_level_missed
-    from .generators import match_width
+    from .cluster.shards import grading_problem
+    from .gates import gate_level_missed
     from .schedule import (FaultPredictor, make_scheduler,
                            spearman_rank_correlation, work_to_coverage)
 
     name = resolve_design(args.schedule_design)
     gen_kind = resolve_generator(args.schedule_generator)
     ctx = ExperimentContext()
-    design = ctx.designs[name]
-    nl = elaborate(design.graph)
-    faults = enumerate_cell_faults(design.graph, nl)
+    vectors = args.schedule_vectors
+    design, nl, faults, raw = grading_problem(
+        ctx, name, gen_kind, vectors, ctx.config.generator_width)
     if args.schedule_faults and args.schedule_faults < len(faults):
         idx = np.unique(np.linspace(0, len(faults) - 1,
                                     args.schedule_faults).astype(int))
         faults = [faults[i] for i in idx]
-    vectors = args.schedule_vectors
-    gen = make_generator(gen_kind, design.input_fmt.width, vectors)
-    raw = match_width(gen.sequence(vectors), gen.width,
-                      design.input_fmt.width)
 
     t0 = time.perf_counter()
     predictor = FaultPredictor(design, gen_kind, bins=args.schedule_bins)
@@ -1483,9 +1448,8 @@ def _cmd_recommend(args) -> int:
 
 def _resolve_keepalive(args) -> float:
     """SSE keepalive: flag wins, then $REPRO_SSE_KEEPALIVE, then 15s."""
-    for value in (args.keepalive_secs, args.events_keepalive):
-        if value is not None:
-            return value
+    if args.events_keepalive is not None:
+        return args.events_keepalive
     env = os.environ.get("REPRO_SSE_KEEPALIVE", "").strip()
     if env:
         try:
@@ -1797,7 +1761,6 @@ def _cmd_cluster(args) -> int:
         max_retries=args.max_retries,
         straggler_factor=args.straggler_factor,
         straggler_min=args.straggler_min, poll=args.poll,
-        heartbeat_poll=args.heartbeat_poll,
         verify=args.verify, cache=cache)
     doc = report.to_doc()
     merged = report.merged
@@ -1812,15 +1775,10 @@ def _cmd_cluster(args) -> int:
           f"{doc['duplicates']} duplicate result(s)  "
           f"in {doc['elapsed_seconds']:.2f}s")
     for worker in doc["workers"]:
-        print(f"  worker {worker['endpoint']}: {worker['shards']} "
-              f"shard(s), {worker['faults']} faults, "
+        print(f"  worker {worker['endpoint']}: {worker['state']}, "
+              f"{worker['shards']} shard(s), {worker['faults']} faults, "
               f"{worker['busy_seconds']:.2f}s busy, "
               f"{worker['failures']} failure(s)")
-    if report.endpoint_health is not None:
-        for ep, health in report.endpoint_health.items():
-            print(f"  health {ep}: {health['state']} "
-                  f"({health['polls']} poll(s), "
-                  f"{health['failures']} failed)")
     if report.verified is not None:
         print(f"  single-node verify: "
               f"{'identical' if report.verified else 'DIVERGED'}")
@@ -2024,24 +1982,11 @@ def _cmd_alerts_check(args) -> int:
             doc = json.load(fh)
         values = _fleet_doc_values(doc)
     else:
+        from .cluster.loadtest import loadtest_alert_values
+
         source = args.loadtest
         with open(args.loadtest, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        # Same keys a live LoadtestReport.alert_values() exposes, read
-        # from the saved report's aggregates.
-        values = {}
-        for key, path in (("loadtest.requests", "requests"),
-                          ("loadtest.completed", "completed"),
-                          ("loadtest.busy_rate", "busy_rate"),
-                          ("loadtest.error_rate", "error_rate"),
-                          ("loadtest.throughput_jobs_per_second",
-                           "throughput_jobs_per_second")):
-            if path in doc:
-                values[key] = float(doc[path])
-        lat = doc.get("latency_seconds") or {}
-        for q in ("p50", "p90", "p99", "mean", "max"):
-            if q in lat:
-                values[f"loadtest.{q}_seconds"] = float(lat[q])
+            values = loadtest_alert_values(json.load(fh))
     violations = check_rules(rules, values)
     for violation in violations:
         print(f"alert check FAILED: {violation}", file=sys.stderr)

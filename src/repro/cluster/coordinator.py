@@ -15,12 +15,12 @@ through the existing HTTP+JSON job protocol as a ``grade-shard`` job:
   least ``straggler_min``); the merge layer deduplicates by shard id and
   cross-checks that duplicate deliveries agree, so speculation can only
   add safety, never skew.
-* **Heartbeat liveness** — with ``heartbeat_poll`` set, a monitor
-  thread polls every endpoint's ``/v1/fleet`` snapshot; two consecutive
-  failed polls mark the endpoint ``dead`` and its dispatcher stops
-  pulling new shards (the retry/straggler machinery already covers the
-  inflight attempt) until a later poll sees it live again.  Per-endpoint
-  health lands in the report as ``endpoint_health``.
+* **Liveness from dispatch outcomes** — an endpoint is ``suspect``
+  after one failed shard in a row, ``dead`` after two, ``live`` after a
+  completed shard.  A dead endpoint is fenced while another is not
+  dead: it takes no shard and probes ``/healthz`` after each backoff,
+  spending no shard's retry budget.  With every endpoint dead nothing
+  is fenced, so ``max_retries`` ends the run.
 * **One span tree, live progress** — each dispatch runs under a
   ``cluster.shard`` span carrying the coordinator's
   :class:`~repro.telemetry.TraceContext`; workers return their span
@@ -42,7 +42,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ClusterError
@@ -53,6 +53,7 @@ from .shards import (
     DEFAULT_SHARD_FAULTS,
     MergedGrade,
     Shard,
+    grading_problem,
     merge_shard_results,
     plan_shards,
     single_node_grade,
@@ -74,10 +75,12 @@ class WorkerTally:
     faults: int = 0
     busy_seconds: float = 0.0
     failures: int = 0
+    state: str = "live"  # or "suspect" / "dead", from dispatch outcomes
 
     def to_doc(self) -> Dict[str, Any]:
         return {
             "endpoint": self.endpoint,
+            "state": self.state,
             "shards": self.shards,
             "faults": self.faults,
             "busy_seconds": round(self.busy_seconds, 6),
@@ -100,7 +103,6 @@ class ClusterReport:
     duplicates: int = 0
     elapsed_seconds: float = 0.0
     verified: Optional[bool] = None
-    endpoint_health: Optional[Dict[str, Dict[str, Any]]] = None
 
     def to_doc(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -124,9 +126,6 @@ class ClusterReport:
         }
         if self.verified is not None:
             doc["verified"] = self.verified
-        if self.endpoint_health is not None:
-            doc["endpoint_health"] = {
-                ep: dict(h) for ep, h in self.endpoint_health.items()}
         return doc
 
 
@@ -164,7 +163,6 @@ class ClusterCoordinator:
         straggler_factor: float = 3.0,
         straggler_min: float = 60.0,
         poll: float = 2.0,
-        heartbeat_poll: float = 0.0,
         client_factory: Optional[Callable[[str], ServiceClient]] = None,
     ):
         if not endpoints:
@@ -172,9 +170,6 @@ class ClusterCoordinator:
         if max_retries < 0:
             raise ClusterError(f"max_retries must be >= 0, "
                                f"got {max_retries}")
-        if heartbeat_poll < 0:
-            raise ClusterError(f"heartbeat_poll must be >= 0, "
-                               f"got {heartbeat_poll}")
         self.endpoints = list(dict.fromkeys(endpoints))  # stable dedupe
         self.job_params = dict(job_params)
         self.total = total
@@ -187,7 +182,6 @@ class ClusterCoordinator:
         self.straggler_factor = straggler_factor
         self.straggler_min = straggler_min
         self.poll = poll
-        self.heartbeat_poll = heartbeat_poll
         self._client_factory = client_factory or (
             lambda ep: ServiceClient(
                 ep, client_id=f"cluster-{os.getpid()}",
@@ -211,12 +205,6 @@ class ClusterCoordinator:
         self.retries = 0
         self.speculated = 0
         self.duplicates = 0
-
-        self.endpoint_health: Dict[str, Dict[str, Any]] = {
-            ep: {"state": "live", "polls": 0, "failures": 0,
-                 "consecutive_failures": 0, "totals": None}
-            for ep in self.endpoints}
-        self._monitor_stop = threading.Event()
 
     # ------------------------------------------------------------------
     # Scheduling decisions (all under the lock)
@@ -260,56 +248,11 @@ class ClusterCoordinator:
         return (self._fatal is not None
                 or len(self._done_ids) == len(self._shards_by_id))
 
-    # ------------------------------------------------------------------
-    # Endpoint liveness (heartbeat poll)
-    # ------------------------------------------------------------------
-    def _endpoint_dead(self, endpoint: str) -> bool:
-        health = self.endpoint_health.get(endpoint)
-        return health is not None and health["state"] == "dead"
-
-    def _monitor(self) -> None:
-        """Poll each endpoint's ``/v1/fleet`` on a fixed cadence.
-
-        Mirrors the heartbeat liveness ladder: one failed poll marks an
-        endpoint ``suspect``, two consecutive failures mark it ``dead``
-        and its dispatcher stops pulling new shards until a later poll
-        succeeds again.  The already-inflight attempt on a dead endpoint
-        is left to the shard timeout / straggler machinery — liveness
-        only gates *new* dispatch, so a false positive can never lose
-        work.
-        """
-        clients = {ep: self._client_factory(ep) for ep in self.endpoints}
-        for client in clients.values():
-            client.timeout = max(2.0, self.heartbeat_poll)
-            client.retries = 0
-        while not self._monitor_stop.wait(self.heartbeat_poll):
-            for ep, client in clients.items():
-                health = self.endpoint_health[ep]
-                try:
-                    snapshot = client.fleet()
-                except (ServiceBusy, ServiceClientError, OSError,
-                        TimeoutError) as exc:
-                    health["polls"] += 1
-                    health["failures"] += 1
-                    health["consecutive_failures"] += 1
-                    state = ("dead" if health["consecutive_failures"] >= 2
-                             else "suspect")
-                    if state != health["state"]:
-                        logger.warning("cluster: endpoint %s is %s "
-                                       "(%d consecutive failed fleet "
-                                       "polls): %s", ep, state,
-                                       health["consecutive_failures"], exc)
-                        health["state"] = state
-                    continue
-                health["polls"] += 1
-                health["consecutive_failures"] = 0
-                health["totals"] = snapshot.get("totals")
-                if health["state"] != "live":
-                    logger.info("cluster: endpoint %s recovered (live)",
-                                ep)
-                    health["state"] = "live"
-                    with self._cond:
-                        self._cond.notify_all()
+    def _fenced(self, endpoint: str) -> bool:
+        """A dead endpoint takes no shard while another is not dead."""
+        return (self.tallies[endpoint].state == "dead"
+                and any(t.state != "dead" for ep, t in self.tallies.items()
+                        if ep != endpoint))
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -388,6 +331,16 @@ class ClusterCoordinator:
             jitter = 0.5 + self._rng.random()  # 0.5x .. 1.5x
         return delay * jitter
 
+    def _wait(self, seconds: float) -> None:
+        """Sleep ``seconds``, or less if the sweep ends first."""
+        deadline = time.monotonic() + seconds
+        with self._cond:
+            while not self._finished():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self._cond.wait(remaining)
+
     def _dispatcher(self, endpoint: str) -> None:
         tel = get_telemetry()
         client = self._client_factory(endpoint)
@@ -399,19 +352,32 @@ class ClusterCoordinator:
                     if self._finished():
                         self._cond.notify_all()
                         return
-                    if self._endpoint_dead(endpoint):
-                        # Dead per heartbeat poll: hold off new dispatch
-                        # until the monitor sees the endpoint again.
-                        self._cond.wait(timeout=1.0)
-                        continue
+                    if self._fenced(endpoint):
+                        task = None
+                        break
                     task = self._pick(endpoint)
                     if task is not None:
                         break
                     self._cond.wait(timeout=1.0)
-                sid = task.shard.shard_id
-                self._inflight[(sid, endpoint)] = _Inflight(
-                    time.monotonic())
-                self.attempts += 1
+                if task is not None:
+                    sid = task.shard.shard_id
+                    self._inflight[(sid, endpoint)] = _Inflight(
+                        time.monotonic())
+                    self.attempts += 1
+            if task is None:
+                # Fenced, and the last failure's backoff is already
+                # waited out: probe instead of spending a shard attempt.
+                try:
+                    client.healthz()
+                except (ServiceBusy, ServiceClientError, OSError,
+                        TimeoutError):
+                    consecutive_failures += 1  # a longer backoff only
+                    self._wait(self._backoff(consecutive_failures))
+                    continue
+                consecutive_failures = 0
+                with self._cond:
+                    tally.state = "live"
+                continue
             t0 = time.monotonic()
             try:
                 with tel.span("cluster.shard", shard=sid,
@@ -427,6 +393,8 @@ class ClusterCoordinator:
                                endpoint, seconds, exc)
                 with self._cond:
                     tally.failures += 1
+                    tally.state = ("dead" if consecutive_failures >= 2
+                                   else "suspect")
                     self._inflight.pop((sid, endpoint), None)
                     if sid in self._done_ids:
                         pass  # a speculative twin already delivered it
@@ -443,7 +411,7 @@ class ClusterCoordinator:
                     self._cond.notify_all()
                 if tel.enabled:
                     tel.counter("cluster.shard_failures").add(1)
-                time.sleep(self._backoff(consecutive_failures))
+                self._wait(self._backoff(consecutive_failures))
                 continue
             consecutive_failures = 0
             seconds = time.monotonic() - t0
@@ -459,6 +427,7 @@ class ClusterCoordinator:
                 self._inflight.pop((sid, endpoint), None)
                 if not duplicate:
                     self._completed_seconds.append(seconds)
+                tally.state = "live"
                 tally.shards += 1
                 tally.faults += len(task.shard)
                 tally.busy_seconds += seconds
@@ -490,12 +459,6 @@ class ClusterCoordinator:
         with tel.span("cluster.sweep", shards=len(shards),
                       faults=self.total,
                       workers=len(self.endpoints)):
-            monitor = None
-            if self.heartbeat_poll > 0:
-                monitor = threading.Thread(target=self._monitor,
-                                           name="cluster-monitor",
-                                           daemon=True)
-                monitor.start()
             threads = [
                 threading.Thread(target=self._dispatcher, args=(ep,),
                                  name=f"cluster-{i}", daemon=True)
@@ -505,9 +468,6 @@ class ClusterCoordinator:
                 t.start()
             for t in threads:
                 t.join()
-            if monitor is not None:
-                self._monitor_stop.set()
-                monitor.join(timeout=max(5.0, self.heartbeat_poll * 2))
             # Graft every worker's span payload under the sweep span.
             if tel.enabled:
                 for payload in self._payloads:
@@ -529,8 +489,6 @@ class ClusterCoordinator:
             speculated=self.speculated,
             duplicates=self.duplicates,
             elapsed_seconds=time.monotonic() - t0,
-            endpoint_health=(self.endpoint_health
-                             if self.heartbeat_poll > 0 else None),
         )
 
 
@@ -553,38 +511,28 @@ def run_cluster_sweep(
     straggler_factor: float = 3.0,
     straggler_min: float = 60.0,
     poll: float = 2.0,
-    heartbeat_poll: float = 0.0,
     verify: bool = False,
     cache=None,
     client_factory: Optional[Callable[[str], ServiceClient]] = None,
 ) -> ClusterReport:
     """Plan, dispatch and merge one sharded sweep; optionally verify.
 
-    The universe, stimulus and scheduler are built exactly as the
-    workers build them (same resolver, same enumeration, same
-    ``match_width`` stimulus), so global fault indices mean the same
-    thing on every node.  ``verify=True`` additionally runs the
-    single-node oracle locally and raises
-    :class:`~repro.errors.ClusterError` unless verdicts, detection
-    times, checkpoints and the MISR signature are all bit-identical —
-    a live proof that sharding is exact.
+    The universe and stimulus come from :func:`grading_problem`, as on
+    every worker, so global fault indices mean the same thing on every
+    node.  ``verify=True`` additionally runs the single-node oracle
+    locally and raises :class:`~repro.errors.ClusterError` unless
+    verdicts, detection times, checkpoints and the MISR signature are
+    all bit-identical — a live proof that sharding is exact.
     """
     from ..experiments import ExperimentContext
-    from ..gates import elaborate, enumerate_cell_faults
-    from ..generators.base import match_width
-    from ..resolve import make_generator, resolve_design, resolve_generator
+    from ..resolve import resolve_design, resolve_generator
 
     design = resolve_design(design)
     generator = resolve_generator(generator)
-    ctx = ExperimentContext(cache=cache)
-    dsg = ctx.designs[design]
-    nl = elaborate(dsg.graph)
-    faults = enumerate_cell_faults(dsg.graph, nl)
+    dsg, nl, faults, raw = grading_problem(
+        ExperimentContext(cache=cache), design, generator, vectors, width)
     if faults_limit:
         faults = faults[:faults_limit]
-    gen = make_generator(generator, width, vectors)
-    raw = match_width(gen.sequence(vectors), gen.width,
-                      dsg.input_fmt.width)
 
     scheduler = None
     if schedule != "cone":
@@ -614,7 +562,6 @@ def run_cluster_sweep(
         misr_width=misr_width, shard_timeout=shard_timeout,
         max_retries=max_retries, straggler_factor=straggler_factor,
         straggler_min=straggler_min, poll=poll,
-        heartbeat_poll=heartbeat_poll,
         client_factory=client_factory)
     report = coordinator.run(shards)
     if verify:

@@ -27,7 +27,7 @@ from ..errors import ClusterError
 from ..service.client import ServiceBusy, ServiceClient, ServiceClientError
 
 __all__ = ["DEFAULT_MIX", "LOADTEST_SCHEMA", "LoadtestReport",
-           "run_loadtest"]
+           "loadtest_alert_values", "run_loadtest"]
 
 LOADTEST_SCHEMA = "repro-loadtest/1"
 
@@ -62,6 +62,25 @@ def _latency_doc(latencies: Sequence[float]) -> Dict[str, float]:
         "mean": float(sum(ordered) / len(ordered)),
         "max": float(ordered[-1]),
     }
+
+
+def loadtest_alert_values(doc: Dict[str, Any]) -> Dict[str, float]:
+    """Flat metric dict of a loadtest report for alert-rule evaluation.
+
+    Keys follow the ``loadtest.*`` namespace so the same rule files
+    that watch live fleet metrics can also gate a loadtest report
+    (``repro alerts check --loadtest report.json``).  A field missing
+    from the report is left out: the rule's ``missing`` policy decides.
+    """
+    values = {f"loadtest.{key}": float(doc[key])
+              for key in ("requests", "completed", "busy_rate",
+                          "error_rate", "throughput_jobs_per_second")
+              if key in doc}
+    lat = doc.get("latency_seconds") or {}
+    values.update({f"loadtest.{q}_seconds": float(lat[q])
+                   for q in ("p50", "p90", "p99", "mean", "max")
+                   if q in lat})
+    return values
 
 
 @dataclass
@@ -140,25 +159,8 @@ class LoadtestReport:
         return failures
 
     def alert_values(self) -> Dict[str, float]:
-        """Flat metric dict for alert-rule evaluation.
-
-        Keys follow the ``loadtest.*`` namespace so the same rule files
-        that watch live fleet metrics can also gate a loadtest report
-        (``repro alerts check --loadtest report.json``).
-        """
-        lat = _latency_doc(self.latencies)
-        return {
-            "loadtest.requests": float(self.requests),
-            "loadtest.completed": float(self.completed),
-            "loadtest.busy_rate": self.busy_rate,
-            "loadtest.error_rate": self.error_rate,
-            "loadtest.throughput_jobs_per_second": self.throughput,
-            "loadtest.p50_seconds": lat["p50"],
-            "loadtest.p90_seconds": lat["p90"],
-            "loadtest.p99_seconds": lat["p99"],
-            "loadtest.mean_seconds": lat["mean"],
-            "loadtest.max_seconds": lat["max"],
-        }
+        """Flat metric dict for alert-rule evaluation."""
+        return loadtest_alert_values(self.to_doc())
 
     def to_doc(self) -> Dict[str, Any]:
         by_kind: Dict[str, Dict[str, Any]] = {}

@@ -25,6 +25,8 @@ import numpy as np
 from ..errors import ClusterError
 from ..gates.fault_parallel import DEFAULT_WORDS, gate_level_missed
 from ..gates.faults import EnumeratedFault, schedule_fault_batches
+from ..generators.base import match_width
+from ..resolve import make_generator
 from .signature import (
     combine_partials,
     shard_signature_partial,
@@ -38,6 +40,7 @@ __all__ = [
     "Shard",
     "coverage_checkpoints",
     "grade_shard",
+    "grading_problem",
     "merge_shard_results",
     "plan_shards",
     "single_node_grade",
@@ -61,6 +64,28 @@ class Shard:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def grading_problem(ctx, design: str, generator: str, vectors: int,
+                    width: int):
+    """``(design, netlist, faults, stimulus)`` of one exact grading run.
+
+    A shard names faults by *global* index into ``faults``; an index
+    means the same fault on the coordinator and on every worker only
+    because all of them build the universe and the stimulus here.  The
+    stimulus is ``generator``'s first ``vectors`` words at ``width``
+    bits, width-matched to the design's input.  Truncating or sampling
+    the universe is left to the caller.
+    """
+    from ..gates import elaborate, enumerate_cell_faults
+
+    dsg = ctx.designs[design]
+    nl = elaborate(dsg.graph)
+    faults = enumerate_cell_faults(dsg.graph, nl)
+    gen = make_generator(generator, width, vectors)
+    stimulus = match_width(gen.sequence(vectors), gen.width,
+                           dsg.input_fmt.width)
+    return dsg, nl, faults, stimulus
 
 
 def plan_shards(

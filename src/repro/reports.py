@@ -20,6 +20,7 @@ import json
 from typing import Any, Callable, Dict, Iterable, List
 
 from .errors import ReproError
+from .telemetry.fleet import WORKER_STATES
 
 __all__ = ["REPORT_SCHEMAS", "ReportSchemaError", "validate_report",
            "validate_report_file", "validate_report_files"]
@@ -137,8 +138,13 @@ def _check_cluster_sweep(doc: Dict[str, Any]) -> None:
     if not doc["workers"]:
         raise ReportSchemaError("cluster-sweep report: no workers")
     for worker in doc["workers"]:
-        _require(worker, ("endpoint", "shards", "faults", "busy_seconds",
-                          "failures"), "cluster-sweep report [workers]")
+        _require(worker, ("endpoint", "state", "shards", "faults",
+                          "busy_seconds", "failures"),
+                 "cluster-sweep report [workers]")
+        if worker["state"] not in WORKER_STATES:
+            raise ReportSchemaError(
+                f"cluster-sweep report: endpoint {worker['endpoint']!r} "
+                f"has unknown state {worker['state']!r}")
     shard_faults = sum(t["faults"] for t in doc["shard_timings"]
                        if not t.get("duplicate"))
     if shard_faults != doc["faults"]:
@@ -176,12 +182,11 @@ def _check_fleet(doc: Dict[str, Any]) -> None:
     for worker in doc["workers"]:
         _require(worker, ("worker", "state", "last_seen_unix", "pid"),
                  "fleet report [workers]")
-        if worker["state"] not in ("live", "suspect", "dead"):
+        if worker["state"] not in WORKER_STATES:
             raise ReportSchemaError(
                 f"fleet report: worker {worker['worker']!r} has unknown "
                 f"state {worker['state']!r}")
-    counted = sum(int(totals[state]) for state in ("live", "suspect",
-                                                   "dead"))
+    counted = sum(int(totals[state]) for state in WORKER_STATES)
     if counted != totals["workers"]:
         raise ReportSchemaError(
             f"fleet report: live+suspect+dead = {counted} != workers = "

@@ -112,24 +112,17 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
         freqs, power = generator_spectrum(gen)
         return _spectrum_result(params, gen, freqs, power)
     if kind == "grade-shard":
-        from ..cluster.shards import grade_shard
-        from ..gates import elaborate, enumerate_cell_faults
-        from ..generators.base import match_width
-        from ..telemetry import child_collector
+        from ..cluster.shards import grade_shard, grading_problem
 
-        design = ctx.designs[params["design"]]
-        nl = elaborate(design.graph)
-        faults = enumerate_cell_faults(design.graph, nl)
+        _design, nl, faults, raw = grading_problem(
+            ctx, params["design"], params["generator"], params["vectors"],
+            params["width"])
         for i in params["indices"]:
             if i >= len(faults):
                 raise ServiceError(
                     f"fault index {i} out of range for design "
                     f"{params['design']} ({len(faults)} faults)",
                     status=400)
-        gen = make_generator(params["generator"], params["width"],
-                             params["vectors"])
-        raw = match_width(gen.sequence(params["vectors"]), gen.width,
-                          design.input_fmt.width)
         trace = params.get("trace")
         ctx_trace = (TraceContext(trace["trace_id"], trace.get("span_id"))
                      if trace else None)

@@ -26,8 +26,7 @@ The merge reuses the established cross-process discipline
 Liveness is push-implied: a worker that stops beating transitions
 ``live -> suspect -> dead`` after ``suspect_misses`` / ``dead_misses``
 missed intervals.  State transitions are returned to the caller as
-``fleet.*`` events so the service can publish them over SSE and the
-cluster coordinator can stop dispatching shards to dead endpoints.
+``fleet.*`` events so the service can publish them over SSE.
 """
 
 from __future__ import annotations
@@ -183,7 +182,7 @@ class FleetView:
     """Delta-merges worker heartbeats into one live fleet document.
 
     Not thread-safe by itself; the evaluation service calls it only
-    from the event loop, the coordinator only from its monitor thread.
+    from the event loop.
     """
 
     def __init__(self, *, suspect_misses: float = 1.5,

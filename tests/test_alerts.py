@@ -138,3 +138,21 @@ class TestCheckRules:
                 "metric": "loadtest.throughput_jobs_per_second",
                 "op": "<", "threshold": 10.0}
         assert check_rules(parse_rules(rules_doc(rule)), values)
+
+    def test_loadtest_values_survive_json_round_trip(self):
+        from repro.cluster.loadtest import (LoadtestReport, _Sample,
+                                            loadtest_alert_values)
+
+        report = LoadtestReport(url="http://s:1", concurrency=2,
+                                duration_seconds=1.0, elapsed_seconds=1.3)
+        report.samples = [_Sample("rank", "ok", 0.1),
+                          _Sample("grade", "ok", 0.37),
+                          _Sample("rank", "busy", 0.0),
+                          _Sample("spectrum", "error", 0.2)]
+        saved = json.loads(json.dumps(report.to_doc()))
+        live = report.alert_values()
+        assert len(live) == 10
+        assert loadtest_alert_values(saved) == live
+        # A field the saved report lacks is left to the rule's policy.
+        del saved["busy_rate"]
+        assert "loadtest.busy_rate" not in loadtest_alert_values(saved)

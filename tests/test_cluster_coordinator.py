@@ -3,9 +3,11 @@ reassignment, dead endpoints, and single-node identity."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.cluster import run_cluster_sweep
+from repro.cluster import Shard, run_cluster_sweep, shard_signature_partial
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.errors import ClusterError
 from repro.service.lifecycle import ServiceConfig
@@ -37,20 +39,15 @@ class TestFleetSweep:
         assert report.merged.total == 600
         doc = report.to_doc()
         assert doc["signature"].startswith("0x")
-        assert "endpoint_health" not in doc  # heartbeat_poll off
+        assert all(w["state"] == "live" for w in doc["workers"])
         assert sum(w["shards"] for w in doc["workers"]) >= report.shards
         assert sum(t["faults"] for t in doc["shard_timings"]
                    if not t["duplicate"]) == 600
 
     def test_dead_worker_is_survived(self, fleet):
         a, _b = fleet
-        # Generous retry budget: the dead dispatcher burns attempts
-        # fast (instant connection refusals) while the live worker is
-        # busy grading; the sweep must not go fatal before the live
-        # worker picks the shard up.
         report = run_cluster_sweep(
-            [DEAD_ENDPOINT, a.base_url], verify=True, max_retries=8,
-            **SWEEP)
+            [DEAD_ENDPOINT, a.base_url], verify=True, **SWEEP)
         assert report.verified is True
         doc = report.to_doc()
         tallies = {w["endpoint"]: w for w in doc["workers"]}
@@ -59,37 +56,93 @@ class TestFleetSweep:
         assert tallies[a.base_url]["shards"] == report.shards
         assert report.retries > 0
 
-    def test_heartbeat_monitor_marks_dead_endpoint(self, fleet):
+    def test_dead_endpoint_is_fenced(self, fleet):
         a, _b = fleet
-        report = run_cluster_sweep(
-            [DEAD_ENDPOINT, a.base_url], max_retries=8,
-            heartbeat_poll=0.2, **SWEEP)
-        doc = report.to_doc()
-        health = doc["endpoint_health"]
-        # Two consecutive refused polls: the dead endpoint decays and
-        # its dispatcher stops pulling shards; the live one keeps the
-        # last fleet snapshot totals from its own /v1/fleet.
-        assert health[DEAD_ENDPOINT]["state"] == "dead"
-        assert health[DEAD_ENDPOINT]["consecutive_failures"] >= 2
-        assert health[a.base_url]["state"] == "live"
-        assert health[a.base_url]["polls"] >= 1
-        assert health[a.base_url]["totals"] is not None
+        report = run_cluster_sweep([DEAD_ENDPOINT, a.base_url], **SWEEP)
+        tallies = {w["endpoint"]: w for w in report.to_doc()["workers"]}
+        # Two refused shards make the endpoint dead, and a dead endpoint
+        # takes no shard while the live one is still live.
+        dead = tallies[DEAD_ENDPOINT]
+        assert dead["state"] in ("suspect", "dead")
+        assert 1 <= dead["failures"] <= 2
+        assert tallies[a.base_url]["state"] == "live"
         assert report.merged.total == 600
 
-    def test_heartbeat_poll_off_omits_endpoint_health(self):
-        coord = ClusterCoordinator([DEAD_ENDPOINT], {}, total=10,
-                                   test_length=16)
-        assert coord.heartbeat_poll == 0.0
-        with pytest.raises(ClusterError, match="heartbeat_poll"):
-            ClusterCoordinator([DEAD_ENDPOINT], {}, total=10,
-                               test_length=16, heartbeat_poll=-1.0)
-
     def test_all_workers_dead_is_fatal(self):
+        # Three retries take the lone endpoint past "dead"; with no
+        # other endpoint to defer to it is never fenced, so the retry
+        # budget ends the sweep.
         with pytest.raises(ClusterError, match="failed after"):
             run_cluster_sweep([DEAD_ENDPOINT], vectors=96,
                               faults_limit=100, shard_faults=100,
                               poll=0.2, shard_timeout=10.0,
-                              max_retries=1)
+                              max_retries=3)
+
+
+class _DeadClient:
+    """Refuses every contact, and counts them."""
+
+    def __init__(self, contacts):
+        self.contacts = contacts
+
+    def _refuse(self, *args, **kwargs):
+        with self.contacts["cond"]:
+            self.contacts["n"] += 1
+            self.contacts["cond"].notify_all()
+        raise ConnectionRefusedError("refused")
+
+    submit = healthz = _refuse
+
+
+class _LiveClient:
+    """Grades every shard as all-undetected, but only once the dead
+    endpoint has been contacted three times."""
+
+    def __init__(self, contacts):
+        self.contacts = contacts
+        self.params = {}
+
+    def submit(self, kind, params, idempotency_key=None):
+        self.params[idempotency_key] = params
+        return {"id": idempotency_key}
+
+    def job(self, job_id, wait=None):
+        with self.contacts["cond"]:
+            self.contacts["cond"].wait_for(
+                lambda: self.contacts["n"] >= 3, timeout=20.0)
+        params = self.params[job_id]
+        indices = params["indices"]
+        times = [-1] * len(indices)
+        return {"state": "done", "result": {
+            "indices": indices,
+            "detected": [0] * len(indices),
+            "detect_times": times,
+            "signature_partial": shard_signature_partial(
+                params["misr_width"], indices, times, params["total"]),
+            "faults": len(indices),
+        }}
+
+
+class TestFence:
+    def test_dead_endpoint_cannot_spend_other_shards_retries(self):
+        contacts = {"n": 0, "cond": threading.Condition()}
+        clients = {"dead": _DeadClient(contacts),
+                   "live": _LiveClient(contacts)}
+        coord = ClusterCoordinator(
+            ["dead", "live"], {}, total=4, test_length=8, max_retries=2,
+            poll=0.01, backoff_base=0.05,
+            client_factory=lambda ep: clients[ep])
+        # The live endpoint holds its first shard until the dead one has
+        # been contacted three times.  Unfenced, those three contacts
+        # are three attempts at the other shard, which exhaust its
+        # retry budget; fenced, the third is only a health probe.
+        report = coord.run([Shard(0, (0, 1)), Shard(1, (2, 3))])
+        tallies = {w.endpoint: w for w in report.workers}
+        assert tallies["dead"].failures == 2
+        assert tallies["dead"].shards == 0
+        assert tallies["dead"].state == "dead"
+        assert tallies["live"].shards == 2
+        assert report.merged.total == 4
 
 
 class TestSchedulingUnits:

@@ -56,8 +56,9 @@ def _cluster_sweep():
         "signature": "0xbeef",
         "checkpoints": [{"vectors": 64, "coverage": 0.8}],
         "shards": 2,
-        "workers": [{"endpoint": "http://w:1", "shards": 2, "faults": 10,
-                     "busy_seconds": 1.0, "failures": 0}],
+        "workers": [{"endpoint": "http://w:1", "state": "live",
+                     "shards": 2, "faults": 10, "busy_seconds": 1.0,
+                     "failures": 0}],
         "shard_timings": [
             {"shard": 0, "faults": 6, "duplicate": False},
             {"shard": 1, "faults": 4, "duplicate": False},
@@ -167,6 +168,12 @@ class TestRejections:
         doc = _cluster_sweep()
         doc["signature"] = "beef"
         with pytest.raises(ReportSchemaError, match="0x-prefixed"):
+            validate_report(doc)
+
+    def test_cluster_sweep_unknown_worker_state(self):
+        doc = _cluster_sweep()
+        doc["workers"][0]["state"] = "zombie"
+        with pytest.raises(ReportSchemaError, match="unknown state"):
             validate_report(doc)
 
     def test_loadtest_non_monotonic_percentiles(self):

@@ -138,9 +138,8 @@ class TestFleetEndpoint:
 
 
 class TestKeepalive:
-    def _args(self, keepalive_secs=None, events_keepalive=None):
-        return argparse.Namespace(keepalive_secs=keepalive_secs,
-                                  events_keepalive=events_keepalive)
+    def _args(self, events_keepalive=None):
+        return argparse.Namespace(events_keepalive=events_keepalive)
 
     def test_flag_beats_env_beats_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SSE_KEEPALIVE", raising=False)
@@ -148,8 +147,6 @@ class TestKeepalive:
         monkeypatch.setenv("REPRO_SSE_KEEPALIVE", "2.5")
         assert _resolve_keepalive(self._args()) == 2.5
         assert _resolve_keepalive(self._args(events_keepalive=9.0)) == 9.0
-        assert _resolve_keepalive(
-            self._args(keepalive_secs=1.0, events_keepalive=9.0)) == 1.0
 
     def test_rejects_non_numeric_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SSE_KEEPALIVE", "soon")
