@@ -17,9 +17,8 @@ Commands
 ``sweep``     Parallel design x generator coverage grid (cache-backed).
 ``bench``     Serial-vs-parallel throughput benchmark -> JSON report;
               ``--gates`` benches the exact gate engine against its
-              reference oracle, a bare ``--schedule`` benches
-              predictor-guided batch ordering, and ``--report`` adds a
-              self-contained HTML run report.
+              reference oracle, and ``--report`` adds a self-contained
+              HTML run report.
 ``serve``     Run the async BIST evaluation service (HTTP + JSON).
 ``cluster``   Shard exact gate-level fault grading across a fleet of
               ``serve`` endpoints and merge the verdicts, coverage
@@ -247,12 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[cache_flags, ledger_flags],
         help="grade a design x generator grid across worker processes")
     add_grid_flags(sweep, "LFSR-1,LFSR-D,LFSR-M,Ramp", 4096)
-    sweep.add_argument("--schedule", default="cone",
-                       choices=("cone", "predicted", "random"),
-                       help="session order: 'predicted' runs the grid "
-                            "lines the Eq. 1 analytic model rates best "
-                            "first, 'random' is a seeded control "
-                            "shuffle (default cone = product order)")
 
     bench = sub.add_parser(
         "bench", parents=[cache_flags, ledger_flags],
@@ -289,45 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gates-out", default="BENCH_gatesim.json",
                        help="report path for --gates "
                             "(default BENCH_gatesim.json)")
-    bench.add_argument("--schedule", nargs="?", const="bench",
-                       choices=("cone", "predicted", "random", "bench"),
-                       default=None,
-                       help="bare --schedule runs the predictor-guided "
-                            "scheduling benchmark (predicted vs cone vs "
-                            "random batch order + predicted-vs-actual "
-                            "rank correlation); --schedule MODE with "
-                            "--gates picks the batch order for the "
-                            "optimized engine instead")
-    bench.add_argument("--schedule-design", default="LP",
-                       metavar="{LP,BP,HP}",
-                       help="design graded by --schedule (default LP)")
-    bench.add_argument("--schedule-generator", default="lfsr1",
-                       metavar="{" + ",".join(GENERATOR_CHOICES) + "}",
-                       help="generator graded by --schedule "
-                            "(default lfsr1)")
-    bench.add_argument("--schedule-vectors", type=int, default=1024,
-                       help="stimulus length for --schedule "
-                            "(default 1024)")
-    bench.add_argument("--schedule-faults", type=int, default=0,
-                       help="evenly subsample the fault universe to N "
-                            "faults for --schedule (0 = full universe)")
-    bench.add_argument("--schedule-chunk", type=int, default=64,
-                       help="time-chunk length for --schedule; detection "
-                            "times resolve to chunk ends, so keep it "
-                            "fine (default 64)")
-    bench.add_argument("--schedule-bins", type=int, default=1024,
-                       help="amplitude-grid bins for the analytic "
-                            "predictor (default 1024)")
-    bench.add_argument("--schedule-seed", type=int, default=0x5EED,
-                       help="seed of the random control ordering")
-    bench.add_argument("--schedule-corr-threshold", type=float,
-                       default=0.8,
-                       help="minimum predicted-vs-actual Spearman rank "
-                            "correlation for --schedule --check "
-                            "(default 0.8)")
-    bench.add_argument("--schedule-out", default="BENCH_schedule.json",
-                       help="report path for --schedule "
-                            "(default BENCH_schedule.json)")
     bench.add_argument("--report", default=None, metavar="PATH",
                        help="also write a self-contained HTML run report "
                             "(span waterfall, stage timings, cache hit "
@@ -425,15 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--shard-faults", type=int, default=4096,
                          help="max faults per shard; whole cone batches "
                               "are never split (default 4096)")
-    cluster.add_argument("--schedule", default="cone",
-                         choices=("cone", "predicted", "random"),
-                         help="batch ordering the shards are packed in "
-                              "(default cone)")
-    cluster.add_argument("--schedule-bins", type=int, default=256,
-                         help="amplitude-grid bins for --schedule "
-                              "predicted (default 256)")
-    cluster.add_argument("--schedule-seed", type=int, default=0x5EED,
-                         help="seed of --schedule random")
     cluster.add_argument("--chunk", type=int, default=0,
                          help="time-chunk length for detection times "
                               "(0 = engine default)")
@@ -778,10 +723,6 @@ def _cmd_sweep(args) -> int:
     tasks = [SweepTask(design=d, generator=g, n_vectors=args.vectors,
                        width=ctx.config.generator_width)
              for d in designs for g in gens]
-    if args.schedule != "cone":
-        from .schedule import order_sweep_tasks
-
-        tasks = order_sweep_tasks(ctx.designs, tasks, args.schedule)
     t0 = time.perf_counter()
     results = run_sweep(ctx, tasks, jobs=jobs)
     duration = time.perf_counter() - t0
@@ -790,14 +731,12 @@ def _cmd_sweep(args) -> int:
               f"{args.vectors:6d} vectors  "
               f"{100 * result.coverage():6.2f}%  "
               f"{result.missed():5d} missed")
-    print(f"jobs={jobs}  schedule={args.schedule}  "
-          f"{_cache_summary(cache)}")
+    print(f"jobs={jobs}  {_cache_summary(cache)}")
     _ledger_append(args, build_record(
         "sweep",
         config={"designs": designs, "generators": gens,
                 "vectors": args.vectors, "jobs": jobs,
-                "cache": cache is not None,
-                "schedule": args.schedule},
+                "cache": cache is not None},
         created_unix=time.time(),
         metrics=summarize_telemetry() or None,
         git_sha=current_git_sha(),
@@ -878,20 +817,6 @@ def _cmd_bench_gates(args) -> int:
     if args.gates_faults:
         faults = faults[:args.gates_faults]
 
-    # --schedule MODE reorders the event engine's batches; verdicts
-    # scatter back by index so the identical-to-reference assertion
-    # still holds for every mode.
-    schedule_mode = args.schedule or "cone"
-    scheduler = None
-    if schedule_mode != "cone":
-        from .schedule import FaultPredictor, make_scheduler
-
-        predictor = (FaultPredictor(design, "lfsr1",
-                                    bins=args.schedule_bins)
-                     if schedule_mode == "predicted" else None)
-        scheduler = make_scheduler(schedule_mode, predictor=predictor,
-                                   seed=args.schedule_seed)
-
     def fault_key(f):
         return (f.node_id, f.bit, f.cell_fault)
 
@@ -925,8 +850,7 @@ def _cmd_bench_gates(args) -> int:
                 golden_s = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 missed = gate_level_missed(
-                    nl_e, raw, faults, scheduler=scheduler,
-                    program=prog, net_waves=waves)
+                    nl_e, raw, faults, program=prog, net_waves=waves)
                 grade_s = time.perf_counter() - t0
         finally:
             set_telemetry(previous)
@@ -967,7 +891,6 @@ def _cmd_bench_gates(args) -> int:
             "design": name,
             "vectors": args.gates_vectors,
             "faults": len(faults),
-            "schedule": schedule_mode,
         },
         "engines": engines,
         "missed": len(missed_by_engine["event"]),
@@ -1030,235 +953,8 @@ def _cmd_bench_gates(args) -> int:
     return 0
 
 
-def _cmd_bench_schedule(args) -> int:
-    """``bench --schedule``: predictor-guided vs cone vs random order.
-
-    Grades one design's gate-level fault universe three times — once
-    per batch-ordering policy — at the full stimulus length (no
-    iterative deepening, so batch order is the *only* easy-first
-    mechanism) and measures (a) how much grading work each policy needs
-    to reach 90% of final detections, and (b) the Spearman rank
-    correlation between the analytic predictor's detection times and
-    the gate engine's actual ones, aggregated per ripple-carry cell.
-    Writes a ``repro-bench-schedule/1`` report; ``--check`` gates on
-    verdict identity, the correlation threshold and predicted beating
-    the random control on work-to-90%.
-    """
-    import json
-    import time
-
-    import numpy as np
-
-    from .cluster.shards import grading_problem
-    from .gates import gate_level_missed
-    from .schedule import (FaultPredictor, make_scheduler,
-                           spearman_rank_correlation, work_to_coverage)
-
-    name = resolve_design(args.schedule_design)
-    gen_kind = resolve_generator(args.schedule_generator)
-    ctx = ExperimentContext()
-    vectors = args.schedule_vectors
-    design, nl, faults, raw = grading_problem(
-        ctx, name, gen_kind, vectors, ctx.config.generator_width)
-    if args.schedule_faults and args.schedule_faults < len(faults):
-        idx = np.unique(np.linspace(0, len(faults) - 1,
-                                    args.schedule_faults).astype(int))
-        faults = [faults[i] for i in idx]
-
-    t0 = time.perf_counter()
-    predictor = FaultPredictor(design, gen_kind, bins=args.schedule_bins)
-    times_pred = predictor.expected_times(faults)
-    predictor_seconds = time.perf_counter() - t0
-
-    tel = Telemetry()
-    previous = set_telemetry(tel)
-    arms = {}
-    try:
-        for mode in ("cone", "predicted", "random"):
-            scheduler = None if mode == "cone" else make_scheduler(
-                mode, predictor=predictor, seed=args.schedule_seed)
-            # Actual detection times come from the cone arm; they are
-            # schedule-independent, so one collection pass suffices.
-            detect = (np.full(len(faults), -1, dtype=np.int64)
-                      if mode == "cone" else None)
-            checkpoints = []
-            cum = {"work": 0, "dropped": 0}
-
-            def on_batch(info, cum=cum, cp=checkpoints):
-                cum["work"] += info["work"]
-                cum["dropped"] += info["dropped"]
-                cp.append((cum["work"], info["detected"]))
-
-            t0 = time.perf_counter()
-            missed = gate_level_missed(
-                nl, raw, faults, chunk=args.schedule_chunk,
-                deepening=False, scheduler=scheduler,
-                on_batch=on_batch, detect_times=detect)
-            arms[mode] = {
-                "seconds": time.perf_counter() - t0,
-                "missed": missed,
-                "detect": detect,
-                "checkpoints": checkpoints,
-                "work_total": cum["work"],
-                "dropped": cum["dropped"],
-            }
-    finally:
-        set_telemetry(previous)
-    outer = get_telemetry()
-    if outer.enabled:
-        from .telemetry import collector_payload
-
-        outer.absorb(collector_payload(tel))
-
-    def fault_key(f):
-        return (f.node_id, f.bit, f.cell_fault)
-
-    # Missed lists preserve the original fault order regardless of the
-    # schedule (verdicts scatter back by index), so direct comparison
-    # asserts bit-identical verdicts.
-    missed_cone = [fault_key(f) for f in arms["cone"]["missed"]]
-    identical = all(
-        [fault_key(f) for f in arms[m]["missed"]] == missed_cone
-        for m in ("predicted", "random"))
-    detected = len(faults) - len(missed_cone)
-    target = int(np.ceil(0.9 * detected))
-
-    # Predicted-vs-actual rank correlation, censored at 2x the session
-    # length (undetected / analytically-undetectable faults pin there)
-    # and aggregated per (node, bit) cell: the predictor ranks fault
-    # *sites*, and the scheduler moves batches, never single faults.
-    censor = 2.0 * vectors
-    detect = arms["cone"]["detect"]
-    actual = np.where(detect < 0, censor, detect).astype(float)
-    pred = np.minimum(np.where(np.isfinite(times_pred), times_pred,
-                               censor), censor)
-    cells = {}
-    for i, f in enumerate(faults):
-        cells.setdefault((f.node_id, f.bit), []).append(i)
-    cell_pred = [float(np.mean(pred[ix])) for ix in cells.values()]
-    cell_actual = [float(np.mean(actual[ix])) for ix in cells.values()]
-    rank_corr = spearman_rank_correlation(cell_pred, cell_actual)
-    rank_corr_fault = spearman_rank_correlation(pred, actual)
-
-    orderings = {}
-    for mode, arm in arms.items():
-        w90 = work_to_coverage(arm["checkpoints"], target)
-        orderings[mode] = {
-            "seconds": arm["seconds"],
-            "work_total": int(arm["work_total"]),
-            "work_to_90": None if w90 is None else int(w90),
-            "work_to_90_fraction":
-                None if w90 is None or not arm["work_total"]
-                else w90 / arm["work_total"],
-            "faults_dropped": int(arm["dropped"]),
-        }
-
-    report = {
-        "schema": "repro-bench-schedule/1",
-        "created_unix": _bench_now(args),
-        "git_sha": current_git_sha(),
-        "config": {
-            "design": name,
-            "generator": gen_kind,
-            "vectors": vectors,
-            "faults": len(faults),
-            "chunk": args.schedule_chunk,
-            "bins": args.schedule_bins,
-            "seed": args.schedule_seed,
-        },
-        "predictor": {
-            "seconds": predictor_seconds,
-            "unpredictable_faults":
-                int(np.count_nonzero(~np.isfinite(times_pred))),
-        },
-        "rank_correlation": rank_corr,
-        "rank_correlation_per_fault": rank_corr_fault,
-        "cells": len(cells),
-        "detected": detected,
-        "missed": len(missed_cone),
-        "target_detected": target,
-        "identical": identical,
-        "orderings": orderings,
-    }
-    with open(args.schedule_out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    w90 = {m: orderings[m]["work_to_90"] for m in orderings}
-    _ledger_append(args, build_record(
-        "bench-schedule",
-        config=report["config"],
-        created_unix=report["created_unix"],
-        bench={
-            "rank_correlation": rank_corr,
-            "work_to_90_cone": float(w90["cone"] or 0),
-            "work_to_90_predicted": float(w90["predicted"] or 0),
-            "work_to_90_random": float(w90["random"] or 0),
-            "predicted_vs_random":
-                (w90["random"] / w90["predicted"]
-                 if w90["predicted"] and w90["random"] else 0.0),
-        },
-        git_sha=report["git_sha"],
-        duration_seconds=predictor_seconds
-        + sum(a["seconds"] for a in arms.values()),
-        extra={"identical": identical, "missed": len(missed_cone)}))
-
-    print(f"schedule universe: {name}/{gen_kind}, {len(faults)} faults, "
-          f"{vectors} vectors (chunk {args.schedule_chunk}, no deepening)")
-    print(f"predictor: {predictor_seconds:6.2f}s  "
-          f"rank correlation {rank_corr:.4f} over {len(cells)} cells "
-          f"({rank_corr_fault:.4f} per fault)")
-    for mode in ("cone", "predicted", "random"):
-        o = orderings[mode]
-        frac = (f"{o['work_to_90_fraction']:.3f}"
-                if o["work_to_90_fraction"] is not None else "n/a")
-        print(f"{mode:9s} {o['seconds']:6.2f}s  "
-              f"work-to-90% {o['work_to_90'] or 0:>12,} "
-              f"({frac} of {o['work_total']:,})  "
-              f"dropped {o['faults_dropped']:,}")
-    print(f"identical: {identical}   wrote {args.schedule_out}")
-
-    if args.check:
-        failures = []
-        if not identical:
-            failures.append("scheduled verdicts differ from cone order")
-        if rank_corr < args.schedule_corr_threshold:
-            failures.append(
-                f"rank correlation {rank_corr:.4f} below threshold "
-                f"{args.schedule_corr_threshold:.2f}")
-        if (w90["predicted"] is None or w90["random"] is None
-                or w90["predicted"] >= w90["random"]):
-            failures.append(
-                f"predicted work-to-90% ({w90['predicted']}) does not "
-                f"beat random ({w90['random']})")
-        if failures:
-            for failure in failures:
-                print(f"bench check FAILED: {failure}", file=sys.stderr)
-            return 1
-        print(f"bench check passed: rank correlation {rank_corr:.4f} "
-              f">= {args.schedule_corr_threshold:.2f}, predicted "
-              f"work-to-90% {w90['predicted']:,} < random "
-              f"{w90['random']:,}")
-    return 0
-
-
-def _bench_target(args):
-    """Which benchmark ``bench`` runs, from --gates / --schedule."""
-    if args.schedule == "bench":
-        if args.gates:
-            raise ReproError(
-                "--gates and the scheduling benchmark (bare --schedule) "
-                "are mutually exclusive")
-        return _cmd_bench_schedule
-    if args.schedule is not None and not args.gates:
-        raise ReproError(
-            "--schedule MODE picks the batch order for --gates; use a "
-            "bare --schedule to run the scheduling benchmark")
-    return _cmd_bench_gates if args.gates else _cmd_bench_grid
-
-
 def _cmd_bench(args) -> int:
-    target = _bench_target(args)  # fail fast on conflicting flags
+    target = _cmd_bench_gates if args.gates else _cmd_bench_grid
     if not args.report:
         return target(args)
 
@@ -1755,8 +1451,7 @@ def _cmd_cluster(args) -> int:
         design=args.design, generator=args.generator,
         vectors=args.vectors, width=args.width,
         faults_limit=args.faults, shard_faults=args.shard_faults,
-        schedule=args.schedule, schedule_bins=args.schedule_bins,
-        schedule_seed=args.schedule_seed, chunk=args.chunk,
+        chunk=args.chunk,
         misr_width=args.misr_width, shard_timeout=args.shard_timeout,
         max_retries=args.max_retries,
         straggler_factor=args.straggler_factor,
@@ -1791,8 +1486,7 @@ def _cmd_cluster(args) -> int:
     _ledger_append(args, build_record(
         "cluster-sweep",
         config=dict(doc["params"], endpoints=sorted(set(args.endpoints)),
-                    shard_faults=args.shard_faults,
-                    schedule=args.schedule),
+                    shard_faults=args.shard_faults),
         created_unix=time.time(),
         metrics=summarize_telemetry() or None,
         git_sha=current_git_sha(),

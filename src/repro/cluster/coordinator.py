@@ -501,9 +501,6 @@ def run_cluster_sweep(
     width: int = 12,
     faults_limit: int = 0,
     shard_faults: int = DEFAULT_SHARD_FAULTS,
-    schedule: str = "cone",
-    schedule_bins: int = 256,
-    schedule_seed: int = 0,
     chunk: int = 0,
     misr_width: int = DEFAULT_MISR_WIDTH,
     shard_timeout: float = 600.0,
@@ -529,21 +526,11 @@ def run_cluster_sweep(
 
     design = resolve_design(design)
     generator = resolve_generator(generator)
-    dsg, nl, faults, raw = grading_problem(
+    _dsg, nl, faults, raw = grading_problem(
         ExperimentContext(cache=cache), design, generator, vectors, width)
     if faults_limit:
         faults = faults[:faults_limit]
-
-    scheduler = None
-    if schedule != "cone":
-        from ..schedule import FaultPredictor, make_scheduler
-
-        predictor = (FaultPredictor(dsg, generator, bins=schedule_bins)
-                     if schedule == "predicted" else None)
-        scheduler = make_scheduler(schedule, predictor=predictor,
-                                   seed=schedule_seed)
-    shards = plan_shards(faults, max_faults=shard_faults,
-                         scheduler=scheduler)
+    shards = plan_shards(faults, max_faults=shard_faults)
 
     # Global indices address the *prefix-truncated* universe the same
     # way they address the full one, so a --faults cap needs no extra

@@ -1,14 +1,13 @@
 """Shard planning, worker-side grading and deterministic merging.
 
 A *shard* is a run of whole cone batches
-(:func:`repro.gates.faults.schedule_fault_batches`, or any PR 7
-scheduler with the same contract) carrying the **global** fault indices
-it covers.  Keeping batches intact preserves the schedule's cone
-locality inside each worker, and carrying global indices makes the
-merge trivial and order-free: verdicts and detection times scatter back
-by index, the MISR signature merges by XOR of per-shard partials
-(:mod:`repro.cluster.signature`), and coverage checkpoints are a pure
-function of the merged detection times.  The whole pipeline is
+(:func:`repro.gates.faults.schedule_fault_batches`) carrying the
+**global** fault indices it covers.  Keeping batches intact preserves
+the schedule's cone locality inside each worker, and carrying global
+indices makes the merge trivial and order-free: verdicts and detection
+times scatter back by index, the MISR signature merges by XOR of
+per-shard partials (:mod:`repro.cluster.signature`), and coverage
+checkpoints are a pure function of the merged detection times.  The whole pipeline is
 bit-identical to a single-node :func:`gate_level_missed` run for *any*
 partition, permutation or duplicated re-dispatch — the property the
 merge-determinism suite asserts and the CI cluster-smoke job re-proves
@@ -18,7 +17,7 @@ against live workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,22 +92,17 @@ def plan_shards(
     *,
     max_faults: int = DEFAULT_SHARD_FAULTS,
     batch_size: int = 64 * DEFAULT_WORDS,
-    scheduler: Optional[Callable[[Sequence[EnumeratedFault], int],
-                                 List[List[int]]]] = None,
 ) -> List[Shard]:
-    """Pack the scheduled cone batches into shards of ``<= max_faults``.
+    """Pack the cone batches into shards of ``<= max_faults``.
 
     Batches are never split (cone locality survives dispatch) and are
-    packed in schedule order, so a predictor-guided ordering
-    (:func:`repro.schedule.make_scheduler`) shapes which faults land in
-    the early shards exactly as it shapes single-node batch order.
+    packed in :func:`~repro.gates.faults.schedule_fault_batches` order.
     """
     if max_faults <= 0:
         raise ClusterError(f"max_faults must be positive, got {max_faults}")
-    plan = (schedule_fault_batches if scheduler is None else scheduler)
     shards: List[Shard] = []
     current: List[int] = []
-    for batch in plan(faults, batch_size):
+    for batch in schedule_fault_batches(faults, batch_size):
         if current and len(current) + len(batch) > max_faults:
             shards.append(Shard(len(shards), tuple(current)))
             current = []

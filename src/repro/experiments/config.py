@@ -6,15 +6,16 @@ sessions so a full benchmark sweep builds each once.  Give it an
 :class:`~repro.cache.ArtifactCache` (or set ``$REPRO_CACHE_DIR``) and
 the memo tables become cache-backed: a rerun in a fresh process loads
 universes, netlists, golden waveforms and coverage arrays from disk
-instead of recomputing them, and :meth:`ExperimentContext.run_grid`
-fans whole design x generator grids out across worker processes.
+instead of recomputing them.  :func:`repro.parallel.sweep.run_sweep`
+fans design x generator grids out across worker processes and adopts
+the results into the same memo.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -85,9 +86,6 @@ class ExperimentContext:
         Optional :class:`~repro.cache.ArtifactCache`.  When present,
         every memoized artifact is also persisted content-addressed on
         disk and reloaded on later runs (in this or any process).
-    jobs:
-        Default worker count for :meth:`run_grid` (``None`` = resolve
-        from ``$REPRO_JOBS`` / CPU count at call time).
     coverage_cache:
         When ``False``, coverage sessions are always recomputed even
         with a cache attached (designs/universes/netlists stay
@@ -96,11 +94,9 @@ class ExperimentContext:
     """
 
     def __init__(self, config: Optional[ExperimentConfig] = None,
-                 cache=None, jobs: Optional[int] = None,
-                 coverage_cache: bool = True):
+                 cache=None, coverage_cache: bool = True):
         self.config = config or ExperimentConfig.from_env()
         self.cache = cache
-        self.jobs = jobs
         self.coverage_cache = coverage_cache
         self._designs: Optional[Dict[str, FilterDesign]] = None
         self._universes: Dict[str, FaultUniverse] = {}
@@ -237,31 +233,3 @@ class ExperimentContext:
                        n_vectors: int, result: CoverageResult) -> None:
         """Install an externally graded session into the memo table."""
         self._coverage[(design_name, generator_name, n_vectors)] = result
-
-    def run_grid(self, design_names: Optional[Sequence[str]] = None,
-                 generator_keys: Optional[Sequence[str]] = None,
-                 n_vectors: Optional[int] = None,
-                 jobs: Optional[int] = None,
-                 timeout: Optional[float] = None
-                 ) -> Dict[Tuple[str, str], CoverageResult]:
-        """Grade a design x generator grid across worker processes.
-
-        Defaults reproduce the Table 4/5 grid: all reference designs,
-        the four standard generators, ``table4_vectors``-long sessions.
-        Every result also lands in the memo table, so the table/figure
-        builders that follow hit it directly.
-        """
-        from ..parallel.sweep import SweepTask, run_sweep
-
-        designs = list(design_names or self.designs)
-        gens = list(generator_keys or self.standard_generators())
-        vectors = n_vectors if n_vectors is not None \
-            else self.config.table4_vectors
-        tasks = [SweepTask(design=d, generator=g, n_vectors=vectors,
-                           width=self.config.generator_width)
-                 for d in designs for g in gens]
-        results = run_sweep(self, tasks,
-                            jobs=self.jobs if jobs is None else jobs,
-                            timeout=timeout)
-        return {(t.design, t.generator): r
-                for t, r in zip(tasks, results)}

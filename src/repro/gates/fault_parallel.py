@@ -141,8 +141,7 @@ def _grade_cone_batch(
     detection time at chunk-end granularity: the end, in vectors, of the
     chunk in which its faulty waveform first diverged.  Because every
     pass grades from ``t=0`` the times are independent of batch
-    composition and schedule — the "actual" axis of the predicted-vs-
-    actual rank correlation in ``repro bench --schedule``.
+    composition.
     """
     from .eventsim import EventCone, fused_program
 
@@ -251,9 +250,6 @@ def _grade_verdicts(
     *,
     chunk: Optional[int] = None,
     words: Optional[int] = None,
-    scheduler: Optional[Callable[[Sequence[EnumeratedFault], int],
-                                 List[List[int]]]] = None,
-    deepening: bool = True,
     detect_times: Optional[np.ndarray] = None,
     on_batch: Optional[Callable[[Dict[str, int]], None]] = None,
 ) -> np.ndarray:
@@ -270,11 +266,11 @@ def _grade_verdicts(
     nothing run-level: :func:`gate_level_missed` owns the progress
     stream and the throughput gauge, so pool workers grading a slice of
     a larger run never publish a stream whose ``total`` is their slice.
-    ``on_batch`` receives the per-batch record documented there.
+    ``on_batch`` receives a record per graded batch: its ``prefix``
+    and ``dropped`` count, and the running ``detected``/``finalized``
+    totals.
     """
     tel = get_telemetry()
-    plan_batches = (schedule_fault_batches if scheduler is None
-                    else scheduler)
     length = lane_waves.shape[1]
     chunk_len = min(DEFAULT_CHUNK if chunk is None else max(1, int(chunk)),
                     max(length, 1))
@@ -283,15 +279,14 @@ def _grade_verdicts(
     verdicts = np.zeros(len(faults), dtype=bool)
     remaining = np.arange(len(faults))
     finalized = 0
-    stages = (_deepening_schedule(length, chunk_len) if deepening
-              else [length])
+    stages = _deepening_schedule(length, chunk_len)
     for stage_len in stages:
         final = stage_len == length
         stage_words = (EVENT_STAGE1_WORDS
                        if words is None and stage_len == stages[0]
                        else n_words)
         subset = [faults[i] for i in remaining]
-        for batch in plan_batches(subset, 64 * stage_words):
+        for batch in schedule_fault_batches(subset, 64 * stage_words):
             idx = remaining[np.asarray(batch, dtype=np.int64)]
             first_detect = (np.full(len(batch), -1, dtype=np.int64)
                             if detect_times is not None else None)
@@ -312,9 +307,7 @@ def _grade_verdicts(
                           else int(batch_verdicts.sum()))
             if on_batch is not None:
                 on_batch({
-                    "faults": len(batch),
                     "prefix": stage_len,
-                    "work": stats["work"],
                     "dropped": stats["faults_dropped"],
                     "detected": int(verdicts.sum()),
                     "finalized": finalized,
@@ -336,11 +329,7 @@ def gate_level_missed(
     cache=None,
     chunk: Optional[int] = None,
     words: Optional[int] = None,
-    scheduler: Optional[Callable[[Sequence[EnumeratedFault], int],
-                                 List[List[int]]]] = None,
-    on_batch: Optional[Callable[[Dict[str, int]], None]] = None,
     detect_times: Optional[np.ndarray] = None,
-    deepening: bool = True,
     program: Optional[CompiledNetlist] = None,
     net_waves: Optional[np.ndarray] = None,
 ) -> List[EnumeratedFault]:
@@ -349,8 +338,8 @@ def gate_level_missed(
     Faults are grouped into cone-local batches
     (:func:`repro.gates.faults.schedule_fault_batches`) of
     ``64 * words`` and graded by the fused cone sweep; the
-    returned list preserves the input fault order, so results are
-    deterministic regardless of scheduling.  ``progress`` ticks once per
+    returned list preserves the input fault order, so results do not
+    depend on how faults are batched.  ``progress`` ticks once per
     64 graded faults, matching the historical batch granularity.
     ``words`` left unset widens the first deepening stage to
     :data:`EVENT_STAGE1_WORDS`.
@@ -359,29 +348,9 @@ def gate_level_missed(
     (and reuse) the compiled program and the golden per-net waveforms,
     keyed on netlist + stimulus content.
 
-    ``scheduler`` swaps the batch-ordering policy: a callable with the
-    :func:`~repro.gates.faults.schedule_fault_batches` signature
-    (``(faults, batch_size) -> List[List[int]]``, index lists covering
-    every fault exactly once).  Verdicts are scattered back by index, so
-    any valid schedule yields bit-identical results — the property
-    ``repro bench --schedule`` asserts while measuring how much sooner a
-    predictor-guided order reaches 90% coverage (see
-    :mod:`repro.schedule`).
-
-    ``on_batch`` is invoked after every graded batch with a dict of
-    ``faults``/``prefix``/``work``/``dropped``/``detected``/
-    ``finalized`` — ``work`` being the exact active-lane × vector
-    products evaluated, the schedule benchmark's work unit.
-
     ``detect_times`` (an ``int64`` array aligned with ``faults``, filled
     with ``-1``) receives each detected fault's first detection time at
     chunk-end granularity; undetected faults keep ``-1``.
-
-    ``deepening=False`` grades every batch at the full stimulus length
-    in one stage (per-word dropping still compacts within each batch).
-    The schedule benchmark uses this to isolate batch *ordering* as the
-    only easy-first mechanism; production callers should leave
-    deepening on.
 
     ``program``/``net_waves`` accept a pre-compiled program and a
     pre-simulated golden per-net waveform matrix, skipping the
@@ -413,8 +382,6 @@ def gate_level_missed(
         def after_batch(record: Dict[str, int]) -> None:
             nonlocal dropped, emitted
             dropped += record["dropped"]
-            if on_batch is not None:
-                on_batch(record)
             if tel.enabled:
                 tel.progress(
                     "gates.grade", record["finalized"], n_faults,
@@ -428,8 +395,7 @@ def gate_level_missed(
 
         verdicts = _grade_verdicts(
             prog, expand_lane_waves(net_waves), faults, chunk=chunk,
-            words=words, scheduler=scheduler, deepening=deepening,
-            detect_times=detect_times, on_batch=after_batch)
+            words=words, detect_times=detect_times, on_batch=after_batch)
         if progress is not None and emitted * 64 < n_faults:
             progress(n_faults, n_faults)
         missed = [f for f, hit in zip(faults, verdicts) if not hit]

@@ -7,8 +7,6 @@ independent.  This package supplies the substrate:
 * :mod:`~repro.parallel.pool` — order-preserving process-pool map with
   chunked work queues, crash/timeout detection and automatic serial
   fallback;
-* :mod:`~repro.parallel.seeding` — deterministic per-task seeds, so a
-  fanned-out run is bit-identical to its serial counterpart;
 * :mod:`~repro.parallel.sweep` — design x generator coverage grids
   (the CLI's ``repro sweep`` / ``repro bench``);
 * :mod:`~repro.parallel.gatework` — distributed exact gate-level
@@ -17,7 +15,6 @@ independent.  This package supplies the substrate:
 
 from .gatework import gate_level_missed_parallel
 from .pool import default_chunk_size, parallel_map, resolve_jobs
-from .seeding import DEFAULT_BASE_SEED, derive_seed, task_seeds
 from .sweep import (
     GENERATOR_KEYS,
     SweepResult,
@@ -27,16 +24,13 @@ from .sweep import (
 )
 
 __all__ = [
-    "DEFAULT_BASE_SEED",
     "GENERATOR_KEYS",
     "SweepResult",
     "SweepTask",
     "default_chunk_size",
-    "derive_seed",
     "gate_level_missed_parallel",
     "parallel_map",
     "resolve_jobs",
     "run_sweep",
     "sweep_generator",
-    "task_seeds",
 ]

@@ -5,8 +5,9 @@ package goes through.  Contract:
 
 * **Order-preserving** — results align with the input items regardless
   of completion order.
-* **Deterministic** — workers receive only the task items; anything
-  random must come from :mod:`repro.parallel.seeding`.
+* **Deterministic** — workers receive only the task items, so a task's
+  result is a pure function of its item, never of worker identity or
+  completion order.
 * **Self-healing** — a worker crash (``BrokenProcessPool``), a chunk
   timeout, or a pool that cannot even start (sandboxed environments)
   degrades to in-process serial execution of the unfinished chunks

@@ -93,28 +93,6 @@ def _check_bench_gatesim(doc: Dict[str, Any]) -> None:
               f"{where} [engines.event.counters]")
 
 
-def _check_bench_schedule(doc: Dict[str, Any]) -> None:
-    _require(doc, ("identical", "rank_correlation", "orderings"),
-             "bench-schedule report")
-    if doc["identical"] is not True:
-        raise ReportSchemaError(
-            "bench-schedule report: ordering verdicts diverge from the "
-            "cone baseline")
-    orderings = doc["orderings"]
-    expected = {"cone", "predicted", "random"}
-    if set(orderings) != expected:
-        raise ReportSchemaError(
-            f"bench-schedule report: orderings must be exactly "
-            f"{sorted(expected)}, got {sorted(orderings)}")
-    for mode, entry in orderings.items():
-        _positive(entry, ("work_total",),
-                  f"bench-schedule report [orderings.{mode}]")
-        if not entry.get("work_to_90"):
-            raise ReportSchemaError(
-                f"bench-schedule report: orderings.{mode}.work_to_90 "
-                f"is empty")
-
-
 def _check_cluster_sweep(doc: Dict[str, Any]) -> None:
     _require(doc, ("params", "faults", "detected", "coverage",
                    "signature", "checkpoints", "shards", "workers",
@@ -198,7 +176,6 @@ REPORT_SCHEMAS: Dict[str, Callable[[Dict[str, Any]], None]] = {
     "repro-fleet/1": _check_fleet,
     "repro-bench-parallel/1": _check_bench_parallel,
     "repro-bench-gatesim/3": _check_bench_gatesim,
-    "repro-bench-schedule/1": _check_bench_schedule,
     "repro-cluster-sweep/1": _check_cluster_sweep,
     "repro-loadtest/1": _check_loadtest,
 }

@@ -1,57 +1,35 @@
-"""Analytic predictor-guided fault scheduling.
+"""Analytic fault-difficulty prediction and generator recommendation.
 
 The paper's central asset is that test-zone occupancy — and therefore
 which faults are hard — is *analytically predictable* before any fault
 simulation runs: Eq. 1 (``sigma_y^2 = (1/L) sum |G[k]|^2 |H[k]|^2``)
 places each operator's signal variance, and the Section 7.2 amplitude
 distributions turn that into per-cell test-pattern probabilities.  This
-package converts the prediction into a scheduler for the gate-level
-fault engine:
+package turns the prediction into answers:
 
 * :mod:`repro.schedule.predictor` scores every enumerated fault with
   its predicted per-vector detection probability (reusing
-  :mod:`repro.analysis`), cached per-operator so a 65k-fault universe
-  scores in well under a second;
-* :mod:`repro.schedule.order` turns the scores into a batch-ordering
-  policy for :func:`repro.gates.fault_parallel.gate_level_missed` —
-  predicted-easy faults first, so PR 4's per-word fault dropping
-  compacts early — alongside the ``cone`` (locality-order) default and
-  a seeded ``random`` control arm;
+  :mod:`repro.analysis`), cached per-operator;
 * :mod:`repro.schedule.stats` provides the Spearman rank correlation
-  and work-to-coverage accounting the ``repro bench --schedule``
-  benchmark gates on;
+  that checks the prediction against gate-level detection times;
 * :mod:`repro.schedule.recommend` answers "best generator for this
   filter" from the analytic model alone, running gate-level grading
   only to confirm the top-k candidates (the service's ``recommend``
   job kind).
 
-Because verdicts are scattered back by fault index, every schedule is
-bit-identical in its *results*; scheduling only moves work earlier.
+Gate-level batches always run in cone-locality order
+(:func:`repro.gates.faults.schedule_fault_batches`); the prediction
+does not reorder them.  See ``docs/predictor.md``.
 """
 
-from .order import (
-    DEFAULT_SCHEDULE_SEED,
-    SCHEDULE_MODES,
-    PredictedScheduler,
-    RandomScheduler,
-    make_scheduler,
-    order_sweep_tasks,
-)
 from .predictor import FaultPredictor, source_models_for
 from .recommend import recommend_generator
-from .stats import average_ranks, spearman_rank_correlation, work_to_coverage
+from .stats import average_ranks, spearman_rank_correlation
 
 __all__ = [
-    "DEFAULT_SCHEDULE_SEED",
-    "SCHEDULE_MODES",
     "FaultPredictor",
-    "PredictedScheduler",
-    "RandomScheduler",
     "average_ranks",
-    "make_scheduler",
-    "order_sweep_tasks",
     "recommend_generator",
     "source_models_for",
     "spearman_rank_correlation",
-    "work_to_coverage",
 ]

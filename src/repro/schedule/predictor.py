@@ -42,7 +42,7 @@ __all__ = ["FaultPredictor", "source_models_for"]
 
 #: Amplitude-grid resolution for the pattern-probability tables; 1024
 #: bins is where the predicted-vs-actual rank correlation saturates on
-#: the Table 1 designs (see ``repro bench --schedule``).
+#: the Table 1 designs (see ``docs/predictor.md``).
 DEFAULT_BINS = 1024
 
 
@@ -92,7 +92,7 @@ class FaultPredictor:
     Score extraction is two-level cached: one ``(W, 8)`` pattern table
     per arithmetic operator (the expensive distribution work) and one
     summed probability per distinct ``(node, bit, mask)`` triple (the
-    hot path when rescoring deepening-stage survivors).  Accepts both
+    hot path over a universe's many same-mask faults).  Accepts both
     :class:`~repro.gates.faults.EnumeratedFault` (gate-level) and
     :class:`~repro.faultsim.dictionary.DesignFault` (behavioral) fault
     objects.

@@ -13,8 +13,7 @@ mirroring the paper's own workflow:
    amplitude *marginal* alone looks benign).
 2. **Confirmation** (bounded gate-level grading): only the top-k
    analytic candidates are graded exactly, on a subsampled enumerated
-   fault universe and a bounded vector count, with the predictor-guided
-   schedule so fault dropping compacts early.  The best candidate is
+   fault universe and a bounded vector count.  The best candidate is
    the confirmed-coverage winner, analytic order breaking ties.
 
 Exposed as the service's ``recommend`` job kind and as
@@ -30,7 +29,6 @@ import numpy as np
 from ..bist.selection import rank_generators
 from ..generators.base import match_width
 from ..resolve import make_generator, resolve_design, resolve_generator
-from .order import PredictedScheduler
 from .predictor import FaultPredictor
 
 __all__ = ["DEFAULT_CANDIDATES", "recommend_generator"]
@@ -121,10 +119,7 @@ def recommend_generator(
         kind = entry["generator"]
         gen = make_generator(kind, width, confirm_vectors)
         raw = match_width(gen.sequence(confirm_vectors), gen.width, width)
-        scheduler = PredictedScheduler(
-            FaultPredictor(design, kind, bins=bins))
-        missed = gate_level_missed(nl, raw, enumerated,
-                                   cache=ctx.cache, scheduler=scheduler)
+        missed = gate_level_missed(nl, raw, enumerated, cache=ctx.cache)
         detected = len(enumerated) - len(missed)
         confirmed.append({
             "generator": kind,

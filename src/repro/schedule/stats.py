@@ -1,19 +1,16 @@
-"""Rank statistics and work accounting for the schedule benchmark.
+"""Rank statistics for checking the predictor against gate truth.
 
 Numpy-only (no scipy dependency at import time): the Spearman
-correlation with average-rank tie handling, and the work-to-coverage
-reduction over the per-batch checkpoints ``gate_level_missed`` streams
-through its ``on_batch`` hook.
+correlation with average-rank tie handling.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["average_ranks", "spearman_rank_correlation",
-           "work_to_coverage"]
+__all__ = ["average_ranks", "spearman_rank_correlation"]
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -55,20 +52,3 @@ def spearman_rank_correlation(x: Sequence[float],
         return 0.0
     return float(np.sum(rx * ry) / denom)
 
-
-def work_to_coverage(checkpoints: Sequence[Tuple[int, int]],
-                     target_detected: int) -> Optional[int]:
-    """Cumulative work at which cumulative detections first reach
-    ``target_detected``.
-
-    ``checkpoints`` is the monotone per-batch stream of
-    ``(cumulative_work, cumulative_detected)`` pairs (work in
-    active-lane × vector units).  Returns ``None`` when the target is
-    never reached.
-    """
-    if target_detected <= 0:
-        return 0
-    for work, detected in checkpoints:
-        if detected >= target_detected:
-            return int(work)
-    return None

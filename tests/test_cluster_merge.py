@@ -24,7 +24,11 @@ from repro.cluster import (
 from repro.cluster.shards import DEFAULT_MISR_WIDTH, coverage_checkpoints
 from repro.cluster.signature import shard_signature_partial, stream_signature
 from repro.errors import ClusterError
-from repro.gates import elaborate, enumerate_cell_faults
+from repro.gates import (
+    elaborate,
+    enumerate_cell_faults,
+    schedule_fault_batches,
+)
 from repro.generators.base import match_width
 from repro.resolve import make_generator
 
@@ -182,18 +186,15 @@ class TestPlanShards:
             plan_shards(faults, max_faults=0)
 
     def test_scheduler_shapes_packing(self, lp_universe):
+        """Shards are whole cone batches, packed in schedule order."""
         _nl, _raw, faults = lp_universe
-
-        def reversed_scheduler(fs, batch_size):
-            order = list(range(len(fs)))[::-1]
-            return [order[i:i + batch_size]
-                    for i in range(0, len(order), batch_size)]
-
-        shards = plan_shards(faults, max_faults=64,
-                             scheduler=reversed_scheduler)
-        assert shards[0].indices[0] == len(faults) - 1
-        seen = [i for s in shards for i in s.indices]
-        assert sorted(seen) == list(range(len(faults)))
+        batches = schedule_fault_batches(faults, 50)
+        shards = plan_shards(faults, max_faults=100, batch_size=50)
+        assert [i for s in shards for i in s.indices] \
+            == [i for b in batches for i in b]
+        home = {i: s.shard_id for s in shards for i in s.indices}
+        for batch in batches:
+            assert len({home[i] for i in batch}) == 1
 
 
 class TestMergeRefusals:

@@ -91,7 +91,7 @@ class TestRandomizedEquivalence:
 
     def test_straddling_batches_match_reference(self, rng):
         """The exact grader == fault_parallel_reference on any
-        <=64-fault window, including ones straddling scheduler batches."""
+        <=64-fault window, including ones straddling cone batches."""
         design = build_small_design("leading_negative")
         nl = elaborate(design.graph)
         faults = enumerate_cell_faults(design.graph, nl)
@@ -141,18 +141,8 @@ class TestEngineEquivalence:
     mapped onto the driver's chunk-end axis (see
     :func:`helpers.chunk_end_times`) it must reproduce the event
     engine's verdicts, detection times and MISR signatures — full
-    stream and sharded partials — across chunk sizes, word widths and
-    schedulers.
+    stream and sharded partials — across chunk sizes and word widths.
     """
-
-    def _schedulers(self, design):
-        from repro.schedule import FaultPredictor, make_scheduler
-
-        yield "cone", None
-        yield "random", make_scheduler("random")
-        yield "predicted", make_scheduler(
-            "predicted", predictor=FaultPredictor(design, "lfsr1",
-                                                  bins=8))
 
     @staticmethod
     def _assert_partials_merge(times, full):
@@ -183,18 +173,17 @@ class TestEngineEquivalence:
                       if t < 0]
             for chunk, words in ((None, None), (64, 2), (64, 1),
                                  (512, 8)):
+                tag = (trial, chunk, words)
                 ref_dt = chunk_end_times(first, len(raw), chunk)
                 ref_sig = stream_signature(16, [int(t) for t in ref_dt])
-                for mode, sched in self._schedulers(design):
-                    tag = (trial, chunk, words, mode)
-                    dt = np.full(len(faults), -1, dtype=np.int64)
-                    missed = gate_level_missed(
-                        nl, raw, faults, chunk=chunk, words=words,
-                        scheduler=sched, detect_times=dt)
-                    assert [_fault_key(f) for f in missed] == expect, tag
-                    assert np.array_equal(dt, ref_dt), tag
-                    assert stream_signature(
-                        16, [int(t) for t in dt]) == ref_sig, tag
+                dt = np.full(len(faults), -1, dtype=np.int64)
+                missed = gate_level_missed(
+                    nl, raw, faults, chunk=chunk, words=words,
+                    detect_times=dt)
+                assert [_fault_key(f) for f in missed] == expect, tag
+                assert np.array_equal(dt, ref_dt), tag
+                assert stream_signature(
+                    16, [int(t) for t in dt]) == ref_sig, tag
                 self._assert_partials_merge(dt, ref_sig)
 
     def test_partial_misr_signatures_merge_identically(self, rng):

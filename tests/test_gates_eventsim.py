@@ -183,10 +183,8 @@ class TestFrontierSkip:
         assert not got.any()
 
     def test_missed_list_stays_input_ordered(self, rng):
-        """The early-exit/skip paths scatter verdicts back by index:
-        missed lists preserve enumeration order under any scheduler."""
-        from repro.schedule import make_scheduler
-
+        """The early-exit paths scatter verdicts back by index: missed
+        lists preserve enumeration order, not cone-batch order."""
         design = build_small_design("single_digit")
         nl = elaborate(design.graph)
         faults = enumerate_cell_faults(design.graph, nl)
@@ -194,16 +192,14 @@ class TestFrontierSkip:
         expect_keys = [(f.node_id, f.bit, f.cell_fault)
                        for f in gate_level_missed_reference(nl, raw,
                                                             faults)]
-        for sched in (None, make_scheduler("random")):
-            missed = gate_level_missed(nl, raw, faults, scheduler=sched)
-            got_keys = [(f.node_id, f.bit, f.cell_fault)
-                        for f in missed]
-            assert got_keys == expect_keys
-            # Input order, not schedule order: positions ascend.
-            pos = {(f.node_id, f.bit, f.cell_fault): i
-                   for i, f in enumerate(faults)}
-            idx = [pos[k] for k in got_keys]
-            assert idx == sorted(idx)
+        missed = gate_level_missed(nl, raw, faults)
+        got_keys = [(f.node_id, f.bit, f.cell_fault) for f in missed]
+        assert got_keys == expect_keys
+        # Input order, not schedule order: positions ascend.
+        pos = {(f.node_id, f.bit, f.cell_fault): i
+               for i, f in enumerate(faults)}
+        idx = [pos[k] for k in got_keys]
+        assert idx == sorted(idx)
 
     def test_telemetry_counters_surface(self, rng):
         design = build_small_design("plain")

@@ -1,4 +1,4 @@
-"""Parallel execution layer: pool semantics, seeding, sweep, CLI."""
+"""Parallel execution layer: pool semantics, sweep, CLI."""
 
 from __future__ import annotations
 
@@ -15,13 +15,11 @@ from repro.parallel import (
     GENERATOR_KEYS,
     SweepTask,
     default_chunk_size,
-    derive_seed,
     gate_level_missed_parallel,
     parallel_map,
     resolve_jobs,
     run_sweep,
     sweep_generator,
-    task_seeds,
 )
 
 from helpers import build_small_design
@@ -79,25 +77,6 @@ class TestResolveJobs:
             size = default_chunk_size(n, j)
             assert size >= 1
             assert size * -(-n // size) >= n
-
-
-class TestSeeding:
-    def test_deterministic(self):
-        assert derive_seed(1997, "LP", 0) == derive_seed(1997, "LP", 0)
-
-    def test_component_sensitivity(self):
-        base = derive_seed(1997, "LP", 0)
-        assert derive_seed(1997, "LP", 1) != base
-        assert derive_seed(1997, "BP", 0) != base
-        assert derive_seed(1998, "LP", 0) != base
-
-    def test_positive_63bit(self):
-        for seed in task_seeds(1997, 50, "grid"):
-            assert 0 <= seed < 2 ** 63
-
-    def test_task_seeds_distinct(self):
-        seeds = task_seeds(1997, 100, "grid")
-        assert len(set(seeds)) == 100
 
 
 class TestParallelMap:

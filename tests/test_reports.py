@@ -40,14 +40,6 @@ def _bench_gatesim():
             "identical": True}
 
 
-def _bench_schedule():
-    entry = {"work_total": 100.0, "work_to_90": {"0.5": 10}}
-    return {"schema": "repro-bench-schedule/1", "identical": True,
-            "rank_correlation": 0.9,
-            "orderings": {"cone": dict(entry), "predicted": dict(entry),
-                          "random": dict(entry)}}
-
-
 def _cluster_sweep():
     return {
         "schema": "repro-cluster-sweep/1",
@@ -98,7 +90,6 @@ _VALID = {
     "repro-fleet/1": _fleet,
     "repro-bench-parallel/1": _bench_parallel,
     "repro-bench-gatesim/3": _bench_gatesim,
-    "repro-bench-schedule/1": _bench_schedule,
     "repro-cluster-sweep/1": _cluster_sweep,
     "repro-loadtest/1": _loadtest,
 }
@@ -150,12 +141,6 @@ class TestRejections:
         doc = _bench_gatesim()
         del doc["engines"]["event"]["phases"]
         with pytest.raises(ReportSchemaError, match="phases"):
-            validate_report(doc)
-
-    def test_bench_schedule_wrong_orderings(self):
-        doc = _bench_schedule()
-        del doc["orderings"]["random"]
-        with pytest.raises(ReportSchemaError, match="orderings"):
             validate_report(doc)
 
     def test_cluster_sweep_fault_accounting(self):

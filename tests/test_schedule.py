@@ -1,13 +1,11 @@
-"""Predictor-guided scheduling: ranking properties and oracle equivalence.
+"""The Eq. 1 fault predictor: ranking properties, gate truth, recommend.
 
-The scheduling layer must be a *pure reordering*: any batch order
-produces bit-identical verdicts (mirroring the cone-vs-reference
-contract in ``test_gates_equivalence.py``), and the analytic ranking it
-orders by must be a function of the fault set alone — invariant under
-permutations of the fault universe.
+The analytic ranking must be a function of the fault set alone —
+invariant under permutations of the fault universe — and must track
+exact gate-level detection times (the slow-lane gate-truth check).
+The gate grader itself batches faults in one order, cone locality.
 """
 
-import json
 import socket
 import threading
 import time
@@ -15,31 +13,23 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import ServiceError
 from repro.gates import (
     elaborate,
     enumerate_cell_faults,
     gate_level_missed,
     schedule_fault_batches,
 )
+from repro.gates.fault_parallel import DEFAULT_WORDS, EVENT_STAGE1_WORDS
 from repro.schedule import (
     FaultPredictor,
-    PredictedScheduler,
-    RandomScheduler,
     average_ranks,
-    make_scheduler,
-    order_sweep_tasks,
     recommend_generator,
     spearman_rank_correlation,
-    work_to_coverage,
 )
 from repro.service.jobs import canonical_params
 
 from helpers import build_small_design
-
-
-def _fault_key(fault):
-    return (fault.node_id, fault.bit, fault.cell_fault)
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +68,6 @@ class TestStats:
             spearman_rank_correlation([1, 2], [1, 2, 3])
         with pytest.raises(ValueError):
             spearman_rank_correlation([1], [2])
-
-    def test_work_to_coverage(self):
-        cp = [(100, 5), (250, 9), (400, 10)]
-        assert work_to_coverage(cp, 9) == 250
-        assert work_to_coverage(cp, 10) == 400
-        assert work_to_coverage(cp, 11) is None
-        assert work_to_coverage(cp, 0) == 0
 
 
 class TestPredictor:
@@ -130,130 +113,58 @@ class TestPredictor:
 
 class TestSchedulers:
     def test_every_schedule_partitions_the_universe(self, small):
-        design, _, faults = small
-        predictor = FaultPredictor(design, "lfsr1", bins=64)
-        for scheduler in (schedule_fault_batches,
-                          PredictedScheduler(predictor),
-                          RandomScheduler()):
-            batches = scheduler(faults, 64)
+        """The cone schedule covers every fault exactly once, within
+        the batch size, at every batch size the grader uses."""
+        _, _, faults = small
+        for batch_size in (64, 64 * DEFAULT_WORDS,
+                           64 * EVENT_STAGE1_WORDS):
+            batches = schedule_fault_batches(faults, batch_size)
             flat = sorted(i for b in batches for i in b)
             assert flat == list(range(len(faults)))
-
-    def test_reordering_keeps_cone_packing(self, small):
-        """Schedulers permute whole batches, never faults across them."""
-        design, _, faults = small
-        stock = {frozenset(b) for b in schedule_fault_batches(faults, 64)}
-        predictor = FaultPredictor(design, "lfsr1", bins=64)
-        for scheduler in (PredictedScheduler(predictor), RandomScheduler()):
-            assert {frozenset(b) for b in scheduler(faults, 64)} == stock
-
-    def test_random_is_seeded(self, small):
-        _, _, faults = small
-        a = RandomScheduler(seed=11)(faults, 64)
-        b = RandomScheduler(seed=11)(faults, 64)
-        c = RandomScheduler(seed=12)(faults, 64)
-        assert a == b
-        assert a != c
-
-    def test_make_scheduler_errors(self):
-        with pytest.raises(ReproError):
-            make_scheduler("alphabetical")
-        with pytest.raises(ReproError):
-            make_scheduler("predicted")  # needs a predictor
-        assert make_scheduler("cone") is schedule_fault_batches
+            assert all(len(b) <= batch_size for b in batches)
 
 
-class TestOracleEquivalence:
-    """``--schedule predicted`` must change nothing but the order."""
+def cell_rank_correlation(faults, predicted, detect, censor):
+    """Spearman's rho between predicted and gate-level detection times.
 
-    @pytest.mark.parametrize("deepening", [True, False])
-    def test_verdicts_identical_across_schedules(self, small, deepening):
-        design, nl, faults = small
-        rng = np.random.default_rng(99)
-        raw = rng.integers(-2048, 2048, size=300)
-        predictor = FaultPredictor(design, "lfsr1", bins=64)
-        expect = [_fault_key(f) for f in gate_level_missed(
-            nl, raw, faults, deepening=deepening)]
-        for mode in ("predicted", "random"):
-            scheduler = make_scheduler(mode, predictor=predictor)
-            got = [_fault_key(f) for f in gate_level_missed(
-                nl, raw, faults, scheduler=scheduler, deepening=deepening)]
-            assert got == expect, mode
-
-    def test_detect_times_schedule_independent(self, small):
-        design, nl, faults = small
-        rng = np.random.default_rng(5)
-        raw = rng.integers(-2048, 2048, size=256)
-        predictor = FaultPredictor(design, "lfsr1", bins=64)
-        collected = {}
-        for mode in ("cone", "predicted", "random"):
-            scheduler = (None if mode == "cone"
-                         else make_scheduler(mode, predictor=predictor))
-            times = np.full(len(faults), -1, dtype=np.int64)
-            missed = gate_level_missed(nl, raw, faults, chunk=32,
-                                       scheduler=scheduler,
-                                       deepening=False, detect_times=times)
-            collected[mode] = times.copy()
-            missed_idx = {id(f) for f in missed}
-            for i, f in enumerate(faults):
-                if id(f) in missed_idx:
-                    assert times[i] == -1
-                else:
-                    assert 0 < times[i] <= len(raw)
-        assert np.array_equal(collected["cone"], collected["predicted"])
-        assert np.array_equal(collected["cone"], collected["random"])
-
-    def test_on_batch_work_accounting(self, small):
-        _, nl, faults = small
-        raw = np.arange(-64, 64)
-        seen = []
-        gate_level_missed(nl, raw, faults, deepening=False,
-                          on_batch=seen.append)
-        assert seen, "on_batch never fired"
-        assert sum(b["faults"] for b in seen) == len(faults)
-        assert all(b["work"] > 0 for b in seen)
-        # Final cumulative detected matches the verdict count.
-        missed = gate_level_missed(nl, raw, faults, deepening=False)
-        assert seen[-1]["detected"] == len(faults) - len(missed)
+    Both sides are censored at ``censor`` (undetected and analytically
+    undetectable faults pin there) and averaged per ``(node, bit)``
+    cell: the predictor scores fault *sites*, not single faults.
+    """
+    actual = np.where(detect < 0, censor, detect).astype(float)
+    pred = np.minimum(np.where(np.isfinite(predicted), predicted, censor),
+                      censor)
+    cells = {}
+    for i, f in enumerate(faults):
+        cells.setdefault((f.node_id, f.bit), []).append(i)
+    return spearman_rank_correlation(
+        [float(np.mean(pred[ix])) for ix in cells.values()],
+        [float(np.mean(actual[ix])) for ix in cells.values()])
 
 
-class TestSweepOrdering:
-    def _tasks(self):
-        from repro.parallel.sweep import SweepTask
+@pytest.mark.slow
+class TestGateTruth:
+    """The predictor's ranking against exact gate-level detection."""
 
-        return [SweepTask(design=d, generator=g, n_vectors=64, width=12)
-                for d in ("LP", "BP") for g in ("LFSR-1", "LFSR-M")]
+    VECTORS = 1024
 
-    def test_cone_keeps_product_order(self, ctx):
-        tasks = self._tasks()
-        assert order_sweep_tasks(ctx.designs, tasks, "cone") == tasks
+    def test_predicted_times_track_gate_detection(self, ctx):
+        """LP x LFSR-1, full universe: rank correlation >= 0.8.
 
-    def test_random_is_seeded_permutation(self, ctx):
-        tasks = self._tasks()
-        a = order_sweep_tasks(ctx.designs, tasks, "random")
-        b = order_sweep_tasks(ctx.designs, tasks, "random")
-        assert a == b
-        assert sorted(t.key for t in a) == sorted(t.key for t in tasks)
+        Detection times come from the production grade (deepening on)
+        at a 64-vector chunk; predictions from 1,024 amplitude bins.
+        """
+        from repro.cluster.shards import grading_problem
 
-    def test_predicted_sorts_by_compatibility(self, ctx):
-        from repro.bist.selection import rank_generators
-        from repro.resolve import make_generator, resolve_generator
-
-        tasks = self._tasks()
-        ordered = order_sweep_tasks(ctx.designs, tasks, "predicted")
-        assert sorted(t.key for t in ordered) \
-            == sorted(t.key for t in tasks)
-        ratios = []
-        for t in ordered:
-            gen = make_generator(resolve_generator(t.generator),
-                                 t.width, t.n_vectors)
-            ratios.append(rank_generators(ctx.designs[t.design],
-                                          [gen])[0].ratio)
-        assert ratios == sorted(ratios, reverse=True)
-
-    def test_unknown_mode_raises(self, ctx):
-        with pytest.raises(ReproError):
-            order_sweep_tasks(ctx.designs, self._tasks(), "fifo")
+        design, nl, faults, raw = grading_problem(
+            ctx, "LP", "lfsr1", self.VECTORS, ctx.config.generator_width)
+        detect = np.full(len(faults), -1, dtype=np.int64)
+        gate_level_missed(nl, raw, faults, chunk=64, detect_times=detect)
+        predicted = FaultPredictor(design, "lfsr1", bins=1024) \
+            .expected_times(faults)
+        rho = cell_rank_correlation(faults, predicted, detect,
+                                    censor=2.0 * self.VECTORS)
+        assert rho >= 0.8, rho
 
 
 class TestRecommend:
@@ -289,40 +200,6 @@ class TestRecommend:
             canonical_params("recommend", {"top_k": 99})
         with pytest.raises(ServiceError):
             canonical_params("recommend", {"no_such_knob": 1})
-
-
-class TestScheduleBenchCli:
-    def test_bench_schedule_writes_report_and_ledger(self, tmp_path,
-                                                     monkeypatch):
-        from repro.cli import main
-        from repro.ledger import RunLedger
-
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
-        out = tmp_path / "BENCH_schedule.json"
-        rc = main(["bench", "--schedule",
-                   "--schedule-faults", "512",
-                   "--schedule-vectors", "256",
-                   "--schedule-bins", "32",
-                   "--schedule-out", str(out),
-                   "--now", "1754500000"])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["schema"] == "repro-bench-schedule/1"
-        assert report["identical"] is True
-        assert report["created_unix"] == 1754500000
-        assert set(report["orderings"]) == {"cone", "predicted", "random"}
-        for o in report["orderings"].values():
-            assert o["work_total"] > 0
-        records = RunLedger(str(tmp_path / "ledger")).records(
-            kind="bench-schedule")
-        assert len(records) == 1
-        assert "rank_correlation" in records[0]["bench"]
-
-    def test_conflicting_flags_fail_fast(self, tmp_path):
-        from repro.cli import main
-
-        assert main(["bench", "--gates", "--schedule"]) == 2
-        assert main(["bench", "--schedule", "predicted"]) == 2
 
 
 class _KeepaliveSseServer(threading.Thread):
