@@ -2,10 +2,9 @@
 
 Starts an in-process evaluation service on an ephemeral port (the same
 machinery `repro serve` runs), then drives it through the bundled
-stdlib HTTP client: a generator ranking, a batch of spectrum requests
-submitted concurrently (the server fuses them into one vectorized FFT
-pass), an idempotent retry, and a look at /metrics — finishing with a
-graceful drain.
+stdlib HTTP client: a generator ranking, a burst of spectrum requests
+submitted before any is read back, an idempotent retry, and a look at
+/metrics — finishing with a graceful drain.
 
 Against an already-running server, point ServiceClient at it instead:
 
@@ -31,7 +30,7 @@ def drive(client: ServiceClient) -> None:
         print(f"  {entry['generator']:12s} {entry['rating']}  "
               f"{entry['ratio']:7.3f}")
 
-    # --- a burst of spectrum jobs; the server batches them -----------
+    # --- a burst of spectrum jobs, queued before any is read ---------
     jobs = [client.submit("spectrum", {"generator": g, "width": 10,
                                        "points": 8})
             for g in ("lfsr1", "lfsr2", "lfsrd", "lfsrm", "ramp")]
@@ -56,7 +55,6 @@ def drive(client: ServiceClient) -> None:
     metrics = client.metrics()["service"]
     print(f"server totals: {metrics['jobs_done']} done, "
           f"{metrics['jobs_coalesced']} coalesced, "
-          f"{metrics['batches']} batches, "
           f"queue {metrics['queue_depth']}/{metrics['queue_capacity']}")
 
 
@@ -64,7 +62,7 @@ def main() -> None:
     if len(sys.argv) > 1:  # drive an external server
         drive(ServiceClient(sys.argv[1], client_id="example-client"))
         return
-    config = ServiceConfig(port=0, no_cache=True, workers=2, batch_max=8)
+    config = ServiceConfig(port=0, no_cache=True, workers=2)
     with ServiceThread(config) as svc:
         print(f"service up on {svc.base_url}")
         drive(svc.client("example-client"))

@@ -26,10 +26,8 @@ from ..generators.ramp import RampGenerator
 
 __all__ = [
     "exact_period_spectrum",
-    "exact_period_spectra",
     "welch_spectrum",
     "generator_spectrum",
-    "generator_spectra",
     "power_db",
     "band_power",
 ]
@@ -62,29 +60,6 @@ def exact_period_spectrum(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # sum(folded) is the total power (Parseval); scale so the *mean* over
     # the reported bins equals the total power.
     return freqs, folded * len(folded)
-
-
-def exact_period_spectra(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One-sided power spectra of several equal-length periods at once.
-
-    ``matrix`` is ``(signals, samples)``; returns ``(freqs, power)``
-    with ``power`` of shape ``(signals, bins)``.  Row ``i`` is
-    bit-identical to ``exact_period_spectrum(matrix[i])[1]`` — the
-    stacked transform applies the same per-row FFT and the same scaling
-    in the same order — which is what lets the evaluation service batch
-    many small spectrum requests into one vectorized pass without
-    changing any answer.
-    """
-    x = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    n = x.shape[1]
-    if n < 2:
-        raise AnalysisError("need at least two samples for a spectrum")
-    line_power = np.abs(np.fft.rfft(x, axis=-1)) ** 2 / n**2
-    freqs = np.fft.rfftfreq(n)
-    folded = line_power.copy()
-    interior = slice(1, -1 if n % 2 == 0 else None)
-    folded[:, interior] *= 2.0
-    return freqs, folded * folded.shape[1]
 
 
 def welch_spectrum(
@@ -129,35 +104,6 @@ def generator_spectrum(
         n = 1 << 14
     samples = gen.sequence(n) / float(1 << (gen.width - 1))
     return welch_spectrum(samples)
-
-
-def generator_spectra(gens) -> "list[Tuple[np.ndarray, np.ndarray]]":
-    """Exact one-period spectra for several generators in one pass.
-
-    Generators whose one-period sample vectors share a length are
-    stacked and transformed together via :func:`exact_period_spectra`;
-    results are returned in input order and are bit-identical to
-    calling :func:`generator_spectrum` on each generator alone.
-    """
-    gens = list(gens)
-    periods = [(1 << g.width) if isinstance(g, RampGenerator)
-               else (1 << g.width) - 1 for g in gens]
-    out: "list" = [None] * len(gens)
-    by_period = {}
-    for i, n in enumerate(periods):
-        by_period.setdefault(n, []).append(i)
-    for n, idxs in by_period.items():
-        if len(idxs) == 1:
-            i = idxs[0]
-            out[i] = generator_spectrum(gens[i])
-            continue
-        rows = np.stack([
-            gens[i].sequence(n) / float(1 << (gens[i].width - 1))
-            for i in idxs])
-        freqs, power = exact_period_spectra(rows)
-        for row, i in enumerate(idxs):
-            out[i] = (freqs, power[row])
-    return out
 
 
 def band_power(freqs: np.ndarray, power: np.ndarray, lo: float, hi: float) -> float:

@@ -323,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="async worker tasks draining the queue")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="max queued jobs before 429 backpressure")
-    serve.add_argument("--batch-max", type=int, default=8,
-                       help="max same-kind jobs fused into one batch")
     serve.add_argument("--result-ttl", type=float, default=600.0,
                        help="seconds finished jobs stay pollable")
     serve.add_argument("--rate", type=float, default=0.0,
@@ -333,15 +331,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-client burst size (0 = 2x --rate)")
     serve.add_argument("--drain-deadline", type=float, default=20.0,
                        help="seconds to finish in-flight jobs on shutdown")
-    serve.add_argument("--grid-jobs", type=int, default=None,
-                       help="process-pool width for batched grade jobs")
     serve.add_argument("--access-log", default=None, metavar="PATH",
                        help="append per-request JSON Lines records to PATH")
-    serve.add_argument("--events-keepalive", "--keepalive-secs",
-                       type=float, default=None,
+    serve.add_argument("--events-keepalive", type=float, default=15.0,
                        help="seconds between SSE keepalive comments on "
-                            "idle /v1/events streams (default: "
-                            "$REPRO_SSE_KEEPALIVE or 15)")
+                            "idle /v1/events streams (default 15)")
     serve.add_argument("--heartbeat-interval", type=float, default=2.0,
                        help="seconds between fleet heartbeats "
                             "(0 = disable the health plane; default 2)")
@@ -1142,34 +1136,18 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
-def _resolve_keepalive(args) -> float:
-    """SSE keepalive: flag wins, then $REPRO_SSE_KEEPALIVE, then 15s."""
-    if args.events_keepalive is not None:
-        return args.events_keepalive
-    env = os.environ.get("REPRO_SSE_KEEPALIVE", "").strip()
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise ReproError(
-                f"REPRO_SSE_KEEPALIVE must be a number of seconds, "
-                f"got {env!r}") from None
-    return 15.0
-
-
 def _cmd_serve(args) -> int:
     from .service import EvaluationService, ServiceConfig
     from .telemetry import RequestLogSink, get_telemetry
 
     config = ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
-        queue_depth=args.queue_depth, batch_max=args.batch_max,
-        result_ttl=args.result_ttl, rate=args.rate, burst=args.burst,
-        drain_deadline=args.drain_deadline, grid_jobs=args.grid_jobs,
+        queue_depth=args.queue_depth, result_ttl=args.result_ttl,
+        rate=args.rate, burst=args.burst, drain_deadline=args.drain_deadline,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
         access_log=args.access_log, trace_out=args.serve_trace_out,
         ledger_dir=args.ledger_dir, no_ledger=args.no_ledger,
-        events_keepalive=_resolve_keepalive(args),
+        events_keepalive=args.events_keepalive,
         heartbeat_interval=args.heartbeat_interval,
         heartbeat_to=args.heartbeat_to, alert_rules=args.alert_rules,
         worker_id=args.worker_id)

@@ -17,6 +17,15 @@ package goes through.  Contract:
 The pool prefers the ``fork`` start method where available so workers
 inherit warm per-process caches (reference designs, cell-variant
 tables); elsewhere it falls back to the platform default.
+
+Because it forks, :func:`parallel_map` must only be called from a
+single-threaded process, such as the ``repro sweep`` and ``repro bench``
+commands.  A fork copies only the calling thread, and OpenBLAS's fork
+handler then waits on BLAS worker threads: if another thread of the
+parent is inside a BLAS call (a NumPy matrix product), that call can
+stall for good.  The evaluation service runs jobs on executor threads
+and therefore never calls this; a pool owned by a threaded process
+must use the ``forkserver`` or ``spawn`` start method instead.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Async BIST evaluation service: job queue, batching, backpressure.
+"""Async BIST evaluation service: job queue, coalescing, backpressure.
 
 This package wraps the existing library pipeline — spectrum analysis,
 generator ranking, fault grading, serious-fault search — behind a
@@ -10,8 +10,9 @@ inline:
   idempotency keys, TTL result retention, parameter canonicalization.
 * :mod:`repro.service.queue` — bounded fair queue with backpressure
   (429 + ``Retry-After``) and per-client token-bucket rate limiting.
-* :mod:`repro.service.workers` — worker pool that coalesces identical
-  requests and batches small ones into single vectorized passes.
+* :mod:`repro.service.workers` — worker pool that runs each job alone
+  through :func:`~repro.service.workers.execute_job` and coalesces
+  identical requests onto one computation.
 * :mod:`repro.service.http` — the thin HTTP/1.1 layer and routes,
   including the ``GET /v1/events`` SSE stream.
 * :mod:`repro.service.events` — thread-safe broker fanning job state
@@ -31,8 +32,8 @@ Start one with ``repro serve --port 8337`` or, in process::
 from .client import ServiceBusy, ServiceClient, ServiceClientError
 from .events import EventBroker
 from .http import HttpApi, negotiate_media_type
-from .jobs import (BATCHABLE_KINDS, JOB_KINDS, PRIORITIES, Job, JobState,
-                   JobStore, canonical_params)
+from .jobs import (JOB_KINDS, PRIORITIES, Job, JobState, JobStore,
+                   canonical_params)
 from .lifecycle import EvaluationService, ServiceConfig
 from .queue import (FairJobQueue, QueueClosedError, QueueFullError,
                     RateLimitedError, RateLimiter, TokenBucket)
@@ -40,7 +41,6 @@ from .testing import ServiceThread
 from .workers import WorkerPool, execute_job
 
 __all__ = [
-    "BATCHABLE_KINDS",
     "JOB_KINDS",
     "PRIORITIES",
     "EvaluationService",

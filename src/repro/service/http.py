@@ -312,8 +312,7 @@ class HttpApi:
         tel = get_telemetry()
         if tel.enabled:
             tel.counter("service.events.streams").add(1)
-        keepalive = max(0.5, float(getattr(service.config,
-                                           "events_keepalive", 15.0)))
+        keepalive = max(0.5, service.config.events_keepalive)
         try:
             finished_already = False
             if initial_job is not None:

@@ -31,8 +31,8 @@ from ..errors import ServiceError
 from ..resolve import resolve_design, resolve_generator, resolve_generator_key
 from ..telemetry import TraceContext
 
-__all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "BATCHABLE_KINDS",
-           "PRIORITIES", "canonical_params"]
+__all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "PRIORITIES",
+           "canonical_params"]
 
 #: Request kinds the service evaluates (spectrum ranking per Table 3
 #: is ``rank``, fault grading per Tables 4-5 is ``grade``,
@@ -46,10 +46,6 @@ __all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "BATCHABLE_KINDS",
 #: ``0..n-1`` with ``total = n`` grade a universe prefix whole.
 JOB_KINDS = ("rank", "grade", "spectrum", "serious-fault", "recommend",
              "grade-shard")
-
-#: Kinds whose requests are small enough that the worker pool batches
-#: several queued ones into a single executor pass.
-BATCHABLE_KINDS = ("rank", "grade", "spectrum")
 
 #: Priority names -> scheduling levels (lower level drains first).
 PRIORITIES = {"high": 0, "normal": 1, "low": 2}

@@ -51,13 +51,11 @@ class ServiceConfig:
     port: int = 8337            # 0 = pick an ephemeral port
     workers: int = 2
     queue_depth: int = 64
-    batch_max: int = 8
     result_ttl: float = 600.0
     rate: float = 0.0           # per-client requests/sec; 0 = unlimited
     burst: float = 0.0          # bucket size; 0 = 2x rate
     long_poll_max: float = 30.0
     drain_deadline: float = 20.0
-    grid_jobs: Optional[int] = None  # process-pool width for grade batches
     cache_dir: Optional[str] = None
     no_cache: bool = False
     access_log: Optional[str] = None
@@ -87,10 +85,7 @@ class EvaluationService:
         self.limiter = RateLimiter(cfg.rate, cfg.burst or None)
         self.events = EventBroker()
         self.pool = WorkerPool(self.queue, self.store, self.context,
-                               workers=cfg.workers,
-                               batch_max=cfg.batch_max,
-                               grid_jobs=cfg.grid_jobs,
-                               events=self.events)
+                               workers=cfg.workers, events=self.events)
         self.pool.on_finished = self._record_finished
         self.ledger = None
         self._git_sha: Optional[str] = None
@@ -260,13 +255,12 @@ class EvaluationService:
             "done": self.pool.jobs_done,
             "failed": self.pool.jobs_failed,
             "coalesced": self.pool.jobs_coalesced,
-            "batches": self.pool.batches,
             "clean": int(drained),
         }
-        logger.info("drain %s: %d done, %d failed (%d coalesced, "
-                    "%d batches)", "complete" if drained else "ABORTED",
+        logger.info("drain %s: %d done, %d failed (%d coalesced)",
+                    "complete" if drained else "ABORTED",
                     summary["done"], summary["failed"],
-                    summary["coalesced"], summary["batches"])
+                    summary["coalesced"])
         if self._stopped is not None:
             self._stopped.set()
         return summary
@@ -580,7 +574,6 @@ class EvaluationService:
                 "jobs_done": self.pool.jobs_done,
                 "jobs_failed": self.pool.jobs_failed,
                 "jobs_coalesced": self.pool.jobs_coalesced,
-                "batches": self.pool.batches,
                 "avg_service_seconds": self.queue.avg_service_seconds,
                 "events": {
                     "subscribers": self.events.subscribers,
@@ -618,6 +611,5 @@ class EvaluationService:
         announce(f"drain {'complete' if summary.get('clean') else 'ABORTED'}:"
                  f" {summary.get('done', 0)} done,"
                  f" {summary.get('failed', 0)} failed,"
-                 f" {summary.get('coalesced', 0)} coalesced,"
-                 f" {summary.get('batches', 0)} batches")
+                 f" {summary.get('coalesced', 0)} coalesced")
         return summary

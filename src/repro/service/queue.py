@@ -16,8 +16,8 @@ Three cooperating pieces:
   back off roughly as long as the backlog actually needs.
 
 Everything here runs on one event loop; the synchronous mutators
-(``put_nowait``, ``cancel``, ``take_matching``) are called from
-handlers and workers on that same loop, so no locks are needed.
+(``put_nowait``, ``cancel``) are called from handlers and workers on
+that same loop, so no locks are needed.
 """
 
 from __future__ import annotations
@@ -202,40 +202,28 @@ class FairJobQueue:
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
-    def _pop_once(self, kind: Optional[str] = None) -> Optional[Job]:
-        """Next entry by priority then client round-robin; optionally
-        restricted to one kind (for batch collection)."""
+    def _pop_once(self) -> Optional[Job]:
+        """Next entry by priority then client round-robin."""
         for priority in sorted(self._levels):
             level = self._levels[priority]
             for client in list(level):
-                dq = level[client]
-                picked: Optional[Job] = None
-                if kind is None:
-                    if dq:
-                        picked = dq.popleft()
-                else:
-                    for job in dq:
-                        if job.kind == kind:
-                            picked = job
-                            dq.remove(job)
-                            break
-                if picked is None:
-                    if not dq:
-                        del level[client]
+                # Popping and re-inserting rotates the served client to
+                # the back of its level; an emptied lane is dropped.
+                dq = level.pop(client)
+                if not dq:
                     continue
+                job = dq.popleft()
                 self._size -= 1
-                # Rotate the served client to the back of its level.
-                del level[client]
                 if dq:
                     level[client] = dq
-                return picked
+                return job
         return None
 
-    def _pop(self, kind: Optional[str] = None) -> Optional[Job]:
+    def _pop(self) -> Optional[Job]:
         """Like :meth:`_pop_once`, but lazily drops cancelled entries
         (belt and braces — :meth:`cancel` removes them eagerly)."""
         while True:
-            job = self._pop_once(kind)
+            job = self._pop_once()
             if job is None or job.state is not JobState.CANCELLED:
                 return job
 
@@ -253,20 +241,6 @@ class FairJobQueue:
                 raise QueueClosedError()
             self._wakeup.clear()
             await self._wakeup.wait()
-
-    def take_matching(self, kind: str, limit: int) -> List[Job]:
-        """Immediately pop up to ``limit`` queued jobs of ``kind``.
-
-        Used by workers to coalesce a batch behind a just-claimed job;
-        returns fewer (possibly zero) when the queue runs dry.
-        """
-        out: List[Job] = []
-        while len(out) < limit:
-            job = self._pop(kind=kind)
-            if job is None:
-                break
-            out.append(job)
-        return out
 
     def cancel(self, job: Job) -> bool:
         """Remove a queued job (DELETE endpoint); False if not queued."""

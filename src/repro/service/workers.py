@@ -1,24 +1,22 @@
 """Worker pool: drains the job queue into the evaluation pipeline.
 
 A fixed set of asyncio worker tasks pull jobs off the
-:class:`~repro.service.queue.FairJobQueue`; the blocking evaluation
-work runs on a thread-pool executor so the event loop (and therefore
-intake, polling and health endpoints) stays responsive.  Three
-throughput tricks ride on top:
+:class:`~repro.service.queue.FairJobQueue` one at a time.  Each job is
+evaluated by :func:`execute_job` — the only way the service computes
+anything — on a thread-pool executor, so the event loop (and therefore
+intake, polling and health endpoints) stays responsive.
 
-* **Batching** — after claiming a job of a batchable kind, a worker
-  immediately takes up to ``batch_max - 1`` more queued jobs of the
-  same kind and executes them as one pass: spectrum batches become a
-  single stacked FFT (:func:`~repro.analysis.spectrum.generator_spectra`)
-  and grade batches fan out through :func:`~repro.parallel.sweep.run_sweep`'s
-  process pool.
-* **Coalescing** — jobs are grouped by
+* **Coalescing** — jobs are keyed by
   :attr:`~repro.service.jobs.Job.cache_key`; only one computation runs
-  per key and every duplicate (in the batch or already in flight on
-  another worker) is resolved from the same future.
+  per key, and a duplicate that arrives while it runs waits on the
+  same future instead of computing again.
 * **Caching** — the shared :class:`~repro.experiments.ExperimentContext`
   is cache-backed, so results also persist across requests and
   restarts via :mod:`repro.cache`.
+
+Nothing here forks: the executor threads share the process with the
+event loop, and forking a threaded process can stall its BLAS threads
+(see :mod:`repro.parallel.pool`).
 
 All results are bit-identical to calling the library directly — the
 end-to-end suite asserts it.
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -37,7 +34,7 @@ from ..bist.selection import propose_scheme, rank_generators
 from ..errors import ServiceError
 from ..resolve import make_generator
 from ..telemetry import TraceContext, child_collector, get_telemetry
-from .jobs import BATCHABLE_KINDS, Job, JobState, JobStore
+from .jobs import Job, JobState, JobStore
 from .queue import FairJobQueue, QueueClosedError
 
 __all__ = ["WorkerPool", "execute_job"]
@@ -48,45 +45,15 @@ logger = logging.getLogger("repro.service")
 #: or ("error", one-line message).
 Outcome = Tuple[str, Any]
 
-#: run_sweep publishes worker state through module globals, so only one
-#: grade grid may fan out at a time (process-level parallelism happens
-#: *inside* the sweep).
-_SWEEP_LOCK = threading.Lock()
-
 
 # ----------------------------------------------------------------------
 # Synchronous evaluation (runs on executor threads)
 # ----------------------------------------------------------------------
-def _grade_result(params: Dict[str, Any], result) -> Dict[str, Any]:
-    return {
-        "design": params["design"],
-        "generator": result.generator_name,
-        "vectors": params["vectors"],
-        "width": params["width"],
-        "fault_count": result.universe.fault_count,
-        "detected": result.detected(),
-        "missed": result.missed(),
-        "coverage": float(result.coverage()),
-    }
-
-
-def _spectrum_result(params: Dict[str, Any], gen, freqs, power
-                     ) -> Dict[str, Any]:
-    step = max(1, len(freqs) // params["points"])
-    return {
-        "generator": gen.name,
-        "width": params["width"],
-        "freqs": [float(f) for f in freqs[::step]],
-        "power_db": [float(p) for p in power_db(power[::step])],
-    }
-
-
 def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one request against the library — the reference path.
 
     The service's answers are, by construction, exactly what a direct
-    library call returns; this function *is* that direct call, and the
-    batched paths below must agree with it bit for bit.
+    library call returns: every job the service runs goes through here.
     """
     if kind == "rank":
         design = ctx.designs[params["design"]]
@@ -106,11 +73,26 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
         gen = sweep_generator(params["generator"], params["width"],
                               params["vectors"])
         result = ctx.coverage(params["design"], gen, params["vectors"])
-        return _grade_result(params, result)
+        return {
+            "design": params["design"],
+            "generator": result.generator_name,
+            "vectors": params["vectors"],
+            "width": params["width"],
+            "fault_count": result.universe.fault_count,
+            "detected": result.detected(),
+            "missed": result.missed(),
+            "coverage": float(result.coverage()),
+        }
     if kind == "spectrum":
         gen = make_generator(params["generator"], params["width"], 4096)
         freqs, power = generator_spectrum(gen)
-        return _spectrum_result(params, gen, freqs, power)
+        step = max(1, len(freqs) // params["points"])
+        return {
+            "generator": gen.name,
+            "width": params["width"],
+            "freqs": [float(f) for f in freqs[::step]],
+            "power_db": [float(p) for p in power_db(power[::step])],
+        }
     if kind == "grade-shard":
         from ..cluster.shards import grade_shard, grading_problem
 
@@ -183,79 +165,29 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     raise ServiceError(f"unknown job kind {kind!r}", status=400)
 
 
-def _execute_safe(ctx, kind: str, params: Dict[str, Any]) -> Outcome:
-    try:
-        return ("ok", execute_job(ctx, kind, params))
-    except Exception as exc:  # job-level isolation: one bad job != batch
-        logger.warning("job execution failed (%s %r): %s", kind, params, exc)
-        return ("error", f"{type(exc).__name__}: {exc}")
+def _execute_traced(ctx, kind: str, params: Dict[str, Any],
+                    trace: Optional[TraceContext], on_progress=None
+                    ) -> Tuple[Outcome, Optional[Dict[str, Any]]]:
+    """Executor entry point: one job, with trace propagation.
 
-
-def _spectrum_batch(ctx, params_list: List[Dict[str, Any]]) -> List[Outcome]:
-    """All spectra of a batch in one vectorized pass."""
-    from ..analysis.spectrum import generator_spectra
-
-    gens = [make_generator(p["generator"], p["width"], 4096)
-            for p in params_list]
-    spectra = generator_spectra(gens)
-    return [("ok", _spectrum_result(p, gen, freqs, power))
-            for p, gen, (freqs, power) in zip(params_list, gens, spectra)]
-
-
-def _grade_batch(ctx, params_list: List[Dict[str, Any]],
-                 grid_jobs: Optional[int]) -> List[Outcome]:
-    """A batch of grade jobs as one process-pool sweep."""
-    from ..parallel.sweep import SweepTask, run_sweep
-
-    tasks = [SweepTask(design=p["design"], generator=p["generator"],
-                       n_vectors=p["vectors"], width=p["width"])
-             for p in params_list]
-    with _SWEEP_LOCK:
-        results = run_sweep(ctx, tasks, jobs=grid_jobs)
-    return [("ok", _grade_result(p, r))
-            for p, r in zip(params_list, results)]
-
-
-def _execute_batch(ctx, kind: str, params_list: List[Dict[str, Any]],
-                   grid_jobs: Optional[int]) -> List[Outcome]:
-    """Executor entry point: evaluate a same-kind batch.
-
-    Batched fast paths degrade to per-job serial execution on any
-    batch-level failure, so a batch never loses jobs to a fast path.
-    """
-    try:
-        if len(params_list) > 1:
-            if kind == "spectrum":
-                return _spectrum_batch(ctx, params_list)
-            if kind == "grade":
-                return _grade_batch(ctx, params_list, grid_jobs)
-    except Exception:
-        logger.exception("batched %s execution failed; retrying serially",
-                         kind)
-    return [_execute_safe(ctx, kind, p) for p in params_list]
-
-
-def _execute_batch_traced(ctx, kind: str, params_list: List[Dict[str, Any]],
-                          grid_jobs: Optional[int],
-                          trace: Optional[TraceContext],
-                          on_progress=None
-                          ) -> Tuple[List[Outcome], Optional[Dict[str, Any]]]:
-    """Executor entry point with trace propagation.
-
-    Runs the batch on the executor thread inside a child collector
-    joined to ``trace`` (the span of the HTTP request that submitted
-    the batch's first leader), wrapped in a ``service.job`` span.  Any
-    process-pool fan-out below (grade grids) propagates the same trace
-    further, so the merged payload carries the full request → job →
-    chunk span chain.  ``on_progress`` observes the child collector's
-    live progress streams (fired on this executor thread) so the pool
-    can surface them on job documents while the batch is still running.
+    Runs :func:`execute_job` on the executor thread inside a child
+    collector joined to ``trace`` (the span of the HTTP request that
+    submitted the job), wrapped in a ``service.job`` span; the payload
+    rides back so the event loop can graft it under that request.
+    ``on_progress`` observes the child collector's live progress
+    streams (fired on this executor thread) so the pool can surface
+    them on the job document while the job is still running.  A failing
+    job becomes an ``("error", message)`` outcome, never an exception.
     """
     with child_collector(trace, on_progress=on_progress) as handle:
-        tel = get_telemetry()
-        with tel.span("service.job", kind=kind, jobs=len(params_list)):
-            outcomes = _execute_batch(ctx, kind, params_list, grid_jobs)
-    return outcomes, handle.payload
+        with get_telemetry().span("service.job", kind=kind):
+            try:
+                outcome: Outcome = ("ok", execute_job(ctx, kind, params))
+            except Exception as exc:  # job-level isolation
+                logger.warning("job execution failed (%s %r): %s", kind,
+                               params, exc)
+                outcome = ("error", f"{type(exc).__name__}: {exc}")
+    return outcome, handle.payload
 
 
 # ----------------------------------------------------------------------
@@ -265,18 +197,13 @@ class WorkerPool:
     """Asyncio workers + a thread-pool executor for the blocking work."""
 
     def __init__(self, queue: FairJobQueue, store: JobStore, context, *,
-                 workers: int = 2, batch_max: int = 8,
-                 grid_jobs: Optional[int] = None, events=None):
+                 workers: int = 2, events=None):
         if workers <= 0:
             raise ServiceError(f"workers must be positive, got {workers}")
-        if batch_max <= 0:
-            raise ServiceError(f"batch_max must be positive, got {batch_max}")
         self.queue = queue
         self.store = store
         self.context = context
         self.workers = workers
-        self.batch_max = batch_max
-        self.grid_jobs = grid_jobs
         #: Optional :class:`~repro.service.events.EventBroker`; job state
         #: transitions and live progress snapshots are published to it.
         self.events = events
@@ -291,7 +218,6 @@ class WorkerPool:
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_coalesced = 0
-        self.batches = 0
         #: Currently-running job id -> kind (fleet heartbeats report
         #: these as the worker's inflight set).
         self.running: Dict[str, str] = {}
@@ -341,104 +267,68 @@ class WorkerPool:
                 job = await self.queue.get()
             except QueueClosedError:
                 return
-            batch = [job]
-            if job.kind in BATCHABLE_KINDS and self.batch_max > 1:
-                batch += self.queue.take_matching(job.kind,
-                                                  self.batch_max - 1)
             try:
-                await self._run_batch(batch)
-            except Exception:  # never let a batch kill the worker
-                logger.exception("worker %d: batch execution error", wid)
-                now = self.store.clock()
-                for j in batch:
-                    if not j.state.finished:
-                        j.finish(JobState.FAILED, now,
-                                 error="internal worker error")
-                        self.jobs_failed += 1
+                await self._run_job(job)
+            except Exception:  # never let a job kill the worker
+                logger.exception("worker %d: job execution error", wid)
+                if not job.state.finished:
+                    job.finish(JobState.FAILED, self.store.clock(),
+                               error="internal worker error")
+                    self.jobs_failed += 1
 
-    async def _run_batch(self, batch: List[Job]) -> None:
+    async def _run_job(self, job: Job) -> None:
+        """Run ``job`` on the executor, or attach it to the running
+        computation of the same cache key."""
         loop = asyncio.get_running_loop()
         tel = get_telemetry()
-        now = self.store.clock()
-
-        # Partition into leaders (first job per not-yet-inflight key)
-        # and followers (coalesce onto an existing or new future).
-        leaders: List[Job] = []
-        leader_futs: Dict[str, "asyncio.Future[Outcome]"] = {}
-        for job in batch:
-            job.state = JobState.RUNNING
-            job.started = now
-            self.running[job.id] = job.kind
-            fut = self._inflight.get(job.cache_key)
-            if fut is None and job.cache_key not in leader_futs:
-                leaders.append(job)
-                new_fut: "asyncio.Future[Outcome]" = loop.create_future()
-                leader_futs[job.cache_key] = new_fut
-                self._inflight[job.cache_key] = new_fut
-                self._attach(job, new_fut, coalesced=False)
-            else:
-                job.coalesced = True
-                self.jobs_coalesced += 1
-                if tel.enabled:
-                    tel.counter("service.jobs.coalesced").add(1)
-                self._attach(job, fut if fut is not None
-                             else leader_futs[job.cache_key], coalesced=True)
-
-        if self.events is not None:
-            for job in batch:
-                self.events.publish("job", {"job": job.id, "kind": job.kind,
-                                            "state": job.state.value,
-                                            "coalesced": job.coalesced})
-
-        if not leaders:
+        job.state = JobState.RUNNING
+        job.started = self.store.clock()
+        self.running[job.id] = job.kind
+        fut = self._inflight.get(job.cache_key)
+        if fut is not None:
+            job.coalesced = True
+            self.jobs_coalesced += 1
+            if tel.enabled:
+                tel.counter("service.jobs.coalesced").add(1)
+            self._attach(job, fut)
+            self._publish_state(job)
             return
-
-        self.batches += 1
-        kind = leaders[0].kind
-        if tel.enabled:
-            tel.counter("service.batches").add(1)
-            tel.histogram("service.batch_size").observe(len(leaders))
-
-        # Jobs resolved by *this* computation (leaders plus followers
-        # coalesced onto them in this batch); they all share the batch's
-        # progress streams.  Followers riding an older in-flight future
-        # are fed by that future's own batch.
-        watchers = [j for j in batch if j.cache_key in leader_futs]
+        fut = loop.create_future()
+        self._inflight[job.cache_key] = fut
+        self._attach(job, fut)
+        self._publish_state(job)
 
         def _on_progress(state) -> None:
-            # Fires on the executor thread mid-batch.  Whole-dict
+            # Fires on the executor thread mid-job.  Whole-dict
             # replacement keeps event-loop readers consistent without a
             # lock; the broker handles its own thread hop.
             doc = state.to_doc()
-            for job in watchers:
-                merged = dict(job.progress or {})
-                merged[state.name] = doc
-                job.progress = merged
-                if self.events is not None:
-                    self.events.publish(
-                        "progress", dict(doc, job=job.id, stream=state.name))
+            merged = dict(job.progress or {})
+            merged[state.name] = doc
+            job.progress = merged
+            if self.events is not None:
+                self.events.publish(
+                    "progress", dict(doc, job=job.id, stream=state.name))
 
-        # A coalesced batch can span several requests; the merged trace
-        # hangs under the first leader's submitting request.
-        trace = leaders[0].trace
-        with tel.span("service.batch", kind=kind, jobs=len(leaders)):
-            try:
-                outcomes, payload = await loop.run_in_executor(
-                    self.executor, _execute_batch_traced, self.context,
-                    kind, [j.params for j in leaders], self.grid_jobs,
-                    trace, _on_progress)
-            except Exception as exc:  # executor itself failed
-                outcomes, payload = [("error", f"{type(exc).__name__}: {exc}")
-                                     for _ in leaders], None
-            if tel.enabled:
-                tel.absorb(payload)
-        for job, outcome in zip(leaders, outcomes):
-            fut = self._inflight.pop(job.cache_key, None)
-            if fut is not None and not fut.done():
-                fut.set_result(outcome)
+        try:
+            outcome, payload = await loop.run_in_executor(
+                self.executor, _execute_traced, self.context, job.kind,
+                job.params, job.trace, _on_progress)
+        except Exception as exc:  # executor itself failed
+            outcome, payload = ("error", f"{type(exc).__name__}: {exc}"), None
+        if tel.enabled:
+            tel.absorb(payload)
+        self._inflight.pop(job.cache_key, None)
+        if not fut.done():
+            fut.set_result(outcome)
 
-    def _attach(self, job: Job, fut: "asyncio.Future[Outcome]",
-                coalesced: bool) -> None:
+    def _publish_state(self, job: Job) -> None:
+        if self.events is not None:
+            self.events.publish("job", {"job": job.id, "kind": job.kind,
+                                        "state": job.state.value,
+                                        "coalesced": job.coalesced})
+
+    def _attach(self, job: Job, fut: "asyncio.Future[Outcome]") -> None:
         """Resolve ``job`` from ``fut`` when the computation lands."""
 
         def _finish(f: "asyncio.Future[Outcome]") -> None:
@@ -459,10 +349,7 @@ class WorkerPool:
             if tel.enabled:
                 tel.counter(f"service.jobs.{job.state.value}").add(1)
                 tel.counter(f"service.jobs.kind.{job.kind}").add(1)
-            if self.events is not None:
-                self.events.publish("job", {"job": job.id, "kind": job.kind,
-                                            "state": job.state.value,
-                                            "coalesced": job.coalesced})
+            self._publish_state(job)
             if self.on_finished is not None:
                 try:
                     self.on_finished(job)

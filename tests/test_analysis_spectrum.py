@@ -94,64 +94,3 @@ class TestGeneratorSpectra:
         f, p = generator_spectrum(Type1Lfsr(12), n=4096, exact=False)
         assert len(f) == len(p)
         assert np.mean(p) == pytest.approx(1 / 3, rel=0.1)
-
-
-class TestBatchedSpectra:
-    """generator_spectra (the service's batched path) must agree with
-    per-generator generator_spectrum bit for bit."""
-
-    def _gens(self):
-        from repro.generators import (
-            DecorrelatedLfsr,
-            MaxVarianceLfsr,
-            MixedModeLfsr,
-            RampGenerator,
-            Type1Lfsr,
-            Type2Lfsr,
-        )
-        return [Type1Lfsr(8), Type2Lfsr(8), DecorrelatedLfsr(8),
-                MaxVarianceLfsr(8), RampGenerator(8),
-                MixedModeLfsr(8, switch_after=128)]
-
-    def test_bit_identical_to_serial_path(self):
-        from repro.analysis.spectrum import generator_spectra
-
-        gens = self._gens()
-        batched = generator_spectra(gens)
-        assert len(batched) == len(gens)
-        for gen, (freqs, power) in zip(gens, batched):
-            f_ref, p_ref = generator_spectrum(gen)
-            assert np.array_equal(freqs, f_ref), gen.name
-            assert np.array_equal(power, p_ref), gen.name
-
-    def test_mixed_period_groups(self):
-        # Ramp has period 2^w, LFSRs 2^w - 1: the batch groups by
-        # period internally but the output order must follow the input.
-        from repro.analysis.spectrum import generator_spectra
-        from repro.generators import RampGenerator, Type1Lfsr
-
-        gens = [RampGenerator(8), Type1Lfsr(8), RampGenerator(10)]
-        batched = generator_spectra(gens)
-        for gen, (freqs, power) in zip(gens, batched):
-            f_ref, p_ref = generator_spectrum(gen)
-            assert np.array_equal(freqs, f_ref)
-            assert np.array_equal(power, p_ref)
-
-    def test_empty_batch(self):
-        from repro.analysis.spectrum import generator_spectra
-
-        assert generator_spectra([]) == []
-
-    def test_exact_period_spectra_matches_rows(self, rng):
-        from repro.analysis.spectrum import (
-            exact_period_spectra,
-            exact_period_spectrum,
-        )
-
-        matrix = rng.normal(size=(4, 255))
-        freqs, power = exact_period_spectra(matrix)
-        assert power.shape == (4, len(freqs))
-        for row, row_power in zip(matrix, power):
-            f_ref, p_ref = exact_period_spectrum(row)
-            assert np.array_equal(freqs, f_ref)
-            assert np.array_equal(row_power, p_ref)

@@ -7,6 +7,7 @@ get 429; SIGTERM (here: the same in-process shutdown path) drains
 in-flight jobs without losing any.
 """
 
+import os
 import threading
 
 import pytest
@@ -44,7 +45,7 @@ JOB_SPECS = [
 
 def test_mixed_load_matches_direct_calls(ctx):
     config = ServiceConfig(port=0, no_cache=True, workers=2,
-                           queue_depth=64, batch_max=4)
+                           queue_depth=64)
     with ServiceThread(config, context=ctx) as svc:
         svc.client().wait_ready(60)
 
@@ -93,10 +94,10 @@ def test_mixed_load_matches_direct_calls(ctx):
 
 
 def test_backpressure_past_queue_depth(ctx):
-    # One worker, no batching, tiny queue: the leader job occupies the
-    # worker while the queue fills, so the 4th submission must see 429.
+    # One worker, tiny queue: the leader job occupies the worker while
+    # the queue fills, so the 4th submission must see 429.
     config = ServiceConfig(port=0, no_cache=True, workers=1,
-                           queue_depth=2, batch_max=1)
+                           queue_depth=2)
     with ServiceThread(config, context=ctx) as svc:
         client = svc.client("flooder")
         client.wait_ready(60)
@@ -130,8 +131,7 @@ def test_backpressure_past_queue_depth(ctx):
 
 def test_shutdown_drains_without_losing_jobs(ctx):
     config = ServiceConfig(port=0, no_cache=True, workers=2,
-                           queue_depth=64, batch_max=4,
-                           drain_deadline=120)
+                           queue_depth=64, drain_deadline=120)
     svc = ServiceThread(config, context=ctx).start()
     client = svc.client("drainer")
     client.wait_ready(60)
@@ -148,6 +148,37 @@ def test_shutdown_drains_without_losing_jobs(ctx):
     assert all(state == "done" for state in states.values()), states
     assert summary["failed"] == 0
     assert summary["done"] >= len(jobs)
+
+
+def test_service_never_forks(ctx, monkeypatch):
+    """The service process must not fork: it runs jobs on executor
+    threads, and a fork from a threaded process can stall BLAS on
+    another thread forever (see ``repro.parallel.pool``).  One rank job
+    holds the only worker while four distinct grade jobs queue up
+    behind it; with ``os.fork`` refusing to run, every job must still
+    be answered exactly as ``execute_job`` answers it."""
+    forks = []
+
+    def refuse_fork():
+        forks.append(threading.current_thread().name)
+        raise OSError("fork refused inside the service")
+
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    specs = [("rank", {"design": "LP", "vectors": 4096})]
+    specs += [("grade", {"design": "LP", "generator": "LFSR-1",
+                         "vectors": 64 * (i + 1)}) for i in range(4)]
+    config = ServiceConfig(port=0, no_cache=True, workers=1)
+    with ServiceThread(config) as svc:
+        client = svc.client("no-fork")
+        client.wait_ready(120)
+        jobs = [client.submit(kind, params) for kind, params in specs]
+        docs = [client.wait(job["id"], timeout=300) for job in jobs]
+
+    for (kind, params), doc in zip(specs, docs):
+        assert doc["state"] == "done", doc
+        direct = execute_job(ctx, kind, canonical_params(kind, params))
+        assert doc["result"] == direct, (kind, params)
+    assert forks == [], f"the service forked from threads {forks}"
 
 
 def test_draining_service_refuses_submissions(ctx):

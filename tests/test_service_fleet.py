@@ -1,17 +1,14 @@
 """Fleet health plane over real sockets: the self-observing worker,
 pushed heartbeats, liveness decay and alerting, the events_dropped
-counter, keepalive resolution, and request-log trace correlation."""
+counter, SSE keepalives, and request-log trace correlation."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 
 import pytest
 
-from repro.cli import _resolve_keepalive
-from repro.errors import ReproError
 from repro.service import ServiceConfig, ServiceThread
 from repro.telemetry import RequestLogSink, Telemetry, build_heartbeat
 from repro.telemetry.alerts import ALERT_RULES_SCHEMA
@@ -138,21 +135,6 @@ class TestFleetEndpoint:
 
 
 class TestKeepalive:
-    def _args(self, events_keepalive=None):
-        return argparse.Namespace(events_keepalive=events_keepalive)
-
-    def test_flag_beats_env_beats_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SSE_KEEPALIVE", raising=False)
-        assert _resolve_keepalive(self._args()) == 15.0
-        monkeypatch.setenv("REPRO_SSE_KEEPALIVE", "2.5")
-        assert _resolve_keepalive(self._args()) == 2.5
-        assert _resolve_keepalive(self._args(events_keepalive=9.0)) == 9.0
-
-    def test_rejects_non_numeric_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SSE_KEEPALIVE", "soon")
-        with pytest.raises(ReproError, match="REPRO_SSE_KEEPALIVE"):
-            _resolve_keepalive(self._args())
-
     def test_client_stream_tolerates_fast_keepalives(self, client):
         # The module service ships comments every 0.3s; the parsed
         # stream must surface only real events regardless.

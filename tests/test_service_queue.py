@@ -204,31 +204,3 @@ class TestCancelAndBatch:
             assert (await q.get()) is jobs[1]
 
         run(main())
-
-    def test_take_matching_only_same_kind(self):
-        async def main():
-            q = FairJobQueue(depth=16)
-            store = JobStore()
-            ranks = [store.create("rank", {"vectors": 2 + i})[0]
-                     for i in range(3)]
-            spec = store.create("spectrum", {})[0]
-            for job in (ranks[0], spec, ranks[1], ranks[2]):
-                q.put_nowait(job)
-            leader = await q.get()
-            assert leader.kind == "rank"
-            batch = q.take_matching("rank", limit=10)
-            assert [j.kind for j in batch] == ["rank", "rank"]
-            assert (await q.get()) is spec
-
-        run(main())
-
-    def test_take_matching_respects_limit(self):
-        async def main():
-            q = FairJobQueue(depth=16)
-            for job in make_jobs(5):
-                q.put_nowait(job)
-            await q.get()
-            assert len(q.take_matching("rank", limit=2)) == 2
-            assert len(q) == 2
-
-        run(main())

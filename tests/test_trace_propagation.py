@@ -253,8 +253,7 @@ class TestServicePropagation:
         from repro.service import ServiceConfig, ServiceThread
 
         tel = Telemetry(sinks=[InMemorySink()])
-        config = ServiceConfig(port=0, no_cache=True, workers=1,
-                               batch_max=1)
+        config = ServiceConfig(port=0, no_cache=True, workers=1)
         with ServiceThread(config, context=ctx, telemetry=tel) as svc:
             client = svc.client("trace-test")
             client.wait_ready(60)
