@@ -70,13 +70,20 @@ def encode_universe(graph, universe: FaultUniverse) -> Tuple[Arrays, Meta]:
                 f"universe cell references node {nid} absent from graph")
         cell_width[row] = width
         cell_is_sub[row] = is_sub
-    fault_slot = np.empty(universe.fault_count, dtype=np.int64)
-    for i, fault in enumerate(universe.faults):
-        row = int(universe.fault_cell[i])
-        variant = variant_for_bit(int(cell_bit[row]), int(cell_width[row]),
-                                  bool(cell_is_sub[row]))
-        slots = {cf.name: s for s, cf in enumerate(variant.faults)}
-        fault_slot[i] = slots[fault.cell_fault.name]
+    # One fault-name -> slot map per cell variant, shared by its cells.
+    slot_maps: Dict[str, Dict[str, int]] = {}
+    row_slots: List[Dict[str, int]] = []
+    for bit, width, is_sub in zip(cell_bit.tolist(), cell_width.tolist(),
+                                  cell_is_sub.tolist()):
+        variant = variant_for_bit(bit, width, is_sub)
+        if variant.kind not in slot_maps:
+            slot_maps[variant.kind] = {cf.name: s for s, cf
+                                       in enumerate(variant.faults)}
+        row_slots.append(slot_maps[variant.kind])
+    fault_slot = np.array(
+        [row_slots[row][fault.cell_fault.name] for row, fault
+         in zip(universe.fault_cell.tolist(), universe.faults)],
+        dtype=np.int64)
     arrays = {
         "cell_node": cell_node,
         "cell_bit": cell_bit,

@@ -2,8 +2,8 @@
 
 The 3:2 compressor cells of :class:`~repro.rtl.carrysave.CarrySaveFir`
 are full adders, so the same collapsed fault dictionary applies; this
-module wires the carry-save simulator's per-rank pattern codes into the
-standard pattern tracker and coverage engine, enabling the
+module wires the carry-save simulator's per-rank cell input words into
+the standard pattern tracker and coverage engine, enabling the
 ripple-vs-carry-save testability ablation the paper's Section 3 alludes
 to ("the analysis is more complex in the case of carry-save arrays").
 """
@@ -68,7 +68,7 @@ def run_csa_fault_coverage(
     raw = generator.sequence(n_vectors)
     raw = match_width(raw, generator.width, csa.input_fmt.width)
     tracker = PatternTracker(universe)
-    csa.simulate(raw, observer=tracker.observe_codes)
+    csa.simulate(raw, observer=tracker.observe_words)
     tracker.advance(n_vectors)
     return coverage_of_tracker(tracker, design_name=csa.name,
                                generator_name=generator.name)

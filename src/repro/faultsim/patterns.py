@@ -2,10 +2,15 @@
 
 The fast coverage engine reduces fault simulation to one question per
 cell and pattern: *when does pattern p first appear at cell c?*  This
-module answers it by hooking the RTL simulator's per-operator callback,
-deriving the ripple-carry cell inputs from the aligned operand words and
-recording the earliest vector index of each of the 8 patterns at each
-cell.
+module answers it word by word.  An operator's cells see three input
+words per vector: the primary operand ``A``, the secondary operand ``B``
+and the carry-in word ``C`` (for a ripple-carry adder
+``C = (A + B + cin) ^ A ^ B``, see :func:`repro.fixedpoint.carry_in_word`).
+Pattern ``p = (a<<2)|(b<<1)|c`` is present at exactly the cells set in
+``A&B&C`` with each word complemented where ``p``'s bit is 0.  An
+``np.bitwise_or.accumulate`` over those per-vector cell masks changes
+value at most ``width`` times, and the vector at which a cell's bit first
+turns on is that pattern's first occurrence at the cell.
 
 The tracker is incremental: feed it several simulation segments (e.g. a
 mixed-mode session's phases) and indices keep counting across segments.
@@ -18,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import SimulationError
-from ..fixedpoint import cell_pattern_codes
+from ..fixedpoint import carry_in_word
 from ..rtl.graph import Graph
 from ..rtl.nodes import Node, OpKind
 from ..rtl.simulate import simulate
@@ -43,33 +48,46 @@ class PatternTracker:
     # ------------------------------------------------------------------
     def hook(self, node: Node, a: np.ndarray, b: np.ndarray) -> None:
         """Adder-hook callback: consume one operator's aligned operands."""
-        width = node.fmt.width
         is_sub = node.kind is OpKind.SUB
-        codes = cell_pattern_codes(a, b, 1 if is_sub else 0, width,
-                                   invert_b=is_sub)
-        self.observe_codes(node.nid, codes)
+        if is_sub:
+            b = ~b
+        c = carry_in_word(a, b, 1 if is_sub else 0)
+        self.observe_words(node.nid, node.fmt.width, a, b, c)
 
-    def observe_codes(self, node_id: int, codes: np.ndarray) -> None:
-        """Record per-cell pattern codes for one operator.
+    def observe_words(self, node_id: int, width: int, a: np.ndarray,
+                      b: np.ndarray, c: np.ndarray) -> None:
+        """Record one operator's cell input words over a segment.
 
-        ``codes`` has shape ``(width, T)``; row ``k`` holds the 3-bit
-        input codes of the operator's bit-``k`` cell over the segment.
-        The universe's cells for an operator are contiguous and start at
-        bit 0, so one slice covers them all.  Usable for any operator
-        style (ripple-carry, carry-save compressor) that registered its
-        cells under ``node_id``.
+        ``a``, ``b`` and ``c`` are length-``T`` integer words whose bit
+        ``k`` is the primary, secondary and carry input of the operator's
+        bit-``k`` cell at each vector; bits at and above ``width`` are
+        ignored.  The universe's cells for an operator are contiguous and
+        start at bit 0, so one slice covers them all.  Usable for any
+        operator style (ripple-carry, carry-save compressor) that
+        registered its cells under ``node_id``.
         """
-        width = codes.shape[0]
+        mask = (1 << width) - 1
+        a1, b1, c1 = (np.bitwise_and(w, mask) for w in (a, b, c))
+        a0, b0, c0 = (w ^ mask for w in (a1, b1, c1))
+        ab = (a0 & b0, a0 & b1, a1 & b0, a1 & b1)
+        length = len(a1)
+        # Row p, column t + 1: the cells that have received pattern p by
+        # vector t.  Column 0 is the empty set before the segment.
+        seen = np.zeros((8, length + 1), dtype=a1.dtype)
+        for p in range(8):
+            np.bitwise_and(ab[p >> 1], c1 if p & 1 else c0, out=seen[p, 1:])
+        np.bitwise_or.accumulate(seen, axis=1, out=seen)
+        # Each cell's bit turns on once, so a row changes at most
+        # ``width`` times, and its change points are the first occurrences.
+        change = np.flatnonzero(seen[:, 1:] != seen[:, :-1])
+        pattern, vector = np.divmod(change, length)
+        fresh = seen[pattern, vector + 1] ^ seen[pattern, vector]
+        which, bit = np.nonzero((fresh[:, None] >> np.arange(width)) & 1)
+        pattern = pattern[which]
+        when = vector[which] + self.offset
         base = self.universe.cell_index[(node_id, 0)]
         first = self.first_seen[base:base + width]  # view
-        for p in range(8):
-            hits = codes == p  # (width, T)
-            any_hit = hits.any(axis=1)
-            if not np.any(any_hit):
-                continue
-            idx = hits.argmax(axis=1) + self.offset
-            update = any_hit & (idx < first[:, p])
-            first[update, p] = idx[update]
+        first[bit, pattern] = np.minimum(first[bit, pattern], when)
 
     def advance(self, n_vectors: int) -> None:
         """Declare a simulation segment of ``n_vectors`` consumed."""

@@ -1,15 +1,15 @@
 """Two's-complement fixed-point arithmetic substrate.
 
 See :mod:`repro.fixedpoint.qformat` for the format model and
-:mod:`repro.fixedpoint.ops` for the bit-exact ripple-carry primitives used
-throughout the fault model.
+:mod:`repro.fixedpoint.ops` for the bit-exact wrap arithmetic and the
+word-level carry and cell-pattern primitives used throughout the fault
+model.
 """
 
 from .qformat import Fixed, bit, sign_bit, wrap
 from .ops import (
-    adder_cell_inputs,
     arith_shift_right,
-    carry_chain,
+    carry_in_word,
     cell_pattern_codes,
     wrap_add,
     wrap_sub,
@@ -21,9 +21,8 @@ __all__ = [
     "bit",
     "sign_bit",
     "wrap",
-    "adder_cell_inputs",
     "arith_shift_right",
-    "carry_chain",
+    "carry_in_word",
     "cell_pattern_codes",
     "wrap_add",
     "wrap_sub",

@@ -6,9 +6,10 @@ These functions operate on raw two's-complement integers (scalars or
 * additions and subtractions wrap on overflow (ripple-carry adders have no
   saturation logic);
 * right shifts are arithmetic and truncate toward minus infinity;
-* :func:`carry_chain` exposes the internal carry of a ripple-carry adder,
-  which is what the fault model needs to know which full-adder input
-  pattern each cell received.
+* :func:`carry_in_word` gives the carry into every cell of a ripple-carry
+  adder at once, from one word add: ``C = (a + b + cin) ^ a ^ b``.  With
+  the operand words it says which full-adder input pattern each cell
+  received, which is what the fault model needs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ __all__ = [
     "wrap_add",
     "wrap_sub",
     "arith_shift_right",
-    "carry_chain",
-    "adder_cell_inputs",
+    "carry_in_word",
     "cell_pattern_codes",
 ]
 
@@ -45,58 +45,17 @@ def arith_shift_right(a, shift: int):
     return np.asarray(a) >> shift
 
 
-def carry_chain(a, b, cin, width: int):
-    """Carries inside a ``width``-bit ripple-carry adder.
+def carry_in_word(a, b, cin):
+    """Carry into every cell of a ripple-carry ``a + b + cin``, as one word.
 
-    Parameters
-    ----------
-    a, b:
-        Raw operand integers (scalars or arrays); only their low ``width``
-        bits participate.  For a subtractor pass the bitwise complement of
-        the subtrahend and ``cin=1``.
-    cin:
-        Carry into bit 0 (0 or 1, scalar or array).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``carries`` with shape ``(width + 1,) + a.shape`` where
-        ``carries[k]`` is the carry *into* bit ``k``; ``carries[width]``
-        is the carry out of the MSB cell.
+    A full adder's sum bit is ``a_k ^ b_k ^ c_k``, so the word sum's bit
+    ``k`` XORed with the operand bits leaves the carry into cell ``k``:
+    ``C = (a + b + cin) ^ a ^ b``.  Bit ``k`` of the result is the carry
+    into bit ``k`` for every ``k`` below the operand dtype's width; callers
+    read only the low ``width`` bits.  For a subtractor pass the bitwise
+    complement of the subtrahend and ``cin=1``.  Operands broadcast.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    c = np.broadcast_to(np.asarray(cin), np.broadcast_shapes(a.shape, b.shape)).astype(a.dtype, copy=True)
-    out = np.empty((width + 1,) + c.shape, dtype=a.dtype)
-    out[0] = c
-    for k in range(width):
-        ak = (a >> k) & 1
-        bk = (b >> k) & 1
-        c = (ak & bk) | (out[k] & (ak ^ bk))
-        out[k + 1] = c
-    return out
-
-
-def adder_cell_inputs(a, b, cin, width: int, invert_b: bool = False):
-    """Per-cell ``(a_k, b_k, c_k)`` bits of a ripple-carry add.
-
-    ``invert_b`` models a subtractor: each cell sees the complemented
-    ``b`` bit, and the caller is expected to pass ``cin=1``.
-
-    Returns three arrays of shape ``(width,) + a.shape`` containing the
-    bit seen on the primary input, secondary input, and carry input of
-    each full-adder cell (LSB cell first).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if invert_b:
-        b = ~b
-    carries = carry_chain(a, b, cin, width)
-    ks = np.arange(width)
-    shape = (width,) + (1,) * a.ndim
-    a_bits = (a[None, ...] >> ks.reshape(shape)) & 1
-    b_bits = (b[None, ...] >> ks.reshape(shape)) & 1
-    return a_bits, b_bits, carries[:width]
+    return (a + b + cin) ^ a ^ b
 
 
 def cell_pattern_codes(a, b, cin, width: int, invert_b: bool = False):
@@ -105,9 +64,17 @@ def cell_pattern_codes(a, b, cin, width: int, invert_b: bool = False):
     The code at each full-adder cell identifies which of the eight tests
     T0..T7 the cell receives, with ``a`` the primary input bit, ``b`` the
     secondary input bit and ``c`` the carry input — the numbering used in
-    Table 2 of the paper.
+    Table 2 of the paper.  ``invert_b`` models a subtractor: each cell
+    sees the complemented ``b`` bit, and the caller passes ``cin=1``.
 
-    Returns an array of shape ``(width,) + a.shape`` with dtype uint8.
+    Returns an array of shape ``(width,) + broadcast(a, b).shape`` with
+    dtype uint8.
     """
-    a_bits, b_bits, c_bits = adder_cell_inputs(a, b, cin, width, invert_b=invert_b)
-    return ((a_bits << 2) | (b_bits << 1) | c_bits).astype(np.uint8)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if invert_b:
+        b = ~b
+    c = carry_in_word(a, b, cin)
+    ks = np.arange(width).reshape((width,) + (1,) * c.ndim)
+    codes = (((a >> ks) & 1) << 2) | (((b >> ks) & 1) << 1) | ((c >> ks) & 1)
+    return codes.astype(np.uint8)

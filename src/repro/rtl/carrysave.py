@@ -34,13 +34,15 @@ import numpy as np
 
 from ..csd import MultiplierPlan, plan_multiplier, quantize_filter
 from ..errors import DesignError, SimulationError
-from ..fixedpoint import Fixed, cell_pattern_codes, wrap
+from ..fixedpoint import Fixed, carry_in_word, wrap
 from .build import design_from_coefficients  # noqa: F401  (doc cross-ref)
 
 __all__ = ["CsaStage", "CarrySaveFir", "carry_save_from_coefficients"]
 
-#: Observer signature: (stage_id, codes) with codes shaped (width, T).
-StageObserver = Callable[[int, np.ndarray], None]
+#: Observer signature: (stage_id, width, a, b, c) with each cell-input
+#: word shaped (T,); bit ``k`` of each word feeds the bit-``k`` cell.
+StageObserver = Callable[[int, int, np.ndarray, np.ndarray, np.ndarray],
+                         None]
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,9 @@ class CarrySaveFir:
         """Bit-true simulation over a whole input sequence.
 
         Returns ``{"output": raw output, "stages": {...}}``; the observer
-        receives each compressor rank's per-cell input codes (ordered
-        ``a = S``, ``b = C``, ``c = T~``) and finally the merge adder's
-        ripple codes under ``MERGE_ID``.
+        receives each compressor rank's cell input words (``a = S``,
+        ``b = C``, ``c = T~``) and finally the merge adder's ``(S, C)``
+        with the carry word of ``S + C`` under ``MERGE_ID``.
         """
         raw = np.asarray(input_raw, dtype=np.int64)
         if raw.ndim != 1:
@@ -132,8 +134,7 @@ class CarrySaveFir:
             if stage.subtract:
                 term = ~term
             if observer is not None:
-                codes = _csa_codes(s, c, term, width)
-                observer(stage.stage_id, codes)
+                observer(stage.stage_id, width, s, c, term)
             s, c = _compress(s, c, term, width,
                              inject=1 if stage.subtract else 0)
             if keep_stages:
@@ -142,8 +143,7 @@ class CarrySaveFir:
             s = _delay(s)
             c = _delay(c)
         if observer is not None:
-            merge_codes = cell_pattern_codes(s, c, 0, width)
-            observer(self.MERGE_ID, merge_codes)
+            observer(self.MERGE_ID, width, s, c, carry_in_word(s, c, 0))
         output = self.fmt.wrap(s + c)
         result: Dict[str, object] = {"output": output}
         if keep_stages:
@@ -170,15 +170,6 @@ def _compress(s, c, t, width: int, inject: int) -> Tuple[np.ndarray, np.ndarray]
     carries = (s & c) | (t & (s ^ c))
     new_c = wrap((carries << 1) | inject, width)
     return new_s, new_c
-
-
-def _csa_codes(s, c, t, width: int) -> np.ndarray:
-    """Per-cell input codes of a compressor rank: a=S, b=C, cin=T~."""
-    ks = np.arange(width).reshape(-1, 1)
-    s_bits = (s[None, :] >> ks) & 1
-    c_bits = (c[None, :] >> ks) & 1
-    t_bits = (t[None, :] >> ks) & 1
-    return ((s_bits << 2) | (c_bits << 1) | t_bits).astype(np.uint8)
 
 
 def carry_save_from_coefficients(

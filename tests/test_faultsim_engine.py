@@ -8,21 +8,24 @@ from repro.errors import SimulationError
 from repro.faultsim import (
     UNSEEN,
     build_fault_universe,
+    build_universe_from_cells,
     coverage_of_tracker,
     run_fault_coverage,
     track_patterns,
 )
 from repro.faultsim.patterns import PatternTracker
-from repro.fixedpoint import cell_pattern_codes
+from repro.fixedpoint import Fixed, cell_pattern_codes
+from repro.gates import variant_for_bit
 from repro.generators import (
     MaxVarianceLfsr,
     Type1Lfsr,
     UniformWhiteGenerator,
     match_width,
 )
-from repro.rtl import OpKind
+from repro.rtl import Node, OpKind
 
 from helpers import build_small_design
+from test_fixedpoint_ops import oracle_codes
 
 
 class TestPatternTracker:
@@ -49,6 +52,42 @@ class TestPatternTracker:
                     hits = np.nonzero(codes[bit] == p)[0]
                     expect = hits[0] if len(hits) else UNSEEN
                     assert tracker.first_seen[row, p] == expect
+
+    @pytest.mark.parametrize("width", range(2, 21))
+    @pytest.mark.parametrize("kind", [OpKind.ADD, OpKind.SUB])
+    def test_first_seen_matches_ripple_oracle(self, width, kind, rng):
+        """Word-level first occurrences vs a brute-force scan of the
+        ripple oracle's codes, over a session fed in three segments."""
+        is_sub = kind is OpKind.SUB
+        node = Node(nid=3, kind=kind, srcs=(1, 2), fmt=Fixed(width, 0))
+        specs = []
+        for bit in range(width):
+            variant = variant_for_bit(bit, width, is_sub)
+            specs.append((node.nid, bit, variant, variant.feasible_mask))
+        tracker = PatternTracker(build_universe_from_cells(specs, "oracle"))
+        half = 1 << (width - 1)
+        # Small operands first, so the upper cells' first occurrences of
+        # most patterns fall in later segments, at non-zero offsets.
+        spans = [(max(half >> 3, 1), 40), (half, 150), (half, 90)]
+        a_all, b_all = [], []
+        for span, length in spans:
+            a = rng.integers(-span, span, size=length)
+            b = rng.integers(-span, span, size=length)
+            tracker.hook(node, a, b)
+            tracker.advance(length)
+            a_all.append(a)
+            b_all.append(b)
+        codes = oracle_codes(np.concatenate(a_all), np.concatenate(b_all),
+                             1 if is_sub else 0, width, invert_b=is_sub)
+        expected = np.full((width, 8), UNSEEN, dtype=np.int64)
+        for bit in range(width):
+            for p in range(8):
+                hits = np.flatnonzero(codes[bit] == p)
+                if len(hits):
+                    expected[bit, p] = hits[0]
+        assert np.array_equal(tracker.first_seen, expected)
+        if width >= 4:
+            assert np.any((expected >= 40) & (expected != UNSEEN))
 
     def test_incremental_sessions_continue_indices(self, small_design, rng):
         uni = build_fault_universe(small_design.graph)

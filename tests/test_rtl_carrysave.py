@@ -5,10 +5,12 @@ import pytest
 
 from repro.errors import DesignError, SimulationError
 from repro.faultsim import build_csa_universe, run_csa_fault_coverage
+from repro.fixedpoint import wrap
 from repro.generators import DecorrelatedLfsr, UniformWhiteGenerator
 from repro.rtl import carry_save_from_coefficients, design_from_coefficients, simulate
 
 from helpers import SMALL_COEFSETS
+from test_fixedpoint_ops import carry_chain
 
 
 def build_csa(key="plain", **kwargs):
@@ -16,6 +18,13 @@ def build_csa(key="plain", **kwargs):
                     max_nonzeros=4)
     defaults.update(kwargs)
     return carry_save_from_coefficients(SMALL_COEFSETS[key], **defaults)
+
+
+def delayed(x, d):
+    """``x`` through ``d`` reset-to-zero registers."""
+    out = np.zeros_like(x)
+    out[d:] = x[:len(x) - d]
+    return out
 
 
 class TestValueCorrectness:
@@ -89,15 +98,33 @@ class TestFaultCoverage:
         result = run_csa_fault_coverage(csa, DecorrelatedLfsr(12), 1024)
         assert 0.5 < result.coverage() < 1.0
 
-    def test_observer_codes_are_consistent_with_values(self, rng):
-        """sum of per-cell FA outputs reconstructs the compressor output."""
-        csa = build_csa("single_digit")
+    def test_observer_words_are_consistent_with_values(self, rng):
+        """Each rank's cell input words produce the next rank's (S, C),
+        and the merge adder's carry word is the ripple carry of S + C."""
+        csa = build_csa("plain")
+        width = csa.fmt.width
         raw = rng.integers(-2048, 2048, size=64)
-        seen = {}
-        csa.simulate(raw, observer=lambda sid, codes: seen.update({sid: codes}))
-        assert set(seen) == {s.stage_id for s in csa.stages} | {csa.MERGE_ID}
-        for codes in seen.values():
-            assert codes.shape == (csa.fmt.width, 64)
+        calls = []
+        out = csa.simulate(
+            raw, observer=lambda *args: calls.append(args))["output"]
+        ids = [s.stage_id for s in csa.stages] + [csa.MERGE_ID]
+        assert [call[0] for call in calls] == ids
+        assert all(call[1] == width for call in calls)
+        assert any(s.subtract for s in csa.stages)
+        delays = [s.delays_before for s in csa.stages[1:]]
+        delays.append(csa.trailing_delays)
+        for stage, (_, _, s, c, t), (_, _, s_next, c_next, _), d in zip(
+                csa.stages, calls, calls[1:], delays):
+            majority = (s & c) | (t & (s ^ c))
+            inject = 1 if stage.subtract else 0
+            assert np.array_equal(s_next, delayed(wrap(s ^ c ^ t, width), d))
+            assert np.array_equal(
+                c_next, delayed(wrap((majority << 1) | inject, width), d))
+        _, _, s, c, carry = calls[-1]
+        carries = carry_chain(s, c, 0, width)
+        for k in range(width):
+            assert np.array_equal((carry >> k) & 1, carries[k])
+        assert np.array_equal(wrap(s + c, width), out)
 
     def test_more_vectors_never_hurt(self):
         csa = build_csa()
