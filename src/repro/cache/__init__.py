@@ -29,14 +29,12 @@ from .keys import (
     generator_fingerprint,
     netlist_fingerprint,
     stable_hash,
-    stimulus_fingerprint,
 )
 from .pipeline import (
     cached_coverage,
     cached_design,
     cached_gate_program,
     cached_golden,
-    cached_net_waves,
     cached_netlist,
     cached_universe,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "cached_design",
     "cached_gate_program",
     "cached_golden",
-    "cached_net_waves",
     "cached_netlist",
     "cached_universe",
     "code_version",
@@ -64,6 +61,5 @@ __all__ = [
     "netlist_fingerprint",
     "safe_component",
     "stable_hash",
-    "stimulus_fingerprint",
     "StoreBackend",
 ]

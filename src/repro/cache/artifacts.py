@@ -42,7 +42,6 @@ __all__ = [
     "encode_coverage", "decode_coverage",
     "encode_design", "decode_design",
     "encode_program", "decode_program",
-    "encode_net_waves", "decode_net_waves",
 ]
 
 Arrays = Dict[str, Any]
@@ -319,27 +318,6 @@ def decode_program(arrays: Arrays, meta: Meta):
                 prog.gate_loc[int(gidx)] = (li, oi, pos)
         prog.levels[li].append(op)
     return prog
-
-
-# ----------------------------------------------------------------------
-# Golden per-net waveform matrices
-# ----------------------------------------------------------------------
-def encode_net_waves(waves: np.ndarray) -> Tuple[Arrays, Meta]:
-    """Bit-pack a boolean (nets, T) golden waveform matrix."""
-    waves = np.asarray(waves, dtype=bool)
-    packed = np.packbits(waves, axis=1)
-    return ({"waves": packed},
-            {"n_nets": int(waves.shape[0]), "n_vectors": int(waves.shape[1])})
-
-
-def decode_net_waves(arrays: Arrays, meta: Meta) -> np.ndarray:
-    n_nets = int(meta["n_nets"])
-    n_vectors = int(meta["n_vectors"])
-    waves = np.unpackbits(arrays["waves"], axis=1,
-                          count=n_vectors).astype(bool)
-    if waves.shape != (n_nets, n_vectors):
-        raise CacheError("net-waves matrix shape mismatch")
-    return waves
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "design_fingerprint",
     "generator_fingerprint",
     "netlist_fingerprint",
-    "stimulus_fingerprint",
 ]
 
 #: Bump whenever an artifact's on-disk encoding changes; every key
@@ -121,12 +120,6 @@ def netlist_fingerprint(nl) -> Dict[str, Any]:
         "input_bits": np.array(nl.input_bits, dtype=np.int64),
         "output_bits": np.array(nl.output_bits, dtype=np.int64),
     }
-
-
-def stimulus_fingerprint(raw) -> Dict[str, Any]:
-    """Content fingerprint of a raw input-sample sequence."""
-    arr = np.ascontiguousarray(raw, dtype=np.int64)
-    return {"raw": arr, "n_vectors": int(arr.shape[0])}
 
 
 def generator_fingerprint(gen) -> Dict[str, Any]:

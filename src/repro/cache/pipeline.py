@@ -19,14 +19,13 @@ from .keys import (
     design_fingerprint,
     generator_fingerprint,
     netlist_fingerprint,
-    stimulus_fingerprint,
 )
 from .store import ArtifactCache
 
 __all__ = [
     "cached_design", "cached_universe", "cached_netlist",
     "cached_golden", "cached_coverage",
-    "cached_gate_program", "cached_net_waves",
+    "cached_gate_program",
 ]
 
 
@@ -92,30 +91,6 @@ def cached_gate_program(cache: Optional[ArtifactCache], nl,
     arrays, meta = artifacts.encode_program(program)
     cache.store("gateprog", payload, arrays, meta)
     return program
-
-
-def cached_net_waves(cache: Optional[ArtifactCache], nl, input_raw,
-                     compute: Callable) -> np.ndarray:
-    """Golden per-net waveforms, keyed on netlist + stimulus content.
-
-    This is the gate-level analogue of :func:`cached_golden`: the
-    fault-free machine is simulated once per (netlist, stimulus) pair
-    and every later `gate_level_missed` call — in this or any process —
-    loads the bit-packed matrix instead of re-simulating.
-    """
-    if cache is None:
-        return compute()
-    payload = {
-        "netlist": netlist_fingerprint(nl),
-        "stimulus": stimulus_fingerprint(input_raw),
-    }
-    entry = cache.load("netwaves", payload)
-    if entry is not None:
-        return artifacts.decode_net_waves(entry, entry["__meta__"])
-    waves = compute()
-    arrays, meta = artifacts.encode_net_waves(waves)
-    cache.store("netwaves", payload, arrays, meta)
-    return waves
 
 
 def cached_golden(cache: Optional[ArtifactCache], design, generator,

@@ -2,7 +2,7 @@
 
 A deliberately small stdlib HTTP server that fronts a
 :class:`~repro.cache.backends.LocalStore` so a fleet of workers shares
-one pool of compiled netlists, goldens and net-wave matrices.  Because
+one pool of compiled netlists, programs and goldens.  Because
 entries are content-addressed (the key *is* the hash of everything that
 determines the artifact), the protocol needs no coordination: a ``PUT``
 of an existing key is an idempotent no-op-equivalent overwrite of
@@ -39,8 +39,7 @@ __all__ = ["ArtifactServer"]
 
 logger = logging.getLogger(__name__)
 
-#: Largest accepted entry: net-wave matrices for a full-length LP run
-#: are tens of MB compressed; 1 GiB is a generous ceiling.
+#: Largest accepted entry: a generous ceiling over every artifact kind.
 MAX_ARTIFACT_BYTES = 1 << 30
 
 _ARTIFACT_PATH = re.compile(

@@ -22,10 +22,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ClusterError
-from ..gates.fault_parallel import DEFAULT_WORDS, gate_level_missed
+from ..gates.fault_parallel import (
+    DEFAULT_WORDS,
+    gate_level_missed,
+    program_and_golden,
+)
 from ..gates.faults import EnumeratedFault, schedule_fault_batches
 from ..generators.base import match_width
 from ..resolve import make_generator
+from ..telemetry import get_telemetry
 from .signature import (
     combine_partials,
     shard_signature_partial,
@@ -36,12 +41,14 @@ __all__ = [
     "DEFAULT_MISR_WIDTH",
     "DEFAULT_SHARD_FAULTS",
     "MergedGrade",
+    "PreparedProblem",
     "Shard",
     "coverage_checkpoints",
     "grade_shard",
     "grading_problem",
     "merge_shard_results",
     "plan_shards",
+    "prepared_problem",
     "single_node_grade",
 ]
 
@@ -87,6 +94,47 @@ def grading_problem(ctx, design: str, generator: str, vectors: int,
     return dsg, nl, faults, stimulus
 
 
+@dataclass(frozen=True)
+class PreparedProblem:
+    """A :func:`grading_problem`'s netlist, universe and stimulus, plus
+    the program and golden waves its shards are graded against (the
+    program memoizes its fused view)."""
+
+    key: Tuple[str, str, int, int]
+    netlist: Any
+    faults: List[EnumeratedFault]
+    stimulus: np.ndarray
+    program: Any
+    golden: np.ndarray
+
+
+def prepared_problem(ctx, design: str, generator: str, vectors: int,
+                     width: int) -> PreparedProblem:
+    """``ctx``'s prepared grading problem for these inputs.
+
+    The first call for a ``(design, generator, vectors, width)`` builds
+    the problem, later calls reuse it.  The context holds at most one:
+    a call for another key replaces it, and a build that raises keeps
+    nothing.  Callers hold ``ctx.grading_lock``.  Counts
+    ``service.problems.built`` and ``service.problems.reused``.
+    """
+    key = (design, generator, int(vectors), int(width))
+    tel = get_telemetry()
+    held = ctx.grading_memo
+    if held is not None and held.key == key:
+        if tel.enabled:
+            tel.counter("service.problems.reused").add(1)
+        return held
+    ctx.grading_memo = None  # one problem in memory, even while building
+    _dsg, nl, faults, stimulus = grading_problem(ctx, *key)
+    program, golden = program_and_golden(nl, stimulus, cache=ctx.cache)
+    held = ctx.grading_memo = PreparedProblem(key, nl, faults, stimulus,
+                                              program, golden)
+    if tel.enabled:
+        tel.counter("service.problems.built").add(1)
+    return held
+
+
 def plan_shards(
     faults: Sequence[EnumeratedFault],
     *,
@@ -121,8 +169,9 @@ def grade_shard(
     *,
     misr_width: int = DEFAULT_MISR_WIDTH,
     misr_poly: int = 0,
-    cache=None,
     chunk: Optional[int] = None,
+    program=None,
+    net_waves: Optional[np.ndarray] = None,
 ) -> Dict[str, Any]:
     """Grade one shard — the worker side of the ``grade-shard`` job.
 
@@ -131,6 +180,8 @@ def grade_shard(
     detection times are subset-invariant) and compacts the shard into a
     JSON-able result: per-index verdicts, detection times and the MISR
     signature *partial* for the shard's global stream positions.
+    ``program``/``net_waves`` are a :class:`PreparedProblem`'s, handed
+    to :func:`gate_level_missed` so the shard builds neither.
     """
     indices = [int(i) for i in indices]
     for i in indices:
@@ -142,8 +193,9 @@ def grade_shard(
                 f"fault index {i} >= signature stream length {total}")
     subset = [faults[i] for i in indices]
     detect = np.full(len(subset), -1, dtype=np.int64)
-    gate_level_missed(nl, input_raw, subset, cache=cache, chunk=chunk,
-                      detect_times=detect)
+    gate_level_missed(nl, input_raw, subset, chunk=chunk,
+                      detect_times=detect, program=program,
+                      net_waves=net_waves)
     detected = (detect >= 0).astype(np.int64)
     partial = shard_signature_partial(
         misr_width, indices, [int(t) for t in detect], total,

@@ -17,13 +17,17 @@ the response stream anywhere.
 
 ``L`` is the ``width x width`` GF(2) matrix of the shift-and-poly step;
 ``L^k`` is applied with square-and-multiply over precomputed squarings,
-so a 65k-fault universe costs ~``log2(n) * width`` word operations per
-fault — microseconds, not a re-simulation.
+all of a shard's words at once: for each squaring ``L^(2^j)``, the
+words whose exponent has bit ``j`` set go through the matrix column by
+column as one word array, so a 4,096-fault shard costs
+``log2(n) * width`` array operations, not a re-simulation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
+
+import numpy as np
 
 from ..errors import GeneratorError
 from ..generators.polynomials import default_poly, degree
@@ -89,17 +93,6 @@ def _squarings(width: int, poly: int, max_exp: int) -> List[Matrix]:
     return mats
 
 
-def _apply_power(mats: List[Matrix], k: int, v: int) -> int:
-    """``L^k (v)`` via the precomputed squarings."""
-    j = 0
-    while k and v:
-        if k & 1:
-            v = mat_vec(mats[j], v)
-        k >>= 1
-        j += 1
-    return v
-
-
 def shard_signature_partial(width: int, positions: Sequence[int],
                             words: Sequence[int], total: int,
                             poly: int = 0) -> int:
@@ -120,16 +113,26 @@ def shard_signature_partial(width: int, positions: Sequence[int],
         return 0
     poly = resolve_poly(width, poly)
     mask = (1 << width) - 1
-    mats = _squarings(width, poly, max(total - 1, 1))
-    partial = 0
-    for pos, word in zip(positions, words):
-        pos = int(pos)
-        if not 0 <= pos < total:
-            raise GeneratorError(
-                f"stream position {pos} out of range [0, {total})")
-        injected = int(word) & mask
-        partial ^= _apply_power(mats, total - 1 - pos, injected)
-    return partial
+    pos = np.array([int(p) for p in positions], dtype=np.int64)
+    bad = pos[(pos < 0) | (pos >= total)]
+    if bad.size:
+        raise GeneratorError(
+            f"stream position {int(bad[0])} out of range [0, {total})")
+    # Python ints mask any word (negative, wider than 64 bits) exactly
+    # like the real MISR's injection; wider registers use object arrays.
+    dtype = np.uint64 if width <= 64 else object
+    vals = np.array([int(w) & mask for w in words], dtype=dtype)
+    exps = (total - 1) - pos
+    for j, cols in enumerate(_squarings(width, poly, max(total - 1, 1))):
+        sel = np.flatnonzero((exps >> j) & 1)
+        if not sel.size:
+            continue
+        v = vals[sel]
+        out = np.zeros_like(v)
+        for i, col in enumerate(cols):
+            out ^= ((v >> i) & 1) * col
+        vals[sel] = out
+    return int(np.bitwise_xor.reduce(vals)) if vals.size else 0
 
 
 def combine_partials(partials: Iterable[int]) -> int:

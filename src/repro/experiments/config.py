@@ -14,6 +14,7 @@ the results into the same memo.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -102,6 +103,11 @@ class ExperimentContext:
         self._universes: Dict[str, FaultUniverse] = {}
         self._netlists: Dict[str, object] = {}
         self._coverage: Dict[Tuple[str, str, int], CoverageResult] = {}
+        #: The one prepared exact-grading problem, and the lock a
+        #: service holds while it grades a shard of it; both belong to
+        #: :func:`repro.cluster.shards.prepared_problem`.
+        self.grading_memo = None
+        self.grading_lock = threading.Lock()
 
     @classmethod
     def from_env(cls, config: Optional[ExperimentConfig] = None

@@ -31,9 +31,9 @@ and chunk evaluation carves every temporary out of a persistent
 
 Compiling is cheap (milliseconds) and cached on the netlist object by
 :func:`compiled_program`; the artifact cache can additionally persist
-programs and golden waveform matrices across processes
-(:func:`repro.cache.pipeline.cached_gate_program` /
-:func:`repro.cache.pipeline.cached_net_waves`).
+programs across processes
+(:func:`repro.cache.pipeline.cached_gate_program`).  Golden waveforms
+are re-simulated instead: that is cheaper than storing or loading them.
 """
 
 from __future__ import annotations
@@ -54,11 +54,8 @@ __all__ = [
     "compiled_program",
     "simulate_waves",
     "golden_net_waves",
-    "expand_lane_waves",
     "ConeWorkspace",
 ]
-
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Evaluation-order-stable op kinds; ``dff`` is the one-sample time shift.
 OP_KINDS = ("xor", "and", "or", "not", "buf", "dff")
@@ -288,16 +285,6 @@ def _word_arr(value) -> np.ndarray:
     """Normalize a mask to a (words,) uint64 array."""
     arr = np.asarray(value, dtype=np.uint64)
     return arr.reshape(1) if arr.ndim == 0 else arr
-
-
-def expand_lane_waves(net_waves: np.ndarray) -> np.ndarray:
-    """Boolean waveforms widened to all-ones/all-zeros uint64 lane words.
-
-    Computed once per grading run; the cone evaluator reads boundary and
-    comparison rows straight out of this matrix instead of re-expanding
-    booleans every chunk.
-    """
-    return np.where(net_waves, _ALL_ONES, np.uint64(0))
 
 
 class ConeWorkspace:

@@ -375,6 +375,12 @@ def _fused_flat(fused: FusedProgram) -> _FusedFlat:
 # ----------------------------------------------------------------------
 # Cone sweep
 # ----------------------------------------------------------------------
+def _lanes(rows: np.ndarray) -> np.ndarray:
+    """Boolean golden rows widened to all-ones/all-zeros lane words."""
+    words = rows.astype(np.uint64)
+    return np.negative(words, out=words)
+
+
 @dataclass
 class _EventOp:
     """One cone-restricted slice of a fused group, plus fault forces.
@@ -582,17 +588,18 @@ class EventCone:
                         masks[p] = kept
                 op.row_masks = masks
 
-    def bind_golden(self, lane_waves: np.ndarray) -> None:
-        """Bind the golden lane-wave matrix for this batch.
+    def bind_golden(self, golden: np.ndarray) -> None:
+        """Bind the boolean ``(nets, T)`` golden matrix for this batch.
 
-        Golden reads are lazy — per-op slices gather straight from the
-        matrix by net id, so nothing cone-sized is copied up front.
-        Only the seed rows, needed every chunk, are gathered once.
+        Golden reads are lazy — per-op slices gather boolean rows
+        straight from the matrix by net id and widen only those to lane
+        words, so nothing cone-sized is copied up front.  Only the seed
+        rows, needed every chunk, are gathered and widened once.
         """
-        self._lw = lane_waves
+        self._golden = golden
         # Advanced indexing, not ``take``: the small row gather stays
         # fast even if a caller hands a strided column-window view.
-        self._sgold = lane_waves[self.seed_nets]
+        self._sgold = _lanes(golden[self.seed_nets])
 
     # ------------------------------------------------------------------
     def evaluate_chunk(self, ws: ConeWorkspace, t0: int,
@@ -607,7 +614,7 @@ class EventCone:
         span = t1 - t0
         det = np.zeros(wc, dtype=np.uint64)
         # One golden column-window view shared by every op this chunk.
-        self._gsl = self._lw[:, t0:t1]
+        self._gsl = self._golden[:, t0:t1]
         w = ws.get("ev_nets", self.n_rows, wc, span)
         if self.seed_nets.size:
             # Masked seed waveforms go straight into the row space;
@@ -640,7 +647,7 @@ class EventCone:
         ab = ws.get("ev_ext", k * n, wc, span)
         w.take(op.flat_rows, 0, ab, "clip")
         if op.sent is not None:
-            ab[op.sent] = self._gsl[op.sent_nets][:, None, :]
+            ab[op.sent] = _lanes(self._gsl[op.sent_nets])[:, None, :]
         ext_view = ab.reshape(k, n, wc, span)
         vout = w[op.o0:op.o1]
         last = len(op.recipe) - 1
@@ -672,7 +679,7 @@ class EventCone:
         a = ws.get("ev_ext", op.o1 - op.o0, self.words, t1 - t0)
         w.take(op.flat_rows, 0, a, "clip")
         if op.sent is not None:
-            a[op.sent] = self._gsl[op.sent_nets][:, None, :]
+            a[op.sent] = _lanes(self._gsl[op.sent_nets])[:, None, :]
         vout = w[op.o0:op.o1]
         vout[:, :, 1:] = a[:, :, :-1]
         vout[:, :, 0] = op.carry
@@ -693,7 +700,7 @@ class EventCone:
                 nets: np.ndarray, det: np.ndarray) -> None:
         """OR into ``det`` every lane where ``vals`` differ from golden."""
         dbuf = ws.get("ev_diff", *vals.shape)
-        np.bitwise_xor(vals, self._gsl[nets][:, None, :], out=dbuf)
+        np.bitwise_xor(vals, _lanes(self._gsl[nets])[:, None, :], out=dbuf)
         det |= np.bitwise_or.reduce(
             np.bitwise_or.reduce(dbuf, axis=2), axis=0)
 

@@ -47,7 +47,6 @@ from .compiled import (
     CompiledNetlist,
     ConeWorkspace,
     compiled_program,
-    expand_lane_waves,
     golden_net_waves,
 )
 from .faults import EnumeratedFault, schedule_fault_batches
@@ -60,6 +59,7 @@ __all__ = [
     "fault_parallel_reference",
     "gate_level_missed",
     "gate_level_missed_reference",
+    "program_and_golden",
 ]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -119,7 +119,7 @@ def _line_masks(
 
 def _grade_cone_batch(
     prog: CompiledNetlist,
-    lane_waves: np.ndarray,
+    golden: np.ndarray,
     faults: Sequence[NetlistFault],
     chunk: int,
     ws: ConeWorkspace,
@@ -132,7 +132,9 @@ def _grade_cone_batch(
     super-gate program and drives it chunk by chunk: per-word dropping
     and chunk-end detection-time capture live here.
 
-    ``length`` grades only the stimulus prefix ``[0, length)`` — the
+    ``golden`` is the boolean ``(nets, T)`` matrix of
+    :func:`~repro.gates.compiled.golden_net_waves`.  ``length`` grades
+    only the stimulus prefix ``[0, length)`` — the
     building block of the iterative-deepening driver; detection over a
     prefix is exact for that prefix.
 
@@ -148,13 +150,13 @@ def _grade_cone_batch(
     n = len(faults)
     words = -(-n // 64)
     if length is None:
-        length = lane_waves.shape[1]
+        length = golden.shape[1]
     chunk = min(chunk, length) if length else 1
     net_masks, pin_masks = _line_masks(faults, words)
     cone = EventCone(fused_program(prog), net_masks, pin_masks, words)
     # Golden is read lazily straight from the full (contiguous) matrix;
     # per-chunk slices stay within [0, length).
-    cone.bind_golden(lane_waves)
+    cone.bind_golden(golden)
 
     full = np.full(words, _ALL_ONES, dtype=np.uint64)
     tail = n - 64 * (words - 1)
@@ -245,7 +247,7 @@ def _emit_batch_stats(tel, n_faults: int, stats: Dict[str, int]) -> None:
 
 def _grade_verdicts(
     prog: CompiledNetlist,
-    lane_waves: np.ndarray,
+    golden: np.ndarray,
     faults: Sequence[EnumeratedFault],
     *,
     chunk: Optional[int] = None,
@@ -271,7 +273,7 @@ def _grade_verdicts(
     totals.
     """
     tel = get_telemetry()
-    length = lane_waves.shape[1]
+    length = golden.shape[1]
     chunk_len = min(DEFAULT_CHUNK if chunk is None else max(1, int(chunk)),
                     max(length, 1))
     n_words = DEFAULT_WORDS if words is None else max(1, int(words))
@@ -293,7 +295,7 @@ def _grade_verdicts(
             with tel.span("gates.fault_batch", faults=len(batch),
                           prefix=stage_len):
                 batch_verdicts, stats = _grade_cone_batch(
-                    prog, lane_waves,
+                    prog, golden,
                     [faults[i].netlist_fault for i in idx],
                     chunk_len, ws, length=stage_len,
                     first_detect=first_detect)
@@ -318,6 +320,31 @@ def _grade_verdicts(
         if not remaining.size:
             break
     return verdicts
+
+
+def program_and_golden(
+    nl: GateNetlist,
+    input_raw: Sequence[int],
+    *,
+    cache=None,
+) -> Tuple[CompiledNetlist, np.ndarray]:
+    """``(compiled program, golden per-net waves)`` of one exact grade.
+
+    The program comes through
+    :func:`~repro.cache.pipeline.cached_gate_program`, so an
+    :class:`~repro.cache.ArtifactCache` passed as ``cache`` persists it
+    across processes.  The golden machine is simulated here every time:
+    it costs less than loading or storing its matrix.  Golden stays the
+    boolean ``(nets, T)`` matrix; the cone sweep widens only the rows
+    it reads to 64-lane words.
+    """
+    from ..cache.pipeline import cached_gate_program
+
+    raw = np.asarray(input_raw, dtype=np.int64)
+    prog = cached_gate_program(cache, nl, lambda: compiled_program(nl))
+    golden = golden_net_waves(prog, pack_input_bits(raw,
+                                                    len(nl.input_bits)))
+    return prog, golden
 
 
 def gate_level_missed(
@@ -345,38 +372,30 @@ def gate_level_missed(
     :data:`EVENT_STAGE1_WORDS`.
 
     Pass an :class:`~repro.cache.ArtifactCache` as ``cache`` to persist
-    (and reuse) the compiled program and the golden per-net waveforms,
-    keyed on netlist + stimulus content.
+    (and reuse) the compiled program, keyed on netlist content.
 
     ``detect_times`` (an ``int64`` array aligned with ``faults``, filled
     with ``-1``) receives each detected fault's first detection time at
     chunk-end granularity; undetected faults keep ``-1``.
 
-    ``program``/``net_waves`` accept a pre-compiled program and a
-    pre-simulated golden per-net waveform matrix, skipping the
-    corresponding pipeline stages here.  ``repro bench --gates`` uses
-    this to time the compile/golden/grade phases separately.
+    ``program``/``net_waves`` accept the pair
+    :func:`program_and_golden` returns for this netlist and stimulus;
+    pass both or neither.  A service grading many shards of one problem
+    builds the pair once, and ``repro bench --gates`` uses this to time
+    the compile/golden/grade phases separately.
     """
     tel = get_telemetry()
     raw = np.asarray(input_raw, dtype=np.int64)
     n_faults = len(faults)
     with tel.span("gates.fault_parallel", faults=n_faults,
                   vectors=len(raw)) as span:
-        from ..cache.pipeline import cached_gate_program, cached_net_waves
-
-        prog = (program if program is not None
-                else cached_gate_program(cache, nl,
-                                         lambda: compiled_program(nl)))
-        if net_waves is None:
-            net_waves = cached_net_waves(
-                cache, nl, raw,
-                lambda: golden_net_waves(
-                    prog, pack_input_bits(raw, len(nl.input_bits))))
+        if program is None or net_waves is None:
+            program, net_waves = program_and_golden(nl, raw, cache=cache)
         if tel.enabled:
             from .eventsim import fused_program
 
             tel.counter("gates.lut_fused_levels").add(
-                fused_program(prog).stats["levels_fused"])
+                fused_program(program).stats["levels_fused"])
         dropped = emitted = 0
 
         def after_batch(record: Dict[str, int]) -> None:
@@ -394,8 +413,8 @@ def gate_level_missed(
                 progress(emitted * 64, n_faults)
 
         verdicts = _grade_verdicts(
-            prog, expand_lane_waves(net_waves), faults, chunk=chunk,
-            words=words, detect_times=detect_times, on_batch=after_batch)
+            program, net_waves, faults, chunk=chunk, words=words,
+            detect_times=detect_times, on_batch=after_batch)
         if progress is not None and emitted * 64 < n_faults:
             progress(n_faults, n_faults)
         missed = [f for f, hit in zip(faults, verdicts) if not hit]

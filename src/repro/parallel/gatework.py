@@ -26,15 +26,13 @@ progress stream and the ``gates.faults_per_sec`` gauge.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..gates.compiled import (compiled_program, expand_lane_waves,
-                              golden_net_waves)
-from ..gates.fault_parallel import DEFAULT_WORDS, _grade_verdicts
+from ..gates.fault_parallel import (DEFAULT_WORDS, _grade_verdicts,
+                                    program_and_golden)
 from ..gates.faults import schedule_fault_batches
-from ..gates.gatesim import pack_input_bits
 from ..gates.netlist import GateNetlist
 from ..telemetry import get_telemetry
 from .pool import parallel_map
@@ -54,20 +52,13 @@ def _init_gate_worker(nl: GateNetlist, raw: np.ndarray,
     _GATE_STATE.pop("compiled", None)
 
 
-def _compile(nl: GateNetlist, raw: np.ndarray) -> Tuple:
-    """(program, lane waves) of the golden machine."""
-    prog = compiled_program(nl)
-    waves = golden_net_waves(prog, pack_input_bits(raw, len(nl.input_bits)))
-    return prog, expand_lane_waves(waves)
-
-
 def _grade_batch(start: int) -> np.ndarray:
     nl, raw, faults = _GATE_STATE["payload"]
     state = _GATE_STATE.get("compiled")
     if state is None:
-        state = _GATE_STATE["compiled"] = _compile(nl, raw)
-    prog, lanes = state
-    return _grade_verdicts(prog, lanes, faults[start:start + BATCH])
+        state = _GATE_STATE["compiled"] = program_and_golden(nl, raw)
+    prog, golden = state
+    return _grade_verdicts(prog, golden, faults[start:start + BATCH])
 
 
 def gate_level_missed_parallel(
@@ -99,8 +90,8 @@ def gate_level_missed_parallel(
         starts = list(range(0, len(scheduled), BATCH))
 
         def _serial(chunk: Sequence[int]) -> List[np.ndarray]:
-            prog, lanes = _compile(nl, raw)
-            return [_grade_verdicts(prog, lanes,
+            prog, golden = program_and_golden(nl, raw)
+            return [_grade_verdicts(prog, golden,
                                     scheduled[start:start + BATCH])
                     for start in chunk]
 

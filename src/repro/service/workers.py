@@ -94,17 +94,8 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
             "power_db": [float(p) for p in power_db(power[::step])],
         }
     if kind == "grade-shard":
-        from ..cluster.shards import grade_shard, grading_problem
+        from ..cluster.shards import grade_shard, prepared_problem
 
-        _design, nl, faults, raw = grading_problem(
-            ctx, params["design"], params["generator"], params["vectors"],
-            params["width"])
-        for i in params["indices"]:
-            if i >= len(faults):
-                raise ServiceError(
-                    f"fault index {i} out of range for design "
-                    f"{params['design']} ({len(faults)} faults)",
-                    status=400)
         trace = params.get("trace")
         ctx_trace = (TraceContext(trace["trace_id"], trace.get("span_id"))
                      if trace else None)
@@ -120,12 +111,30 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
                 outer.progress(state.name, state.done, state.total,
                                **state.fields)
 
-        with child_collector(ctx_trace, on_progress=_forward) as handle:
-            doc = grade_shard(nl, raw, faults, params["indices"],
-                              params["total"],
-                              misr_width=params["misr_width"],
-                              cache=ctx.cache,
-                              chunk=params["chunk"] or None)
+        # One shard at a time per service: the cone sweep holds the GIL,
+        # so two shards on two threads grade slower than one after the
+        # other, and every shard of a problem reads one prepared build.
+        with outer.span("service.grade_wait"):
+            ctx.grading_lock.acquire()
+        try:
+            problem = prepared_problem(
+                ctx, params["design"], params["generator"],
+                params["vectors"], params["width"])
+            for i in params["indices"]:
+                if i >= len(problem.faults):
+                    raise ServiceError(
+                        f"fault index {i} out of range for design "
+                        f"{params['design']} ({len(problem.faults)} faults)",
+                        status=400)
+            with child_collector(ctx_trace, on_progress=_forward) as handle:
+                doc = grade_shard(
+                    problem.netlist, problem.stimulus, problem.faults,
+                    params["indices"], params["total"],
+                    misr_width=params["misr_width"],
+                    chunk=params["chunk"] or None,
+                    program=problem.program, net_waves=problem.golden)
+        finally:
+            ctx.grading_lock.release()
         doc.update({
             "design": params["design"],
             "generator": params["generator"],

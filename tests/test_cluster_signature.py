@@ -47,8 +47,8 @@ class TestStepMatrix:
 
 
 class TestPartials:
-    @pytest.mark.parametrize("width", [8, 16])
-    @pytest.mark.parametrize("n", [1, 5, 37, 200])
+    @pytest.mark.parametrize("width", [2, 5, 8, 13, 16, 24])
+    @pytest.mark.parametrize("n", [1, 2, 5, 37, 200, 1025, 4097])
     def test_partition_xor_equals_full_signature(self, width, n):
         rng = random.Random(width * 1000 + n)
         words = _random_stream(rng, width, n)

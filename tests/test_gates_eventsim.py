@@ -99,12 +99,9 @@ def _batch_setup(key, rng, n_vectors=160):
     raw = rng.integers(-2048, 2048, size=n_vectors)
     waves = golden_net_waves(prog, pack_input_bits(raw,
                                                    len(nl.input_bits)))
-    from repro.gates.compiled import expand_lane_waves
-
-    lanes = expand_lane_waves(waves)
     faults = [f.netlist_fault
               for f in enumerate_cell_faults(design.graph, nl)]
-    return nl, prog, raw, lanes, faults
+    return nl, prog, raw, waves, faults
 
 
 def _ref_verdicts(nl, raw, batch):
@@ -131,25 +128,25 @@ class TestWorkspaceReuse:
     def test_shared_workspace_across_batch_shapes(self, rng):
         """One workspace, batches that shrink then grow: verdicts match
         the reference — no stale rows leak between cone builds."""
-        nl, prog, raw, lanes, faults = _batch_setup("plain", rng)
+        nl, prog, raw, golden, faults = _batch_setup("plain", rng)
         ws = ConeWorkspace()
         # Large batch (wide buffers), then tiny (shrunk views), then
         # large again (possibly regrown) — every verdict stays exact.
         windows = [faults[:128], faults[5:9], faults[:128],
                    faults[40:44], faults[64:192]]
         for i, batch in enumerate(windows):
-            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws)
+            got, _stats = _grade_cone_batch(prog, golden, batch, 64, ws)
             expect = _ref_verdicts(nl, raw, batch)
             assert np.array_equal(got, expect), i
 
     def test_zero_coefficient_design_shares_the_same_contract(self, rng):
         """The same shrink/grow reuse holds on the small design with a
         zero coefficient."""
-        nl, prog, raw, lanes, faults = _batch_setup("with_zero", rng)
+        nl, prog, raw, golden, faults = _batch_setup("with_zero", rng)
         ws = ConeWorkspace()
         for i, batch in enumerate([faults[:96], faults[3:7],
                                    faults[:96]]):
-            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws)
+            got, _stats = _grade_cone_batch(prog, golden, batch, 64, ws)
             expect = _ref_verdicts(nl, raw, batch)
             assert np.array_equal(got, expect), i
 
@@ -164,9 +161,6 @@ class TestFrontierSkip:
         raw = np.zeros(256, dtype=np.int64)
         waves = golden_net_waves(
             prog, pack_input_bits(raw, len(nl.input_bits)))
-        from repro.gates.compiled import expand_lane_waves
-
-        lanes = expand_lane_waves(waves)
         all_faults = [f.netlist_fault
                       for f in enumerate_cell_faults(design.graph, nl)]
         # Stuck-at-0 on nets that are constant 0 under the all-zero
@@ -176,7 +170,7 @@ class TestFrontierSkip:
                  if f.lines[0] == "net" and not f.value
                  and int(f.lines[1]) in quiet][:64]
         assert len(batch) >= 8
-        got, _stats = _grade_cone_batch(prog, lanes, batch, 64,
+        got, _stats = _grade_cone_batch(prog, waves, batch, 64,
                                         ConeWorkspace())
         expect = _ref_verdicts(nl, raw, batch)
         assert np.array_equal(got, expect)
@@ -222,7 +216,7 @@ class TestDeterminism:
         """Verdicts and every batch statistic are a function of the
         design, stimulus, faults and chunking alone: a frozen clock and
         a racing one grade the same batch identically."""
-        nl, prog, raw, lanes, faults = _batch_setup(
+        nl, prog, raw, golden, faults = _batch_setup(
             "plain", np.random.default_rng(7), n_vectors=640)
         batch = faults[:256]
         runs = []
@@ -231,7 +225,7 @@ class TestDeterminism:
             monkeypatch.setattr(
                 time, "perf_counter",
                 lambda step=step, ticks=ticks: step * next(ticks))
-            runs.append(_grade_cone_batch(prog, lanes, batch, 32,
+            runs.append(_grade_cone_batch(prog, golden, batch, 32,
                                           ConeWorkspace()))
         monkeypatch.undo()
         (frozen, frozen_stats), (racing, racing_stats) = runs

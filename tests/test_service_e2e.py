@@ -8,13 +8,24 @@ in-flight jobs without losing any.
 """
 
 import os
+import sys
 import threading
 
 import pytest
 
+import repro.gates
+from repro.cluster.shards import (
+    grade_shard,
+    grading_problem,
+    merge_shard_results,
+    single_node_grade,
+)
+from repro.errors import ServiceError
+from repro.experiments import ExperimentContext
 from repro.service import ServiceConfig, ServiceThread, canonical_params
 from repro.service.client import ServiceBusy
 from repro.service.workers import execute_job
+from repro.telemetry import Telemetry, set_telemetry
 
 # 20 mixed jobs: every (kind, params) also evaluated directly against
 # the library for the equality check.  Several specs repeat across
@@ -197,3 +208,144 @@ def test_draining_service_refuses_submissions(ctx):
             pass  # listener already closed: equally refused
         else:
             pytest.fail("draining service accepted a submission")
+
+
+# ----------------------------------------------------------------------
+# grade-shard: one prepared problem per service, one shard at a time
+# ----------------------------------------------------------------------
+def _shard_params(vectors, indices, total):
+    return canonical_params("grade-shard", {
+        "design": "LP", "vectors": vectors, "indices": list(indices),
+        "total": total})
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Counts (and can fail) the universe enumeration a problem build
+    calls through ``repro.gates`` at call time."""
+    calls = []
+    fail = []
+    real = repro.gates.enumerate_cell_faults
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        if fail:
+            raise fail.pop()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.gates, "enumerate_cell_faults", counting)
+    return calls, fail
+
+
+@pytest.fixture
+def counters():
+    """A live collector, so the memo's counters are readable."""
+    tel = Telemetry()
+    previous = set_telemetry(tel)
+    try:
+        yield lambda name: tel.counter(name).value
+    finally:
+        set_telemetry(previous)
+
+
+class TestPreparedProblem:
+    def test_shards_of_one_problem_build_it_once(self, enumerations):
+        calls, _fail = enumerations
+        total, vectors = 1024, 128
+        parts = [range(k, total, 4) for k in range(4)]
+        config = ServiceConfig(port=0, no_cache=True, workers=2)
+        with ServiceThread(config, context=ExperimentContext()) as svc:
+            client = svc.client("shards")
+            client.wait_ready(120)
+            jobs = [client.submit("grade-shard", {
+                "design": "LP", "vectors": vectors,
+                "indices": list(part), "total": total}) for part in parts]
+            docs = [client.wait(job["id"], timeout=300) for job in jobs]
+            metrics = client.metrics()["counters"]
+        assert [doc["state"] for doc in docs] == ["done"] * 4, docs
+        assert len(calls) == 1
+        assert metrics["service.problems.built"] == 1
+        assert metrics["service.problems.reused"] == 3
+
+        merged = merge_shard_results(
+            total, [dict(doc["result"], shard=k)
+                    for k, doc in enumerate(docs)], test_length=vectors)
+        _d, nl, faults, raw = grading_problem(
+            ExperimentContext(), "LP", "lfsr1", vectors, 12)
+        assert merged.identical_to(single_node_grade(nl, raw,
+                                                     faults[:total]))
+
+    def test_concurrent_jobs_share_one_build(self, enumerations, counters):
+        """More threads than cores and a short switch interval: the
+        jobs still build the problem once and answer alike."""
+        calls, _fail = enumerations
+        ctx = ExperimentContext()
+        params = _shard_params(64, range(64), 64)
+        results, errors = [], []
+
+        def run():
+            try:
+                for _ in range(2):
+                    results.append(execute_job(ctx, "grade-shard", params))
+            except Exception as exc:  # surfaced after join
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(results) == 8
+        assert all(doc == results[0] for doc in results)
+        assert len(calls) == 1
+        assert counters("service.problems.built") == 1
+        assert counters("service.problems.reused") == 7
+
+    def test_out_of_range_index_is_400_and_releases_the_lock(self):
+        ctx = ExperimentContext()
+        with pytest.raises(ServiceError, match="out of range") as err:
+            execute_job(ctx, "grade-shard",
+                        _shard_params(64, [100_000], 100_001))
+        assert err.value.status == 400
+        assert not ctx.grading_lock.locked()
+        doc = execute_job(ctx, "grade-shard", _shard_params(64, range(64),
+                                                            64))
+        assert doc["faults"] == 64
+
+    def test_a_build_that_raises_is_not_kept(self, enumerations, counters):
+        calls, fail = enumerations
+        ctx = ExperimentContext()
+        params = _shard_params(64, range(64), 64)
+        fail.append(RuntimeError("enumeration failed"))
+        with pytest.raises(RuntimeError, match="enumeration failed"):
+            execute_job(ctx, "grade-shard", params)
+        assert ctx.grading_memo is None
+        assert not ctx.grading_lock.locked()
+        assert execute_job(ctx, "grade-shard", params)["faults"] == 64
+        assert len(calls) == 2
+        assert counters("service.problems.built") == 1
+        assert counters("service.problems.reused") == 0
+
+    def test_a_second_problem_replaces_the_first(self, counters):
+        ctx = ExperimentContext()
+        first = _shard_params(64, range(64), 64)
+        second = _shard_params(128, range(64, 192), 192)
+        execute_job(ctx, "grade-shard", first)
+        doc = execute_job(ctx, "grade-shard", second)
+        assert ctx.grading_memo.key == ("LP", "lfsr1", 128, 12)
+        assert counters("service.problems.built") == 2
+        _d, nl, faults, raw = grading_problem(
+            ExperimentContext(), "LP", "lfsr1", 128, 12)
+        direct = grade_shard(nl, raw, faults, second["indices"], 192)
+        assert {k: doc[k] for k in direct} == direct
+        # The first problem was dropped, not kept beside the second.
+        execute_job(ctx, "grade-shard", first)
+        assert counters("service.problems.built") == 3
+        assert counters("service.problems.reused") == 0
