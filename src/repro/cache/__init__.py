@@ -1,12 +1,14 @@
 """Content-addressed artifact cache for the fault-simulation pipeline.
 
-The paper's experiment grids recompute the same heavyweight artifacts —
-fault universes, elaborated gate netlists, golden output waveforms and
-full coverage runs — on every invocation.  This package gives them a
-durable home: an on-disk npz store addressed by a stable hash of
-*everything that determines the artifact's content* (design fingerprint,
-generator configuration, vector count, code version), with atomic
-writes, LRU size-cap eviction and telemetry-visible hit/miss counters.
+The paper's experiment grids recompute the same artifacts on every
+invocation.  This package gives the ones that load faster than they
+build — reference designs, full coverage runs and compiled gate
+programs — a durable home: an on-disk npz store addressed by a stable
+hash of *everything that determines the artifact's content* (design
+fingerprint, generator configuration, vector count, code version), with
+atomic writes, LRU size-cap eviction and telemetry-visible hit/miss
+counters.  Fault universes, gate netlists and golden waves are rebuilt
+in each process instead.
 
 Typical use::
 
@@ -34,9 +36,6 @@ from .pipeline import (
     cached_coverage,
     cached_design,
     cached_gate_program,
-    cached_golden,
-    cached_netlist,
-    cached_universe,
 )
 from .server import ArtifactServer
 from .store import ArtifactCache, CacheStats, default_cache_dir
@@ -49,9 +48,6 @@ __all__ = [
     "cached_coverage",
     "cached_design",
     "cached_gate_program",
-    "cached_golden",
-    "cached_netlist",
-    "cached_universe",
     "code_version",
     "default_cache_dir",
     "design_fingerprint",

@@ -1,26 +1,16 @@
 """Encoders/decoders between pipeline artifacts and npz-able arrays.
 
-Four artifact kinds flow through the store (plus the design documents
-the sweep workers rehydrate from):
+Three artifact kinds flow through the store:
 
-``universe``
-    A :class:`~repro.faultsim.dictionary.FaultUniverse`.  Cells carry
-    their operator width and add/sub polarity so faults rebuild through
-    :func:`~repro.gates.cells.variant_for_bit` — the decoded universe is
-    object-identical in content to a fresh
-    :func:`~repro.faultsim.dictionary.build_fault_universe` run, without
-    re-running the structural-feasibility analysis.
-``netlist``
-    A flat :class:`~repro.gates.netlist.GateNetlist` (elaboration
-    output), numeric bulk as arrays and the fault-site map as JSON.
-``golden``
-    A fault-free output waveform (one ``int64`` array).
-``coverage``
-    A :class:`~repro.faultsim.engine.CoverageResult`'s per-fault
-    detection times; rehydration reattaches a universe.
 ``design``
     A :class:`~repro.rtl.build.FilterDesign` via the JSON document of
     :mod:`repro.rtl.serialize`.
+``coverage``
+    A :class:`~repro.faultsim.engine.CoverageResult`'s per-fault
+    detection times; rehydration reattaches a universe.
+``gateprog``
+    A :class:`~repro.gates.compiled.CompiledNetlist`, one row per
+    (level, kind) op group.
 """
 
 from __future__ import annotations
@@ -30,15 +20,9 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from ..errors import CacheError
-from ..faultsim.dictionary import DesignFault, FaultUniverse
-from ..gates.cells import variant_for_bit
-from ..gates.netlist import Dff, Gate, GateNetlist, GateRef
-from ..rtl.nodes import OpKind
+from ..faultsim.dictionary import FaultUniverse
 
 __all__ = [
-    "encode_universe", "decode_universe",
-    "encode_netlist", "decode_netlist",
-    "encode_golden", "decode_golden",
     "encode_coverage", "decode_coverage",
     "encode_design", "decode_design",
     "encode_program", "decode_program",
@@ -46,197 +30,6 @@ __all__ = [
 
 Arrays = Dict[str, Any]
 Meta = Dict[str, Any]
-
-
-# ----------------------------------------------------------------------
-# Fault universes
-# ----------------------------------------------------------------------
-def encode_universe(graph, universe: FaultUniverse) -> Tuple[Arrays, Meta]:
-    """Pack a universe built from ``graph`` into flat arrays."""
-    node_info = {n.nid: (n.fmt.width, n.kind is OpKind.SUB)
-                 for n in graph.arithmetic_nodes}
-    cell_node = np.array([nid for nid, _bit in universe.cells],
-                        dtype=np.int64)
-    cell_bit = np.array([bit for _nid, bit in universe.cells],
-                        dtype=np.int64)
-    cell_width = np.empty(len(universe.cells), dtype=np.int64)
-    cell_is_sub = np.empty(len(universe.cells), dtype=np.bool_)
-    for row, (nid, _bit) in enumerate(universe.cells):
-        try:
-            width, is_sub = node_info[nid]
-        except KeyError:
-            raise CacheError(
-                f"universe cell references node {nid} absent from graph")
-        cell_width[row] = width
-        cell_is_sub[row] = is_sub
-    # One fault-name -> slot map per cell variant, shared by its cells.
-    slot_maps: Dict[str, Dict[str, int]] = {}
-    row_slots: List[Dict[str, int]] = []
-    for bit, width, is_sub in zip(cell_bit.tolist(), cell_width.tolist(),
-                                  cell_is_sub.tolist()):
-        variant = variant_for_bit(bit, width, is_sub)
-        if variant.kind not in slot_maps:
-            slot_maps[variant.kind] = {cf.name: s for s, cf
-                                       in enumerate(variant.faults)}
-        row_slots.append(slot_maps[variant.kind])
-    fault_slot = np.array(
-        [row_slots[row][fault.cell_fault.name] for row, fault
-         in zip(universe.fault_cell.tolist(), universe.faults)],
-        dtype=np.int64)
-    arrays = {
-        "cell_node": cell_node,
-        "cell_bit": cell_bit,
-        "cell_width": cell_width,
-        "cell_is_sub": cell_is_sub,
-        "fault_cell": universe.fault_cell.astype(np.int64),
-        "fault_slot": fault_slot,
-        "fault_mask": universe.fault_mask.astype(np.uint8),
-    }
-    meta = {
-        "design_name": universe.design_name,
-        "uncollapsed_count": universe.uncollapsed_count,
-        "untestable_count": universe.untestable_count,
-        "fault_count": universe.fault_count,
-    }
-    return arrays, meta
-
-
-def decode_universe(arrays: Arrays, meta: Meta) -> FaultUniverse:
-    cell_node = arrays["cell_node"]
-    cell_bit = arrays["cell_bit"]
-    cell_width = arrays["cell_width"]
-    cell_is_sub = arrays["cell_is_sub"]
-    cells = [(int(n), int(b)) for n, b in zip(cell_node, cell_bit)]
-    cell_index = {cb: row for row, cb in enumerate(cells)}
-    fault_cell = arrays["fault_cell"].astype(np.int64)
-    fault_slot = arrays["fault_slot"]
-    fault_mask = arrays["fault_mask"].astype(np.uint8)
-    faults: List[DesignFault] = []
-    for i in range(len(fault_cell)):
-        row = int(fault_cell[i])
-        variant = variant_for_bit(int(cell_bit[row]), int(cell_width[row]),
-                                  bool(cell_is_sub[row]))
-        cf = variant.faults[int(fault_slot[i])]
-        faults.append(DesignFault(
-            index=i, node_id=int(cell_node[row]), bit=int(cell_bit[row]),
-            cell_fault=cf, effective_mask=int(fault_mask[i])))
-    universe = FaultUniverse(
-        design_name=str(meta["design_name"]),
-        faults=faults,
-        cells=cells,
-        cell_index=cell_index,
-        fault_cell=fault_cell,
-        fault_mask=fault_mask,
-        uncollapsed_count=int(meta["uncollapsed_count"]),
-        untestable_count=int(meta["untestable_count"]),
-    )
-    if universe.fault_count != int(meta["fault_count"]):
-        raise CacheError("decoded universe fault count mismatch")
-    return universe
-
-
-# ----------------------------------------------------------------------
-# Gate netlists
-# ----------------------------------------------------------------------
-_GATE_KINDS = ("xor", "and", "or", "not", "buf")
-
-
-def _site_doc(sites: Dict[str, object]) -> Dict[str, Any]:
-    doc: Dict[str, Any] = {}
-    for name, line in sites.items():
-        kind, payload = line  # type: ignore[misc]
-        if kind == "net":
-            doc[name] = ["net", int(payload)]
-        else:
-            doc[name] = ["pins", [[int(g), int(p)] for g, p in payload]]
-    return doc
-
-
-def encode_netlist(nl: GateNetlist) -> Tuple[Arrays, Meta]:
-    gate_kind = np.array([_GATE_KINDS.index(g.kind) for g in nl.gates],
-                        dtype=np.int8)
-    gate_out = np.array([g.out for g in nl.gates], dtype=np.int64)
-    ins_flat: List[int] = []
-    ins_off = [0]
-    for g in nl.gates:
-        ins_flat.extend(g.ins)
-        ins_off.append(len(ins_flat))
-    gate_cell = np.array(
-        [(-1, -1) if g.cell is None else (g.cell.node_id, g.cell.bit)
-         for g in nl.gates], dtype=np.int64).reshape(len(nl.gates), 2)
-    elements = np.array(
-        [(0 if kind == "gate" else 1, idx) for kind, idx in nl.elements],
-        dtype=np.int64).reshape(len(nl.elements), 2)
-    node_ids = sorted(nl.node_bits)
-    nb_flat: List[int] = []
-    nb_off = [0]
-    for nid in node_ids:
-        nb_flat.extend(nl.node_bits[nid])
-        nb_off.append(len(nb_flat))
-    arrays = {
-        "gate_kind": gate_kind,
-        "gate_out": gate_out,
-        "gate_ins": np.array(ins_flat, dtype=np.int64),
-        "gate_ins_off": np.array(ins_off, dtype=np.int64),
-        "gate_cell": gate_cell,
-        "dff_d": np.array([d.d for d in nl.dffs], dtype=np.int64),
-        "dff_q": np.array([d.q for d in nl.dffs], dtype=np.int64),
-        "elements": elements,
-        "input_bits": np.array(nl.input_bits, dtype=np.int64),
-        "output_bits": np.array(nl.output_bits, dtype=np.int64),
-        "node_ids": np.array(node_ids, dtype=np.int64),
-        "node_bits": np.array(nb_flat, dtype=np.int64),
-        "node_bits_off": np.array(nb_off, dtype=np.int64),
-        "names": np.frombuffer("\n".join(nl.names).encode("utf-8"),
-                               dtype=np.uint8),
-    }
-    meta = {
-        "cell_sites": {f"{nid}:{bit}": _site_doc(sites)
-                       for (nid, bit), sites in nl.cell_sites.items()},
-    }
-    return arrays, meta
-
-
-def decode_netlist(arrays: Arrays, meta: Meta) -> GateNetlist:
-    nl = GateNetlist()
-    nl.names = bytes(arrays["names"].tobytes()).decode("utf-8").split("\n")
-    ins_off = arrays["gate_ins_off"]
-    ins_flat = arrays["gate_ins"]
-    gate_cell = arrays["gate_cell"]
-    nl.gates = []
-    for i in range(len(arrays["gate_kind"])):
-        node_id, bit = int(gate_cell[i, 0]), int(gate_cell[i, 1])
-        cell = None if node_id < 0 else GateRef(node_id=node_id, bit=bit)
-        ins = tuple(int(x) for x in
-                    ins_flat[int(ins_off[i]):int(ins_off[i + 1])])
-        nl.gates.append(Gate(kind=_GATE_KINDS[int(arrays["gate_kind"][i])],
-                             out=int(arrays["gate_out"][i]), ins=ins,
-                             cell=cell))
-    nl.dffs = [Dff(d=int(d), q=int(q))
-               for d, q in zip(arrays["dff_d"], arrays["dff_q"])]
-    nl.elements = [("gate" if int(kind) == 0 else "dff", int(idx))
-                   for kind, idx in arrays["elements"]]
-    nl.input_bits = [int(x) for x in arrays["input_bits"]]
-    nl.output_bits = [int(x) for x in arrays["output_bits"]]
-    nb_off = arrays["node_bits_off"]
-    nb_flat = arrays["node_bits"]
-    nl.node_bits = {
-        int(nid): [int(x) for x in nb_flat[int(nb_off[i]):int(nb_off[i + 1])]]
-        for i, nid in enumerate(arrays["node_ids"])
-    }
-    sites_doc = meta.get("cell_sites", {})
-    nl.cell_sites = {}
-    for key, doc in sites_doc.items():
-        nid, bit = key.split(":")
-        sites: Dict[str, object] = {}
-        for name, (kind, payload) in doc.items():
-            if kind == "net":
-                sites[name] = ("net", int(payload))
-            else:
-                sites[name] = ("pins",
-                               tuple((int(g), int(p)) for g, p in payload))
-        nl.cell_sites[(int(nid), int(bit))] = sites
-    return nl
 
 
 # ----------------------------------------------------------------------
@@ -318,21 +111,6 @@ def decode_program(arrays: Arrays, meta: Meta):
                 prog.gate_loc[int(gidx)] = (li, oi, pos)
         prog.levels[li].append(op)
     return prog
-
-
-# ----------------------------------------------------------------------
-# Golden waveforms
-# ----------------------------------------------------------------------
-def encode_golden(golden: np.ndarray) -> Tuple[Arrays, Meta]:
-    out = np.asarray(golden)
-    return {"golden": out}, {"n_vectors": int(out.shape[0])}
-
-
-def decode_golden(arrays: Arrays, meta: Meta) -> np.ndarray:
-    golden = arrays["golden"]
-    if int(meta.get("n_vectors", len(golden))) != len(golden):
-        raise CacheError("golden waveform length mismatch")
-    return golden
 
 
 # ----------------------------------------------------------------------

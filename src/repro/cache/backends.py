@@ -8,8 +8,8 @@ hit/miss accounting; *where the encoded bytes live* is a backend:
   size-cap eviction with hit-refreshed mtimes).
 * :class:`HttpStore` — a remote content-addressed artifact server
   (``repro artifacts serve``) spoken to over plain HTTP, so a fleet of
-  workers shares one pool of compiled netlists, programs and goldens
-  under the same keys.  Remote traffic is mirrored into the
+  workers shares one pool of designs, compiled gate programs and
+  coverage runs under the same keys.  Remote traffic is mirrored into the
   ``cache.remote_bytes_in`` / ``cache.remote_bytes_out`` telemetry
   counters; unreachable servers degrade to a miss (the caller
   recomputes) rather than failing the computation.

@@ -6,13 +6,17 @@ folded in by the store), consults the cache, and falls back to the
 supplied compute callable on a miss, storing the fresh result.  Every
 helper accepts ``cache=None`` and degrades to a plain call, so call
 sites need no conditional plumbing.
+
+Only artifacts that load faster than they build have a helper: designs,
+coverage sessions and compiled gate programs.  Fault universes, gate
+netlists and golden waves are rebuilt in each process, because building
+them is as cheap as loading them or cheaper (``docs/performance.md``,
+"What the cache keeps").
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import artifacts
 from .keys import (
@@ -23,8 +27,7 @@ from .keys import (
 from .store import ArtifactCache
 
 __all__ = [
-    "cached_design", "cached_universe", "cached_netlist",
-    "cached_golden", "cached_coverage",
+    "cached_design", "cached_coverage",
     "cached_gate_program",
 ]
 
@@ -42,34 +45,6 @@ def cached_design(cache: Optional[ArtifactCache], ref: str,
     arrays, meta = artifacts.encode_design(design)
     cache.store("design", payload, arrays, meta)
     return design
-
-
-def cached_universe(cache: Optional[ArtifactCache], design,
-                    compute: Callable):
-    if cache is None:
-        return compute()
-    payload = {"design": design_fingerprint(design)}
-    entry = cache.load("universe", payload)
-    if entry is not None:
-        return artifacts.decode_universe(entry, entry["__meta__"])
-    universe = compute()
-    arrays, meta = artifacts.encode_universe(design.graph, universe)
-    cache.store("universe", payload, arrays, meta)
-    return universe
-
-
-def cached_netlist(cache: Optional[ArtifactCache], design,
-                   compute: Callable):
-    if cache is None:
-        return compute()
-    payload = {"design": design_fingerprint(design)}
-    entry = cache.load("netlist", payload)
-    if entry is not None:
-        return artifacts.decode_netlist(entry, entry["__meta__"])
-    netlist = compute()
-    arrays, meta = artifacts.encode_netlist(netlist)
-    cache.store("netlist", payload, arrays, meta)
-    return netlist
 
 
 def cached_gate_program(cache: Optional[ArtifactCache], nl,
@@ -91,24 +66,6 @@ def cached_gate_program(cache: Optional[ArtifactCache], nl,
     arrays, meta = artifacts.encode_program(program)
     cache.store("gateprog", payload, arrays, meta)
     return program
-
-
-def cached_golden(cache: Optional[ArtifactCache], design, generator,
-                  n_vectors: int, compute: Callable) -> np.ndarray:
-    if cache is None:
-        return compute()
-    payload = {
-        "design": design_fingerprint(design),
-        "generator": generator_fingerprint(generator),
-        "n_vectors": int(n_vectors),
-    }
-    entry = cache.load("golden", payload)
-    if entry is not None:
-        return artifacts.decode_golden(entry, entry["__meta__"])
-    golden = compute()
-    arrays, meta = artifacts.encode_golden(golden)
-    cache.store("golden", payload, arrays, meta)
-    return golden
 
 
 def cached_coverage(cache: Optional[ArtifactCache], design, generator,

@@ -2,7 +2,7 @@
 
 A deliberately small stdlib HTTP server that fronts a
 :class:`~repro.cache.backends.LocalStore` so a fleet of workers shares
-one pool of compiled netlists, programs and goldens.  Because
+one pool of designs, compiled gate programs and coverage runs.  Because
 entries are content-addressed (the key *is* the hash of everything that
 determines the artifact), the protocol needs no coordination: a ``PUT``
 of an existing key is an idempotent no-op-equivalent overwrite of

@@ -16,7 +16,7 @@ The store recovers from corrupted or truncated entries by evicting
 them.  Hit/miss/store/eviction totals are kept per store instance and
 mirrored into the active telemetry collector as ``cache.hit`` /
 ``cache.miss`` / ``cache.store`` / ``cache.evict`` counters (plus
-per-kind variants such as ``cache.hit.universe``); remote backends use
+per-kind variants such as ``cache.hit.coverage``); remote backends use
 the parallel ``cache.remote_hit`` / ``cache.remote_miss`` /
 ``cache.remote_store`` family, so a warm-run assertion is one counter
 read either way.

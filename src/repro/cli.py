@@ -17,8 +17,8 @@ Commands
 ``sweep``     Parallel design x generator coverage grid (cache-backed).
 ``bench``     Serial-vs-parallel throughput benchmark -> JSON report;
               ``--gates`` benches the exact gate engine against its
-              reference oracle, and ``--report`` adds a self-contained
-              HTML run report.
+              reference oracle.  For an HTML run report, run it under
+              ``--trace-out`` and render the trace with ``report``.
 ``serve``     Run the async BIST evaluation service (HTTP + JSON).
 ``cluster``   Shard exact gate-level fault grading across a fleet of
               ``serve`` endpoints and merge the verdicts, coverage
@@ -248,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_grid_flags(sweep, "LFSR-1,LFSR-D,LFSR-M,Ramp", 4096)
 
     bench = sub.add_parser(
-        "bench", parents=[cache_flags, ledger_flags],
+        "bench", parents=[ledger_flags],
         help="time serial vs parallel grid grading; write a JSON report")
     add_grid_flags(bench, "LFSR-1,LFSR-D", 2048)
     bench.add_argument("--out", default="BENCH_parallel.json",
@@ -282,10 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gates-out", default="BENCH_gatesim.json",
                        help="report path for --gates "
                             "(default BENCH_gatesim.json)")
-    bench.add_argument("--report", default=None, metavar="PATH",
-                       help="also write a self-contained HTML run report "
-                            "(span waterfall, stage timings, cache hit "
-                            "rates) for the benchmark session")
 
     recommend = sub.add_parser(
         "recommend", parents=[cache_flags],
@@ -853,7 +849,7 @@ def _cmd_bench_gates(args) -> int:
                               for key in _GATE_COUNTERS}
         if outer.enabled:
             # Fold each isolated run's spans and counters into the
-            # session collector so --profile / --report sees them.
+            # session collector so --profile / --trace-out sees them.
             from .telemetry import collector_payload
 
             outer.absorb(collector_payload(tel))
@@ -948,38 +944,7 @@ def _cmd_bench_gates(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    target = _cmd_bench_gates if args.gates else _cmd_bench_grid
-    if not args.report:
-        return target(args)
-
-    from .telemetry import InMemorySink, get_telemetry, write_run_report
-
-    # --report needs the benchmark's own telemetry: ride along on an
-    # already-active collector (--profile / --trace-out), else install
-    # one for the duration of the run.
-    current = get_telemetry()
-    sink = InMemorySink()
-    previous = None
-    if isinstance(current, Telemetry):
-        tel = current
-        tel.sinks.append(sink)
-    else:
-        tel = Telemetry(sinks=[sink])
-        previous = set_telemetry(tel)
-    try:
-        return target(args)
-    finally:
-        # Snapshot instruments into our private sink only — flushing the
-        # shared collector here would duplicate snapshots in its sinks.
-        for inst in tel.metrics().values():
-            sink.on_event(inst.to_event())
-        if previous is not None:
-            set_telemetry(previous)
-        else:
-            tel.sinks.remove(sink)
-        write_run_report(args.report, sink.events,
-                         title="repro bench report")
-        print(f"wrote bench report to {args.report}")
+    return _cmd_bench_gates(args) if args.gates else _cmd_bench_grid(args)
 
 
 def _cmd_bench_grid(args) -> int:
@@ -992,9 +957,8 @@ def _cmd_bench_grid(args) -> int:
     from .parallel.sweep import SweepTask, run_sweep
 
     designs, gens = _parse_grid(args)  # fail fast on bad names
-    cache = _make_cache(args)
-    # coverage_cache off: timed sessions must grade, not load.
-    ctx = ExperimentContext(cache=cache, coverage_cache=False)
+    # No cache: timed sessions must grade, not load.
+    ctx = ExperimentContext()
     jobs = resolve_jobs(args.jobs)
 
     t0 = time.perf_counter()
@@ -1037,7 +1001,6 @@ def _cmd_bench_grid(args) -> int:
             "generators": gens,
             "vectors": args.vectors,
             "jobs": jobs,
-            "cache": cache is not None,
         },
         "grid": {
             "sessions": len(tasks),
@@ -1641,24 +1604,31 @@ def _cmd_alerts_check(args) -> int:
     from .telemetry.alerts import check_rules, load_rules
 
     rules = load_rules(args.rules)
+    doc = None
     if args.url:
         from .service.client import ServiceClient
 
         source = args.url
         doc = ServiceClient(args.url,
                             client_id="repro-alerts-check").fleet()
-        values = _fleet_doc_values(doc)
     elif args.snapshot:
         source = args.snapshot
         with open(args.snapshot, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        values = _fleet_doc_values(doc)
     else:
         from .cluster.loadtest import loadtest_alert_values
 
         source = args.loadtest
         with open(args.loadtest, "r", encoding="utf-8") as fh:
             values = loadtest_alert_values(json.load(fh))
+    if doc is not None:
+        # The serve-side engine's own merged values: the totals alone
+        # would silently skip every counter and histogram rule.
+        values = doc.get("values")
+        if not isinstance(values, dict):
+            raise ReproError(f"fleet snapshot {source} has no 'values' "
+                             "field; capture it from a current "
+                             "`repro serve` /v1/fleet")
     violations = check_rules(rules, values)
     for violation in violations:
         print(f"alert check FAILED: {violation}", file=sys.stderr)
@@ -1675,37 +1645,6 @@ def _cmd_alerts_check(args) -> int:
         return 1
     print(f"alert check ok ({len(rules)} rule(s) against {source})")
     return 0
-
-
-def _fleet_doc_values(doc) -> dict:
-    """Merged metric values reconstructed from a fleet snapshot doc.
-
-    A live ``/v1/fleet`` endpoint or a saved snapshot file carries the
-    per-worker documents, not the raw instrument snapshots, so the
-    check evaluates against the fleet-level totals plus every
-    per-worker rate summed by name — the same names the serve-side
-    :meth:`~repro.telemetry.fleet.FleetView.merged_values` exposes for
-    gauges, rates and ``fleet.*`` aggregates.
-    """
-    totals = doc.get("totals") or {}
-    values = {
-        "fleet.workers": float(totals.get("workers", 0)),
-        "fleet.workers.live": float(totals.get("live", 0)),
-        "fleet.workers.suspect": float(totals.get("suspect", 0)),
-        "fleet.workers.dead": float(totals.get("dead", 0)),
-        "fleet.faults_per_sec": float(totals.get("faults_per_sec", 0.0)),
-        "fleet.queue_depth": float(totals.get("queue_depth", 0)),
-    }
-    restarts = 0
-    for worker in doc.get("workers") or []:
-        restarts += int(worker.get("restarts", 0))
-        if worker.get("state") == "dead":
-            continue
-        for name, rate in (worker.get("rates") or {}).items():
-            key = f"{name}.rate" if not name.endswith(".rate") else name
-            values[key] = values.get(key, 0.0) + float(rate)
-    values["fleet.restarts"] = float(restarts)
-    return values
 
 
 def _cmd_alerts(args) -> int:

@@ -1,14 +1,15 @@
 """Shared experiment parameters and the memoizing experiment context.
 
 All tables and figures draw from the same few coverage runs; the
-:class:`ExperimentContext` caches designs, fault universes and coverage
-sessions so a full benchmark sweep builds each once.  Give it an
-:class:`~repro.cache.ArtifactCache` (or set ``$REPRO_CACHE_DIR``) and
-the memo tables become cache-backed: a rerun in a fresh process loads
-universes, netlists, golden waveforms and coverage arrays from disk
-instead of recomputing them.  :func:`repro.parallel.sweep.run_sweep`
-fans design x generator grids out across worker processes and adopts
-the results into the same memo.
+:class:`ExperimentContext` memoizes designs, fault universes, gate
+netlists and coverage sessions so a full benchmark sweep builds each
+once per process.  Give it an :class:`~repro.cache.ArtifactCache`
+(whose default directory is ``$REPRO_CACHE_DIR``) and designs and
+coverage sessions become cache-backed: a rerun in a fresh process loads
+them from disk instead of recomputing them.  Universes and netlists are rebuilt in each
+process, because that is as fast as loading them or faster.
+:func:`repro.parallel.sweep.run_sweep` fans design x generator grids
+out across worker processes and adopts the results into the same memo.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from ..faultsim.dictionary import FaultUniverse, build_fault_universe
 from ..faultsim.engine import CoverageResult, run_fault_coverage
 from ..filters.reference import (
@@ -27,7 +26,7 @@ from ..filters.reference import (
     highpass_design,
     lowpass_design,
 )
-from ..generators.base import TestGenerator, match_width
+from ..generators.base import TestGenerator
 from ..generators.mixed import MixedModeLfsr
 from ..generators.ramp import RampGenerator
 from ..generators.variants import (
@@ -77,7 +76,7 @@ DEFAULT_CONFIG = ExperimentConfig()
 
 
 class ExperimentContext:
-    """Caches designs, universes and coverage sessions across experiments.
+    """Memoizes designs, universes and coverage sessions across experiments.
 
     Parameters
     ----------
@@ -85,20 +84,15 @@ class ExperimentContext:
         Experiment knobs; defaults to :meth:`ExperimentConfig.from_env`.
     cache:
         Optional :class:`~repro.cache.ArtifactCache`.  When present,
-        every memoized artifact is also persisted content-addressed on
-        disk and reloaded on later runs (in this or any process).
-    coverage_cache:
-        When ``False``, coverage sessions are always recomputed even
-        with a cache attached (designs/universes/netlists stay
-        cache-backed) — the knob ``repro bench`` uses so timed sessions
-        measure real grading work.
+        designs and coverage sessions are also persisted
+        content-addressed on disk and reloaded on later runs (in this
+        or any process).
     """
 
     def __init__(self, config: Optional[ExperimentConfig] = None,
-                 cache=None, coverage_cache: bool = True):
+                 cache=None):
         self.config = config or ExperimentConfig.from_env()
         self.cache = cache
-        self.coverage_cache = coverage_cache
         self._designs: Optional[Dict[str, FilterDesign]] = None
         self._universes: Dict[str, FaultUniverse] = {}
         self._netlists: Dict[str, object] = {}
@@ -108,17 +102,6 @@ class ExperimentContext:
         #: :func:`repro.cluster.shards.prepared_problem`.
         self.grading_memo = None
         self.grading_lock = threading.Lock()
-
-    @classmethod
-    def from_env(cls, config: Optional[ExperimentConfig] = None
-                 ) -> "ExperimentContext":
-        """A context whose cache follows ``$REPRO_CACHE_DIR`` (if set)."""
-        cache = None
-        if os.environ.get("REPRO_CACHE_DIR"):
-            from ..cache import ArtifactCache
-
-            cache = ArtifactCache()
-        return cls(config=config, cache=cache)
 
     # ------------------------------------------------------------------
     # Designs and fault universes
@@ -151,41 +134,17 @@ class ExperimentContext:
 
     def universe(self, name: str) -> FaultUniverse:
         if name not in self._universes:
-            from ..cache import cached_universe
-
-            design = self.designs[name]
-            self._universes[name] = cached_universe(
-                self.cache, design,
-                lambda: build_fault_universe(design.graph, name=name))
+            self._universes[name] = build_fault_universe(
+                self.designs[name].graph, name=name)
         return self._universes[name]
 
     def netlist(self, name: str):
-        """The design's elaborated gate netlist (cache-backed)."""
+        """The design's elaborated gate netlist."""
         if name not in self._netlists:
-            from ..cache import cached_netlist
             from ..gates.netlist import elaborate
 
-            design = self.designs[name]
-            self._netlists[name] = cached_netlist(
-                self.cache, design, lambda: elaborate(design.graph))
+            self._netlists[name] = elaborate(self.designs[name].graph)
         return self._netlists[name]
-
-    def golden(self, name: str, generator: TestGenerator,
-               n_vectors: int) -> np.ndarray:
-        """Fault-free gate-level output waveform (cache-backed)."""
-        from ..cache import cached_golden
-
-        design = self.designs[name]
-
-        def compute() -> np.ndarray:
-            from ..gates.gatesim import simulate_netlist
-
-            raw = generator.sequence(n_vectors)
-            raw = match_width(raw, generator.width, design.input_fmt.width)
-            return simulate_netlist(self.netlist(name), raw)["output"]
-
-        return cached_golden(self.cache, design, generator, n_vectors,
-                             compute)
 
     # ------------------------------------------------------------------
     # Generators
@@ -225,8 +184,7 @@ class ExperimentContext:
             design = self.designs[design_name]
             universe = self.universe(design_name)
             self._coverage[key] = cached_coverage(
-                self.cache if self.coverage_cache else None,
-                design, generator, n_vectors, universe,
+                self.cache, design, generator, n_vectors, universe,
                 lambda: run_fault_coverage(design, generator, n_vectors,
                                            universe=universe))
         return self._coverage[key]

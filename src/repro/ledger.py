@@ -34,7 +34,7 @@ import os
 import statistics
 import subprocess
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from .cache.keys import stable_hash
 from .errors import LedgerError
@@ -297,10 +297,18 @@ def trend_check(records: List[Dict[str, Any]], metric: str, *,
 
 
 class RunLedger:
-    """Append-only JSONL registry of run records under one directory."""
+    """Append-only JSONL registry of run records under one directory.
+
+    One object is used from one thread; any number of objects, in this
+    or other processes, may append to the same file.
+    """
 
     def __init__(self, root: Optional[str] = None):
         self.root = os.path.abspath(root if root else default_ledger_dir())
+        #: Ids of the records read so far, and the byte offset of the
+        #: file read up to: :meth:`append` parses only the lines past it.
+        self._ids: Set[str] = set()
+        self._offset = 0
 
     @property
     def path(self) -> str:
@@ -316,24 +324,59 @@ class RunLedger:
         """Validate and append one record; returns its id.
 
         Content addressing makes appends idempotent: a record whose id
-        is already present is not written again.  The write is a single
-        ``write()`` of one ``\\n``-terminated line on a file opened in
-        append mode, so concurrent appenders interleave whole records.
+        is already present is not written again.  The duplicate check
+        parses only the lines appended since this ledger's last read, by
+        any writer, so an append costs O(new lines).  The write is a
+        single ``write()`` of one ``\\n``-terminated line on a file
+        opened in append mode, so concurrent appenders interleave whole
+        records.
         """
         validate_record(record)
         rid = str(record["id"])
-        if any(r["id"] == rid for r in self.records()):
+        self._read_new_ids()
+        if rid in self._ids:
             return rid
         os.makedirs(self.root, exist_ok=True)
         line = json.dumps(record, sort_keys=True,
                           separators=(",", ":")) + "\n"
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line)
+        self._ids.add(rid)
         tel = get_telemetry()
         if tel.enabled:
             tel.counter("ledger.records_appended").add(1)
             tel.counter(f"ledger.records.{record['kind']}").add(1)
         return rid
+
+    def _read_new_ids(self) -> None:
+        """Index the ids on the complete lines past the read offset.
+
+        A file shorter than the offset was truncated or replaced, and
+        is re-read from the start.
+        """
+        try:
+            size = os.path.getsize(self.path)
+        except FileNotFoundError:
+            size = 0
+        if size < self._offset:
+            self._ids.clear()
+            self._offset = 0
+        if size == self._offset:
+            return
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            chunk = fh.read()
+        # An unterminated last line waits for its newline.
+        complete = chunk[:chunk.rfind(b"\n") + 1]
+        for line in complete.splitlines():
+            if not line.strip():
+                continue
+            try:
+                self._ids.add(str(json.loads(line).get("id")))
+            except (ValueError, AttributeError) as exc:
+                raise LedgerError(
+                    f"{self.path}: unreadable ledger line: {exc}") from None
+        self._offset += len(complete)
 
     # ------------------------------------------------------------------
     # Reading

@@ -16,15 +16,12 @@ independent.  This package supplies the substrate:
 from .gatework import gate_level_missed_parallel
 from .pool import default_chunk_size, parallel_map, resolve_jobs
 from .sweep import (
-    GENERATOR_KEYS,
     SweepResult,
     SweepTask,
     run_sweep,
-    sweep_generator,
 )
 
 __all__ = [
-    "GENERATOR_KEYS",
     "SweepResult",
     "SweepTask",
     "default_chunk_size",
@@ -32,5 +29,4 @@ __all__ = [
     "parallel_map",
     "resolve_jobs",
     "run_sweep",
-    "sweep_generator",
 ]

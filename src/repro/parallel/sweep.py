@@ -21,27 +21,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParallelError
-from ..generators.base import TestGenerator
-from ..generators.mixed import MixedModeLfsr
-from ..generators.ramp import RampGenerator
-from ..generators.variants import (
-    DecorrelatedLfsr,
-    MaxVarianceLfsr,
-    Type1Lfsr,
-    Type2Lfsr,
-)
+from ..resolve import make_generator
 from .pool import parallel_map
 
-__all__ = ["SweepTask", "SweepResult", "run_sweep", "sweep_generator",
-           "GENERATOR_KEYS"]
-
-#: Generator keys a sweep task may name (the paper's Tables 4-6 set).
-GENERATOR_KEYS = ("LFSR-1", "LFSR-2", "LFSR-D", "LFSR-M", "Ramp", "Mixed")
+__all__ = ["SweepTask", "SweepResult", "run_sweep"]
 
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One coverage session of a grid, identified by content."""
+    """One coverage session of a grid, identified by content.
+
+    ``generator`` is any spelling :func:`~repro.resolve.make_generator`
+    accepts; grids use the sweep keys (``LFSR-1`` ... ``Mixed``).
+    """
 
     design: str
     generator: str
@@ -62,24 +54,6 @@ class SweepResult:
     fault_count: int
 
 
-def sweep_generator(key: str, width: int, n_vectors: int) -> TestGenerator:
-    """Instantiate the generator a sweep task names."""
-    if key == "LFSR-1":
-        return Type1Lfsr(width)
-    if key == "LFSR-2":
-        return Type2Lfsr(width)
-    if key == "LFSR-D":
-        return DecorrelatedLfsr(width)
-    if key == "LFSR-M":
-        return MaxVarianceLfsr(width)
-    if key == "Ramp":
-        return RampGenerator(width)
-    if key == "Mixed":
-        return MixedModeLfsr(width, switch_after=n_vectors // 2)
-    raise ParallelError(f"unknown sweep generator {key!r}; "
-                        f"choose from {GENERATOR_KEYS}")
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -88,8 +62,7 @@ _WORKER_CTX: Dict[str, Any] = {}
 
 
 def _init_sweep_worker(cache_dir: Optional[str],
-                       max_bytes: Optional[int],
-                       coverage_cache: bool = True) -> None:
+                       max_bytes: Optional[int]) -> None:
     from ..experiments.config import ExperimentContext
 
     cache = None
@@ -97,7 +70,7 @@ def _init_sweep_worker(cache_dir: Optional[str],
         from ..cache import ArtifactCache
 
         cache = ArtifactCache(cache_dir, max_bytes=max_bytes)
-    ctx = ExperimentContext(cache=cache, coverage_cache=coverage_cache)
+    ctx = ExperimentContext(cache=cache)
     # Under the fork start method the parent context (designs, universes,
     # netlists already materialized) rides into the child for free; adopt
     # its heavyweight artifacts but never its graded-session memo, so
@@ -115,7 +88,7 @@ def _run_sweep_task(task: SweepTask) -> SweepResult:
     if ctx is None:  # spawned outside parallel_map's initializer
         _init_sweep_worker(None, None)
         ctx = _WORKER_CTX["ctx"]
-    gen = sweep_generator(task.generator, task.width, task.n_vectors)
+    gen = make_generator(task.generator, task.width, task.n_vectors)
     result = ctx.coverage(task.design, gen, task.n_vectors)
     return SweepResult(task=task,
                        detect_time=np.asarray(result.detect_time,
@@ -153,13 +126,13 @@ def run_sweep(
         context.universe(task.design)  # warm before forking
 
     cache = context.cache
-    initargs = ((None, None, True) if cache is None
-                else (cache.root, cache.max_bytes, context.coverage_cache))
+    initargs = ((None, None) if cache is None
+                else (cache.root, cache.max_bytes))
 
     def _serial(chunk: Sequence[SweepTask]) -> List[SweepResult]:
         out = []
         for task in chunk:
-            gen = sweep_generator(task.generator, task.width, task.n_vectors)
+            gen = make_generator(task.generator, task.width, task.n_vectors)
             result = context.coverage(task.design, gen, task.n_vectors)
             out.append(SweepResult(
                 task=task,
@@ -185,7 +158,7 @@ def run_sweep(
                 f"worker graded {shipped.fault_count} faults for "
                 f"{task.design} but parent universe has "
                 f"{universe.fault_count}")
-        gen = sweep_generator(task.generator, task.width, task.n_vectors)
+        gen = make_generator(task.generator, task.width, task.n_vectors)
         result = coverage_from_detect_times(
             universe, shipped.detect_time, task.n_vectors,
             design_name=task.design, generator_name=gen.name)

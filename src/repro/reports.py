@@ -153,7 +153,8 @@ def _check_loadtest(doc: Dict[str, Any]) -> None:
 
 
 def _check_fleet(doc: Dict[str, Any]) -> None:
-    _require(doc, ("generated_unix", "workers", "totals"), "fleet report")
+    _require(doc, ("generated_unix", "workers", "totals", "values"),
+             "fleet report")
     totals = doc["totals"]
     _require(totals, ("workers", "live", "suspect", "dead"),
              "fleet report [totals]")

@@ -68,10 +68,8 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
             "proposed_scheme": scheme.name,
         }
     if kind == "grade":
-        from ..parallel.sweep import sweep_generator
-
-        gen = sweep_generator(params["generator"], params["width"],
-                              params["vectors"])
+        gen = make_generator(params["generator"], params["width"],
+                             params["vectors"])
         result = ctx.coverage(params["design"], gen, params["vectors"])
         return {
             "design": params["design"],

@@ -404,7 +404,11 @@ class FleetView:
         return values
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """The ``GET /v1/fleet`` document (``repro-fleet/1``)."""
+        """The ``GET /v1/fleet`` document (``repro-fleet/1``).
+
+        ``values`` is :meth:`merged_values`, so ``repro alerts check``
+        on this document evaluates what the serve-side engine does.
+        """
         now = time.time() if now is None else now
         counts = self.counts()
         workers = [self.workers[name].to_doc(now)
@@ -429,6 +433,7 @@ class FleetView:
                                 for w in workers
                                 if w["state"] != "dead"),
             },
+            "values": self.merged_values(),
         }
 
     # ------------------------------------------------------------------

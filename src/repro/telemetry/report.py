@@ -1,8 +1,8 @@
 """Self-contained HTML run reports from JSONL trace files.
 
-``repro report --trace run.jsonl`` (and ``repro bench --report``) turn
-any telemetry trace — a ``--trace-out`` file, a service's trace log —
-into one dependency-free HTML page:
+``repro report --trace run.jsonl`` turns any telemetry trace — a
+``--trace-out`` file of any command, ``bench`` included, or a service's
+trace log — into one dependency-free HTML page:
 
 * a **waterfall** of the span forest (depth-indented rows, bars scaled
   to the trace's wall-clock extent, per-process colour),

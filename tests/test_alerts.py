@@ -156,3 +156,52 @@ class TestCheckRules:
         # A field the saved report lacks is left to the rule's policy.
         del saved["busy_rate"]
         assert "loadtest.busy_rate" not in loadtest_alert_values(saved)
+
+
+class TestCheckSnapshot:
+    """``repro alerts check --snapshot`` evaluates the values the
+    serve-side engine does, counters and histograms included."""
+
+    RULES = (dict(DEAD_RULE, name="failed-jobs",
+                  metric="service.jobs.failed", threshold=1),
+             dict(DEAD_RULE, name="slow-requests",
+                  metric="service.request_seconds.p99", op=">",
+                  threshold=5.0))
+
+    def snapshot(self):
+        from repro.telemetry import FleetView, Telemetry, build_heartbeat
+
+        tel = Telemetry()
+        tel.counter("service.jobs.failed").add(3)
+        for _ in range(10):
+            tel.histogram("service.request_seconds").observe(5.9)
+        beat = build_heartbeat(tel, worker="w1", seq=1, interval=1.0)
+        view = FleetView()
+        view.observe(beat, now=beat["unix"])
+        return view.snapshot(now=beat["unix"])
+
+    def check(self, tmp_path, snapshot):
+        from repro.cli import main
+
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(rules_doc(*self.RULES)))
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(snapshot))
+        return main(["alerts", "check", "--rules", str(rules),
+                     "--snapshot", str(path), "--no-ledger"])
+
+    def test_counter_and_histogram_rules_fail_the_check(self, tmp_path,
+                                                        capsys):
+        assert self.check(tmp_path, self.snapshot()) == 1
+        err = capsys.readouterr().err
+        assert "failed-jobs: service.jobs.failed >= 1 breached (value 3)" \
+            in err
+        assert "slow-requests: service.request_seconds.p99 > 5 breached " \
+            "(value 5.9)" in err
+
+    def test_snapshot_without_values_is_an_error(self, tmp_path, capsys):
+        doc = self.snapshot()
+        del doc["values"]
+        assert self.check(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "'values'" in err and "alert check ok" not in err

@@ -10,27 +10,15 @@ import pytest
 from repro.cache import (
     ArtifactCache,
     cached_coverage,
-    cached_universe,
     code_version,
     default_cache_dir,
     design_fingerprint,
     generator_fingerprint,
     stable_hash,
 )
-from repro.cache.artifacts import (
-    decode_coverage,
-    decode_golden,
-    decode_netlist,
-    decode_universe,
-    encode_coverage,
-    encode_golden,
-    encode_netlist,
-    encode_universe,
-)
+from repro.cache.artifacts import decode_coverage, encode_coverage
 from repro.errors import CacheError
 from repro.faultsim import build_fault_universe, run_fault_coverage
-from repro.gates.gatesim import simulate_netlist
-from repro.gates.netlist import elaborate
 from repro.generators import Type1Lfsr
 
 from helpers import build_small_design
@@ -149,33 +137,6 @@ class TestStore:
 
 
 class TestArtifactCodecs:
-    def test_universe_roundtrip(self, small_design):
-        fresh = build_fault_universe(small_design.graph, name="small")
-        arrays, meta = encode_universe(small_design.graph, fresh)
-        decoded = decode_universe(
-            {k: np.asarray(v) for k, v in arrays.items()}, meta)
-        assert decoded.fault_count == fresh.fault_count
-        for a, b in zip(fresh.faults, decoded.faults):
-            assert a.node_id == b.node_id
-            assert a.bit == b.bit
-            assert a.effective_mask == b.effective_mask
-            assert a.cell_fault.name == b.cell_fault.name
-
-    def test_netlist_roundtrip_simulates_identically(self, small_design):
-        nl = elaborate(small_design.graph)
-        arrays, meta = encode_netlist(nl)
-        decoded = decode_netlist(
-            {k: np.asarray(v) for k, v in arrays.items()}, meta)
-        raw = Type1Lfsr(small_design.input_fmt.width).sequence(64)
-        np.testing.assert_array_equal(
-            simulate_netlist(nl, raw)["output"],
-            simulate_netlist(decoded, raw)["output"])
-
-    def test_golden_roundtrip(self):
-        wave = np.arange(-8, 8, dtype=np.int64)
-        arrays, meta = encode_golden(wave)
-        np.testing.assert_array_equal(decode_golden(arrays, meta), wave)
-
     def test_coverage_roundtrip(self, small_design):
         universe = build_fault_universe(small_design.graph, name="small")
         gen = Type1Lfsr(small_design.input_fmt.width)
@@ -192,28 +153,21 @@ class TestArtifactCodecs:
 
 class TestPipeline:
     def test_none_cache_computes(self, small_design):
+        universe = build_fault_universe(small_design.graph, name="small")
+        gen = Type1Lfsr(small_design.input_fmt.width)
         calls = []
 
         def compute():
             calls.append(1)
-            return build_fault_universe(small_design.graph, name="small")
+            return run_fault_coverage(small_design, gen, 64,
+                                      universe=universe)
 
-        u1 = cached_universe(None, small_design, compute)
-        u2 = cached_universe(None, small_design, compute)
+        r1 = cached_coverage(None, small_design, gen, 64, universe, compute)
+        r2 = cached_coverage(None, small_design, gen, 64, universe, compute)
         assert len(calls) == 2
-        assert u1.fault_count == u2.fault_count
+        np.testing.assert_array_equal(r1.detect_time, r2.detect_time)
 
-    def test_universe_cached_second_call_hits(self, cache, small_design):
-        def compute():
-            return build_fault_universe(small_design.graph, name="small")
-
-        u1 = cached_universe(cache, small_design, compute)
-        u2 = cached_universe(cache, small_design, compute)
-        assert cache.stats.by_kind["universe"] == {
-            "misses": 1, "stores": 1, "hits": 1}
-        assert u2.fault_count == u1.fault_count
-
-    def test_coverage_cache_identical_to_fresh(self, cache, small_design):
+    def test_cached_coverage_identical_to_fresh(self, cache, small_design):
         """Cached results are byte-identical to a --no-cache run."""
         universe = build_fault_universe(small_design.graph, name="small")
         gen = Type1Lfsr(small_design.input_fmt.width)
@@ -244,16 +198,41 @@ class TestExperimentContextIntegration:
         cold = ExperimentContext(cache=ArtifactCache(root))
         gen = cold.standard_generators()["LFSR-1"]
         r1 = cold.coverage("LP", gen, gen_vectors)
-        assert cold.cache.stats.hits == 0
-        assert cold.cache.stats.stores >= 3  # design + universe + coverage
+        # All three designs, then LP's one session.
+        assert cold.cache.stats.by_kind == {
+            "design": {"misses": 3, "stores": 3},
+            "coverage": {"misses": 1, "stores": 1}}
 
         warm = ExperimentContext(cache=ArtifactCache(root))
         gen = warm.standard_generators()["LFSR-1"]
         r2 = warm.coverage("LP", gen, gen_vectors)
-        assert warm.cache.stats.misses == 0
-        assert warm.cache.stats.stores == 0
-        assert warm.cache.stats.hits >= 3
+        assert warm.cache.stats.by_kind == {
+            "design": {"hits": 3}, "coverage": {"hits": 1}}
         np.testing.assert_array_equal(r1.detect_time, r2.detect_time)
+
+    def test_universe_and_netlist_are_never_cached(self, tmp_path):
+        """Only designs and coverage sessions reach the store; universes
+        and netlists are in-process memos."""
+        from repro.experiments import ExperimentContext
+
+        root = str(tmp_path / "store")
+        contexts, runs = [], []
+        for _ in range(2):
+            ctx = ExperimentContext(cache=ArtifactCache(root))
+            gen = ctx.standard_generators()["LFSR-1"]
+            runs.append(ctx.coverage("LP", gen, 128))
+            ctx.universe("LP")
+            ctx.netlist("LP")
+            contexts.append(ctx)
+        cold, warm = (c.cache.stats for c in contexts)
+        stored = {kind for kind, per in cold.by_kind.items()
+                  if per.get("stores")}
+        assert stored == {"design", "coverage"}
+        assert set(os.listdir(root)) == {"design", "coverage"}
+        assert warm.misses == warm.stores == 0
+        assert warm.hits == 4  # three designs and the session
+        np.testing.assert_array_equal(runs[0].detect_time,
+                                      runs[1].detect_time)
 
     def test_rehydrated_design_keeps_spec(self, tmp_path):
         from repro.experiments import ExperimentContext

@@ -1,6 +1,7 @@
 """Run ledger: records, content addressing, trend gate, ``repro runs``."""
 
 import json
+import os
 
 import pytest
 
@@ -82,6 +83,42 @@ class TestLedgerFile:
         rec = bench_record(100000.0)
         assert led.append(rec) == led.append(dict(rec))
         assert len(led) == 1
+
+    def test_append_parses_each_line_once(self, tmp_path, monkeypatch):
+        """An append parses only the lines written since the ledger's
+        last read, yet two ledgers on one file never write an id twice."""
+        records = [bench_record(1000.0 + i) for i in range(300)]
+        led = RunLedger(str(tmp_path))
+        parsed = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(1)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        for rec in records:
+            led.append(rec)
+        assert len(parsed) <= 2 * len(records)
+        monkeypatch.undo()
+
+        size = os.path.getsize(led.path)
+        other = RunLedger(str(tmp_path))
+        assert other.append(records[0]) == records[0]["id"]
+        assert os.path.getsize(led.path) == size
+        fresh = bench_record(5.0)
+        other.append(fresh)
+        led.append(fresh)  # written by the other ledger: not again
+        assert [r["id"] for r in led.records()].count(fresh["id"]) == 1
+
+    def test_append_rereads_a_shortened_file(self, tmp_path):
+        led = RunLedger(str(tmp_path))
+        rec = bench_record(100000.0)
+        led.append(rec)
+        led.append(bench_record(200000.0))
+        open(led.path, "w").close()
+        led.append(rec)
+        assert [r["id"] for r in led.records()] == [rec["id"]]
 
     def test_validate_flags_corrupt_line(self, tmp_path):
         led = RunLedger(str(tmp_path))

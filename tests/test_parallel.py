@@ -12,15 +12,14 @@ import pytest
 
 from repro.errors import ParallelError
 from repro.parallel import (
-    GENERATOR_KEYS,
     SweepTask,
     default_chunk_size,
     gate_level_missed_parallel,
     parallel_map,
     resolve_jobs,
     run_sweep,
-    sweep_generator,
 )
+from repro.resolve import SWEEP_GENERATOR_KEYS, UnknownNameError, make_generator
 
 from helpers import build_small_design
 
@@ -125,13 +124,13 @@ class TestParallelMap:
 
 class TestSweep:
     def test_generator_keys_constructible(self):
-        for key in GENERATOR_KEYS:
-            gen = sweep_generator(key, 12, 256)
+        for key in SWEEP_GENERATOR_KEYS:
+            gen = make_generator(key, 12, 256)
             assert len(gen.sequence(4)) == 4
 
     def test_unknown_generator(self):
-        with pytest.raises(ParallelError):
-            sweep_generator("FM", 12, 256)
+        with pytest.raises(UnknownNameError):
+            make_generator("FM", 12, 256)
 
     def test_unknown_design_rejected(self, ctx):
         with pytest.raises(ParallelError):
@@ -151,7 +150,7 @@ class TestSweep:
         ctx.reset_coverage()
         task = SweepTask("LP", "LFSR-D", 96)
         (result,) = run_sweep(ctx, [task], jobs=1)
-        gen = sweep_generator("LFSR-D", 12, 96)
+        gen = make_generator("LFSR-D", 12, 96)
         assert ctx.coverage("LP", gen, 96) is result
         ctx.reset_coverage()
 
@@ -225,7 +224,7 @@ class TestCliSweepBench:
 
         out_path = str(tmp_path / "bench.json")
         assert main(["bench", "--designs", "LP", "--generators", "LFSR-1",
-                     "--vectors", "96", "--jobs", "2", "--no-cache",
+                     "--vectors", "96", "--jobs", "2",
                      "--out", out_path, "--check", "--threshold", "0.0"]) == 0
         report = json.loads(open(out_path).read())
         assert report["schema"] == "repro-bench-parallel/1"

@@ -83,6 +83,7 @@ def _fleet():
              "last_seen_unix": 1699999990.0},
         ],
         "totals": {"workers": 2, "live": 1, "suspect": 0, "dead": 1},
+        "values": {"fleet.workers": 2.0, "fleet.workers.dead": 1.0},
     }
 
 
@@ -183,6 +184,12 @@ class TestRejections:
         doc = _fleet()
         doc["totals"]["live"] = 2
         with pytest.raises(ReportSchemaError, match="workers"):
+            validate_report(doc)
+
+    def test_fleet_without_alert_values(self):
+        doc = _fleet()
+        del doc["values"]
+        with pytest.raises(ReportSchemaError, match="values"):
             validate_report(doc)
 
 

@@ -420,16 +420,18 @@ class TestCliIntegration:
         assert "Span waterfall" in page
         assert "run.jsonl" in page  # title names the source trace
 
-    def test_bench_report(self, tmp_path, capsys):
+    def test_bench_report(self, tmp_path):
         from repro.cli import main
 
+        trace = tmp_path / "bench.jsonl"
         report = tmp_path / "bench.html"
-        rc = main(["bench", "--designs", "LP", "--generators", "LFSR-1",
-                   "--vectors", "96", "--jobs", "2", "--no-cache",
-                   "--out", str(tmp_path / "bench.json"),
-                   "--report", str(report)])
+        rc = main(["--trace-out", str(trace), "bench", "--designs", "LP",
+                   "--generators", "LFSR-1", "--vectors", "96",
+                   "--jobs", "2", "--out", str(tmp_path / "bench.json")])
+        assert rc == 0
+        rc = main(["report", "--trace", str(trace), "--out", str(report)])
         assert rc == 0
         page = report.read_text()
         assert "Span waterfall" in page
         assert "Wall time by stage" in page
-        assert "wrote bench report" in capsys.readouterr().out
+        assert "Latency histograms" in page
