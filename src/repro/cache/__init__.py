@@ -3,19 +3,20 @@
 The paper's experiment grids recompute the same artifacts on every
 invocation.  This package gives the ones that load faster than they
 build — reference designs, full coverage runs and compiled gate
-programs — a durable home: an on-disk npz store addressed by a stable
-hash of *everything that determines the artifact's content* (design
-fingerprint, generator configuration, vector count, code version), with
-atomic writes, LRU size-cap eviction and telemetry-visible hit/miss
-counters.  Fault universes, gate netlists and golden waves are rebuilt
-in each process instead.
+programs — a durable home: one local directory of npz entries addressed
+by a stable hash of *everything that determines the artifact's content*
+(design fingerprint, generator configuration, vector count, code
+version), with atomic writes, LRU size-cap eviction and
+telemetry-visible hit/miss counters.  Fault universes, gate netlists
+and golden waves are rebuilt in each process instead, and each
+``repro serve`` worker of a fleet keeps its own directory.
 
 Typical use::
 
     from repro.cache import ArtifactCache
     from repro.experiments import ExperimentContext
 
-    ctx = ExperimentContext(cache=ArtifactCache("~/.cache/repro"))
+    ctx = ExperimentContext(cache=ArtifactCache(".repro-cache"))
     ctx.coverage("LP", gen, 4096)   # second process-run: pure cache hits
 
 or from the CLI: ``python -m repro sweep --cache-dir PATH`` /
@@ -23,7 +24,6 @@ or from the CLI: ``python -m repro sweep --cache-dir PATH`` /
 and the package version, so upgrades never read stale encodings.
 """
 
-from .backends import HttpStore, LocalStore, StoreBackend, safe_component
 from .keys import (
     CACHE_SCHEMA,
     code_version,
@@ -37,12 +37,15 @@ from .pipeline import (
     cached_design,
     cached_gate_program,
 )
-from .server import ArtifactServer
-from .store import ArtifactCache, CacheStats, default_cache_dir
+from .store import (
+    ArtifactCache,
+    CacheStats,
+    default_cache_dir,
+    safe_component,
+)
 
 __all__ = [
     "ArtifactCache",
-    "ArtifactServer",
     "CACHE_SCHEMA",
     "CacheStats",
     "cached_coverage",
@@ -52,10 +55,7 @@ __all__ = [
     "default_cache_dir",
     "design_fingerprint",
     "generator_fingerprint",
-    "HttpStore",
-    "LocalStore",
     "netlist_fingerprint",
     "safe_component",
     "stable_hash",
-    "StoreBackend",
 ]

@@ -1,25 +1,19 @@
 """Content-addressed artifact store.
 
-Entries are ``.npz`` documents addressed by ``(kind, hash)`` where
+Entries are ``.npz`` documents at ``<root>/<kind>/<hash>.npz``, where
 ``hash`` is the :func:`~repro.cache.keys.stable_hash` of the key
-payload.  *Where the bytes live* is a pluggable
-:class:`~repro.cache.backends.StoreBackend`: the default
-:class:`~repro.cache.backends.LocalStore` keeps the original on-disk
-layout (``<root>/<kind>/<hash>.npz``, atomic ``os.replace`` writes,
-LRU size-cap eviction with hit-refreshed mtimes), while
-:class:`~repro.cache.backends.HttpStore` shares one artifact server
-across a worker fleet — pass an ``http://host:port`` URL where a
-directory is expected (``--cache-dir``, ``$REPRO_CACHE_DIR``) and the
-cache goes remote with the same keys.
+payload.  Writes land in a same-directory temp file and are published
+with an atomic ``os.replace``, so a reader never sees a torn entry; a
+hit refreshes the entry's mtime, and after every store the
+least-recently-used entries are evicted until the store fits its size
+cap.
 
 The store recovers from corrupted or truncated entries by evicting
 them.  Hit/miss/store/eviction totals are kept per store instance and
 mirrored into the active telemetry collector as ``cache.hit`` /
 ``cache.miss`` / ``cache.store`` / ``cache.evict`` counters (plus
-per-kind variants such as ``cache.hit.coverage``); remote backends use
-the parallel ``cache.remote_hit`` / ``cache.remote_miss`` /
-``cache.remote_store`` family, so a warm-run assertion is one counter
-read either way.
+per-kind variants such as ``cache.hit.coverage``), so a warm-run
+assertion is one counter read.
 """
 
 from __future__ import annotations
@@ -28,6 +22,7 @@ import io
 import json
 import logging
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -35,10 +30,10 @@ import numpy as np
 
 from ..errors import CacheError
 from ..telemetry import get_telemetry
-from .backends import HttpStore, LocalStore, StoreBackend
 from .keys import code_version, stable_hash
 
-__all__ = ["ArtifactCache", "CacheStats", "default_cache_dir"]
+__all__ = ["ArtifactCache", "CacheStats", "default_cache_dir",
+           "safe_component"]
 
 logger = logging.getLogger(__name__)
 
@@ -48,13 +43,21 @@ DEFAULT_MAX_BYTES = 2 << 30
 #: Key under which the JSON metadata document rides inside each npz.
 _META = "__meta__"
 
+#: Characters allowed in kinds and keys — everything the pipeline emits
+#: (hex hashes, short kind names); rejects path traversal outright.
+_SAFE = frozenset("abcdefghijklmnopqrstuvwxyz"
+                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
+
+
+def safe_component(name: str) -> str:
+    """Validate one path component of an artifact address."""
+    if not name or name in (".", "..") or not set(name) <= _SAFE:
+        raise CacheError(f"unsafe artifact path component {name!r}")
+    return name
+
 
 def default_cache_dir() -> str:
-    """``$REPRO_CACHE_DIR``, or a per-user cache directory.
-
-    The environment value may also be an ``http://`` artifact-server
-    URL (see :class:`~repro.cache.backends.HttpStore`).
-    """
+    """``$REPRO_CACHE_DIR``, or a per-user cache directory."""
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         return env
@@ -86,29 +89,23 @@ class ArtifactCache:
     Parameters
     ----------
     root:
-        Directory holding the store (created on first write), or an
-        ``http://host:port`` artifact-server URL for a remote store.
+        Directory holding the store (created on first write); defaults
+        to :func:`default_cache_dir`.
     max_bytes:
         Total-size cap enforced after every store; ``None`` disables
-        eviction.  Remote stores enforce their own cap server-side.
-    backend:
-        Explicit :class:`~repro.cache.backends.StoreBackend`; overrides
-        ``root``.
+        eviction.
     """
 
     def __init__(self, root: Optional[str] = None,
-                 max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
-                 backend: Optional[StoreBackend] = None):
+                 max_bytes: Optional[int] = DEFAULT_MAX_BYTES):
         if max_bytes is not None and max_bytes <= 0:
             raise CacheError(f"max_bytes must be positive, got {max_bytes}")
-        if backend is None:
-            spec = str(root) if root is not None else default_cache_dir()
-            if spec.startswith(("http://", "https://")):
-                backend = HttpStore(spec)
-            else:
-                backend = LocalStore(spec)
-        self.backend = backend
-        self.root = backend.describe()
+        spec = str(root) if root is not None else default_cache_dir()
+        if "://" in spec:
+            raise CacheError(
+                f"cache root {spec!r} is a URL, not a directory; the "
+                "HTTP artifact store was removed")
+        self.root = os.path.abspath(spec)
         self.max_bytes = max_bytes
         self.stats = CacheStats()
 
@@ -123,9 +120,8 @@ class ArtifactCache:
         return stable_hash(doc)
 
     def entry_path(self, kind: str, key: str) -> str:
-        if isinstance(self.backend, LocalStore):
-            return self.backend.path(kind, key)
-        return f"{self.root}/v1/artifacts/{kind}/{key}"
+        return os.path.join(self.root, safe_component(kind),
+                            f"{safe_component(key)}.npz")
 
     # ------------------------------------------------------------------
     # Load / store
@@ -139,17 +135,25 @@ class ArtifactCache:
         """
         key = self.key(kind, payload)
         tel = get_telemetry()
-        data = self.backend.get(kind, key)
-        if data is None:
+        path = self.entry_path(kind, key)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             self._count(tel, kind, "miss")
             return None
+        except OSError as exc:  # unreadable entry: treat as a miss
+            logger.warning("cache: unreadable entry %s (%s)", path, exc)
+            self._count(tel, kind, "miss")
+            return None
+        _touch(path)
         try:
             with np.load(io.BytesIO(data), allow_pickle=False) as npz:
                 out = self._decode(npz)
         except Exception as exc:  # truncated/corrupted/foreign entry
             logger.warning("cache: evicting corrupted entry %s/%s (%s)",
                            kind, key, exc)
-            self.backend.delete(kind, key)
+            _remove(path)
             self.stats.bump(kind, "recovered")
             self._count(tel, kind, "miss")
             return None
@@ -159,7 +163,7 @@ class ArtifactCache:
     def store(self, kind: str, payload: Dict[str, Any],
               arrays: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
               ) -> str:
-        """Write an entry atomically; returns its address.
+        """Write an entry atomically; returns its path.
 
         ``arrays`` maps names to numpy arrays (scalars are promoted);
         ``meta`` is an optional JSON document stored alongside them.
@@ -173,37 +177,69 @@ class ArtifactCache:
             json.dumps(meta or {}).encode("utf-8"), dtype=np.uint8)
         buf = io.BytesIO()
         np.savez_compressed(buf, **encoded)
-        self.backend.put(kind, key, buf.getvalue())
+        path = self.entry_path(kind, key)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=f".{key[:12]}-",
+                                   dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(buf.getvalue())
+            os.replace(tmp, path)
+        except BaseException:
+            _remove(tmp)
+            raise
         self._count(get_telemetry(), kind, "store")
         self.evict()
-        return self.entry_path(kind, key)
+        return path
 
     # ------------------------------------------------------------------
     # Eviction and maintenance
     # ------------------------------------------------------------------
     def entries(self) -> List[Tuple[str, float, int]]:
         """All ``(path, mtime, size)`` entries, oldest first."""
-        return self.backend.entries()
+        found: List[Tuple[str, float, int]] = []
+        if not os.path.isdir(self.root):
+            return found
+        for dirpath, _dirnames, filenames in os.walk(self.root):
+            for name in filenames:
+                if not name.endswith(".npz"):
+                    continue
+                path = os.path.join(dirpath, name)
+                try:
+                    st = os.stat(path)
+                except OSError:
+                    continue
+                found.append((path, st.st_mtime, st.st_size))
+        found.sort(key=lambda e: (e[1], e[0]))
+        return found
 
     def total_bytes(self) -> int:
         return sum(size for _path, _mtime, size in self.entries())
 
     def evict(self) -> int:
         """Drop least-recently-used entries until under the size cap."""
-        removed = self.backend.evict(self.max_bytes)
-        if removed:
-            # Backend counted per-kind telemetry; fold into local stats.
-            self.stats.evictions += removed
+        if self.max_bytes is None:
+            return 0
+        entries = self.entries()
+        total = sum(size for _path, _mtime, size in entries)
+        removed = 0
+        tel = get_telemetry()
+        for path, _mtime, size in entries:
+            if total <= self.max_bytes:
+                break
+            _remove(path)
+            total -= size
+            removed += 1
+            self._count(tel, os.path.basename(os.path.dirname(path)),
+                        "evict")
         return removed
 
     def clear(self) -> int:
         """Remove every entry; returns the number removed."""
         entries = self.entries()
         for path, _mtime, _size in entries:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            _remove(path)
         return len(entries)
 
     # ------------------------------------------------------------------
@@ -223,18 +259,26 @@ class ArtifactCache:
 
     _EVENT_COUNTER = {"hit": "cache.hit", "miss": "cache.miss",
                       "store": "cache.store", "evict": "cache.evict"}
-    _REMOTE_COUNTER = {"hit": "cache.remote_hit",
-                       "miss": "cache.remote_miss",
-                       "store": "cache.remote_store",
-                       "evict": "cache.remote_evict"}
     _EVENT_STAT = {"hit": "hits", "miss": "misses",
                    "store": "stores", "evict": "evictions"}
 
     def _count(self, tel, kind: str, event: str) -> None:
         self.stats.bump(kind, self._EVENT_STAT[event])
         if tel.enabled:
-            table = (self._REMOTE_COUNTER if self.backend.remote
-                     else self._EVENT_COUNTER)
-            base = table[event]
+            base = self._EVENT_COUNTER[event]
             tel.counter(base).add(1)
             tel.counter(f"{base}.{kind}").add(1)
+
+
+def _touch(path: str) -> None:
+    try:
+        os.utime(path, None)
+    except OSError:  # pragma: no cover - fs without utime permission
+        pass
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:  # pragma: no cover - already gone / racing writer
+        pass

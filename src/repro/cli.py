@@ -27,9 +27,6 @@ Commands
 ``loadtest``  Replay job traffic against a service endpoint; report
               latency percentiles, throughput and 429 rates, with
               ``--check`` thresholds for CI.
-``artifacts`` ``serve`` a content-addressed artifact store over HTTP
-              so a worker fleet shares one cache
-              (``--cache-dir http://host:port`` on the workers).
 ``report``    Markdown paper report, or ``--trace`` for an HTML run
               report rendered from a JSONL telemetry trace.
 ``runs``      Query the append-only run ledger: ``list``, ``show``,
@@ -121,6 +118,22 @@ def package_version() -> str:
         return __version__
 
 
+def _at_least(minimum: int):
+    """argparse ``type`` for a count flag: an int no smaller than
+    ``minimum``, so a negative count cannot slice from the end."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -141,8 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # Flags several commands share, attached with parents=[...].
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument("--cache-dir", default=None, metavar="PATH",
-                             help="artifact cache directory or http:// "
-                                  "artifact-server URL (default: "
+                             help="artifact cache directory (default: "
                                   "$REPRO_CACHE_DIR or ~/.cache/repro)")
     cache_flags.add_argument("--no-cache", action="store_true",
                              help="disable the artifact cache")
@@ -167,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grade.add_argument("--design", default="LP", metavar="{LP,BP,HP}")
     grade.add_argument("--generator", default="lfsr1",
                        metavar="{" + ",".join(GENERATOR_CHOICES) + "}")
-    grade.add_argument("--vectors", type=int, default=4096)
+    grade.add_argument("--vectors", type=_at_least(1), default=4096)
     grade.add_argument("--width", type=int, default=12)
     grade.add_argument("--map", action="store_true",
                        help="also print where the missed faults live")
@@ -176,13 +188,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rank = sub.add_parser("rank", help="rank generators against a design")
     rank.add_argument("--design", default="LP", metavar="{LP,BP,HP}")
-    rank.add_argument("--vectors", type=int, default=4096)
+    rank.add_argument("--vectors", type=_at_least(1), default=4096)
 
     spectrum = sub.add_parser("spectrum", help="print a generator spectrum")
     spectrum.add_argument("--generator", default="lfsr1",
                           metavar="{" + ",".join(GENERATOR_CHOICES) + "}")
     spectrum.add_argument("--width", type=int, default=12)
-    spectrum.add_argument("--points", type=int, default=24)
+    spectrum.add_argument("--points", type=_at_least(1), default=24)
 
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", type=int, choices=sorted(_TABLES))
@@ -215,11 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile a BIST session: span tree, vectors/sec, zone hits")
     profile.add_argument("design", metavar="design")
     profile.add_argument("generator", metavar="generator")
-    profile.add_argument("--vectors", type=int, default=4096)
+    profile.add_argument("--vectors", type=_at_least(1), default=4096)
     profile.add_argument("--width", type=int, default=12)
     profile.add_argument("--beta", type=float, default=0.25,
                          help="test-zone width parameter (Figure 1)")
-    profile.add_argument("--exact", type=int, default=0, metavar="N",
+    profile.add_argument("--exact", type=_at_least(0), default=0, metavar="N",
                          help="also grade the first N gate-level faults "
                               "with the exact cone engine and report its "
                               "cone/drop counters (0 = skip)")
@@ -237,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--generators", default=default_generators,
                        help="comma-separated generator keys "
                             "(LFSR-1, LFSR-2, LFSR-D, LFSR-M, Ramp, Mixed)")
-        p.add_argument("--vectors", type=int, default=default_vectors)
+        p.add_argument("--vectors", type=_at_least(1), default=default_vectors)
         p.add_argument("--jobs", type=int, default=0,
                        help="worker processes (0 = auto: $REPRO_JOBS or "
                             "CPU count)")
@@ -271,9 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gates-design", default="LP",
                        metavar="{LP,BP,HP}",
                        help="design graded by --gates (default LP)")
-    bench.add_argument("--gates-vectors", type=int, default=4096,
+    bench.add_argument("--gates-vectors", type=_at_least(1), default=4096,
                        help="stimulus length for --gates (default 4096)")
-    bench.add_argument("--gates-faults", type=int, default=0,
+    bench.add_argument("--gates-faults", type=_at_least(0), default=0,
                        help="restrict --gates to the first N faults "
                             "(0 = the full fault universe)")
     bench.add_argument("--gates-threshold", type=float, default=6.0,
@@ -288,22 +300,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recommend a test generator for a design: analytic "
              "predictor ranking, gate-level confirmation of the top-k")
     recommend.add_argument("--design", default="LP", metavar="{LP,BP,HP}")
-    recommend.add_argument("--vectors", type=int, default=4096,
+    recommend.add_argument("--vectors", type=_at_least(1), default=4096,
                            help="session length the analytic ranking "
                                 "assumes (default 4096)")
     recommend.add_argument("--candidates", default=None,
                            help="comma-separated generator subset "
                                 "(default: the full paper menagerie)")
-    recommend.add_argument("--top-k", type=int, default=2,
+    recommend.add_argument("--top-k", type=_at_least(0), default=2,
                            help="candidates confirmed at gate level "
                                 "(0 = analytic ranking only)")
-    recommend.add_argument("--confirm-vectors", type=int, default=512,
+    recommend.add_argument("--confirm-vectors", type=_at_least(0), default=512,
                            help="stimulus length of the confirmation "
                                 "grade (0 skips confirmation)")
-    recommend.add_argument("--confirm-faults", type=int, default=2048,
+    recommend.add_argument("--confirm-faults", type=_at_least(0), default=2048,
                            help="gate-level fault budget of the "
                                 "confirmation grade (0 skips it)")
-    recommend.add_argument("--bins", type=int, default=512,
+    recommend.add_argument("--bins", type=_at_least(2), default=512,
                            help="amplitude-grid bins for the analytic "
                                 "predictor (default 512)")
     recommend.add_argument("--json", action="store_true",
@@ -361,9 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--design", default="LP", metavar="{LP,BP,HP}")
     cluster.add_argument("--generator", default="lfsr1",
                          metavar="{" + ",".join(GENERATOR_CHOICES) + "}")
-    cluster.add_argument("--vectors", type=int, default=512)
+    cluster.add_argument("--vectors", type=_at_least(1), default=512)
     cluster.add_argument("--width", type=int, default=12)
-    cluster.add_argument("--faults", type=int, default=0,
+    cluster.add_argument("--faults", type=_at_least(0), default=0,
                          help="restrict to the first N enumerated faults "
                               "(0 = the full fault universe)")
     cluster.add_argument("--shard-faults", type=int, default=4096,
@@ -433,25 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="--check: min completed jobs (default 1)")
     loadtest.add_argument("--out", default=None, metavar="PATH",
                           help="write the loadtest report as JSON")
-
-    artifacts = sub.add_parser(
-        "artifacts",
-        help="content-addressed artifact store over HTTP")
-    art_sub = artifacts.add_subparsers(dest="artifacts_command",
-                                       required=True)
-    a_serve = art_sub.add_parser(
-        "serve",
-        help="serve an artifact cache directory to a worker fleet")
-    a_serve.add_argument("--root", default=None, metavar="PATH",
-                         help="store directory (default: $REPRO_CACHE_DIR "
-                              "or ~/.cache/repro)")
-    a_serve.add_argument("--host", default="127.0.0.1")
-    a_serve.add_argument("--port", type=int, default=8338,
-                         help="listen port (0 = pick an ephemeral port; "
-                              "default 8338)")
-    a_serve.add_argument("--max-bytes", type=int, default=0,
-                         help="server-side LRU size budget in bytes "
-                              "(0 = unbounded)")
 
     runs = sub.add_parser(
         "runs", parents=[ledger_dir_flag],
@@ -1651,27 +1644,6 @@ def _cmd_alerts(args) -> int:
     return {"check": _cmd_alerts_check}[args.alerts_command](args)
 
 
-def _cmd_artifacts(args) -> int:
-    from .cache.server import ArtifactServer
-    from .cache.store import default_cache_dir
-
-    root = args.root if args.root else default_cache_dir()
-    server = ArtifactServer(root, host=args.host, port=args.port,
-                            max_bytes=args.max_bytes or None)
-    budget = (f"{args.max_bytes:,} bytes LRU budget" if args.max_bytes
-              else "unbounded")
-    print(f"serving artifact store {root} on {server.url} ({budget})")
-    print("point workers at it with: "
-          f"repro serve --cache-dir {server.url}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return 0
-
-
 def _dispatch(args, tel: Optional[Telemetry]) -> int:
     if args.command == "sweep":
         return _cmd_sweep(args)
@@ -1683,8 +1655,6 @@ def _dispatch(args, tel: Optional[Telemetry]) -> int:
         return _cmd_cluster(args)
     if args.command == "loadtest":
         return _cmd_loadtest(args)
-    if args.command == "artifacts":
-        return _cmd_artifacts(args)
     if args.command == "runs":
         return _cmd_runs(args)
     if args.command == "top":

@@ -524,6 +524,10 @@ def run_cluster_sweep(
     from ..experiments import ExperimentContext
     from ..resolve import resolve_design, resolve_generator
 
+    if faults_limit < 0:
+        raise ClusterError(
+            f"faults_limit must be >= 0 (0 = the full fault universe), "
+            f"got {faults_limit}")
     design = resolve_design(design)
     generator = resolve_generator(generator)
     _dsg, nl, faults, raw = grading_problem(

@@ -351,7 +351,6 @@ def gate_level_missed(
     nl: GateNetlist,
     input_raw: Sequence[int],
     faults: Sequence[EnumeratedFault],
-    progress: Optional[Callable[[int, int], None]] = None,
     *,
     cache=None,
     chunk: Optional[int] = None,
@@ -366,8 +365,8 @@ def gate_level_missed(
     (:func:`repro.gates.faults.schedule_fault_batches`) of
     ``64 * words`` and graded by the fused cone sweep; the
     returned list preserves the input fault order, so results do not
-    depend on how faults are batched.  ``progress`` ticks once per
-    64 graded faults, matching the historical batch granularity.
+    depend on how faults are batched.  Progress is published on the
+    ``gates.grade`` telemetry stream after every batch.
     ``words`` left unset widens the first deepening stage to
     :data:`EVENT_STAGE1_WORDS`.
 
@@ -396,10 +395,10 @@ def gate_level_missed(
 
             tel.counter("gates.lut_fused_levels").add(
                 fused_program(program).stats["levels_fused"])
-        dropped = emitted = 0
+        dropped = 0
 
         def after_batch(record: Dict[str, int]) -> None:
-            nonlocal dropped, emitted
+            nonlocal dropped
             dropped += record["dropped"]
             if tel.enabled:
                 tel.progress(
@@ -407,16 +406,10 @@ def gate_level_missed(
                     detected=record["detected"],
                     coverage=record["detected"] / max(1, n_faults),
                     dropped=dropped, prefix=record["prefix"])
-            while (progress is not None
-                   and (emitted + 1) * 64 <= record["finalized"]):
-                emitted += 1
-                progress(emitted * 64, n_faults)
 
         verdicts = _grade_verdicts(
             program, net_waves, faults, chunk=chunk, words=words,
             detect_times=detect_times, on_batch=after_batch)
-        if progress is not None and emitted * 64 < n_faults:
-            progress(n_faults, n_faults)
         missed = [f for f, hit in zip(faults, verdicts) if not hit]
     if tel.enabled and span.duration > 0:
         tel.gauge("gates.faults_per_sec").set(n_faults / span.duration)
@@ -544,7 +537,6 @@ def gate_level_missed_reference(
     nl: GateNetlist,
     input_raw: Sequence[int],
     faults: Sequence[EnumeratedFault],
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[EnumeratedFault]:
     """Pre-optimization missed-fault list: plain 64-fault slices.
 
@@ -561,6 +553,4 @@ def gate_level_missed_reference(
         first = fault_parallel_reference(
             nl, input_raw, [f.netlist_fault for f in batch], golden=golden)
         missed.extend(f for f, t in zip(batch, first) if t < 0)
-        if progress is not None:
-            progress(min(start + 64, len(faults)), len(faults))
     return missed

@@ -26,7 +26,7 @@ progress stream and the ``gates.faults_per_sec`` gauge.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -68,7 +68,6 @@ def gate_level_missed_parallel(
     *,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> List:
     """Exact missed-fault list, fixed-size fault slices fanned across
     workers.
@@ -112,8 +111,6 @@ def gate_level_missed_parallel(
                              detected=int(verdicts.sum()),
                              coverage=float(verdicts.sum())
                              / max(1, len(faults)))
-            if progress is not None:
-                progress(done, len(faults))
         missed = [f for f, hit in zip(faults, verdicts) if not hit]
     if tel.enabled and span.duration > 0:
         tel.gauge("gates.faults_per_sec").set(len(faults) / span.duration)

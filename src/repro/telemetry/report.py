@@ -185,16 +185,13 @@ def _rate_row(label: str, hits: float, misses: float) -> str:
 def _cache_pair(hit_name: str) -> Optional[Tuple[str, str]]:
     """``(miss_counter, row_label)`` for a hit counter, matching either
     convention: ``<x>.hits``/``<x>.misses`` or the cache store's
-    ``cache.hit[.kind]``/``cache.miss[.kind]`` and
-    ``cache.remote_hit[.kind]``/``cache.remote_miss[.kind]``."""
+    ``cache.hit[.kind]``/``cache.miss[.kind]``."""
     if hit_name.endswith(".hits"):
         stem = hit_name[: -len(".hits")]
         return stem + ".misses", stem
-    for prefix, label in (("cache.remote_hit", "cache.remote"),
-                          ("cache.hit", "cache")):
-        if hit_name == prefix or hit_name.startswith(prefix + "."):
-            suffix = hit_name[len(prefix):]
-            return prefix.replace("hit", "miss") + suffix, label + suffix
+    if hit_name == "cache.hit" or hit_name.startswith("cache.hit."):
+        suffix = hit_name[len("cache.hit"):]
+        return "cache.miss" + suffix, "cache" + suffix
     return None
 
 

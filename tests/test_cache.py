@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from repro.cache import (
     default_cache_dir,
     design_fingerprint,
     generator_fingerprint,
+    safe_component,
     stable_hash,
 )
 from repro.cache.artifacts import decode_coverage, encode_coverage
 from repro.errors import CacheError
 from repro.faultsim import build_fault_universe, run_fault_coverage
 from repro.generators import Type1Lfsr
+from repro.telemetry import telemetry_session
 
 from helpers import build_small_design
 
@@ -113,6 +116,34 @@ class TestStore:
         assert cache.entries() == []
         assert cache.stats.evictions == 1
 
+    def test_evictions_counted_per_kind(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path), max_bytes=1)
+        with telemetry_session() as tel:
+            cache.store("x", {"k": 1}, {"a": np.arange(1000)})
+            evicted = tel.counter("cache.evict.x").value
+        assert cache.stats.by_kind["x"] == {"stores": 1, "evictions": 1}
+        assert evicted == 1
+
+    def test_evict_drops_oldest_first(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path), max_bytes=None)
+        paths = []
+        for i, key in enumerate(["old", "mid", "new"]):
+            paths.append(cache.store("kind", {"k": key},
+                                     {"a": np.zeros(10)}))
+            # mtime granularity on some filesystems is coarse; force
+            # a strict ordering.
+            os.utime(paths[-1], (time.time() + i,) * 2)
+        assert [path for path, _m, _s in cache.entries()] == paths
+        cache.max_bytes = cache.total_bytes() - os.path.getsize(paths[0])
+        with telemetry_session() as tel:
+            assert cache.evict() == 1
+            evicted = tel.counter("cache.evict").value
+        assert evicted == 1
+        assert cache.stats.evictions == 1
+        assert [path for path, _m, _s in cache.entries()] == paths[1:]
+        assert cache.load("kind", {"k": "old"}) is None
+        assert cache.load("kind", {"k": "new"}) is not None
+
     def test_lru_keeps_recently_used(self, tmp_path):
         cache = ArtifactCache(str(tmp_path), max_bytes=None)
         p1 = cache.store("x", {"k": 1}, {"a": np.arange(500)})
@@ -134,6 +165,45 @@ class TestStore:
         cache.store("x", {"k": 1}, {"a": np.zeros(4)})
         cache.clear()
         assert cache.entries() == []
+
+
+class TestSafeComponent:
+    def test_accepts_hashes_and_kinds(self):
+        assert safe_component("universe") == "universe"
+        assert safe_component("a1-b2.c_3") == "a1-b2.c_3"
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "a/b", "a\\b",
+                                     "k\x00ey", "sp ace"])
+    def test_rejects_traversal(self, bad):
+        with pytest.raises(CacheError):
+            safe_component(bad)
+
+
+class TestUrlRoot:
+    """The cache is a local directory: a URL root is an error, not a
+    directory named ``http:``."""
+
+    def test_url_root_rejected(self):
+        with pytest.raises(CacheError, match="HTTP artifact store"):
+            ArtifactCache("http://127.0.0.1:9")
+
+    def test_url_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "http://127.0.0.1:9")
+        with pytest.raises(CacheError, match="HTTP artifact store"):
+            ArtifactCache()
+
+    def test_cli_url_cache_dir_exits_2(self, tmp_path, monkeypatch,
+                                       capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--designs", "LP", "--generators", "LFSR-1",
+                     "--vectors", "64", "--jobs", "1", "--no-ledger",
+                     "--cache-dir", "http://127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and err.count("\n") == 1
+        assert "HTTP artifact store" in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestArtifactCodecs:

@@ -105,6 +105,61 @@ class TestUnknownNames:
         assert "detected" in capsys.readouterr().out
 
 
+_BAD_COUNTS = [
+    ("--exact", ["profile", "LP", "lfsr1", "--vectors", "64",
+                 "--exact", "-5"]),
+    ("--gates-faults", ["bench", "--gates", "--gates-faults", "-65800",
+                        "--gates-vectors", "64"]),
+    ("--gates-vectors", ["bench", "--gates", "--gates-vectors", "0"]),
+    ("--top-k", ["recommend", "--top-k", "-2"]),
+    ("--confirm-vectors", ["recommend", "--confirm-vectors", "-1"]),
+    ("--confirm-faults", ["recommend", "--confirm-faults", "-5"]),
+    ("--bins", ["recommend", "--bins", "0"]),
+    ("--bins", ["recommend", "--bins", "1"]),
+    ("--vectors", ["recommend", "--vectors", "0"]),
+    ("--points", ["spectrum", "--points", "0"]),
+    ("--points", ["spectrum", "--points", "-3"]),
+    ("--vectors", ["rank", "--vectors", "-1"]),
+    ("--vectors", ["grade", "--vectors", "0"]),
+    ("--vectors", ["profile", "LP", "lfsr1", "--vectors", "0"]),
+    ("--vectors", ["sweep", "--vectors", "0"]),
+    ("--vectors", ["bench", "--vectors", "-1"]),
+    ("--vectors", ["cluster", "http://127.0.0.1:9", "--vectors", "0"]),
+    ("--faults", ["cluster", "http://127.0.0.1:9", "--faults", "-1"]),
+]
+
+
+class TestCountFlags:
+    """Count flags reject out-of-range values at argument parsing,
+    before any command runs (a negative count would slice from the
+    end)."""
+
+    @pytest.mark.parametrize(
+        "flag,argv", _BAD_COUNTS,
+        ids=[f"{a[0]}{f}={a[a.index(f) + 1]}" for f, a in _BAD_COUNTS])
+    def test_out_of_range_exits_2(self, flag, argv, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+    def test_boundary_values_parse(self):
+        from repro.cli import _build_parser
+
+        parse = _build_parser().parse_args
+        args = parse(["recommend", "--top-k", "0", "--confirm-vectors", "0",
+                      "--confirm-faults", "0", "--bins", "2",
+                      "--vectors", "1"])
+        assert (args.top_k, args.confirm_vectors, args.confirm_faults,
+                args.bins, args.vectors) == (0, 0, 0, 2, 1)
+        assert parse(["profile", "LP", "lfsr1", "--exact", "0"]).exact == 0
+        assert parse(["spectrum", "--points", "1"]).points == 1
+        assert parse(["cluster", "http://127.0.0.1:9",
+                      "--faults", "0"]).faults == 0
+
+
 class TestBenchNow:
     """`bench --now` / $REPRO_BENCH_NOW pin the report timestamp."""
 

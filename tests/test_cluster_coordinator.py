@@ -94,12 +94,10 @@ class _DeadClient:
     submit = healthz = _refuse
 
 
-class _LiveClient:
-    """Grades every shard as all-undetected, but only once the dead
-    endpoint has been contacted three times."""
+class _InstantClient:
+    """Grades every shard at once as all-undetected."""
 
-    def __init__(self, contacts):
-        self.contacts = contacts
+    def __init__(self):
         self.params = {}
 
     def submit(self, kind, params, idempotency_key=None):
@@ -107,9 +105,6 @@ class _LiveClient:
         return {"id": idempotency_key}
 
     def job(self, job_id, wait=None):
-        with self.contacts["cond"]:
-            self.contacts["cond"].wait_for(
-                lambda: self.contacts["n"] >= 3, timeout=20.0)
         params = self.params[job_id]
         indices = params["indices"]
         times = [-1] * len(indices)
@@ -121,6 +116,21 @@ class _LiveClient:
                 params["misr_width"], indices, times, params["total"]),
             "faults": len(indices),
         }}
+
+
+class _LiveClient(_InstantClient):
+    """An :class:`_InstantClient` that answers only once the dead
+    endpoint has been contacted three times."""
+
+    def __init__(self, contacts):
+        super().__init__()
+        self.contacts = contacts
+
+    def job(self, job_id, wait=None):
+        with self.contacts["cond"]:
+            self.contacts["cond"].wait_for(
+                lambda: self.contacts["n"] >= 3, timeout=20.0)
+        return super().job(job_id, wait)
 
 
 class TestFence:
@@ -143,6 +153,18 @@ class TestFence:
         assert tallies["dead"].state == "dead"
         assert tallies["live"].shards == 2
         assert report.merged.total == 4
+
+
+class TestFaultsLimit:
+    def test_negative_faults_limit_rejected_before_dispatch(self):
+        # A negative limit would slice faults from the end; it must fail
+        # before any shard reaches a worker.
+        client = _InstantClient()
+        with pytest.raises(ClusterError, match="faults_limit"):
+            run_cluster_sweep(["fake"], vectors=96, faults_limit=-1,
+                              shard_faults=65536, poll=0.05,
+                              client_factory=lambda ep: client)
+        assert client.params == {}
 
 
 class TestSchedulingUnits:

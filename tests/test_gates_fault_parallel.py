@@ -67,13 +67,17 @@ class TestFaultParallel:
         assert {f.label for f in missed} == {f.label for f in serial_missed}
 
     def test_progress_callback(self, setup):
+        """Grading progress rides the ``gates.grade`` telemetry stream."""
+        from repro.telemetry import telemetry_session
+
         design, nl, faults, raw, golden = setup
         ticks = []
-        gate_level_missed(nl, raw, faults[:130],
-                          progress=lambda done, total: ticks.append((done,
-                                                                     total)))
-        assert ticks[-1] == (130, 130)
-        assert len(ticks) == 3  # ceil(130/64)
+        with telemetry_session() as tel:
+            tel.on_progress(lambda s: ticks.append((s.name, s.done,
+                                                    s.total)))
+            gate_level_missed(nl, raw, faults[:130])
+        assert ticks and {name for name, _d, _t in ticks} == {"gates.grade"}
+        assert ticks[-1] == ("gates.grade", 130, 130)
 
     def test_excitation_necessity_on_sample(self, setup):
         """Gate-level detection implies cell-level excitation."""

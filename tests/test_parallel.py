@@ -177,12 +177,17 @@ class TestGatework:
 
         nl = elaborate(small_design.graph)
         faults = enumerate_cell_faults(small_design.graph, nl)
+        from repro.telemetry import telemetry_session
+
         raw = Type1Lfsr(small_design.input_fmt.width).sequence(32)
         ticks = []
-        gate_level_missed_parallel(nl, raw, faults, jobs=1,
-                                   progress=lambda done, total:
-                                   ticks.append((done, total)))
-        assert ticks and ticks[-1][0] == ticks[-1][1] == len(faults)
+        with telemetry_session() as tel:
+            tel.on_progress(lambda s: ticks.append((s.name, s.done,
+                                                    s.total)))
+            gate_level_missed_parallel(nl, raw, faults, jobs=1)
+        grade = [(done, total) for name, done, total in ticks
+                 if name == "gates.grade"]
+        assert grade and grade[-1][0] == grade[-1][1] == len(faults)
 
 
 class TestCliSweepBench:
