@@ -453,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r_list = runs_sub.add_parser("list", help="recent run records")
     r_list.add_argument("--kind", default=None, choices=RUN_KINDS)
-    r_list.add_argument("--last", type=int, default=20,
+    r_list.add_argument("--last", type=_at_least(1), default=20,
                         help="show the newest N records (default 20)")
 
     r_show = runs_sub.add_parser("show", help="one record, pretty JSON")
@@ -475,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=RUN_KINDS,
                          help="run kind the history is drawn from "
                               "(default bench-gates)")
-    r_trend.add_argument("--last", type=int, default=5,
+    r_trend.add_argument("--last", type=_at_least(1), default=5,
                          help="baseline window: median of up to N prior "
                               "runs (default 5)")
     r_trend.add_argument("--tolerance", type=float, default=0.2,
@@ -1165,7 +1165,7 @@ def _headline_metric(record) -> str:
 def _cmd_runs_list(args) -> int:
     from datetime import datetime, timezone
 
-    records = _runs_ledger(args).tail(max(1, args.last), kind=args.kind)
+    records = _runs_ledger(args).tail(args.last, kind=args.kind)
     if not records:
         print(f"no runs recorded in {_runs_ledger(args).path}")
         return 0

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..generators.base import TestGenerator, match_width
 from ..rtl.build import FilterDesign
-from .dictionary import DesignFault, FaultUniverse
+from .dictionary import DesignFault, FaultUniverse, fault_class_table
 from .engine import CoverageResult
 from .patterns import PatternTracker, track_patterns
 
@@ -78,22 +78,11 @@ def classify_missed_faults(
     near-redundant with respect to that operating envelope.
     """
     missed = result.missed_faults(at)
-    tracker = _normal_operation_tracker(design, result.universe, stimulus,
-                                        n_vectors)
-    seen = tracker.seen_mask()
-    difficult: List[DesignFault] = []
-    near_redundant: List[DesignFault] = []
-    for fault in missed:
-        cell = result.universe.fault_cell[fault.index]
-        mask = fault.cell_fault.detect_mask
-        patterns = [p for p in range(8) if mask & (1 << p)]
-        if any(seen[cell, p] for p in patterns):
-            difficult.append(fault)
-        else:
-            near_redundant.append(fault)
+    excitable = activation_counts(design, result.universe, stimulus,
+                                  n_vectors)
     return MissClassification(
-        difficult=difficult,
-        near_redundant=near_redundant,
+        difficult=[f for f in missed if excitable[f.index]],
+        near_redundant=[f for f in missed if not excitable[f.index]],
         stimulus_name=stimulus.name,
         stimulus_vectors=n_vectors,
     )
@@ -111,11 +100,7 @@ def activation_counts(
     proposes reaching 100% coverage on.
     """
     tracker = _normal_operation_tracker(design, universe, stimulus, n_vectors)
-    seen = tracker.seen_mask()
-    out = np.zeros(universe.fault_count, dtype=np.uint8)
-    for fault in universe.faults:
-        cell = universe.fault_cell[fault.index]
-        mask = fault.cell_fault.detect_mask
-        if any(seen[cell, p] for p in range(8) if mask & (1 << p)):
-            out[fault.index] = 1
-    return out
+    seen = tracker.seen_mask()[universe.fault_cell]  # (faults, 8)
+    detect = fault_class_table().detect_mask[universe.fault_class]
+    detecting = ((detect[:, None] >> np.arange(8)) & 1).astype(bool)
+    return np.any(seen & detecting, axis=1).astype(np.uint8)

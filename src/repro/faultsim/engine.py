@@ -26,7 +26,8 @@ from ..errors import SimulationError
 from ..generators.base import TestGenerator, match_width
 from ..rtl.build import FilterDesign
 from ..telemetry import get_telemetry
-from .dictionary import DesignFault, FaultUniverse, build_fault_universe
+from .dictionary import (DesignFault, FaultUniverse, build_fault_universe,
+                         fault_class_table)
 from .patterns import UNSEEN, PatternTracker, track_patterns
 
 __all__ = ["CoverageResult", "run_fault_coverage", "coverage_of_tracker",
@@ -155,13 +156,19 @@ def coverage_from_detect_times(
 
 
 def _record_detection_latencies(tel, result: CoverageResult) -> None:
-    """Per-fault-class detection-latency histograms (telemetry on only)."""
+    """Per-fault-class detection-latency histograms (telemetry on only).
+
+    One histogram per class name: classes of different cell variants
+    that share a representative name share a histogram.
+    """
     detect = result.detect_time
-    classes = np.array([f.cell_fault.name for f in result.universe.faults])
-    for cls in np.unique(classes):
-        times = detect[(classes == cls) & (detect != UNSEEN)]
+    names, name_of_class = np.unique(
+        [cf.name for cf in fault_class_table().faults], return_inverse=True)
+    fault_name = name_of_class[result.universe.fault_class]
+    for k in np.unique(fault_name):
+        times = detect[(fault_name == k) & (detect != UNSEEN)]
         if times.size:
-            tel.histogram(f"faultsim.detect_latency.{cls}",
+            tel.histogram(f"faultsim.detect_latency.{names[k]}",
                           edges=LATENCY_EDGES).observe_many(times + 1)
 
 

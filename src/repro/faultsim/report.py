@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Optional
 
+import numpy as np
+
 from .engine import CoverageResult
 
 __all__ = ["coverage_summary", "missed_fault_map", "testability_report"]
@@ -60,7 +62,8 @@ def testability_report(design, result: CoverageResult, model=None,
     filter designer would act on.
     """
     missed_by_node = Counter(f.node_id for f in result.missed_faults(at))
-    total_by_node = Counter(f.node_id for f in result.universe.faults)
+    cell_node = np.array([nid for nid, _bit in result.universe.cells])
+    total_by_node = Counter(cell_node[result.universe.fault_cell].tolist())
     lines = [
         f"testability report: {design.name}, generator "
         f"{result.generator_name}, {at or result.n_vectors} vectors",

@@ -1,10 +1,11 @@
 """Fault universe enumeration over elaborated netlists.
 
-Bridges the collapsed cell-level dictionary of :mod:`repro.gates.cells`
-onto a flat :class:`~repro.gates.netlist.GateNetlist`, producing concrete
+Bridges the unpruned cell-level fault table of
+:mod:`repro.faultsim.dictionary` onto a flat
+:class:`~repro.gates.netlist.GateNetlist`, producing concrete
 :class:`~repro.gates.gatesim.NetlistFault` objects that the gate-level
-simulator can inject, and the cone-aware batch schedule the exact
-grader packs them in.
+simulator can inject (gate fault ``i`` is the table's row ``i``), and
+the cone-aware batch schedule the exact grader packs them in.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..rtl.graph import Graph
-from ..rtl.nodes import OpKind
-from .cells import CellFault, variant_for_bit
+from .cells import CellFault
 from .gatesim import NetlistFault
 from .netlist import GateNetlist
 
@@ -39,26 +39,30 @@ class EnumeratedFault:
 def enumerate_cell_faults(graph: Graph, nl: GateNetlist) -> List[EnumeratedFault]:
     """Every collapsed adder/subtractor fault, mapped onto netlist lines.
 
-    The representative site of each collapsed class is injected; all class
+    Fault ``i`` is row ``i`` of the graph's unpruned fault universe
+    (:func:`repro.faultsim.dictionary.build_fault_universe` with
+    ``prune_untestable=False``), so the two index spaces coincide.  The
+    representative site of each collapsed class is injected; all class
     members behave identically at the cell boundary, and cell outputs
     reconverge only at the next cell, so the representative's detection
     behaviour stands for the whole class.
     """
+    from ..faultsim.dictionary import build_fault_universe, fault_class_table
+
+    universe = build_fault_universe(graph, prune_untestable=False)
+    classes = fault_class_table().faults
+    sites = [cf.name.rsplit("/", 1) for cf in classes]
     out: List[EnumeratedFault] = []
-    for node in graph.arithmetic_nodes:
-        width = node.fmt.width
-        is_sub = node.kind is OpKind.SUB
-        for bit in range(width):
-            variant = variant_for_bit(bit, width, is_sub)
-            for cf in variant.faults:
-                site, value_str = cf.name.rsplit("/", 1)
-                lines = nl.cell_fault_line(node.nid, bit, site)
-                nf = NetlistFault(
-                    lines=lines, value=int(value_str),
-                    label=f"node{node.nid}.bit{bit}.{cf.name}",
-                )
-                out.append(EnumeratedFault(node_id=node.nid, bit=bit,
-                                           cell_fault=cf, netlist_fault=nf))
+    for row, k in zip(universe.fault_cell.tolist(),
+                      universe.fault_class.tolist()):
+        node_id, bit = universe.cells[row]
+        cf = classes[k]
+        site, value = sites[k]
+        nf = NetlistFault(lines=nl.cell_fault_line(node_id, bit, site),
+                          value=int(value),
+                          label=f"node{node_id}.bit{bit}.{cf.name}")
+        out.append(EnumeratedFault(node_id=node_id, bit=bit, cell_fault=cf,
+                                   netlist_fault=nf))
     return out
 
 

@@ -24,7 +24,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
 from ..experiments import ExperimentContext
@@ -461,22 +461,35 @@ class EvaluationService:
         re-evaluates the alert rules, so a worker going quiet is
         detected as long as *anyone* still beats.
         """
-        transitions = self.fleet.observe(beat)
-        transitions.extend(self.fleet.sweep())
-        for name, data in transitions:
+        self._sweep_and_alert(self.fleet.observe(beat), always=True)
+        return {"ok": True, "worker": str(beat.get("worker")),
+                "workers": len(self.fleet.workers)}
+
+    def _sweep_and_alert(self, transitions: List[Tuple[str, Dict[str, Any]]],
+                         always: bool) -> None:
+        """Sweep liveness, publish the fleet transitions, then evaluate
+        the alert rules and publish and ledger-record their transitions.
+
+        The rules are evaluated on every beat (``always``), otherwise
+        only when the sweep changed a worker's state: each evaluation
+        counts toward a rule's ``for_beats``, and polling an unchanged
+        fleet is not a beat.
+        """
+        swept = self.fleet.sweep()
+        for name, data in transitions + swept:
             self.events.publish(name, data)
             if name == "fleet.worker":
                 logger.info("fleet: worker %s is %s (%s)",
                             data.get("worker"), data.get("state"),
                             data.get("reason"))
+        if not (always or swept):
+            return
         for name, data in self.alerts.evaluate(self.fleet.merged_values()):
             self.events.publish(name, data)
             log = logger.warning if name == "alert.fired" else logger.info
             log("%s: %s (%s; value %s)", name, data.get("alert"),
                 data.get("rule"), data.get("value"))
             self._record_alert(name, data)
-        return {"ok": True, "worker": str(beat.get("worker")),
-                "workers": len(self.fleet.workers)}
 
     def _record_alert(self, event_name: str, data: Dict[str, Any]) -> None:
         """One best-effort ledger record per alert transition."""
@@ -501,9 +514,9 @@ class EvaluationService:
             logger.exception("run-ledger record failed for %s", event_name)
 
     def fleet_snapshot(self):
-        """The ``GET /v1/fleet`` reply (sweeps liveness first)."""
-        for name, data in self.fleet.sweep():
-            self.events.publish(name, data)
+        """The ``GET /v1/fleet`` reply (sweeps liveness first, and
+        re-evaluates the alert rules when that changed a worker)."""
+        self._sweep_and_alert([], always=False)
         doc = self.fleet.snapshot()
         doc["alerts"] = self.alerts.active()
         doc["worker_id"] = self.worker_id

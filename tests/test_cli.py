@@ -126,6 +126,11 @@ _BAD_COUNTS = [
     ("--vectors", ["bench", "--vectors", "-1"]),
     ("--vectors", ["cluster", "http://127.0.0.1:9", "--vectors", "0"]),
     ("--faults", ["cluster", "http://127.0.0.1:9", "--faults", "-1"]),
+    ("--last", ["runs", "trend", "--metric", "faults_per_sec",
+                "--last", "0"]),
+    ("--last", ["runs", "trend", "--metric", "faults_per_sec",
+                "--last", "-1"]),
+    ("--last", ["runs", "list", "--last", "0"]),
 ]
 
 

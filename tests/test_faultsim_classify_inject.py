@@ -13,8 +13,10 @@ from repro.faultsim import (
     missed_fault_map,
     run_fault_coverage,
     to_injected_fault,
+    track_patterns,
 )
 from repro.generators import SineGenerator, Type1Lfsr, UniformWhiteGenerator
+from repro.generators.base import match_width
 
 from helpers import build_small_design
 
@@ -84,6 +86,16 @@ class TestClassification:
                                 n_vectors=2048)
         assert len(act) == uni.fault_count
         assert act.sum() > 0.9 * uni.fault_count
+        # Per fault: excitable iff its cell saw one of its detecting codes.
+        gen = UniformWhiteGenerator(12)
+        raw = match_width(gen.sequence(2048), gen.width,
+                          small_design.input_fmt.width)
+        tracker = track_patterns(small_design.graph, uni, raw)
+        seen = tracker.seen_mask()
+        expected = [int(any(seen[uni.fault_cell[f.index], p]
+                            for p in f.cell_fault.detecting_codes))
+                    for f in uni.faults]
+        assert act.tolist() == expected
 
 
 class TestReports:

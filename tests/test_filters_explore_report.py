@@ -1,5 +1,7 @@
 """Design-space exploration and the per-tap testability report."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,12 @@ class TestTestabilityReport:
         missed_total = sum(int(r[3]) for r in rows if len(r) >= 4
                            and r[0].isdigit())
         assert missed_total == result.missed()
+        # Each tap's fault total: its operators' faults in the universe.
+        by_node = Counter(f.node_id for f in result.universe.faults)
+        totals = {int(r[0]): int(r[2]) for r in rows
+                  if len(r) >= 4 and r[0].isdigit()}
+        assert totals == {tap.index: sum(by_node[n] for n in tap.operators)
+                          for tap in small_design.taps}
 
     def test_lowpass_report_flags_midchain_taps(self, ctx):
         """On the LP design under LFSR-1, the missed faults concentrate

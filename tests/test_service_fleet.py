@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.service import ServiceConfig, ServiceThread
+from repro.service import EvaluationService, ServiceConfig, ServiceThread
 from repro.telemetry import RequestLogSink, Telemetry, build_heartbeat
 from repro.telemetry.alerts import ALERT_RULES_SCHEMA
 
@@ -132,6 +132,31 @@ class TestFleetEndpoint:
         assert "repro_service_events_dropped_total" in text
         assert 'repro_fleet_worker_up{worker="w-self"} 1' in text
         assert 'repro_fleet_workers{state="live"}' in text
+
+
+class TestSnapshotEvaluatesAlerts:
+    def test_snapshot_that_kills_a_worker_fires_the_rule(self, ctx,
+                                                         rules_path):
+        # Never started, so no heartbeat loop: only the beat and the
+        # snapshots below move this fleet.
+        service = EvaluationService(
+            ServiceConfig(heartbeat_interval=0.0, alert_rules=rules_path,
+                          no_cache=True, no_ledger=True),
+            context=ctx)
+        published = []
+        service.events.publish = lambda name, data: published.append(name)
+        service.ingest_heartbeat(build_heartbeat(
+            Telemetry(), worker="w-x", seq=1, interval=1.0))
+        service.fleet.workers["w-x"].last_seen -= 60.0
+        _status, doc, _headers = service.fleet_snapshot()
+        assert worker_doc(doc, "w-x")["state"] == "dead"
+        assert "dead-workers" in {a["alert"] for a in doc["alerts"]}
+        assert published.count("alert.fired") == 1
+        # Polling an unchanged fleet is not a beat: no evaluation.
+        evaluations = service.alerts.evaluations
+        service.fleet_snapshot()
+        assert published.count("alert.fired") == 1
+        assert service.alerts.evaluations == evaluations
 
 
 class TestKeepalive:

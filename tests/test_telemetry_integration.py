@@ -8,6 +8,7 @@ counters, and the CLI surface (``profile``, ``--profile``,
 
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,10 +53,15 @@ class TestEngineInstrumentation:
         assert metrics["faultsim.faults_graded"].value == universe.fault_count
         assert metrics["faultsim.vectors_per_sec"].value > 0
         assert metrics["rtl.node_cycles"].value > 0
-        latencies = [m for n, m in metrics.items()
-                     if n.startswith("faultsim.detect_latency.")]
+        latencies = {n[len("faultsim.detect_latency."):]: m.count
+                     for n, m in metrics.items()
+                     if n.startswith("faultsim.detect_latency.")}
         assert latencies
-        assert sum(h.count for h in latencies) == result.detected()
+        assert sum(latencies.values()) == result.detected()
+        # One histogram per class name, counting that name's detected faults.
+        by_name = Counter(f.cell_fault.name for f in universe.faults
+                          if result.detect_time[f.index] < result.n_vectors)
+        assert latencies == dict(by_name)
 
     def test_universe_build_span_only_when_needed(self, small_design):
         with telemetry_session() as tel:
