@@ -133,8 +133,13 @@ class ArtifactCache:
         A corrupted or unreadable entry counts as a miss; the broken
         entry is removed so the slot can be rebuilt cleanly.
         """
-        key = self.key(kind, payload)
         tel = get_telemetry()
+        with tel.span("cache.load", kind=kind) as span:
+            out = self._load(tel, kind, self.key(kind, payload))
+            span.set(hit=out is not None)
+        return out
+
+    def _load(self, tel, kind: str, key: str) -> Optional[Dict[str, Any]]:
         path = self.entry_path(kind, key)
         try:
             with open(path, "rb") as fh:
@@ -171,7 +176,12 @@ class ArtifactCache:
         for name in arrays:
             if name == _META:
                 raise CacheError(f"array name {name!r} is reserved")
-        key = self.key(kind, payload)
+        with get_telemetry().span("cache.store", kind=kind):
+            path = self._store(kind, self.key(kind, payload), arrays, meta)
+        return path
+
+    def _store(self, kind: str, key: str, arrays: Dict[str, Any],
+               meta: Optional[Dict[str, Any]]) -> str:
         encoded = {k: np.asarray(v) for k, v in arrays.items()}
         encoded[_META] = np.frombuffer(
             json.dumps(meta or {}).encode("utf-8"), dtype=np.uint8)

@@ -27,7 +27,7 @@ from ..gates.fault_parallel import (
     gate_level_missed,
     program_and_golden,
 )
-from ..gates.faults import EnumeratedFault, schedule_fault_batches
+from ..gates.faults import GateFaultTable, schedule_fault_batches
 from ..generators.base import match_width
 from ..resolve import make_generator
 from ..telemetry import get_telemetry
@@ -102,7 +102,7 @@ class PreparedProblem:
 
     key: Tuple[str, str, int, int]
     netlist: Any
-    faults: List[EnumeratedFault]
+    faults: GateFaultTable
     stimulus: np.ndarray
     program: Any
     golden: np.ndarray
@@ -136,7 +136,7 @@ def prepared_problem(ctx, design: str, generator: str, vectors: int,
 
 
 def plan_shards(
-    faults: Sequence[EnumeratedFault],
+    faults: GateFaultTable,
     *,
     max_faults: int = DEFAULT_SHARD_FAULTS,
     batch_size: int = 64 * DEFAULT_WORDS,
@@ -149,21 +149,25 @@ def plan_shards(
     if max_faults <= 0:
         raise ClusterError(f"max_faults must be positive, got {max_faults}")
     shards: List[Shard] = []
-    current: List[int] = []
+    current: List[np.ndarray] = []
+    size = 0
     for batch in schedule_fault_batches(faults, batch_size):
-        if current and len(current) + len(batch) > max_faults:
-            shards.append(Shard(len(shards), tuple(current)))
-            current = []
-        current.extend(int(i) for i in batch)
+        if size and size + len(batch) > max_faults:
+            shards.append(Shard(len(shards),
+                                tuple(np.concatenate(current).tolist())))
+            current, size = [], 0
+        current.append(batch)
+        size += len(batch)
     if current:
-        shards.append(Shard(len(shards), tuple(current)))
+        shards.append(Shard(len(shards),
+                            tuple(np.concatenate(current).tolist())))
     return shards
 
 
 def grade_shard(
     nl,
     input_raw,
-    faults: Sequence[EnumeratedFault],
+    faults: GateFaultTable,
     indices: Sequence[int],
     total: int,
     *,
@@ -183,27 +187,27 @@ def grade_shard(
     ``program``/``net_waves`` are a :class:`PreparedProblem`'s, handed
     to :func:`gate_level_missed` so the shard builds neither.
     """
-    indices = [int(i) for i in indices]
-    for i in indices:
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    bad = (idx < 0) | (idx >= len(faults)) | (idx >= total)
+    if bad.any():
+        i = int(idx[np.argmax(bad)])
         if not 0 <= i < len(faults):
             raise ClusterError(
                 f"fault index {i} out of range [0, {len(faults)})")
-        if i >= total:
-            raise ClusterError(
-                f"fault index {i} >= signature stream length {total}")
-    subset = [faults[i] for i in indices]
-    detect = np.full(len(subset), -1, dtype=np.int64)
-    gate_level_missed(nl, input_raw, subset, chunk=chunk,
-                      detect_times=detect, program=program,
+        raise ClusterError(
+            f"fault index {i} >= signature stream length {total}")
+    detect = np.full(idx.size, -1, dtype=np.int64)
+    gate_level_missed(nl, input_raw, faults[idx],
+                      chunk=chunk, detect_times=detect, program=program,
                       net_waves=net_waves)
-    detected = (detect >= 0).astype(np.int64)
+    indices = idx.tolist()
+    times = detect.tolist()
     partial = shard_signature_partial(
-        misr_width, indices, [int(t) for t in detect], total,
-        poly=misr_poly)
+        misr_width, indices, times, total, poly=misr_poly)
     return {
         "indices": indices,
-        "detected": [int(v) for v in detected],
-        "detect_times": [int(t) for t in detect],
+        "detected": (detect >= 0).astype(np.int64).tolist(),
+        "detect_times": times,
         "signature_partial": int(partial),
         "faults": len(indices),
     }
@@ -320,7 +324,7 @@ def merge_shard_results(
 def single_node_grade(
     nl,
     input_raw,
-    faults: Sequence[EnumeratedFault],
+    faults: GateFaultTable,
     *,
     misr_width: int = DEFAULT_MISR_WIDTH,
     misr_poly: int = 0,

@@ -25,6 +25,7 @@ from ..errors import FaultModelError
 from ..gates.cells import VARIANT_KINDS, CellFault, cell_variant, variant_for_bit
 from ..rtl.graph import Graph
 from ..rtl.nodes import OpKind
+from ..telemetry import get_telemetry
 
 __all__ = ["DesignFault", "FaultClassTable", "FaultUniverse",
            "build_fault_universe", "build_universe_from_cells",
@@ -190,17 +191,23 @@ def build_universe_from_cells(cell_specs, name: str) -> FaultUniverse:
     :class:`~repro.gates.cells.CellVariant`.  Cells of one ``node_id``
     must be supplied contiguously starting at bit 0 (the pattern tracker
     relies on that layout).  Used by non-graph operator styles such as
-    the carry-save accumulation chain.
+    the carry-save accumulation chain.  Every universe build, through
+    either builder, is one ``faultsim.build_universe`` span.
     """
-    cells: List[Tuple[int, int]] = []
-    kind: List[int] = []
-    feasible: List[int] = []
-    for node_id, bit, variant, mask in cell_specs:
-        cells.append((node_id, bit))
-        kind.append(_KIND[variant.kind])
-        feasible.append(mask)
-    return _universe_from_columns(name, cells, np.array(kind, dtype=np.intp),
-                                  np.array(feasible, dtype=np.uint8))
+    with get_telemetry().span("faultsim.build_universe",
+                              design=name) as span:
+        cells: List[Tuple[int, int]] = []
+        kind: List[int] = []
+        feasible: List[int] = []
+        for node_id, bit, variant, mask in cell_specs:
+            cells.append((node_id, bit))
+            kind.append(_KIND[variant.kind])
+            feasible.append(mask)
+        universe = _universe_from_columns(
+            name, cells, np.array(kind, dtype=np.intp),
+            np.array(feasible, dtype=np.uint8))
+        span.set(faults=universe.fault_count)
+    return universe
 
 
 def build_fault_universe(
@@ -214,13 +221,20 @@ def build_fault_universe(
     elimination (refs [2, 3]) remove such redundancy before fault counts
     are reported.  Pass ``False`` for the raw structural universe.
     """
+    return build_universe_from_cells(_graph_cell_specs(graph, prune_untestable),
+                                     name or graph.name)
+
+
+def _graph_cell_specs(graph: Graph, prune_untestable: bool):
+    """Cell specs of a graph's operators.  A generator, so the
+    feasibility analysis runs inside the universe span."""
     masks = None
     if prune_untestable:
         from .feasibility import design_feasible_masks
         masks = design_feasible_masks(graph)
-    cell_specs = (
-        (node.nid, bit,
-         variant_for_bit(bit, node.fmt.width, node.kind is OpKind.SUB),
-         0xFF if masks is None else masks[(node.nid, bit)])
-        for node in graph.arithmetic_nodes for bit in range(node.fmt.width))
-    return build_universe_from_cells(cell_specs, name or graph.name)
+    for node in graph.arithmetic_nodes:
+        for bit in range(node.fmt.width):
+            yield (node.nid, bit,
+                   variant_for_bit(bit, node.fmt.width,
+                                   node.kind is OpKind.SUB),
+                   0xFF if masks is None else masks[(node.nid, bit)])

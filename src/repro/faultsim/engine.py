@@ -200,8 +200,7 @@ def run_fault_coverage(
         if tel.enabled:
             tel.progress("faultsim.session", 0, stages, stage="start")
         if universe is None:
-            with tel.span("faultsim.build_universe"):
-                universe = build_fault_universe(design.graph, name=design.name)
+            universe = build_fault_universe(design.graph, name=design.name)
         if tel.enabled:
             tel.progress("faultsim.session", 1, stages, stage="universe")
         with tel.span("faultsim.generate"):

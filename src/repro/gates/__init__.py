@@ -13,6 +13,8 @@ from .gatesim import (
 from .compiled import CompiledNetlist, compile_netlist, compiled_program
 from .faults import (
     EnumeratedFault,
+    FaultLines,
+    GateFaultTable,
     enumerate_cell_faults,
     schedule_fault_batches,
 )
@@ -57,6 +59,8 @@ __all__ = [
     "fuse_program",
     "fused_program",
     "EnumeratedFault",
+    "FaultLines",
+    "GateFaultTable",
     "enumerate_cell_faults",
     "schedule_fault_batches",
     "fault_parallel_reference",

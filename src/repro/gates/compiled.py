@@ -281,12 +281,6 @@ def _flat_program(prog: CompiledNetlist) -> _FlatProgram:
     return flat
 
 
-def _word_arr(value) -> np.ndarray:
-    """Normalize a mask to a (words,) uint64 array."""
-    arr = np.asarray(value, dtype=np.uint64)
-    return arr.reshape(1) if arr.ndim == 0 else arr
-
-
 class ConeWorkspace:
     """Reusable flat uint64 buffers for the chunk evaluator.
 

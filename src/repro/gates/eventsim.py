@@ -44,7 +44,6 @@ from .compiled import (
     ConeWorkspace,
     _TWO_INPUT,
     _flat_program,
-    _word_arr,
 )
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
     "FusedGroup",
     "FusedProgram",
     "EventCone",
+    "LineMasks",
     "fuse_program",
     "fused_program",
 ]
@@ -325,14 +325,24 @@ class _FusedFlat:
     ``ext`` is padded to the widest slot count with the sentinel net id
     ``n_nets`` so cone selection's "any input affected" test is one
     fancy index over a boolean array with an always-False sentinel.
+    Groups are numbered in (level, group) order: ``unit_group`` names
+    each unit's group, ``group_list`` / ``group_n_ext`` describe each
+    group.  ``gate_unit`` / ``gate_member`` locate every original gate
+    (the pin-fault map), and ``internal_unit`` / ``internal_member``
+    every fused-internal net (``-1`` for other nets).
     """
 
     n_units: int
     out: np.ndarray
     ext: np.ndarray
     level_bounds: List[Tuple[int, int]]
-    #: per level: (group, flat_start, flat_end)
-    groups: List[List[Tuple[FusedGroup, int, int]]]
+    unit_group: np.ndarray
+    group_list: List[FusedGroup]
+    group_n_ext: np.ndarray
+    gate_unit: np.ndarray
+    gate_member: np.ndarray
+    internal_unit: np.ndarray
+    internal_member: np.ndarray
 
 
 def _fused_flat(fused: FusedProgram) -> _FusedFlat:
@@ -344,21 +354,39 @@ def _fused_flat(fused: FusedProgram) -> _FusedFlat:
     outs: List[np.ndarray] = []
     exts: List[np.ndarray] = []
     level_bounds: List[Tuple[int, int]] = []
-    level_groups: List[List[Tuple[FusedGroup, int, int]]] = []
+    group_list: List[FusedGroup] = []
+    group_start: List[int] = []
+    group_of: Dict[Tuple[int, int], int] = {}
     pos = 0
-    for groups in fused.levels:
+    for li, groups in enumerate(fused.levels):
         start = pos
-        entries: List[Tuple[FusedGroup, int, int]] = []
-        for g in groups:
+        for gi, g in enumerate(groups):
             n = len(g.out)
             outs.append(g.out)
             padded = np.full((n, kmax), fused.n_nets, dtype=np.int64)
             padded[:, :g.n_ext] = g.ext
             exts.append(padded)
-            entries.append((g, pos, pos + n))
+            group_of[(li, gi)] = len(group_list)
+            group_list.append(g)
+            group_start.append(pos)
             pos += n
         level_bounds.append((start, pos))
-        level_groups.append(entries)
+    starts = np.array(group_start, dtype=np.int64)
+    sizes = np.array([len(g.out) for g in group_list], dtype=np.int64)
+
+    def locate(locs: Dict[int, Tuple[int, int, int, int]], size: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        unit = np.full(size, -1, dtype=np.int64)
+        member = np.full(size, -1, dtype=np.int64)
+        for key, (li, gi, row, mi) in locs.items():
+            unit[key] = starts[group_of[(li, gi)]] + row
+            member[key] = mi
+        return unit, member
+
+    gate_unit, gate_member = locate(
+        fused.gate_loc, max(fused.gate_loc, default=-1) + 1)
+    internal_unit, internal_member = locate(fused.internal_loc,
+                                            fused.n_nets + 1)
     flat = _FusedFlat(
         n_units=pos,
         out=(np.concatenate(outs) if outs
@@ -366,7 +394,14 @@ def _fused_flat(fused: FusedProgram) -> _FusedFlat:
         ext=(np.concatenate(exts) if exts
              else np.zeros((0, 0), dtype=np.int64)),
         level_bounds=level_bounds,
-        groups=level_groups,
+        unit_group=np.repeat(np.arange(len(group_list)), sizes),
+        group_list=group_list,
+        group_n_ext=np.array([g.n_ext for g in group_list],
+                             dtype=np.int64),
+        gate_unit=gate_unit,
+        gate_member=gate_member,
+        internal_unit=internal_unit,
+        internal_member=internal_member,
     )
     fused._flat = flat  # type: ignore[attr-defined]
     return flat
@@ -382,6 +417,24 @@ def _lanes(rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class LineMasks:
+    """Set/clear lane words of every stuck line of one fault batch.
+
+    ``net`` lists the stuck nets, ``net_set`` / ``net_clr`` their
+    ``(lines, words)`` set and clear words; ``pin_gate`` / ``pin`` and
+    ``pin_set`` / ``pin_clr`` do the same for stuck gate input pins.
+    Each line appears once.
+    """
+
+    net: np.ndarray
+    net_set: np.ndarray
+    net_clr: np.ndarray
+    pin_gate: np.ndarray
+    pin: np.ndarray
+    pin_set: np.ndarray
+    pin_clr: np.ndarray
+
+
 class _EventOp:
     """One cone-restricted slice of a fused group, plus fault forces.
 
@@ -393,14 +446,10 @@ class _EventOp:
     ``out_clr`` the output-net stuck masks, and ``obs_idx`` /
     ``obs_nets`` the rows driving a primary output.  A flop op keeps
     each row's last input sample of the previous chunk in ``carry``.
+    The optional parts default to ``None`` on the class, so an op
+    stores only the ones it has.
     """
 
-    recipe: Tuple[Tuple[str, int, int], ...]
-    n_ext: int
-    o0: int
-    o1: int
-    is_dff: bool
-    flat_rows: np.ndarray
     sent: Optional[np.ndarray] = None
     sent_nets: Optional[np.ndarray] = None
     obs_idx: Optional[np.ndarray] = None
@@ -408,8 +457,17 @@ class _EventOp:
     out_pos: Optional[np.ndarray] = None
     out_set: Optional[np.ndarray] = None
     out_clr: Optional[np.ndarray] = None
-    row_masks: Dict[int, List[Tuple]] = field(default_factory=dict)
+    row_masks: Optional[Dict[int, List[Tuple]]] = None
     carry: Optional[np.ndarray] = None
+
+    def __init__(self, group: FusedGroup, o0: int, o1: int,
+                 flat_rows: np.ndarray):
+        self.recipe = group.recipe
+        self.n_ext = group.n_ext
+        self.o0 = o0
+        self.o1 = o1
+        self.is_dff = group.is_dff
+        self.flat_rows = flat_rows
 
 
 class EventCone:
@@ -420,15 +478,15 @@ class EventCone:
     chunks) over the batch's transitive fanout cone: every chunk
     evaluates every super-gate of the cone once.  ``rows_evaluated``
     accumulates those super-gate evaluations.
+
+    Construction is whole-cone array work: the cone's units are
+    selected level by level, then renumbered, gathered and flagged in
+    one pass and split into ops at group bounds; only the op objects
+    and the per-row fault forces are made one by one.
     """
 
-    def __init__(
-        self,
-        fused: FusedProgram,
-        net_masks: Dict[int, Tuple],
-        pin_masks: Dict[Tuple[int, int], Tuple],
-        words: int = 1,
-    ):
+    def __init__(self, fused: FusedProgram, masks: LineMasks,
+                 words: int = 1):
         self.words = words
         self.rows_evaluated = 0
         prog = fused.prog
@@ -438,20 +496,16 @@ class EventCone:
         # Net faults on fused-internal nets act as member-output forces
         # on their containing unit; every other masked net is marked
         # affected up front.
-        internal_stuck = [n for n in net_masks if n in fused.internal_loc]
-        ext_stuck = np.array(
-            [n for n in net_masks if n not in fused.internal_loc],
-            dtype=np.int64)
+        int_unit = flat.internal_unit[masks.net]
+        internal = int_unit >= 0
+        ext_stuck = masks.net[~internal]
+        pin_unit = flat.gate_unit[masks.pin_gate]
 
         affected = np.zeros(n_nets + 1, dtype=bool)
         affected[ext_stuck] = True
         forced_u = np.zeros(flat.n_units, dtype=bool)
-        for gidx, _pin in pin_masks:
-            li, gi, row, _m = fused.gate_loc[int(gidx)]
-            forced_u[flat.groups[li][gi][1] + row] = True
-        for net in internal_stuck:
-            li, gi, row, _m = fused.internal_loc[int(net)]
-            forced_u[flat.groups[li][gi][1] + row] = True
+        forced_u[pin_unit] = True
+        forced_u[int_unit[internal]] = True
 
         sel_all = np.zeros(flat.n_units, dtype=bool)
         for s, e in flat.level_bounds:
@@ -464,98 +518,113 @@ class EventCone:
             sel_all[s:e] = sel
             affected[flat.out[s:e][sel]] = True
 
-        driven = np.zeros(n_nets + 1, dtype=bool)
-        driven[flat.out[sel_all]] = True
-        is_stuck = np.zeros(n_nets + 1, dtype=bool)
-        is_stuck[ext_stuck] = True
-        is_output = np.zeros(n_nets + 1, dtype=bool)
-        is_output[prog.output_bits] = True
-
         # Rows: cone units in (level, group, position) order, then seed
         # rows (stuck nets no cone unit drives); operands outside the
         # row space read golden by net, so no boundary rows exist.
+        units = np.flatnonzero(sel_all)
+        out = flat.out[units]
+        n_sel = units.size
         row_of = np.full(n_nets + 1, -1, dtype=np.int64)
-        next_row = 0
-        slices: List[Tuple[int, int, FusedGroup, np.ndarray, int]] = []
-        for li, entries in enumerate(flat.groups):
-            for gi, (group, s, e) in enumerate(entries):
-                idx = np.nonzero(sel_all[s:e])[0]
-                if not idx.size:
-                    continue
-                row_of[group.out[idx]] = np.arange(next_row,
-                                                   next_row + idx.size)
-                slices.append((li, gi, group, idx, next_row))
-                next_row += idx.size
+        row_of[out] = np.arange(n_sel)
+        driven = np.zeros(n_nets + 1, dtype=bool)
+        driven[out] = True
+        is_output = np.zeros(n_nets + 1, dtype=bool)
+        is_output[prog.output_bits] = True
+        is_stuck = np.zeros(n_nets + 1, dtype=bool)
+        is_stuck[ext_stuck] = True
 
-        seed = (ext_stuck[~driven[ext_stuck]] if ext_stuck.size
-                else ext_stuck)
+        is_seed = ~driven[ext_stuck]
+        seed = ext_stuck[is_seed]
         self.seed_nets = seed
-        self.srow0 = next_row
-        row_of[seed] = np.arange(next_row, next_row + seed.size)
-        self.n_rows = next_row + seed.size
-        if seed.size:
-            self.seed_set = np.stack(
-                [_word_arr(net_masks[int(n)][0]) for n in seed])
-            self.seed_clr = np.stack(
-                [_word_arr(net_masks[int(n)][1]) for n in seed])
-        else:
-            self.seed_set = np.zeros((0, words), dtype=np.uint64)
-            self.seed_clr = np.zeros((0, words), dtype=np.uint64)
+        self.srow0 = n_sel
+        row_of[seed] = np.arange(n_sel, n_sel + seed.size)
+        self.n_rows = n_sel + seed.size
+        self.seed_set = masks.net_set[~internal][is_seed]
+        self.seed_clr = masks.net_clr[~internal][is_seed]
         self.seed_obs_idx = np.nonzero(is_output[seed])[0]
 
+        # Ops: runs of one group among the cone units.
+        group = flat.unit_group[units]
+        o0 = np.flatnonzero(np.diff(group, prepend=-1))
+        size = np.diff(o0, append=n_sel)
+        op_of = np.repeat(np.arange(o0.size), size)
+        rank = np.arange(n_sel) - o0[op_of]
+        k_op = flat.group_n_ext[group[o0]]
+        # Slot-major operand gather of every op, one after another:
+        # op j's slot s of its unit at rank r lands at
+        # start[j] + s * size[j] + r.
+        start = np.concatenate(([0], np.cumsum(k_op * size)))
+        ext = flat.ext[units]
+        slot = np.arange(ext.shape[1])
+        valid = slot < k_op[op_of][:, None]
+        at = (start[op_of][:, None] + slot * size[op_of][:, None]
+              + rank[:, None])[valid]
+        rows = row_of[ext[valid]]
+        # Out-of-cone slots get the sentinel row n_rows: the clipped
+        # gather reads a placeholder that golden replaces.
+        rows[rows < 0] = self.n_rows
+        flat_rows = np.empty(start[-1], dtype=np.int64)
+        flat_rows[at] = rows
+        slot_nets = np.empty(start[-1], dtype=np.int64)
+        slot_nets[at] = ext[valid]
+        sent = flat_rows == self.n_rows
+        sent_nets = slot_nets[sent]
+        sent_at = np.concatenate(([0], np.cumsum(sent)))[start]
+
+        o1 = o0 + size
+        obs = np.flatnonzero(is_output[out])
+        obs_idx = rank[obs]
+        obs_nets = out[obs]
+        stuck = np.flatnonzero(is_stuck[out])
+        stuck_idx = rank[stuck]
+        mask_row = np.full(n_nets + 1, -1, dtype=np.int64)
+        mask_row[masks.net] = np.arange(masks.net.size)
+        stuck_set = masks.net_set[mask_row[out[stuck]]]
+        stuck_clr = masks.net_clr[mask_row[out[stuck]]]
+
+        # Each op's bounds in every flat array, as one row of ints.
+        bounds = np.stack([
+            group[o0], o0, o1, start[:-1], start[1:], sent_at[:-1],
+            sent_at[1:], np.searchsorted(obs, o0), np.searchsorted(obs, o1),
+            np.searchsorted(stuck, o0), np.searchsorted(stuck, o1),
+        ], axis=1).tolist()
         self.ops: List[_EventOp] = []
-        opmap: Dict[Tuple[int, int], Tuple[_EventOp, np.ndarray]] = {}
-        for li, gi, group, idx, o0 in slices:
-            out_nets = group.out[idx]
-            ext_nets = group.ext[idx]
-            rows = row_of[ext_nets]
-            # Out-of-cone slots get the sentinel row n_rows: the
-            # clipped gather reads a placeholder that golden replaces.
-            rows[rows < 0] = self.n_rows
-            op = _EventOp(
-                recipe=group.recipe,
-                n_ext=group.n_ext,
-                o0=o0, o1=o0 + idx.size,
-                is_dff=group.is_dff,
-                flat_rows=np.ascontiguousarray(rows.T).reshape(-1),
-            )
-            sent = op.flat_rows == self.n_rows
-            if sent.any():
-                op.sent = sent
-                op.sent_nets = np.ascontiguousarray(
-                    ext_nets.T).reshape(-1)[sent]
-            oi = np.nonzero(is_output[out_nets])[0]
-            if oi.size:
-                op.obs_idx = oi
-                op.obs_nets = out_nets[oi]
-            pos = np.nonzero(is_stuck[out_nets])[0]
-            if pos.size:
-                op.out_pos = pos
-                op.out_set = np.stack(
-                    [_word_arr(net_masks[int(out_nets[p])][0])
-                     for p in pos])
-                op.out_clr = np.stack(
-                    [_word_arr(net_masks[int(out_nets[p])][1])
-                     for p in pos])
+        groups = flat.group_list
+        for g, a, b, s0, s1, t0, t1, v0, v1, u0, u1 in bounds:
+            op = _EventOp(groups[g], a, b, flat_rows[s0:s1])
+            if t1 > t0:
+                op.sent = sent[s0:s1]
+                op.sent_nets = sent_nets[t0:t1]
+            if v1 > v0:
+                op.obs_idx = obs_idx[v0:v1]
+                op.obs_nets = obs_nets[v0:v1]
+            if u1 > u0:
+                op.out_pos = stuck_idx[u0:u1]
+                op.out_set = stuck_set[u0:u1]
+                op.out_clr = stuck_clr[u0:u1]
             if op.is_dff:
                 # Flops reset to 0: the carry into the first chunk.
-                op.carry = np.zeros((idx.size, words), dtype=np.uint64)
-            opmap[(li, gi)] = (op, idx)
+                op.carry = np.zeros((b - a, words), dtype=np.uint64)
             self.ops.append(op)
 
-        for (gidx, pin), (mset, mclr) in pin_masks.items():
-            li, gi, row, mi = fused.gate_loc[int(gidx)]
-            op, idx = opmap[(li, gi)]
-            p = int(np.searchsorted(idx, row))
-            op.row_masks.setdefault(p, []).append(
-                ("pin", mi, int(pin), _word_arr(mset), _word_arr(mclr)))
-        for net in internal_stuck:
-            li, gi, row, mi = fused.internal_loc[int(net)]
-            op, idx = opmap[(li, gi)]
-            p = int(np.searchsorted(idx, row))
-            mset, mclr = net_masks[net]
-            op.row_masks.setdefault(p, []).append(
-                ("mout", mi, _word_arr(mset), _word_arr(mclr)))
+        # Pin forces, then forces on fused-internal nets, per op row.
+        row_masks: Dict[int, Dict[int, List[Tuple]]] = {}
+        at_pin = np.searchsorted(units, pin_unit)
+        for j, p, mi, pin, mset, mclr in zip(
+                op_of[at_pin].tolist(), rank[at_pin].tolist(),
+                flat.gate_member[masks.pin_gate].tolist(),
+                masks.pin.tolist(), masks.pin_set, masks.pin_clr):
+            row_masks.setdefault(j, {}).setdefault(p, []).append(
+                ("pin", mi, pin, mset, mclr))
+        at_int = np.searchsorted(units, int_unit[internal])
+        for j, p, mi, mset, mclr in zip(
+                op_of[at_int].tolist(), rank[at_int].tolist(),
+                flat.internal_member[masks.net[internal]].tolist(),
+                masks.net_set[internal], masks.net_clr[internal]):
+            row_masks.setdefault(j, {}).setdefault(p, []).append(
+                ("mout", mi, mset, mclr))
+        for j, rows_of_op in row_masks.items():
+            self.ops[j].row_masks = rows_of_op
         self.cone_nets = int(np.count_nonzero(affected[:n_nets]))
 
     # ------------------------------------------------------------------
@@ -670,8 +739,9 @@ class EventCone:
             else:  # buf
                 np.copyto(out_buf, a)
             m_res.append(out_buf)
-        for p, entries in op.row_masks.items():
-            vout[p] = self._recompute_row(op, ext_view, p, entries)
+        if op.row_masks:
+            for p, entries in op.row_masks.items():
+                vout[p] = self._recompute_row(op, ext_view, p, entries)
         self._finish(op, ws, vout, det)
 
     def _eval_dff(self, op: _EventOp, ws: ConeWorkspace, w: np.ndarray,

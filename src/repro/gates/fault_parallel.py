@@ -37,7 +37,7 @@ counters ``gates.cone_nets``, ``gates.chunks_skipped`` and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,8 +49,10 @@ from .compiled import (
     compiled_program,
     golden_net_waves,
 )
-from .faults import EnumeratedFault, schedule_fault_batches
-from .gatesim import NetlistFault, pack_input_bits
+from .eventsim import LineMasks
+from .faults import (EnumeratedFault, FaultLines, GateFaultTable,
+                     schedule_fault_batches)
+from .gatesim import NetlistFault, fault_lines, pack_input_bits
 from .netlist import GateNetlist
 
 __all__ = [
@@ -81,46 +83,48 @@ DEFAULT_WORDS = 8
 EVENT_STAGE1_WORDS = 32
 
 
-def _line_masks(
-    faults: Sequence[NetlistFault],
-    words: int = 1,
-) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]],
-           Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]]:
+def _group_masks(key: np.ndarray, row: np.ndarray, value: np.ndarray,
+                 words: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lines, set words, clear words)`` of stuck entries ``key`` held
+    by batch rows ``row``; lines in order of first appearance."""
+    lines, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)
+    line_of = np.empty(order.size, dtype=np.int64)
+    line_of[order] = np.arange(order.size)
+    masks = np.zeros((2, order.size, words), dtype=np.uint64)
+    lane = np.left_shift(np.uint64(1), (row & 63).astype(np.uint64))
+    np.bitwise_or.at(masks, ((value == 0).astype(np.intp),
+                             line_of[inverse.reshape(-1)], row >> 6), lane)
+    return lines[order], masks[0], masks[1]
+
+
+def _line_masks(lines: FaultLines, words: int = 1) -> LineMasks:
     """Per-line (set, clear) lane-mask words for up to ``64 * words`` faults.
 
-    Fault ``j`` becomes bit ``j % 64`` of word ``j // 64``; masks are
-    ``(words,)`` uint64 arrays.
+    Fault ``j`` becomes bit ``j % 64`` of word ``j // 64``; each stuck
+    net and each stuck ``(gate, pin)`` gets one row of ``(words,)``
+    uint64 set and clear words, built by array group-bys.
     """
-    net_masks: Dict[int, np.ndarray] = {}
-    pin_masks: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def _mark(table, key, word, bit, is_set):
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = np.zeros((2, words), dtype=np.uint64)
-        entry[0 if is_set else 1, word] |= bit
-
-    for j, fault in enumerate(faults):
-        word, bit = j // 64, np.uint64(1 << (j % 64))
-        kind, payload = fault.lines
-        if kind == "net":
-            _mark(net_masks, int(payload), word, bit, fault.value)
-        elif kind == "pins":
-            for gate, pin in payload:
-                _mark(pin_masks, (int(gate), int(pin)), word, bit,
-                      fault.value)
-        else:
-            raise SimulationError(f"unknown fault line kind {kind!r}")
-    return (
-        {k: (v[0], v[1]) for k, v in net_masks.items()},
-        {k: (v[0], v[1]) for k, v in pin_masks.items()},
-    )
+    rows = np.arange(len(lines))
+    is_net = lines.net >= 0
+    net, net_set, net_clr = _group_masks(
+        lines.net[is_net], rows[is_net], lines.value[is_net], words)
+    has_pin = lines.pin_gate >= 0
+    pin_row = np.nonzero(has_pin)[0]
+    gate, pin = lines.pin_gate[has_pin], lines.pin[has_pin]
+    base = int(pin.max()) + 1 if pin.size else 1
+    keys, pin_set, pin_clr = _group_masks(
+        gate * base + pin, pin_row, lines.value[pin_row], words)
+    return LineMasks(net=net, net_set=net_set, net_clr=net_clr,
+                     pin_gate=keys // base, pin=keys % base,
+                     pin_set=pin_set, pin_clr=pin_clr)
 
 
 def _grade_cone_batch(
     prog: CompiledNetlist,
     golden: np.ndarray,
-    faults: Sequence[NetlistFault],
+    faults: Union[FaultLines, Sequence[NetlistFault]],
     chunk: int,
     ws: ConeWorkspace,
     length: Optional[int] = None,
@@ -130,7 +134,8 @@ def _grade_cone_batch(
 
     Builds the :class:`~repro.gates.eventsim.EventCone` over the fused
     super-gate program and drives it chunk by chunk: per-word dropping
-    and chunk-end detection-time capture live here.
+    and chunk-end detection-time capture live here.  ``faults`` are the
+    batch's line columns (or :class:`NetlistFault` objects).
 
     ``golden`` is the boolean ``(nets, T)`` matrix of
     :func:`~repro.gates.compiled.golden_net_waves`.  ``length`` grades
@@ -147,13 +152,13 @@ def _grade_cone_batch(
     """
     from .eventsim import EventCone, fused_program
 
-    n = len(faults)
+    lines = FaultLines.of(faults)
+    n = len(lines)
     words = -(-n // 64)
     if length is None:
         length = golden.shape[1]
     chunk = min(chunk, length) if length else 1
-    net_masks, pin_masks = _line_masks(faults, words)
-    cone = EventCone(fused_program(prog), net_masks, pin_masks, words)
+    cone = EventCone(fused_program(prog), _line_masks(lines, words), words)
     # Golden is read lazily straight from the full (contiguous) matrix;
     # per-chunk slices stay within [0, length).
     cone.bind_golden(golden)
@@ -248,7 +253,7 @@ def _emit_batch_stats(tel, n_faults: int, stats: Dict[str, int]) -> None:
 def _grade_verdicts(
     prog: CompiledNetlist,
     golden: np.ndarray,
-    faults: Sequence[EnumeratedFault],
+    faults: GateFaultTable,
     *,
     chunk: Optional[int] = None,
     words: Optional[int] = None,
@@ -262,7 +267,9 @@ def _grade_verdicts(
     are repacked into fresh cone-local batches and re-graded on
     geometrically longer prefixes, the last being the full sequence —
     so the hard tail of each batch never drags a full-length cone
-    evaluation along with it.  Returns verdicts aligned with ``faults``.
+    evaluation along with it.  Each stage schedules and masks its
+    survivors straight from the table's columns.  Returns verdicts
+    aligned with ``faults``.
 
     Emits one ``gates.fault_batch`` span and the per-batch counters,
     nothing run-level: :func:`gate_level_missed` owns the progress
@@ -287,16 +294,15 @@ def _grade_verdicts(
         stage_words = (EVENT_STAGE1_WORDS
                        if words is None and stage_len == stages[0]
                        else n_words)
-        subset = [faults[i] for i in remaining]
-        for batch in schedule_fault_batches(subset, 64 * stage_words):
-            idx = remaining[np.asarray(batch, dtype=np.int64)]
+        for batch in schedule_fault_batches(faults[remaining],
+                                            64 * stage_words):
+            idx = remaining[batch]
             first_detect = (np.full(len(batch), -1, dtype=np.int64)
                             if detect_times is not None else None)
             with tel.span("gates.fault_batch", faults=len(batch),
                           prefix=stage_len):
                 batch_verdicts, stats = _grade_cone_batch(
-                    prog, golden,
-                    [faults[i].netlist_fault for i in idx],
+                    prog, golden, faults.lines.take(idx),
                     chunk_len, ws, length=stage_len,
                     first_detect=first_detect)
             verdicts[idx] = batch_verdicts
@@ -333,24 +339,31 @@ def program_and_golden(
     The program comes through
     :func:`~repro.cache.pipeline.cached_gate_program`, so an
     :class:`~repro.cache.ArtifactCache` passed as ``cache`` persists it
-    across processes.  The golden machine is simulated here every time:
-    it costs less than loading or storing its matrix.  Golden stays the
-    boolean ``(nets, T)`` matrix; the cone sweep widens only the rows
-    it reads to 64-lane words.
+    across processes; its fused view is built here too.  The golden
+    machine is simulated here every time: it costs less than loading or
+    storing its matrix.  Golden stays the boolean ``(nets, T)`` matrix;
+    the cone sweep widens only the rows it reads to 64-lane words.
+    The two stages are the ``gates.compile`` and ``gates.golden``
+    spans.
     """
     from ..cache.pipeline import cached_gate_program
+    from .eventsim import fused_program
 
+    tel = get_telemetry()
     raw = np.asarray(input_raw, dtype=np.int64)
-    prog = cached_gate_program(cache, nl, lambda: compiled_program(nl))
-    golden = golden_net_waves(prog, pack_input_bits(raw,
-                                                    len(nl.input_bits)))
+    with tel.span("gates.compile"):
+        prog = cached_gate_program(cache, nl, lambda: compiled_program(nl))
+        fused_program(prog)
+    with tel.span("gates.golden", vectors=len(raw)):
+        golden = golden_net_waves(prog, pack_input_bits(raw,
+                                                        len(nl.input_bits)))
     return prog, golden
 
 
 def gate_level_missed(
     nl: GateNetlist,
     input_raw: Sequence[int],
-    faults: Sequence[EnumeratedFault],
+    faults: Union[GateFaultTable, Sequence[EnumeratedFault]],
     *,
     cache=None,
     chunk: Optional[int] = None,
@@ -361,12 +374,15 @@ def gate_level_missed(
 ) -> List[EnumeratedFault]:
     """Exact gate-level missed-fault list over an arbitrary universe.
 
-    Faults are grouped into cone-local batches
+    ``faults`` is a :class:`~repro.gates.faults.GateFaultTable` (a
+    sequence of :class:`EnumeratedFault` is converted to one).  Faults
+    are grouped into cone-local batches
     (:func:`repro.gates.faults.schedule_fault_batches`) of
     ``64 * words`` and graded by the fused cone sweep; the
-    returned list preserves the input fault order, so results do not
-    depend on how faults are batched.  Progress is published on the
-    ``gates.grade`` telemetry stream after every batch.
+    returned list holds ``faults``' items for the missed rows, in input
+    order, so results do not depend on how faults are batched.
+    Progress is published on the ``gates.grade`` telemetry stream after
+    every batch.
     ``words`` left unset widens the first deepening stage to
     :data:`EVENT_STAGE1_WORDS`.
 
@@ -385,7 +401,8 @@ def gate_level_missed(
     """
     tel = get_telemetry()
     raw = np.asarray(input_raw, dtype=np.int64)
-    n_faults = len(faults)
+    table = GateFaultTable.of(faults)
+    n_faults = len(table)
     with tel.span("gates.fault_parallel", faults=n_faults,
                   vectors=len(raw)) as span:
         if program is None or net_waves is None:
@@ -408,9 +425,9 @@ def gate_level_missed(
                     dropped=dropped, prefix=record["prefix"])
 
         verdicts = _grade_verdicts(
-            program, net_waves, faults, chunk=chunk, words=words,
+            program, net_waves, table, chunk=chunk, words=words,
             detect_times=detect_times, on_batch=after_batch)
-        missed = [f for f, hit in zip(faults, verdicts) if not hit]
+        missed = [faults[i] for i in np.flatnonzero(~verdicts).tolist()]
     if tel.enabled and span.duration > 0:
         tel.gauge("gates.faults_per_sec").set(n_faults / span.duration)
     return missed
@@ -440,11 +457,19 @@ def fault_parallel_reference(
         raise SimulationError("at most 64 faults per batch")
     raw = np.asarray(input_raw, dtype=np.int64)
     length = len(raw)
-    word_net_masks, word_pin_masks = _line_masks(faults)
-    net_masks = {net: (np.uint64(s[0]), np.uint64(c[0]))
-                 for net, (s, c) in word_net_masks.items()}
-    pin_masks = {key: (np.uint64(s[0]), np.uint64(c[0]))
-                 for key, (s, c) in word_pin_masks.items()}
+    # Lane j of every line the fault sticks: set for stuck-at-1, clear
+    # for stuck-at-0 (nets keyed by id, pins by (gate, pin)).
+    masks: Dict[object, List[int]] = {}
+    for j, fault in enumerate(faults):
+        stuck_net, stuck_pins, stuck_value = fault_lines(fault)
+        keys = ([stuck_net] if stuck_net is not None else
+                [(g, p) for g, pins in stuck_pins.items() for p in pins])
+        for key in keys:
+            masks.setdefault(key, [0, 0])[0 if stuck_value else 1] |= 1 << j
+    net_masks = {k: (np.uint64(s), np.uint64(c))
+                 for k, (s, c) in masks.items() if isinstance(k, int)}
+    pin_masks = {k: (np.uint64(s), np.uint64(c))
+                 for k, (s, c) in masks.items() if isinstance(k, tuple)}
 
     # Reference-count nets so waveforms are freed after their last reader.
     reads: Dict[int, int] = {}

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import DesignError, FaultModelError
 from ..rtl.graph import Graph
 from ..rtl.nodes import OpKind
+from ..telemetry import get_telemetry
 from .cells import _NETLISTS  # shared single-source cell topology
 
 __all__ = ["GateRef", "Gate", "Dff", "GateNetlist", "elaborate"]
@@ -69,6 +70,9 @@ class GateNetlist:
     output_bits: List[int] = field(default_factory=list)
     node_bits: Dict[int, List[int]] = field(default_factory=dict)
     cell_sites: Dict[Tuple[int, int], Dict[str, object]] = field(default_factory=dict)
+    #: First gate of every elaborated cell; a cell's gates follow it
+    #: contiguously, in its variant's gate order.
+    cell_gates: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     CONST0 = 0
     CONST1 = 1
@@ -105,8 +109,10 @@ class GateNetlist:
     def cell_fault_line(self, node_id: int, bit: int, site: str) -> Tuple[str, object]:
         """Resolve a cell-level fault site name to a netlist line.
 
-        Returns ``("net", net_id)`` for stems/outputs or
-        ``("pin", (gate_index, pin_index))`` for fanout branches.
+        Returns ``("net", net_id)`` for a gate-output stem, or
+        ``("pins", ((gate_index, pin_index), ...))`` for a fanout branch
+        (one pair) or a cell-input stem (every pin of this cell that
+        reads it).
         """
         key = (node_id, bit)
         if key not in self.cell_sites:
@@ -150,6 +156,7 @@ def _elaborate_cell(
     # (the wire segment into the cell), never the shared driving net.
     stem_pins: Dict[str, List[Tuple[int, int]]] = {}
     sites: Dict[str, object] = {}
+    nl.cell_gates[(node_id, bit)] = len(nl.gates)
     for gkind, out, ins in gates:
         in_nets = [nets[i.split(".")[0]] for i in ins]
         gate_index = len(nl.gates)
@@ -173,6 +180,13 @@ def _elaborate_cell(
 
 def elaborate(graph: Graph) -> GateNetlist:
     """Expand an RTL graph into a flat gate netlist."""
+    with get_telemetry().span("gates.elaborate", design=graph.name) as span:
+        nl = _elaborate(graph)
+        span.set(gates=nl.gate_count)
+    return nl
+
+
+def _elaborate(graph: Graph) -> GateNetlist:
     graph.validate()
     nl = GateNetlist()
     for nid in graph.topological_order():

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..gates.fault_parallel import (DEFAULT_WORDS, _grade_verdicts,
                                     program_and_golden)
-from ..gates.faults import schedule_fault_batches
+from ..gates.faults import GateFaultTable, schedule_fault_batches
 from ..gates.netlist import GateNetlist
 from ..telemetry import get_telemetry
 from .pool import parallel_map
@@ -47,8 +47,8 @@ _GATE_STATE: Dict[str, Any] = {}
 
 
 def _init_gate_worker(nl: GateNetlist, raw: np.ndarray,
-                      faults: Sequence) -> None:
-    _GATE_STATE["payload"] = (nl, raw, list(faults))
+                      faults: GateFaultTable) -> None:
+    _GATE_STATE["payload"] = (nl, raw, faults)
     _GATE_STATE.pop("compiled", None)
 
 
@@ -76,16 +76,17 @@ def gate_level_missed_parallel(
     :func:`repro.gates.fault_parallel.gate_level_missed`; identical
     verdicts, ``ceil(F / BATCH)`` independent tasks.
     """
-    faults = list(faults)
+    table = GateFaultTable.of(faults)
     tel = get_telemetry()
-    with tel.span("gates.fault_parallel_pool", faults=len(faults),
+    with tel.span("gates.fault_parallel_pool", faults=len(table),
                   vectors=len(input_raw), jobs=jobs) as span:
         raw = np.asarray(input_raw, dtype=np.int64)
         # Cone-aware schedule: grade in locality order, then scatter the
         # verdicts back so results are independent of the schedule.
-        order = [i for batch in schedule_fault_batches(faults, BATCH)
-                 for i in batch]
-        scheduled = [faults[i] for i in order]
+        batches = schedule_fault_batches(table, BATCH)
+        order = (np.concatenate(batches) if batches
+                 else np.zeros(0, dtype=np.int64))
+        scheduled = table[order]
         starts = list(range(0, len(scheduled), BATCH))
 
         def _serial(chunk: Sequence[int]) -> List[np.ndarray]:
@@ -100,18 +101,18 @@ def gate_level_missed_parallel(
             initargs=(nl, raw, scheduled),
             serial_fallback=_serial, label="gates.fault_pool")
 
-        verdicts = np.zeros(len(faults), dtype=bool)
+        verdicts = np.zeros(len(table), dtype=bool)
         done = 0
         for start, block in zip(starts, verdict_blocks):
             batch_idx = order[start:start + BATCH]
             verdicts[batch_idx] = block
             done += len(batch_idx)
             if tel.enabled:
-                tel.progress("gates.grade", done, len(faults),
+                tel.progress("gates.grade", done, len(table),
                              detected=int(verdicts.sum()),
                              coverage=float(verdicts.sum())
-                             / max(1, len(faults)))
-        missed = [f for f, hit in zip(faults, verdicts) if not hit]
+                             / max(1, len(table)))
+        missed = [faults[i] for i in np.flatnonzero(~verdicts).tolist()]
     if tel.enabled and span.duration > 0:
-        tel.gauge("gates.faults_per_sec").set(len(faults) / span.duration)
+        tel.gauge("gates.faults_per_sec").set(len(table) / span.duration)
     return missed

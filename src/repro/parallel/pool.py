@@ -181,22 +181,25 @@ def parallel_map(
             futures = {executor.submit(_run_chunk, fn, chunk, trace): idx
                        for idx, chunk in enumerate(chunks)}
             for future, idx in futures.items():
-                if degraded is not None:
-                    future.cancel()
-                    continue
                 try:
                     chunk_out, payload = future.result(timeout=timeout)
-                    results[idx] = chunk_out
-                    if tel.enabled:
-                        tel.absorb(payload)
                 except FutureTimeoutError:
                     degraded = f"chunk timed out after {timeout:.1f}s"
+                    _terminate_workers(executor)
+                    break
                 except BrokenExecutor as exc:
                     degraded = f"worker pool broke: {exc or 'worker died'}"
-            if degraded is not None:
-                _terminate_workers(executor)
+                    break
+                results[idx] = chunk_out
+                if tel.enabled:
+                    tel.absorb(payload)
         finally:
-            executor.shutdown(wait=degraded is None, cancel_futures=True)
+            # A broken pool (or one whose workers were just terminated)
+            # fails its pending futures on its own manager thread, which
+            # on Python 3.11 dies if one of them was cancelled meanwhile:
+            # only a map that raised cancels what is left.
+            executor.shutdown(wait=degraded is None,
+                              cancel_futures=degraded is None)
 
         if degraded is not None:
             unfinished = [idx for idx, r in enumerate(results) if r is None]

@@ -38,11 +38,12 @@ DEFAULT_CANDIDATES = ("lfsr1", "lfsr2", "lfsrd", "lfsrm", "ramp", "mixed")
 
 
 def _subsample(faults, limit: int):
-    """Evenly spaced fault subset (keeps every operator represented)."""
+    """Evenly spaced rows of a fault table (keeps every operator
+    represented)."""
     if not limit or limit >= len(faults):
-        return list(faults)
-    idx = np.unique(np.linspace(0, len(faults) - 1, limit).astype(int))
-    return [faults[i] for i in idx]
+        return faults
+    return faults[np.unique(np.linspace(0, len(faults) - 1,
+                                        limit).astype(int))]
 
 
 def recommend_generator(

@@ -219,3 +219,55 @@ class TestGateLevelCrossValidation:
                                       golden=golden):
                 propagated += 1
         assert propagated / len(excited) > 0.93
+
+
+def _excitation_and_detection(graph, nl, faults, raw):
+    """``(cell excitation time, gate chunk-end detection time)`` per
+    fault: the unpruned universe tracked over ``raw``, aligned by row
+    with the gate fault table graded exactly over the same stimulus."""
+    from repro.gates import gate_level_missed
+
+    universe = build_fault_universe(graph, prune_untestable=False)
+    assert np.array_equal(universe.fault_class, faults.fault_class)
+    excite = coverage_of_tracker(
+        track_patterns(graph, universe, raw)).detect_time
+    detect = np.full(len(faults), -1, dtype=np.int64)
+    gate_level_missed(nl, raw, faults, detect_times=detect)
+    return excite, detect
+
+
+def _assert_detection_needs_excitation(excite, detect):
+    hit = detect >= 0
+    assert hit.any()
+    assert not np.any(excite[hit] == UNSEEN), np.flatnonzero(
+        hit & (excite == UNSEEN))[:10]
+    late = hit & (detect <= excite)
+    assert not late.any(), np.flatnonzero(late)[:10]
+
+
+class TestExcitationNecessity:
+    """Per fault: a gate-level detection happens only after the cell-level
+    engine saw the fault excited.  The chunk-end detection time closes
+    the chunk holding the first divergent vector, which cannot precede
+    the first detecting pattern at the fault's cell, so it is strictly
+    greater than the excitation time."""
+
+    def test_small_design_whole_universe(self):
+        from repro.gates import elaborate, enumerate_cell_faults
+
+        design = build_small_design("plain")
+        nl = elaborate(design.graph)
+        faults = enumerate_cell_faults(design.graph, nl)
+        raw = np.random.default_rng(99).integers(-2048, 2048, size=192)
+        _assert_detection_needs_excitation(
+            *_excitation_and_detection(design.graph, nl, faults, raw))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["LP", "BP", "HP"])
+    def test_reference_designs_full_universe(self, ctx, name):
+        from repro.cluster.shards import grading_problem
+
+        design, nl, faults, raw = grading_problem(
+            ctx, name, "lfsr1", 1024, ctx.config.generator_width)
+        _assert_detection_needs_excitation(
+            *_excitation_and_detection(design.graph, nl, faults, raw))

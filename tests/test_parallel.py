@@ -6,10 +6,13 @@ import json
 import multiprocessing
 import os
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.parallel.pool as pool_module
 from repro.errors import ParallelError
 from repro.parallel import (
     SweepTask,
@@ -47,6 +50,53 @@ def _hang_in_child(x):
     if multiprocessing.parent_process() is not None:
         time.sleep(120)
     return x * x
+
+
+class _SpyFuture:
+    """A future with a fixed outcome that records ``cancel()``."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+        self.cancelled = False
+
+    def result(self, timeout=None):
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
+
+    def cancel(self):
+        self.cancelled = True
+        return True
+
+
+class _SpyPool:
+    """Stands in for ``ProcessPoolExecutor``: the first chunk's future
+    raises ``error``, later chunks run in-process; records shutdown."""
+
+    def __init__(self, error, **_kwargs):
+        self.error = error
+        self.futures = []
+        self.shutdown_args = None
+        self._processes = {}
+
+    def submit(self, fn, *args):
+        outcome = self.error if not self.futures else fn(*args)
+        self.futures.append(_SpyFuture(outcome))
+        return self.futures[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdown_args = (wait, cancel_futures)
+
+
+def _spy_pool(monkeypatch, error):
+    pools = []
+
+    def make(**kwargs):
+        pools.append(_SpyPool(error, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", make)
+    return pools
 
 
 class TestResolveJobs:
@@ -120,6 +170,32 @@ class TestParallelMap:
                            serial_fallback=fallback)
         assert out == [x * x for x in items]
         assert sum(len(c) for c in calls) == len(items)
+
+    @pytest.mark.parametrize("error", [BrokenProcessPool("worker died"),
+                                       FutureTimeoutError()],
+                             ids=["broken", "timeout"])
+    def test_degraded_pool_cancels_no_future(self, monkeypatch, error):
+        """A broken pool, or one whose hung workers were terminated,
+        fails its pending futures on its own manager thread; cancelling
+        them as well races it (on Python 3.11 that thread dies with
+        InvalidStateError).  So no future is cancelled, and the chunks
+        left over run serially."""
+        pools = _spy_pool(monkeypatch, error)
+        items = list(range(8))
+        out = parallel_map(_square, items, jobs=2, timeout=5.0)
+        assert out == [x * x for x in items]
+        (spy,) = pools
+        assert len(spy.futures) > 1
+        assert not any(f.cancelled for f in spy.futures)
+        assert spy.shutdown_args == (False, False)
+
+    def test_raising_map_cancels_the_rest(self, monkeypatch):
+        """A task error is not a pool failure: it propagates, and the
+        shutdown cancels the chunks not yet started."""
+        pools = _spy_pool(monkeypatch, ValueError("boom"))
+        with pytest.raises(ValueError, match="boom"):
+            parallel_map(_square, list(range(8)), jobs=2)
+        assert pools[0].shutdown_args == (True, True)
 
 
 class TestSweep:

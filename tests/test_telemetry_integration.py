@@ -76,6 +76,60 @@ class TestEngineInstrumentation:
         assert result.n_vectors == 64
 
 
+def _spans_named(spans, name, parent=None, out=None):
+    """``(span, parent)`` of every span called ``name`` in the forest."""
+    out = out if out is not None else []
+    for sp in spans:
+        if sp.name == name:
+            out.append((sp, parent))
+        _spans_named(sp.children, name, sp, out)
+    return out
+
+
+class TestStageSpans:
+    """Every stage of an exact grade and of a cached sweep is a span, so
+    the span tree alone says where a run's time went."""
+
+    def test_traced_exact_grade(self, small_design, tmp_path):
+        from repro.cache import ArtifactCache
+        from repro.gates import (elaborate, enumerate_cell_faults,
+                                 gate_level_missed)
+
+        raw = Type1Lfsr(small_design.input_fmt.width).sequence(64)
+        with telemetry_session() as tel:
+            nl = elaborate(small_design.graph)
+            faults = enumerate_cell_faults(small_design.graph, nl)
+            gate_level_missed(nl, raw, faults[:128],
+                              cache=ArtifactCache(tmp_path / "cache"))
+        names = _span_names(tel.roots)
+        assert {"gates.elaborate", "gates.enumerate",
+                "faultsim.build_universe", "gates.compile", "gates.golden",
+                "cache.load", "cache.store", "gates.fault_batch"} <= names
+        ((universe, parent),) = _spans_named(tel.roots,
+                                             "faultsim.build_universe")
+        assert parent.name == "gates.enumerate"
+        assert universe.attrs["faults"] == len(faults)
+        assert [p.name for _s, p in _spans_named(tel.roots, "cache.load")] \
+            == ["gates.compile"]
+        ((_compile, grade),) = _spans_named(tel.roots, "gates.compile")
+        assert grade.name == "gates.fault_parallel"
+
+    def test_cached_sweep(self, tmp_path):
+        from repro.cache import ArtifactCache
+        from repro.experiments import ExperimentContext
+        from repro.parallel import SweepTask, run_sweep
+
+        ctx = ExperimentContext(cache=ArtifactCache(tmp_path / "cache"))
+        with telemetry_session() as tel:
+            run_sweep(ctx, [SweepTask("LP", "LFSR-1", 64)], jobs=1)
+        names = _span_names(tel.roots)
+        assert {"faultsim.build_universe", "cache.load",
+                "cache.store"} <= names
+        kinds = {sp.attrs["kind"]
+                 for sp, _p in _spans_named(tel.roots, "cache.store")}
+        assert {"design", "coverage"} <= kinds
+
+
 class TestZoneTracer:
     BETA = 0.25
     VECTORS = 256
