@@ -3,8 +3,9 @@
 Starts an in-process evaluation service on an ephemeral port (the same
 machinery `repro serve` runs), then drives it through the bundled
 stdlib HTTP client: a generator ranking, a burst of spectrum requests
-submitted before any is read back, an idempotent retry, and a look at
-/metrics — finishing with a graceful drain.
+submitted before any is read back, a duplicate submission that shares
+the first one's computation, and a look at /metrics — finishing with a
+graceful drain.
 
 Against an already-running server, point ServiceClient at it instead:
 
@@ -42,14 +43,14 @@ def drive(client: ServiceClient) -> None:
         print(f"  {spec['generator']:12s} {peak[0]:8.2f} dB "
               f"at f={peak[1]:.3f}")
 
-    # --- idempotency: the retry returns the same job -----------------
-    first = client.submit("rank", {"design": "LP"},
-                          idempotency_key="demo-rank-lp")
-    retry = client.submit("rank", {"design": "LP"},
-                          idempotency_key="demo-rank-lp")
-    print(f"\nidempotent retry: {first['id']} == {retry['id']} -> "
-          f"{first['id'] == retry['id']}")
-    client.wait(first["id"], timeout=120)
+    # --- a duplicate submission, coalesced onto the running job ------
+    first = client.submit("rank", {"design": "LP"})
+    duplicate = client.submit("rank", {"design": "LP"})
+    a = client.wait(first["id"], timeout=120)
+    b = client.wait(duplicate["id"], timeout=120)
+    print(f"\nduplicate submission: {first['id']} and {duplicate['id']}, "
+          f"coalesced {b['coalesced']}, same result "
+          f"{a['result'] == b['result']}")
 
     # --- what the server saw -----------------------------------------
     metrics = client.metrics()["service"]

@@ -333,10 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="max queued jobs before 429 backpressure")
     serve.add_argument("--result-ttl", type=float, default=600.0,
                        help="seconds finished jobs stay pollable")
-    serve.add_argument("--rate", type=float, default=0.0,
-                       help="per-client submissions/sec (0 = unlimited)")
-    serve.add_argument("--burst", type=float, default=0.0,
-                       help="per-client burst size (0 = 2x --rate)")
     serve.add_argument("--drain-deadline", type=float, default=20.0,
                        help="seconds to finish in-flight jobs on shutdown")
     serve.add_argument("--access-log", default=None, metavar="PATH",
@@ -358,11 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--worker-id", default=None,
                        help="stable worker name in heartbeats and fleet "
                             "views (default host:port)")
-    serve.add_argument("--trace-out", dest="serve_trace_out", default=None,
-                       metavar="PATH",
-                       help="stream the service's telemetry events "
-                            "(request spans, job spans, metrics) to PATH "
-                            "as JSON Lines")
 
     cluster = sub.add_parser(
         "cluster", parents=[cache_flags, ledger_flags],
@@ -1099,9 +1090,8 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
         queue_depth=args.queue_depth, result_ttl=args.result_ttl,
-        rate=args.rate, burst=args.burst, drain_deadline=args.drain_deadline,
+        drain_deadline=args.drain_deadline,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
-        access_log=args.access_log, trace_out=args.serve_trace_out,
         ledger_dir=args.ledger_dir, no_ledger=args.no_ledger,
         events_keepalive=args.events_keepalive,
         heartbeat_interval=args.heartbeat_interval,

@@ -283,10 +283,7 @@ class ClusterCoordinator:
         if ctx is not None:
             params["trace"] = {"trace_id": ctx.trace_id,
                                "span_id": ctx.span_id}
-        job = client.submit(
-            "grade-shard", params,
-            idempotency_key=f"shard-{shard.shard_id}-a{task.attempt}")
-        job_id = job["id"]
+        job_id = client.submit("grade-shard", params)["id"]
         t0 = time.monotonic()
         try:
             while True:

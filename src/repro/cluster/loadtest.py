@@ -208,8 +208,9 @@ def _traffic(kinds: Sequence[str],
 
 
 def _vary(params: Dict[str, Any], rng: random.Random) -> Dict[str, Any]:
-    """Perturb sizes so the idempotency cache cannot coalesce every
-    request — a loadtest of pure replays would measure dict lookups."""
+    """Perturb sizes so coalescing by cache key cannot fold every
+    request into one computation — a loadtest of pure duplicates would
+    measure the coalescer, not the evaluation."""
     out = dict(params)
     for knob in ("vectors", "points"):
         if knob in out:

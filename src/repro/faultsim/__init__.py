@@ -8,8 +8,8 @@ from .dictionary import (
     build_universe_from_cells,
 )
 from .csa import build_csa_universe, run_csa_fault_coverage
-from .feasibility import design_feasible_masks, feasible_cell_mask, interval_low_bits
-from .observability import ObservabilityAudit, audit_observability, downstream_gains
+from .feasibility import (design_feasible_masks, feasible_cell_mask,
+                          interval_low_bits, unread_operator_bits)
 from .patterns import UNSEEN, PatternTracker, track_patterns
 from .engine import CoverageResult, coverage_of_tracker, run_fault_coverage
 from .classify import MissClassification, activation_counts, classify_missed_faults
@@ -24,11 +24,9 @@ __all__ = [
     "build_csa_universe",
     "run_csa_fault_coverage",
     "design_feasible_masks",
-    "ObservabilityAudit",
-    "audit_observability",
-    "downstream_gains",
     "feasible_cell_mask",
     "interval_low_bits",
+    "unread_operator_bits",
     "PatternTracker",
     "track_patterns",
     "UNSEEN",

@@ -36,7 +36,8 @@ from ..rtl.build import FilterDesign
 from ..rtl.intervals import value_intervals
 from ..rtl.nodes import OpKind
 
-__all__ = ["interval_low_bits", "feasible_cell_mask", "design_feasible_masks"]
+__all__ = ["interval_low_bits", "feasible_cell_mask", "design_feasible_masks",
+           "unread_operator_bits"]
 
 
 def interval_low_bits(lo: int, hi: int, k: int) -> List[Tuple[int, int, int]]:
@@ -134,4 +135,30 @@ def design_feasible_masks(design_or_graph) -> Dict[Tuple[int, int], int]:
         b_iv = intervals[node.srcs[1]]
         for bit in range(node.fmt.width):
             out[(node.nid, bit)] = feasible_cell_mask(a_iv, b_iv, bit, is_sub)
+    return out
+
+
+def unread_operator_bits(design_or_graph) -> Dict[int, Tuple[int, ...]]:
+    """Operator output bits that no consumer reads.
+
+    Names every ADD/SUB node whose consumers are all ADD/SUB nodes with
+    the same fraction bits and a narrower width, mapped to the producer
+    bits at and above the widest consumer's width.  Such a consumer
+    reads the producer's bit ``i`` as its own bit ``i``, so those bits
+    drive nothing, and a fault whose error reaches only them is
+    excited without ever reaching the output.
+    """
+    graph = design_or_graph.graph if isinstance(design_or_graph, FilterDesign) \
+        else design_or_graph
+    consumers = graph.consumers()
+    out: Dict[int, Tuple[int, ...]] = {}
+    for node in graph.arithmetic_nodes:
+        readers = [graph.node(c) for c in consumers[node.nid]]
+        if not readers or not all(r.is_arithmetic
+                                  and r.fmt.frac == node.fmt.frac
+                                  for r in readers):
+            continue
+        read = max(r.fmt.width for r in readers)
+        if read < node.fmt.width:
+            out[node.nid] = tuple(range(read, node.fmt.width))
     return out

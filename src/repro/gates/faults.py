@@ -280,9 +280,13 @@ def schedule_fault_batches(
     Faults in the same elaborated cell share (almost) the same
     transitive fanout cone, and neighbouring bits of the same operator
     overlap heavily, so one stable lexsort of the rows by (node, bit,
-    anchor line, stuck value) makes each batch's *union* cone barely
-    larger than a single fault's.  The anchor is the stuck net, or the
-    first stuck ``(gate, pin)``; net anchors sort before pin anchors.
+    anchor line, stuck value) keeps overlapping cones in one batch.
+    The anchor is the stuck net, or the first stuck ``(gate, pin)``;
+    net anchors sort before pin anchors.  On LP this localizes little:
+    a single fault's cone already spans 778-1,866 of the fused
+    program's 1,873 groups, and a 2,048-fault batch's *union* cone has
+    about 1.3x the groups and 1.3-1.8x the rows of a median single
+    fault's (docs/performance.md, "How local a cone batch is").
     The sorted order is sliced into ``batch_size`` groups.  Every index
     appears exactly once; callers scatter per-batch verdicts back
     through the indices, keeping results independent of the schedule.

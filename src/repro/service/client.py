@@ -13,9 +13,9 @@ plain HTTP + JSON, one request per connection.
     doc = c.wait(job["id"])           # long-polls until finished
     print(doc["result"]["proposed_scheme"])
 
-Overload (429 queue-full / rate-limit, 503 draining) raises
-:class:`ServiceBusy` carrying the server's ``Retry-After`` hint;
-:meth:`ServiceClient.submit_retry` folds the backoff loop in.
+Overload (429 queue full, 503 draining) raises :class:`ServiceBusy`
+carrying the server's ``Retry-After`` hint; ``retries=`` folds the
+backoff loop in.
 """
 
 from __future__ import annotations
@@ -141,33 +141,11 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # API surface
     # ------------------------------------------------------------------
-    def submit(self, kind: str, params: Optional[Dict[str, Any]] = None, *,
-               priority: str = "normal",
-               idempotency_key: Optional[str] = None) -> Dict[str, Any]:
-        """Submit a job; returns its snapshot (202 fresh, 200 replayed)."""
-        body: Dict[str, Any] = {"kind": kind, "params": params or {},
-                                "priority": priority,
-                                "client": self.client_id}
-        if idempotency_key is not None:
-            body["idempotency_key"] = idempotency_key
-        return self._checked("POST", "/v1/jobs", body)
-
-    def submit_retry(self, kind: str,
-                     params: Optional[Dict[str, Any]] = None, *,
-                     priority: str = "normal",
-                     idempotency_key: Optional[str] = None,
-                     deadline: float = 120.0) -> Dict[str, Any]:
-        """Submit, honouring ``Retry-After`` backoff until ``deadline``."""
-        t0 = time.monotonic()
-        while True:
-            try:
-                return self.submit(kind, params, priority=priority,
-                                   idempotency_key=idempotency_key)
-            except ServiceBusy as exc:
-                remaining = deadline - (time.monotonic() - t0)
-                if remaining <= 0:
-                    raise
-                time.sleep(min(max(exc.retry_after, 0.05), remaining))
+    def submit(self, kind: str,
+               params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """Submit a job; returns its queued snapshot (202)."""
+        return self._checked("POST", "/v1/jobs", {
+            "kind": kind, "params": params or {}, "client": self.client_id})
 
     def job(self, job_id: str,
             wait: Optional[float] = None) -> Dict[str, Any]:
@@ -197,14 +175,13 @@ class ServiceClient:
                 return doc
 
     def run(self, kind: str, params: Optional[Dict[str, Any]] = None, *,
-            priority: str = "normal", timeout: float = 120.0
-            ) -> Dict[str, Any]:
+            timeout: float = 120.0) -> Dict[str, Any]:
         """Submit + wait + return the result document.
 
         Raises :class:`ServiceClientError` if the job fails or is
         cancelled.
         """
-        job = self.submit(kind, params, priority=priority)
+        job = self.submit(kind, params)
         doc = self.wait(job["id"], timeout=timeout)
         if doc["state"] != "done":
             raise ServiceClientError(

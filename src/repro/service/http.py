@@ -2,17 +2,17 @@
 
 Implemented straight on :func:`asyncio.start_server` streams — no
 framework, no dependencies — because the API surface is small and the
-hard problems (queueing, fairness, shutdown) live elsewhere.  One
+hard problems (queueing, coalescing, shutdown) live elsewhere.  One
 request per connection (responses carry ``Connection: close``), bodies
 and responses are JSON.
 
 Routes
 ------
-``POST   /v1/jobs``             submit (rank | grade | spectrum |
-                                serious-fault | recommend | grade-shard
-                                — exact gate-level grading and the
-                                cluster coordinator's unit of dispatch,
-                                see :mod:`repro.cluster`)
+``POST   /v1/jobs``             submit ``{"kind", "params", "client"}``
+                                (rank | grade | spectrum | recommend |
+                                grade-shard — exact gate-level grading
+                                and the cluster coordinator's unit of
+                                dispatch, see :mod:`repro.cluster`)
 ``GET    /v1/jobs/{id}``        poll; ``?wait=SECONDS`` long-polls
 ``GET    /v1/jobs/{id}/result`` the result document alone
 ``DELETE /v1/jobs/{id}``        cancel a queued job
@@ -167,7 +167,6 @@ class HttpApi:
         method = path = "-"
         client = None
         status = 500
-        cache_state: Optional[str] = None
         trace_ctx: Optional[TraceContext] = None
         job_id: Optional[str] = None
         try:
@@ -218,7 +217,6 @@ class HttpApi:
                                  method, path)
                 status, payload, extra = _error_reply(
                     500, "internal server error")
-            cache_state = extra.pop("x-repro-cache", None)
             await self._respond(writer, status, payload, extra)
         finally:
             writer.close()
@@ -230,8 +228,6 @@ class HttpApi:
                 }
                 if client:
                     record["client"] = client
-                if cache_state:
-                    record["cache"] = cache_state
                 if trace_ctx is not None:
                     record["trace_id"] = trace_ctx.trace_id
                     if trace_ctx.span_id is not None:
@@ -431,13 +427,9 @@ class HttpApi:
         return doc
 
 
-def job_reply(job, status: int = 200, *,
-              cache: Optional[str] = None) -> Reply:
+def job_reply(job, status: int = 200) -> Reply:
     """A job snapshot as a handler reply (shared by several routes)."""
-    headers: Dict[str, str] = {}
-    if cache is not None:
-        headers["x-repro-cache"] = cache  # consumed by the access log
-    return status, job.to_dict(), headers
+    return status, job.to_dict(), {}
 
 
 def result_reply(job) -> Reply:

@@ -1,8 +1,8 @@
 """Job model and store for the evaluation service.
 
-A :class:`Job` is one client request — rank, grade, spectrum or
-serious-fault — flowing through the states ``queued -> running ->
-done | failed | cancelled``.  Parameters are validated and
+A :class:`Job` is one client request — rank, grade, spectrum,
+recommend or grade-shard — flowing through the states ``queued ->
+running -> done | failed | cancelled``.  Parameters are validated and
 canonicalized at admission (:func:`canonical_params`), so everything
 downstream — the queue, the coalescer, the workers — sees one spelling
 per request, and the job's :attr:`~Job.cache_key` (a
@@ -10,10 +10,9 @@ per request, and the job's :attr:`~Job.cache_key` (a
 the coalescing identity: two jobs with equal keys are the same
 computation.
 
-The :class:`JobStore` owns every job the service has admitted,
-deduplicates on client idempotency keys, and retains finished jobs for
-a TTL so clients can poll results after completion without the store
-growing without bound.
+The :class:`JobStore` owns every job the service has admitted and
+retains finished jobs for a TTL, so clients can poll results after
+completion without the store growing without bound.
 """
 
 from __future__ import annotations
@@ -24,19 +23,17 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..cache.keys import stable_hash
 from ..errors import ServiceError
 from ..resolve import resolve_design, resolve_generator, resolve_generator_key
 from ..telemetry import TraceContext
 
-__all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "PRIORITIES",
-           "canonical_params"]
+__all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "canonical_params"]
 
 #: Request kinds the service evaluates (spectrum ranking per Table 3
-#: is ``rank``, fault grading per Tables 4-5 is ``grade``,
-#: serious-fault checks per Figures 2-3 are ``serious-fault``;
+#: is ``rank``, fault grading per Tables 4-5 is ``grade``;
 #: ``recommend`` answers "best generator for this design" from the
 #: analytic predictor, gate-grading only the top-k candidates;
 #: ``grade-shard`` is exact gate-level grading — explicit global fault
@@ -44,12 +41,7 @@ __all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "PRIORITIES",
 #: partial out (see :mod:`repro.cluster`) — the long-running kind whose
 #: per-batch progress shows up live on the job document.  Indices
 #: ``0..n-1`` with ``total = n`` grade a universe prefix whole.
-JOB_KINDS = ("rank", "grade", "spectrum", "serious-fault", "recommend",
-             "grade-shard")
-
-#: Priority names -> scheduling levels (lower level drains first).
-PRIORITIES = {"high": 0, "normal": 1, "low": 2}
-_PRIORITY_NAMES = {v: k for k, v in PRIORITIES.items()}
+JOB_KINDS = ("rank", "grade", "spectrum", "recommend", "grade-shard")
 
 #: Admission-time guard rails on request sizes.
 MAX_VECTORS = 1 << 18
@@ -194,8 +186,6 @@ def canonical_params(kind: str, params: Optional[Dict[str, Any]]
         out["confirm_faults"] = _int_param(
             params, "confirm_faults", 512, 0, MAX_GATE_FAULTS)
         out["bins"] = _int_param(params, "bins", 256, 16, 4096)
-    else:  # serious-fault: the Figures 2-3 demonstration has no knobs
-        pass
     if params:
         raise ServiceError(
             f"unknown parameter(s) for kind {kind!r}: "
@@ -211,9 +201,7 @@ class Job:
     kind: str
     params: Dict[str, Any]
     client: str
-    priority: int
     cache_key: str
-    idempotency_key: Optional[str] = None
     state: JobState = JobState.QUEUED
     created: float = 0.0
     started: Optional[float] = None
@@ -247,13 +235,10 @@ class Job:
             "kind": self.kind,
             "params": dict(self.params),
             "client": self.client,
-            "priority": _PRIORITY_NAMES.get(self.priority, self.priority),
             "state": self.state.value,
             "created_unix": self.created,
             "coalesced": self.coalesced,
         }
-        if self.idempotency_key is not None:
-            doc["idempotency_key"] = self.idempotency_key
         if self.trace is not None:
             doc["trace_id"] = self.trace.trace_id
         if self.started is not None:
@@ -273,7 +258,7 @@ class Job:
 
 
 class JobStore:
-    """Owns admitted jobs; idempotency index + TTL result retention.
+    """Owns admitted jobs; TTL result retention.
 
     ``clock`` is injectable for tests; it must be monotonic-ish (the
     default wall clock is fine operationally, a fake clock is fine in
@@ -288,7 +273,6 @@ class JobStore:
         self.result_ttl = result_ttl
         self.clock = clock
         self._jobs: Dict[str, Job] = {}
-        self._by_idem: Dict[Tuple[str, str], str] = {}
         self._seq = itertools.count(1)
         self._prefix = os.urandom(3).hex()
 
@@ -296,24 +280,9 @@ class JobStore:
         return len(self._jobs)
 
     def create(self, kind: str, params: Optional[Dict[str, Any]], *,
-               client: str = "anonymous", priority: str = "normal",
-               idempotency_key: Optional[str] = None) -> Tuple[Job, bool]:
-        """Admit a request; returns ``(job, created)``.
-
-        With an idempotency key the same ``(client, key)`` pair maps to
-        the same job for as long as it is retained, so retried
-        submissions are answered from the original job instead of
-        re-queueing work — ``created`` is ``False`` then.
-        """
+               client: str = "anonymous") -> Job:
+        """Admit a request as a new queued job."""
         self.purge()
-        if priority not in PRIORITIES:
-            raise ServiceError(f"unknown priority {priority!r}; "
-                               f"valid choices: "
-                               f"{', '.join(sorted(PRIORITIES))}", status=400)
-        if idempotency_key is not None:
-            existing_id = self._by_idem.get((client, idempotency_key))
-            if existing_id is not None and existing_id in self._jobs:
-                return self._jobs[existing_id], False
         canon = canonical_params(kind, params)
         # The coordinator's trace pointer names *where spans hang*, not
         # *what is computed* — exclude it from the coalescing identity
@@ -324,15 +293,11 @@ class JobStore:
             kind=kind,
             params=canon,
             client=client,
-            priority=PRIORITIES[priority],
             cache_key=stable_hash({"kind": kind, "params": keyed}),
-            idempotency_key=idempotency_key,
             created=self.clock(),
         )
         self._jobs[job.id] = job
-        if idempotency_key is not None:
-            self._by_idem[(client, idempotency_key)] = job.id
-        return job, True
+        return job
 
     def get(self, job_id: str) -> Optional[Job]:
         self.purge()
@@ -341,10 +306,6 @@ class JobStore:
     def discard(self, job: Job) -> None:
         """Forget a job entirely (admission failed after ``create``)."""
         self._jobs.pop(job.id, None)
-        if job.idempotency_key is not None:
-            key = (job.client, job.idempotency_key)
-            if self._by_idem.get(key) == job.id:
-                del self._by_idem[key]
 
     def jobs(self) -> List[Job]:
         return list(self._jobs.values())
@@ -365,8 +326,4 @@ class JobStore:
                  and j.finished < horizon]
         for job in stale:
             del self._jobs[job.id]
-            if job.idempotency_key is not None:
-                key = (job.client, job.idempotency_key)
-                if self._by_idem.get(key) == job.id:
-                    del self._by_idem[key]
         return len(stale)

@@ -1,9 +1,8 @@
 """Service assembly, run loop and graceful shutdown.
 
 :class:`EvaluationService` wires the subsystem together — job store,
-fair queue, rate limiter, worker pool, HTTP API — around one shared
-cache-backed :class:`~repro.experiments.ExperimentContext`, and owns
-the lifecycle:
+FIFO queue, worker pool, HTTP API — around one shared cache-backed
+:class:`~repro.experiments.ExperimentContext`, and owns the lifecycle:
 
 * **start** binds the listener (port 0 = ephemeral), starts the
   workers, and warms the heavyweight artifacts (designs + fault
@@ -28,19 +27,25 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
 from ..experiments import ExperimentContext
-from ..telemetry import (AlertEngine, FleetView, JsonlSink, Telemetry,
-                         TraceContext, build_heartbeat, get_telemetry,
-                         load_rules, prometheus_exposition, set_telemetry)
+from ..telemetry import (AlertEngine, FleetView, Telemetry, TraceContext,
+                         build_heartbeat, get_telemetry, load_rules,
+                         prometheus_exposition, set_telemetry)
 from .events import EventBroker
 from .http import HttpApi, _error_reply, job_reply, negotiate_media_type, \
     result_reply
 from .jobs import Job, JobState, JobStore
-from .queue import FairJobQueue, RateLimiter
+from .queue import JobQueue
 from .workers import WorkerPool
 
 __all__ = ["ServiceConfig", "EvaluationService"]
 
 logger = logging.getLogger("repro.service")
+
+#: Longest ``?wait=`` a job poll may block, in seconds.
+LONG_POLL_MAX = 30.0
+
+#: Top-level fields of a ``POST /v1/jobs`` body.
+SUBMIT_FIELDS = ("client", "kind", "params")
 
 
 @dataclass
@@ -52,14 +57,9 @@ class ServiceConfig:
     workers: int = 2
     queue_depth: int = 64
     result_ttl: float = 600.0
-    rate: float = 0.0           # per-client requests/sec; 0 = unlimited
-    burst: float = 0.0          # bucket size; 0 = 2x rate
-    long_poll_max: float = 30.0
     drain_deadline: float = 20.0
     cache_dir: Optional[str] = None
     no_cache: bool = False
-    access_log: Optional[str] = None
-    trace_out: Optional[str] = None  # stream telemetry events as JSONL
     ledger_dir: Optional[str] = None  # run-ledger root; None = default dir
     no_ledger: bool = False     # skip run-ledger records entirely
     events_keepalive: float = 15.0  # SSE keepalive comment interval
@@ -81,8 +81,7 @@ class EvaluationService:
             else self._build_context(cfg)
         self.telemetry = telemetry
         self.store = JobStore(result_ttl=cfg.result_ttl)
-        self.queue = FairJobQueue(cfg.queue_depth)
-        self.limiter = RateLimiter(cfg.rate, cfg.burst or None)
+        self.queue = JobQueue(cfg.queue_depth)
         self.events = EventBroker()
         self.pool = WorkerPool(self.queue, self.store, self.context,
                                workers=cfg.workers, events=self.events)
@@ -111,7 +110,6 @@ class EvaluationService:
         self._shutdown_task: Optional["asyncio.Task"] = None
         self._previous_telemetry = None
         self._owns_telemetry = False
-        self._trace_sink: Optional[JsonlSink] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -139,14 +137,6 @@ class EvaluationService:
             self.telemetry = Telemetry()
             self._previous_telemetry = set_telemetry(self.telemetry)
             self._owns_telemetry = True
-        if self.config.trace_out:
-            # Opened eagerly so an unwritable path fails startup, not
-            # the first request.
-            self._trace_sink = JsonlSink(self.config.trace_out)
-            self._trace_sink.open()
-            active = self.telemetry if self.telemetry is not None \
-                else get_telemetry()
-            active.sinks.append(self._trace_sink)
         self._loop = asyncio.get_running_loop()
         self.events.bind(self._loop)
         active = self.telemetry if self.telemetry is not None \
@@ -237,19 +227,11 @@ class EvaluationService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        tel = get_telemetry()
-        tel.flush()
+        get_telemetry().flush()
         if self._owns_telemetry:
             set_telemetry(self._previous_telemetry)
             assert self.telemetry is not None
             self.telemetry.close()
-        elif self._trace_sink is not None:
-            # The collector was adopted from the caller: detach and
-            # close only the sink this service attached.
-            if isinstance(tel, Telemetry) and self._trace_sink in tel.sinks:
-                tel.sinks.remove(self._trace_sink)
-            self._trace_sink.close()
-        self._trace_sink = None
         self.pool.executor.shutdown(wait=False)
         summary = {
             "done": self.pool.jobs_done,
@@ -277,30 +259,25 @@ class EvaluationService:
         if self.draining:
             return _error_reply(503, "service is draining; "
                                 "submissions closed", retry_after=5.0)
+        unknown = sorted(set(body) - set(SUBMIT_FIELDS))
+        if unknown:
+            raise ServiceError(
+                f"unknown submit field(s): {', '.join(unknown)}; "
+                f"valid fields: {', '.join(SUBMIT_FIELDS)}", status=400)
         client = str(body.get("client")
                      or headers.get("x-repro-client") or "anonymous")
-        idem = body.get("idempotency_key")
-        if idem is not None:
-            idem = str(idem)
         kind = str(body.get("kind", ""))
-        priority = str(body.get("priority", "normal"))
         params = body.get("params")
         if params is not None and not isinstance(params, dict):
             raise ServiceError("'params' must be an object", status=400)
-        self.limiter.check(client)
-        job, created = self.store.create(
-            kind, params, client=client, priority=priority,
-            idempotency_key=idem)
-        if not created:
-            return job_reply(job, 200, cache="hit")
+        job = self.store.create(kind, params, client=client)
         # Captured inside the request span, so the worker's spans merge
         # back under the request that submitted the job.
         job.trace = TraceContext.current()
         try:
             self.queue.put_nowait(job)
         except ServiceError:
-            # Never retain a job that was refused admission — a retained
-            # cancelled job would poison idempotent retries.
+            # Never retain a job that was refused admission.
             self.store.discard(job)
             tel = get_telemetry()
             if tel.enabled:
@@ -313,7 +290,7 @@ class EvaluationService:
         self.events.publish("job", {"job": job.id, "kind": job.kind,
                                     "state": job.state.value,
                                     "coalesced": False})
-        return job_reply(job, 202, cache="miss")
+        return job_reply(job, 202)
 
     async def poll(self, job_id: str, query: Dict[str, list]):
         job = self.store.get(job_id)
@@ -326,7 +303,7 @@ class EvaluationService:
             except (TypeError, ValueError, IndexError):
                 raise ServiceError("'wait' must be a number",
                                    status=400) from None
-            wait = max(0.0, min(wait, self.config.long_poll_max))
+            wait = max(0.0, min(wait, LONG_POLL_MAX))
         if wait > 0 and not job.state.finished:
             try:
                 await asyncio.wait_for(job.done.wait(), wait)

@@ -1,10 +1,10 @@
 """Worker pool: drains the job queue into the evaluation pipeline.
 
 A fixed set of asyncio worker tasks pull jobs off the
-:class:`~repro.service.queue.FairJobQueue` one at a time.  Each job is
-evaluated by :func:`execute_job` — the only way the service computes
-anything — on a thread-pool executor, so the event loop (and therefore
-intake, polling and health endpoints) stays responsive.
+:class:`~repro.service.queue.JobQueue` one at a time, oldest first.
+Each job is evaluated by :func:`execute_job` — the only way the service
+computes anything — on a thread-pool executor, so the event loop (and
+therefore intake, polling and health endpoints) stays responsive.
 
 * **Coalescing** — jobs are keyed by
   :attr:`~repro.service.jobs.Job.cache_key`; only one computation runs
@@ -35,7 +35,7 @@ from ..errors import ServiceError
 from ..resolve import make_generator
 from ..telemetry import TraceContext, child_collector, get_telemetry
 from .jobs import Job, JobState, JobStore
-from .queue import FairJobQueue, QueueClosedError
+from .queue import JobQueue, QueueClosedError
 
 __all__ = ["WorkerPool", "execute_job"]
 
@@ -153,22 +153,6 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
             confirm_vectors=params["confirm_vectors"],
             confirm_faults=params["confirm_faults"],
             bins=params["bins"])
-    if kind == "serious-fault":
-        from ..experiments.figures import find_serious_missed_fault
-
-        miss = find_serious_missed_fault(ctx)
-        design = ctx.designs["LP"]
-        node = design.graph.node(miss.fault.node_id)
-        return {
-            "design": "LP",
-            "fault": str(miss.fault.label),
-            "node": node.name,
-            "tap": node.tap,
-            "bit": int(miss.fault.bit),
-            "sine_freq": float(miss.freq),
-            "sine_amplitude": float(miss.amplitude),
-            "error_spikes": int(miss.spikes),
-        }
     raise ServiceError(f"unknown job kind {kind!r}", status=400)
 
 
@@ -203,7 +187,7 @@ def _execute_traced(ctx, kind: str, params: Dict[str, Any],
 class WorkerPool:
     """Asyncio workers + a thread-pool executor for the blocking work."""
 
-    def __init__(self, queue: FairJobQueue, store: JobStore, context, *,
+    def __init__(self, queue: JobQueue, store: JobStore, context, *,
                  workers: int = 2, events=None):
         if workers <= 0:
             raise ServiceError(f"workers must be positive, got {workers}")

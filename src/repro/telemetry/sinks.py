@@ -115,10 +115,10 @@ class RequestLogSink(JsonlSink):
     each as one JSON line.  The evaluation service uses it as the
     access log (``repro serve --access-log``); each record carries at
     least ``route``, ``method``, ``status``, ``latency_ms`` and, where
-    the handler knows them, ``client``, a ``cache`` hit/miss marker,
-    ``trace_id``/``span_id`` (the serving request span, so a log line
-    joins against Chrome-trace exports of the same run) and the
-    ``job_id`` the route named or created.
+    the handler knows them, ``client``, ``trace_id``/``span_id`` (the
+    serving request span, so a log line joins against Chrome-trace
+    exports of the same run) and the ``job_id`` the route named or
+    created.
 
     Opens in append mode by default so restarts extend the log.
     """

@@ -44,6 +44,16 @@ class TestFleetSweep:
         assert sum(t["faults"] for t in doc["shard_timings"]
                    if not t["duplicate"]) == 600
 
+    def test_later_sweeps_grade_their_own_stimulus(self, fleet):
+        # Sweeps from one process against one worker, each with other
+        # parameters: every sweep's shards must be graded afresh, not
+        # answered with an earlier sweep's jobs.
+        a, _b = fleet
+        for vectors in (64, 128):
+            report = run_cluster_sweep([a.base_url], verify=True,
+                                       **dict(SWEEP, vectors=vectors))
+            assert report.verified is True
+
     def test_dead_worker_is_survived(self, fleet):
         a, _b = fleet
         report = run_cluster_sweep(
@@ -100,9 +110,10 @@ class _InstantClient:
     def __init__(self):
         self.params = {}
 
-    def submit(self, kind, params, idempotency_key=None):
-        self.params[idempotency_key] = params
-        return {"id": idempotency_key}
+    def submit(self, kind, params):
+        job_id = f"job-{len(self.params)}"
+        self.params[job_id] = params
+        return {"id": job_id}
 
     def job(self, job_id, wait=None):
         params = self.params[job_id]

@@ -58,7 +58,7 @@ class TestExamples:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "proposed scheme" in proc.stdout
-        assert "idempotent retry" in proc.stdout
+        assert "same result True" in proc.stdout
         assert "0 failed" in proc.stdout
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FaultModelError
-from repro.faultsim import feasible_cell_mask, interval_low_bits
+from repro.faultsim import (feasible_cell_mask, interval_low_bits,
+                            unread_operator_bits)
 from repro.fixedpoint import cell_pattern_codes
 
 
@@ -102,3 +103,26 @@ class TestFeasibleCellMask:
                 analytic = feasible_cell_mask(a_iv, b_iv, k, is_sub)
                 brute = brute_force_mask(a_iv, b_iv, k, is_sub)
                 assert analytic == brute, (k, is_sub)
+
+
+class TestUnreadOperatorBits:
+    def test_paper_designs(self, ctx):
+        got = {name: unread_operator_bits(ctx.designs[name])
+               for name in ("LP", "BP", "HP")}
+        # LP node 75 (13-bit SUB) is read only by 12-bit node 76, and
+        # node 120 (15-bit ADD) only by 14-bit node 121.
+        assert got == {"LP": {75: (12,), 120: (14,)}, "BP": {}, "HP": {}}
+
+    def test_no_gate_reads_an_unread_bit(self, ctx):
+        from repro.gates import elaborate
+
+        design = ctx.designs["LP"]
+        nl = elaborate(design.graph)
+        read = ({net for gate in nl.gates for net in gate.ins}
+                | {dff.d for dff in nl.dffs} | set(nl.output_bits))
+        unread = unread_operator_bits(design.graph)
+        assert unread
+        for nid, bits in unread.items():
+            assert nl.node_bits[nid][bits[0] - 1] in read
+            for bit in bits:
+                assert nl.node_bits[nid][bit] not in read

@@ -265,6 +265,27 @@ class TestGatework:
                  if name == "gates.grade"]
         assert grade and grade[-1][0] == grade[-1][1] == len(faults)
 
+    def test_fused_levels_counted_once_per_run(self, small_design):
+        from repro.gates.fault_parallel import gate_level_missed
+        from repro.gates.faults import enumerate_cell_faults
+        from repro.gates.netlist import elaborate
+        from repro.generators import Type1Lfsr
+        from repro.telemetry import telemetry_session
+
+        nl = elaborate(small_design.graph)
+        faults = enumerate_cell_faults(small_design.graph, nl)[:1024]
+        raw = Type1Lfsr(small_design.input_fmt.width).sequence(48)
+        with telemetry_session() as tel:
+            gate_level_missed(nl, raw, faults)
+            serial = tel.counter("gates.lut_fused_levels").value
+        with telemetry_session() as tel:
+            gate_level_missed_parallel(nl, raw, faults, jobs=2)
+            # Two 512-fault shards, one per worker; the count is added
+            # once per run, not once per shard.
+            assert tel.counter("parallel.tasks").value == 2
+            pooled = tel.counter("gates.lut_fused_levels").value
+        assert serial > 0 and pooled == serial
+
 
 class TestCliSweepBench:
     def test_sweep_with_cache(self, tmp_path, capsys):

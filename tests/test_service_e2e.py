@@ -23,7 +23,7 @@ from repro.cluster.shards import (
 from repro.errors import ServiceError
 from repro.experiments import ExperimentContext
 from repro.service import ServiceConfig, ServiceThread, canonical_params
-from repro.service.client import ServiceBusy
+from repro.service.client import ServiceBusy, ServiceClient
 from repro.service.workers import execute_job
 from repro.telemetry import Telemetry, set_telemetry
 
@@ -66,12 +66,12 @@ def test_mixed_load_matches_direct_calls(ctx):
         errors = []
 
         def drive(client_idx, specs):
-            client = svc.client(f"client-{client_idx}")
+            client = ServiceClient(svc.base_url,
+                                   client_id=f"client-{client_idx}",
+                                   retries=12)
             try:
-                submitted = [
-                    (seq, spec,
-                     client.submit_retry(spec[0], spec[1], deadline=120))
-                    for seq, spec in enumerate(specs)]
+                submitted = [(seq, spec, client.submit(spec[0], spec[1]))
+                             for seq, spec in enumerate(specs)]
                 for seq, spec, job in submitted:
                     doc = client.wait(job["id"], timeout=120)
                     results[(client_idx, seq, spec[0],

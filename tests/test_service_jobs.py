@@ -40,10 +40,13 @@ class TestCanonicalParams:
         got = canonical_params("spectrum", {"generator": "LFSR-1"})
         assert got["generator"] == "lfsr1"
 
-    def test_serious_fault_takes_no_params(self):
-        assert canonical_params("serious-fault", None) == {}
-        with pytest.raises(ServiceError):
-            canonical_params("serious-fault", {"design": "LP"})
+    def test_serious_fault_is_an_unknown_kind(self):
+        with pytest.raises(ServiceError) as err:
+            canonical_params("serious-fault", None)
+        assert err.value.status == 400
+        assert JOB_KINDS == ("rank", "grade", "spectrum", "recommend",
+                             "grade-shard")
+        assert str(err.value).endswith(", ".join(JOB_KINDS))
 
     @pytest.mark.parametrize("params", [
         {"vectors": 0}, {"vectors": "many"}, {"vectors": 1 << 30},
@@ -62,90 +65,55 @@ class TestCanonicalParams:
 
     def test_equivalent_spellings_share_cache_key(self):
         store = JobStore()
-        a, _ = store.create("grade", {"design": "lp", "generator": "lfsr1"})
-        b, _ = store.create("grade", {"design": "LP",
-                                      "generator": "LFSR-1"})
+        a = store.create("grade", {"design": "lp", "generator": "lfsr1"})
+        b = store.create("grade", {"design": "LP", "generator": "LFSR-1"})
         assert a.cache_key == b.cache_key
-        c, _ = store.create("grade", {"design": "BP",
-                                      "generator": "LFSR-1"})
+        c = store.create("grade", {"design": "BP", "generator": "LFSR-1"})
         assert c.cache_key != a.cache_key
 
 
 class TestJobStore:
     def test_create_assigns_unique_ids(self):
         store = JobStore()
-        a, created_a = store.create("rank", {})
-        b, created_b = store.create("rank", {})
-        assert created_a and created_b
+        a = store.create("rank", {})
+        b = store.create("rank", {})
         assert a.id != b.id
         assert store.get(a.id) is a
-
-    def test_idempotency_replays_same_job(self):
-        store = JobStore()
-        a, first = store.create("rank", {}, client="c1",
-                                idempotency_key="k")
-        b, second = store.create("rank", {}, client="c1",
-                                 idempotency_key="k")
-        assert first and not second
-        assert b is a
-
-    def test_idempotency_is_per_client(self):
-        store = JobStore()
-        a, _ = store.create("rank", {}, client="c1", idempotency_key="k")
-        b, created = store.create("rank", {}, client="c2",
-                                  idempotency_key="k")
-        assert created and b is not a
 
     def test_ttl_purges_finished_jobs(self):
         clock = FakeClock()
         store = JobStore(result_ttl=60, clock=clock)
-        job, _ = store.create("rank", {}, idempotency_key="k")
+        job = store.create("rank", {})
         job.finish(JobState.DONE, clock(), result={"ok": 1})
         clock.advance(59)
         assert store.get(job.id) is job
         clock.advance(2)
         assert store.get(job.id) is None
-        # ... and the idempotency slot is free again
-        fresh, created = store.create("rank", {}, idempotency_key="k")
-        assert created and fresh.id != job.id
 
     def test_unfinished_jobs_never_purged(self):
         clock = FakeClock()
         store = JobStore(result_ttl=60, clock=clock)
-        job, _ = store.create("rank", {})
+        job = store.create("rank", {})
         clock.advance(10_000)
         assert store.get(job.id) is job
-
-    def test_discard_forgets_idempotency(self):
-        store = JobStore()
-        job, _ = store.create("rank", {}, client="c", idempotency_key="k")
-        store.discard(job)
-        assert store.get(job.id) is None
-        again, created = store.create("rank", {}, client="c",
-                                      idempotency_key="k")
-        assert created
 
     def test_counts_by_state(self):
         clock = FakeClock()
         store = JobStore(clock=clock)
-        a, _ = store.create("rank", {})
-        b, _ = store.create("rank", {"vectors": 8})
+        a = store.create("rank", {})
+        b = store.create("rank", {"vectors": 8})
         b.finish(JobState.FAILED, clock(), error="boom")
         counts = store.counts()
         assert counts["queued"] == 1 and counts["failed"] == 1
-
-    def test_bad_priority_rejected(self):
-        with pytest.raises(ServiceError):
-            JobStore().create("rank", {}, priority="urgent")
 
 
 class TestJobSnapshot:
     def test_result_only_when_done(self):
         clock = FakeClock()
         store = JobStore(clock=clock)
-        job, _ = store.create("rank", {}, priority="high")
+        job = store.create("rank", {})
         doc = job.to_dict()
-        assert doc["state"] == "queued" and doc["priority"] == "high"
+        assert doc["state"] == "queued"
         assert "result" not in doc and "error" not in doc
 
         job.state = JobState.RUNNING
@@ -160,7 +128,7 @@ class TestJobSnapshot:
     def test_failed_snapshot_carries_error_not_result(self):
         clock = FakeClock()
         store = JobStore(clock=clock)
-        job, _ = store.create("rank", {})
+        job = store.create("rank", {})
         job.finish(JobState.FAILED, clock(), error="exploded")
         doc = job.to_dict()
         assert doc["error"] == "exploded" and "result" not in doc

@@ -1,74 +1,27 @@
-"""Unit tests for the fair bounded queue and the token-bucket limiter."""
+"""Unit tests for the bounded FIFO job queue."""
 
 import asyncio
 
 import pytest
 
-from repro.service import (
-    FairJobQueue,
-    JobStore,
-    QueueClosedError,
-    QueueFullError,
-    RateLimitedError,
-    RateLimiter,
-    TokenBucket,
-)
+from repro.service import JobQueue, JobStore, QueueClosedError, QueueFullError
 from repro.service.jobs import JobState
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-def make_jobs(n, *, client="c", kind="rank", priority="normal"):
+def make_jobs(n, *, client="c", kind="rank"):
     store = JobStore()
-    return [store.create(kind, {"vectors": 2 + i}, client=client,
-                         priority=priority)[0] for i in range(n)]
+    return [store.create(kind, {"vectors": 2 + i}, client=client)
+            for i in range(n)]
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, burst=2.0, clock=clock)
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() == 0.0
-        wait = bucket.try_acquire()
-        assert wait == pytest.approx(1.0)
-        clock.advance(1.0)
-        assert bucket.try_acquire() == 0.0
-
-    def test_rate_limiter_per_client(self):
-        clock = FakeClock()
-        limiter = RateLimiter(rate=1.0, burst=1.0, clock=clock)
-        limiter.check("a")
-        limiter.check("b")  # separate bucket
-        with pytest.raises(RateLimitedError) as err:
-            limiter.check("a")
-        assert err.value.status == 429
-        assert err.value.retry_after > 0
-
-    def test_zero_rate_disables_limiting(self):
-        limiter = RateLimiter(rate=0.0)
-        assert not limiter.enabled
-        for _ in range(1000):
-            limiter.check("a")
-
-
 class TestBackpressure:
     def test_put_beyond_depth_raises_429(self):
         async def main():
-            q = FairJobQueue(depth=2)
+            q = JobQueue(depth=2)
             jobs = make_jobs(3)
             q.put_nowait(jobs[0])
             q.put_nowait(jobs[1])
@@ -81,7 +34,7 @@ class TestBackpressure:
 
     def test_retry_after_scales_with_load(self):
         async def main():
-            q = FairJobQueue(depth=100)
+            q = JobQueue(depth=100)
             for _ in range(20):
                 q.observe_service_seconds(2.0)
             empty_hint = q.retry_after()
@@ -94,7 +47,7 @@ class TestBackpressure:
 
     def test_closed_queue_rejects_puts(self):
         async def main():
-            q = FairJobQueue(depth=2)
+            q = JobQueue(depth=2)
             q.close()
             with pytest.raises(QueueClosedError):
                 q.put_nowait(make_jobs(1)[0])
@@ -103,39 +56,24 @@ class TestBackpressure:
 
 
 class TestFairScheduling:
-    def test_round_robin_across_clients(self):
+    def test_fifo_across_clients(self):
         async def main():
-            q = FairJobQueue(depth=16)
+            q = JobQueue(depth=16)
             store = JobStore()
-            for client, count in (("a", 3), ("b", 3)):
-                for i in range(count):
-                    job, _ = store.create("rank", {"vectors": 2 + i},
-                                          client=client)
-                    q.put_nowait(job)
-            order = [(await q.get()).client for _ in range(6)]
-            # Interleaved, not a-a-a-b-b-b: client a never gets two
-            # consecutive slots while b still has queued work.
-            assert order == ["a", "b", "a", "b", "a", "b"]
-
-        run(main())
-
-    def test_priority_drains_first(self):
-        async def main():
-            q = FairJobQueue(depth=16)
-            store = JobStore()
-            low, _ = store.create("rank", {"vectors": 2}, priority="low")
-            high, _ = store.create("rank", {"vectors": 3}, priority="high")
-            normal, _ = store.create("rank", {"vectors": 4})
-            for job in (low, normal, high):
+            arrivals = [store.create("rank", {"vectors": 2 + i},
+                                     client=client)
+                        for i, client in enumerate("aaabab")]
+            for job in arrivals:
                 q.put_nowait(job)
-            got = [await q.get() for _ in range(3)]
-            assert [j.id for j in got] == [high.id, normal.id, low.id]
+            got = [await q.get() for _ in arrivals]
+            # Arrival order, whoever submitted: no per-client lanes.
+            assert [j.id for j in got] == [j.id for j in arrivals]
 
         run(main())
 
     def test_get_waits_for_put(self):
         async def main():
-            q = FairJobQueue(depth=4)
+            q = JobQueue(depth=4)
             job = make_jobs(1)[0]
 
             async def producer():
@@ -151,7 +89,7 @@ class TestFairScheduling:
 
     def test_close_wakes_idle_getter(self):
         async def main():
-            q = FairJobQueue(depth=4)
+            q = JobQueue(depth=4)
 
             async def getter():
                 with pytest.raises(QueueClosedError):
@@ -166,7 +104,7 @@ class TestFairScheduling:
 
     def test_close_drains_before_raising(self):
         async def main():
-            q = FairJobQueue(depth=4)
+            q = JobQueue(depth=4)
             jobs = make_jobs(2)
             for job in jobs:
                 q.put_nowait(job)
@@ -182,7 +120,7 @@ class TestFairScheduling:
 class TestCancelAndBatch:
     def test_cancel_removes_from_queue(self):
         async def main():
-            q = FairJobQueue(depth=8)
+            q = JobQueue(depth=8)
             jobs = make_jobs(3)
             for job in jobs:
                 q.put_nowait(job)
@@ -196,7 +134,7 @@ class TestCancelAndBatch:
 
     def test_get_skips_externally_cancelled(self):
         async def main():
-            q = FairJobQueue(depth=8)
+            q = JobQueue(depth=8)
             jobs = make_jobs(2)
             for job in jobs:
                 q.put_nowait(job)

@@ -274,8 +274,7 @@ class TestServicePropagation:
         from repro.service.jobs import JobStore
 
         store = JobStore()
-        job, created = store.create("spectrum", {"width": 8})
-        assert created
+        job = store.create("spectrum", {"width": 8})
         assert "trace_id" not in job.to_dict()  # telemetry off at submit
         job.trace = TraceContext(trace_id="cafe", span_id="s-1")
         assert job.to_dict()["trace_id"] == "cafe"
