@@ -16,9 +16,12 @@ This module is the cone engine (``event``) behind
 
 * **cone sweep** (:class:`EventCone`) — a fault batch evaluates only
   the transitive fanout cone of its fault sites, renumbered into a
-  private row space.  Each time chunk evaluates every super-gate of
-  that cone once, in level order: operands outside the cone read the
-  golden waveform matrix, and faulty values are compared against
+  private row space.  Each time chunk fills the row space's boundary
+  rows (one per distinct out-of-cone operand net) from the golden
+  waveform matrix, then evaluates every super-gate of that cone once,
+  in level order, each recipe member as one ufunc over all the op's
+  rows; fault forces patch only their own rows after the member that
+  reads or drives the forced line.  Faulty values are compared against
   golden only at observed outputs.
 
 :class:`EventCone` exposes a small driver contract (``bind_golden`` /
@@ -318,6 +321,24 @@ def fused_program(prog: CompiledNetlist) -> FusedProgram:
 # ----------------------------------------------------------------------
 # Flat fused view for vectorized cone sweeps
 # ----------------------------------------------------------------------
+#: The ufunc that evaluates each recipe kind over packed lane words.
+_UFUNCS = {
+    "xor": np.bitwise_xor,
+    "and": np.bitwise_and,
+    "or": np.bitwise_or,
+    "not": np.invert,
+    "buf": np.positive,
+}
+
+
+def _steps(recipe: Tuple[Tuple[str, int, int], ...]
+           ) -> Tuple[Tuple[np.ufunc, int, Optional[int]], ...]:
+    """A recipe as ``(ufunc, src0, src1)`` steps, ``src1`` ``None`` for
+    one-input kinds; a flop recipe has none."""
+    return tuple((_UFUNCS[kind], s0, s1 if kind in _TWO_INPUT else None)
+                 for kind, s0, s1 in recipe if kind != "dff")
+
+
 @dataclass
 class _FusedFlat:
     """Level-ordered flat unit view: one row per super-gate.
@@ -326,10 +347,12 @@ class _FusedFlat:
     ``n_nets`` so cone selection's "any input affected" test is one
     fancy index over a boolean array with an always-False sentinel.
     Groups are numbered in (level, group) order: ``unit_group`` names
-    each unit's group, ``group_list`` / ``group_n_ext`` describe each
-    group.  ``gate_unit`` / ``gate_member`` locate every original gate
-    (the pin-fault map), and ``internal_unit`` / ``internal_member``
-    every fused-internal net (``-1`` for other nets).
+    each unit's group, ``group_list`` / ``group_n_ext`` /
+    ``group_members`` describe each group and ``group_steps`` holds its
+    recipe resolved to ufuncs.  ``gate_unit`` / ``gate_member`` locate
+    every original gate (the pin-fault map), and ``internal_unit`` /
+    ``internal_member`` every fused-internal net (``-1`` for other
+    nets).
     """
 
     n_units: int
@@ -339,6 +362,8 @@ class _FusedFlat:
     unit_group: np.ndarray
     group_list: List[FusedGroup]
     group_n_ext: np.ndarray
+    group_members: np.ndarray
+    group_steps: List[Tuple]
     gate_unit: np.ndarray
     gate_member: np.ndarray
     internal_unit: np.ndarray
@@ -398,6 +423,9 @@ def _fused_flat(fused: FusedProgram) -> _FusedFlat:
         group_list=group_list,
         group_n_ext=np.array([g.n_ext for g in group_list],
                              dtype=np.int64),
+        group_members=np.array([g.n_members for g in group_list],
+                               dtype=np.int64),
+        group_steps=[_steps(g.recipe) for g in group_list],
         gate_unit=gate_unit,
         gate_member=gate_member,
         internal_unit=internal_unit,
@@ -435,34 +463,129 @@ class LineMasks:
     pin_clr: np.ndarray
 
 
+class _Forces:
+    """Every fault force on one member of an op, as row arrays.
+
+    ``pin_rows`` are the op rows with a stuck input pin on this member;
+    ``a_set`` / ``a_nclr`` and ``b_set`` / ``b_nclr`` are those rows'
+    set words and inverted clear words for pin 0 and pin 1, shaped
+    ``(rows, words, 1)`` (``None`` when no row forces that pin).
+    ``out_rows`` / ``out_set`` / ``out_nclr`` force the member's output:
+    a fused-internal net, or on the last member the unit's output net.
+    """
+
+    __slots__ = ("pin_rows", "a_set", "a_nclr", "b_set", "b_nclr",
+                 "out_rows", "out_set", "out_nclr")
+
+    def __init__(self) -> None:
+        self.pin_rows = self.a_set = self.a_nclr = None
+        self.b_set = self.b_nclr = None
+        self.out_rows = self.out_set = self.out_nclr = None
+
+    def apply(self, fn: Optional[np.ufunc], a: Optional[np.ndarray],
+              b: Optional[np.ndarray], out: np.ndarray) -> None:
+        """Patch ``out`` after the member's ufunc ``fn`` read ``a`` and
+        ``b``: rows with a stuck pin are recomputed from their forced
+        operands (so the force reaches this member's read only), then
+        the member's output forces apply."""
+        if self.pin_rows is not None:
+            x = a[self.pin_rows]
+            if self.a_set is not None:
+                x |= self.a_set
+                x &= self.a_nclr
+            if b is None:
+                fn(x, out=x)
+            else:
+                y = b[self.pin_rows]
+                if self.b_set is not None:
+                    y |= self.b_set
+                    y &= self.b_nclr
+                fn(x, y, out=x)
+            out[self.pin_rows] = x
+        if self.out_rows is not None:
+            y = out[self.out_rows]
+            y |= self.out_set
+            y &= self.out_nclr
+            out[self.out_rows] = y
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the word columns ``keep`` selects."""
+        for name in ("a_set", "a_nclr", "b_set", "b_nclr", "out_set",
+                     "out_nclr"):
+            words = getattr(self, name)
+            if words is not None:
+                setattr(self, name, words[:, keep])
+
+
+def _group_forces(op: np.ndarray, member: np.ndarray, row: np.ndarray,
+                  kind: np.ndarray, mset: np.ndarray, mclr: np.ndarray):
+    """Yield ``(op, member, forces)`` for every forced op member.
+
+    One entry per stuck line: the op, the member it forces, the row
+    within the op, ``kind`` (0 or 1 for a pin, 2 for the member's
+    output) and the line's ``(words,)`` set and clear words.  A row that
+    forces both pins of one member gets one recompute row.
+    """
+    key = op * MAX_FUSE_MEMBERS + member
+    pin = kind < 2
+    stride = int(row.max(initial=0)) + 1
+    prow, at = np.unique(key[pin] * stride + row[pin], return_inverse=True)
+    pin_key = prow // stride
+    pwords = np.zeros((2, 2, prow.size, mset.shape[1]), dtype=np.uint64)
+    pwords[kind[pin], 0, at] = mset[pin]
+    pwords[kind[pin], 1, at] = mclr[pin]
+    pwords[:, 1] = ~pwords[:, 1]
+    pwords = pwords[..., None]
+    forced_pin = np.zeros((2, prow.size), dtype=bool)
+    forced_pin[kind[pin], at] = True
+    out = np.flatnonzero(~pin)
+    out = out[np.argsort(key[out], kind="stable")]
+    out_key = key[out]
+    out_set = mset[out][:, :, None]
+    out_nclr = ~mclr[out][:, :, None]
+    keys = np.union1d(pin_key, out_key)
+    for k, p0, p1, q0, q1 in zip(
+            keys.tolist(),
+            np.searchsorted(pin_key, keys).tolist(),
+            np.searchsorted(pin_key, keys, "right").tolist(),
+            np.searchsorted(out_key, keys).tolist(),
+            np.searchsorted(out_key, keys, "right").tolist()):
+        forces = _Forces()
+        if p1 > p0:
+            forces.pin_rows = prow[p0:p1] % stride
+            if forced_pin[0, p0:p1].any():
+                forces.a_set, forces.a_nclr = pwords[0, :, p0:p1]
+            if forced_pin[1, p0:p1].any():
+                forces.b_set, forces.b_nclr = pwords[1, :, p0:p1]
+        if q1 > q0:
+            forces.out_rows = row[out[q0:q1]]
+            forces.out_set = out_set[q0:q1]
+            forces.out_nclr = out_nclr[q0:q1]
+        yield k // MAX_FUSE_MEMBERS, k % MAX_FUSE_MEMBERS, forces
+
+
 class _EventOp:
     """One cone-restricted slice of a fused group, plus fault forces.
 
     The op's units occupy cone rows ``[o0, o1)``.  ``flat_rows`` is the
-    slot-major gather index of their operands in the row space; slots
-    whose net lies outside it (``sent``) read golden by net id
-    (``sent_nets``).  ``row_masks`` holds pin and member-output masks
-    keyed by row position within the op, ``out_pos`` / ``out_set`` /
-    ``out_clr`` the output-net stuck masks, and ``obs_idx`` /
-    ``obs_nets`` the rows driving a primary output.  A flop op keeps
-    each row's last input sample of the previous chunk in ``carry``.
-    The optional parts default to ``None`` on the class, so an op
-    stores only the ones it has.
+    slot-major gather index of their operands in the row space, where
+    every operand has a row: a cone unit, a seed or a boundary row.
+    ``steps`` is the group's recipe resolved to ufuncs, ``forces`` the
+    :class:`_Forces` of each member (``None`` for unforced members), and
+    ``obs_idx`` / ``obs_nets`` the rows driving a primary output.  A
+    flop op keeps each row's last input sample of the previous chunk in
+    ``carry``.  The optional parts default to ``None`` on the class, so
+    an op stores only the ones it has.
     """
 
-    sent: Optional[np.ndarray] = None
-    sent_nets: Optional[np.ndarray] = None
     obs_idx: Optional[np.ndarray] = None
     obs_nets: Optional[np.ndarray] = None
-    out_pos: Optional[np.ndarray] = None
-    out_set: Optional[np.ndarray] = None
-    out_clr: Optional[np.ndarray] = None
-    row_masks: Optional[Dict[int, List[Tuple]]] = None
+    forces: Optional[List[Optional[_Forces]]] = None
     carry: Optional[np.ndarray] = None
 
-    def __init__(self, group: FusedGroup, o0: int, o1: int,
+    def __init__(self, group: FusedGroup, steps: Tuple, o0: int, o1: int,
                  flat_rows: np.ndarray):
-        self.recipe = group.recipe
+        self.steps = steps
         self.n_ext = group.n_ext
         self.o0 = o0
         self.o1 = o1
@@ -479,10 +602,16 @@ class EventCone:
     evaluates every super-gate of the cone once.  ``rows_evaluated``
     accumulates those super-gate evaluations.
 
+    The row space holds the cone's units, then seed rows (stuck nets no
+    cone unit drives), then boundary rows (each distinct out-of-cone
+    net an op reads).  Seed and boundary rows are filled from golden
+    once per chunk; they are not evaluated super-gates.
+
     Construction is whole-cone array work: the cone's units are
     selected level by level, then renumbered, gathered and flagged in
-    one pass and split into ops at group bounds; only the op objects
-    and the per-row fault forces are made one by one.
+    one pass and split into ops at group bounds; the fault forces are
+    grouped per op member.  Only the op and force objects are made one
+    by one.
     """
 
     def __init__(self, fused: FusedProgram, masks: LineMasks,
@@ -519,8 +648,7 @@ class EventCone:
             affected[flat.out[s:e][sel]] = True
 
         # Rows: cone units in (level, group, position) order, then seed
-        # rows (stuck nets no cone unit drives); operands outside the
-        # row space read golden by net, so no boundary rows exist.
+        # rows; boundary rows follow once the ops' operands are known.
         units = np.flatnonzero(sel_all)
         out = flat.out[units]
         n_sel = units.size
@@ -537,10 +665,10 @@ class EventCone:
         seed = ext_stuck[is_seed]
         self.seed_nets = seed
         self.srow0 = n_sel
-        row_of[seed] = np.arange(n_sel, n_sel + seed.size)
-        self.n_rows = n_sel + seed.size
-        self.seed_set = masks.net_set[~internal][is_seed]
-        self.seed_clr = masks.net_clr[~internal][is_seed]
+        self.brow0 = n_sel + seed.size
+        row_of[seed] = np.arange(n_sel, self.brow0)
+        self.seed_set = masks.net_set[~internal][is_seed][:, :, None]
+        self.seed_nclr = ~masks.net_clr[~internal][is_seed][:, :, None]
         self.seed_obs_idx = np.nonzero(is_output[seed])[0]
 
         # Ops: runs of one group among the cone units.
@@ -559,72 +687,77 @@ class EventCone:
         valid = slot < k_op[op_of][:, None]
         at = (start[op_of][:, None] + slot * size[op_of][:, None]
               + rank[:, None])[valid]
-        rows = row_of[ext[valid]]
-        # Out-of-cone slots get the sentinel row n_rows: the clipped
-        # gather reads a placeholder that golden replaces.
-        rows[rows < 0] = self.n_rows
+        nets = ext[valid]
+        rows = row_of[nets]
+        # Boundary rows: one per distinct out-of-cone operand net.
+        outside = rows < 0
+        boundary = np.unique(nets[outside])
+        self.n_rows = self.brow0 + boundary.size
+        row_of[boundary] = np.arange(self.brow0, self.n_rows)
+        rows[outside] = row_of[nets[outside]]
+        self.fill_nets = np.concatenate((seed, boundary))
         flat_rows = np.empty(start[-1], dtype=np.int64)
         flat_rows[at] = rows
-        slot_nets = np.empty(start[-1], dtype=np.int64)
-        slot_nets[at] = ext[valid]
-        sent = flat_rows == self.n_rows
-        sent_nets = slot_nets[sent]
-        sent_at = np.concatenate(([0], np.cumsum(sent)))[start]
+
+        # Scratch sizes: the widest operand gather, and per recipe
+        # member the widest op whose recipe runs past it.
+        n_mem = flat.group_members[group[o0]]
+        self.ext_rows = int((k_op * size).max(initial=0))
+        self.member_rows = [
+            int(size[n_mem > j + 1].max())
+            for j in range(int(n_mem.max(initial=1)) - 1)]
 
         o1 = o0 + size
         obs = np.flatnonzero(is_output[out])
         obs_idx = rank[obs]
         obs_nets = out[obs]
-        stuck = np.flatnonzero(is_stuck[out])
-        stuck_idx = rank[stuck]
-        mask_row = np.full(n_nets + 1, -1, dtype=np.int64)
-        mask_row[masks.net] = np.arange(masks.net.size)
-        stuck_set = masks.net_set[mask_row[out[stuck]]]
-        stuck_clr = masks.net_clr[mask_row[out[stuck]]]
 
         # Each op's bounds in every flat array, as one row of ints.
         bounds = np.stack([
-            group[o0], o0, o1, start[:-1], start[1:], sent_at[:-1],
-            sent_at[1:], np.searchsorted(obs, o0), np.searchsorted(obs, o1),
-            np.searchsorted(stuck, o0), np.searchsorted(stuck, o1),
+            group[o0], o0, o1, start[:-1], start[1:],
+            np.searchsorted(obs, o0), np.searchsorted(obs, o1),
         ], axis=1).tolist()
         self.ops: List[_EventOp] = []
         groups = flat.group_list
-        for g, a, b, s0, s1, t0, t1, v0, v1, u0, u1 in bounds:
-            op = _EventOp(groups[g], a, b, flat_rows[s0:s1])
-            if t1 > t0:
-                op.sent = sent[s0:s1]
-                op.sent_nets = sent_nets[t0:t1]
+        for g, a, b, s0, s1, v0, v1 in bounds:
+            op = _EventOp(groups[g], flat.group_steps[g], a, b,
+                          flat_rows[s0:s1])
             if v1 > v0:
                 op.obs_idx = obs_idx[v0:v1]
                 op.obs_nets = obs_nets[v0:v1]
-            if u1 > u0:
-                op.out_pos = stuck_idx[u0:u1]
-                op.out_set = stuck_set[u0:u1]
-                op.out_clr = stuck_clr[u0:u1]
             if op.is_dff:
                 # Flops reset to 0: the carry into the first chunk.
                 op.carry = np.zeros((b - a, words), dtype=np.uint64)
             self.ops.append(op)
 
-        # Pin forces, then forces on fused-internal nets, per op row.
-        row_masks: Dict[int, Dict[int, List[Tuple]]] = {}
-        at_pin = np.searchsorted(units, pin_unit)
-        for j, p, mi, pin, mset, mclr in zip(
-                op_of[at_pin].tolist(), rank[at_pin].tolist(),
-                flat.gate_member[masks.pin_gate].tolist(),
-                masks.pin.tolist(), masks.pin_set, masks.pin_clr):
-            row_masks.setdefault(j, {}).setdefault(p, []).append(
-                ("pin", mi, pin, mset, mclr))
-        at_int = np.searchsorted(units, int_unit[internal])
-        for j, p, mi, mset, mclr in zip(
-                op_of[at_int].tolist(), rank[at_int].tolist(),
-                flat.internal_member[masks.net[internal]].tolist(),
-                masks.net_set[internal], masks.net_clr[internal]):
-            row_masks.setdefault(j, {}).setdefault(p, []).append(
-                ("mout", mi, mset, mclr))
-        for j, rows_of_op in row_masks.items():
-            self.ops[j].row_masks = rows_of_op
+        # Every force of the batch, one entry per line: pin forces
+        # (kind = the pin), forces on fused-internal nets and output-net
+        # stucks, both on a member's output (kind 2; a stuck output net
+        # forces its unit's last member).
+        stuck = np.flatnonzero(is_stuck[out])
+        mask_row = np.full(n_nets + 1, -1, dtype=np.int64)
+        mask_row[masks.net] = np.arange(masks.net.size)
+        stuck_line = mask_row[out[stuck]]
+        f_unit = np.concatenate((
+            np.searchsorted(units, pin_unit),
+            np.searchsorted(units, int_unit[internal]), stuck))
+        forced = _group_forces(
+            op_of[f_unit],
+            np.concatenate((flat.gate_member[masks.pin_gate],
+                            flat.internal_member[masks.net[internal]],
+                            n_mem[op_of[stuck]] - 1)),
+            rank[f_unit],
+            np.concatenate((masks.pin,
+                            np.full(f_unit.size - masks.pin.size, 2))),
+            np.concatenate((masks.pin_set, masks.net_set[internal],
+                            masks.net_set[stuck_line])),
+            np.concatenate((masks.pin_clr, masks.net_clr[internal],
+                            masks.net_clr[stuck_line])))
+        for j, mi, forces in forced:
+            op = self.ops[j]
+            if op.forces is None:
+                op.forces = [None] * int(n_mem[j])
+            op.forces[mi] = forces
         self.cone_nets = int(np.count_nonzero(affected[:n_nets]))
 
     # ------------------------------------------------------------------
@@ -632,43 +765,23 @@ class EventCone:
         """Drop word columns whose 64 lanes are all detected."""
         self.words = int(np.count_nonzero(keep))
         self.seed_set = self.seed_set[:, keep]
-        self.seed_clr = self.seed_clr[:, keep]
+        self.seed_nclr = self.seed_nclr[:, keep]
         for op in self.ops:
             if op.carry is not None:
                 op.carry = op.carry[:, keep]
-            if op.out_set is not None:
-                op.out_set = op.out_set[:, keep]
-                op.out_clr = op.out_clr[:, keep]
-            if op.row_masks:
-                # Prune mask entries whose surviving words are all
-                # zero: once every fault in a masked row's lanes is
-                # detected and dropped, the row behaves like a plain
-                # row and skips the per-row recompute entirely.
-                masks = {}
-                for p, entries in op.row_masks.items():
-                    kept = []
-                    for entry in entries:
-                        mset = entry[-2][keep]
-                        mclr = entry[-1][keep]
-                        if mset.any() or mclr.any():
-                            kept.append((entry[0], *entry[1:-2], mset,
-                                         mclr))
-                    if kept:
-                        masks[p] = kept
-                op.row_masks = masks
+            if op.forces is not None:
+                for forces in op.forces:
+                    if forces is not None:
+                        forces.compact(keep)
 
     def bind_golden(self, golden: np.ndarray) -> None:
         """Bind the boolean ``(nets, T)`` golden matrix for this batch.
 
-        Golden reads are lazy — per-op slices gather boolean rows
-        straight from the matrix by net id and widen only those to lane
-        words, so nothing cone-sized is copied up front.  Only the seed
-        rows, needed every chunk, are gathered and widened once.
+        Nothing is copied here: each chunk casts its seed and boundary
+        rows' golden slice straight into the row space, and observed
+        outputs widen their golden rows as they are compared.
         """
         self._golden = golden
-        # Advanced indexing, not ``take``: the small row gather stays
-        # fast even if a caller hands a strided column-window view.
-        self._sgold = _lanes(golden[self.seed_nets])
 
     # ------------------------------------------------------------------
     def evaluate_chunk(self, ws: ConeWorkspace, t0: int,
@@ -685,84 +798,72 @@ class EventCone:
         # One golden column-window view shared by every op this chunk.
         self._gsl = self._golden[:, t0:t1]
         w = ws.get("ev_nets", self.n_rows, wc, span)
+        if self.fill_nets.size:
+            # Seed and boundary rows: golden cast into the row space and
+            # widened to lane words in place.
+            fill = w[self.srow0:]
+            np.copyto(fill, self._gsl[self.fill_nets][:, None, :])
+            np.negative(fill, out=fill)
         if self.seed_nets.size:
-            # Masked seed waveforms go straight into the row space;
-            # an observed seed is compared against golden here.
-            sg = self._sgold[:, t0:t1]
-            sf = w[self.srow0:]
-            np.bitwise_or(sg[:, None, :], self.seed_set[:, :, None],
-                          out=sf)
-            np.bitwise_and(sf, ~self.seed_clr[:, :, None], out=sf)
+            # Masked seed waveforms; an observed seed is compared
+            # against golden here.
+            sf = w[self.srow0:self.brow0]
+            sf |= self.seed_set
+            sf &= self.seed_nclr
             if self.seed_obs_idx.size:
                 self._detect(ws, sf[self.seed_obs_idx],
                              self.seed_nets[self.seed_obs_idx], det)
         self.rows_evaluated += self.srow0
+        # Operand and member scratch, carved once and sliced per op.
+        ext = ws.get("ev_ext", self.ext_rows, wc, span)
+        members = [ws.get(key, n, wc, span)
+                   for key, n in zip(_MKEYS, self.member_rows)]
         for op in self.ops:
             if op.is_dff:
-                self._eval_dff(op, ws, w, det, t0, t1)
+                self._eval_dff(op, ws, w, ext, det)
             else:
-                self._eval_gate(op, ws, w, det, t0, t1)
+                self._eval_gate(op, ws, w, ext, members, det)
         return det
 
     # ------------------------------------------------------------------
     def _eval_gate(self, op: _EventOp, ws: ConeWorkspace, w: np.ndarray,
-                   det: np.ndarray, t0: int, t1: int) -> None:
+                   ext: np.ndarray, members: List[np.ndarray],
+                   det: np.ndarray) -> None:
         n = op.o1 - op.o0
-        wc = self.words
-        span = t1 - t0
-        k = op.n_ext
         # Slot-major operand gather: ext_view[j] is external slot j's
         # (n, words, span) block.
-        ab = ws.get("ev_ext", k * n, wc, span)
+        ab = ext[:op.n_ext * n]
         w.take(op.flat_rows, 0, ab, "clip")
-        if op.sent is not None:
-            ab[op.sent] = _lanes(self._gsl[op.sent_nets])[:, None, :]
-        ext_view = ab.reshape(k, n, wc, span)
+        ext_view = ab.reshape((op.n_ext, n) + ab.shape[1:])
         vout = w[op.o0:op.o1]
-        last = len(op.recipe) - 1
-        m_res: List[np.ndarray] = []
-        for j, (kind, s0, s1) in enumerate(op.recipe):
-            a = ext_view[s0] if s0 >= 0 else m_res[-s0 - 1]
-            out_buf = vout if j == last else ws.get(_MKEYS[j], n, wc,
-                                                    span)
-            if kind == "xor":
-                np.bitwise_xor(a, ext_view[s1] if s1 >= 0
-                               else m_res[-s1 - 1], out=out_buf)
-            elif kind == "and":
-                np.bitwise_and(a, ext_view[s1] if s1 >= 0
-                               else m_res[-s1 - 1], out=out_buf)
-            elif kind == "or":
-                np.bitwise_or(a, ext_view[s1] if s1 >= 0
-                              else m_res[-s1 - 1], out=out_buf)
-            elif kind == "not":
-                np.invert(a, out=out_buf)
-            else:  # buf
-                np.copyto(out_buf, a)
-            m_res.append(out_buf)
-        if op.row_masks:
-            for p, entries in op.row_masks.items():
-                vout[p] = self._recompute_row(op, ext_view, p, entries)
-        self._finish(op, ws, vout, det)
+        forces = op.forces
+        last = len(op.steps) - 1
+        res: List[np.ndarray] = []
+        for j, (fn, s0, s1) in enumerate(op.steps):
+            a = ext_view[s0] if s0 >= 0 else res[-s0 - 1]
+            out = vout if j == last else members[j][:n]
+            if s1 is None:
+                b = None
+                fn(a, out=out)
+            else:
+                b = ext_view[s1] if s1 >= 0 else res[-s1 - 1]
+                fn(a, b, out=out)
+            if forces is not None and forces[j] is not None:
+                forces[j].apply(fn, a, b, out)
+            res.append(out)
+        if op.obs_idx is not None:
+            self._detect(ws, vout[op.obs_idx], op.obs_nets, det)
 
     def _eval_dff(self, op: _EventOp, ws: ConeWorkspace, w: np.ndarray,
-                  det: np.ndarray, t0: int, t1: int) -> None:
-        a = ws.get("ev_ext", op.o1 - op.o0, self.words, t1 - t0)
+                  ext: np.ndarray, det: np.ndarray) -> None:
+        a = ext[:op.o1 - op.o0]
         w.take(op.flat_rows, 0, a, "clip")
-        if op.sent is not None:
-            a[op.sent] = _lanes(self._gsl[op.sent_nets])[:, None, :]
         vout = w[op.o0:op.o1]
         vout[:, :, 1:] = a[:, :, :-1]
         vout[:, :, 0] = op.carry
         np.copyto(op.carry, a[:, :, -1])
-        self._finish(op, ws, vout, det)
-
-    def _finish(self, op: _EventOp, ws: ConeWorkspace, vout: np.ndarray,
-                det: np.ndarray) -> None:
-        """Apply output-net stucks, then compare observed rows."""
-        if op.out_pos is not None:
-            vout[op.out_pos] = ((vout[op.out_pos]
-                                 | op.out_set[:, :, None])
-                                & ~op.out_clr[:, :, None])
+        if op.forces is not None:
+            op.forces[0].apply(None, None, None, vout)
         if op.obs_idx is not None:
             self._detect(ws, vout[op.obs_idx], op.obs_nets, det)
 
@@ -773,41 +874,3 @@ class EventCone:
         np.bitwise_xor(vals, _lanes(self._gsl[nets])[:, None, :], out=dbuf)
         det |= np.bitwise_or.reduce(
             np.bitwise_or.reduce(dbuf, axis=2), axis=0)
-
-    def _recompute_row(self, op: _EventOp, ext_view: np.ndarray,
-                       row: int, entries: List[Tuple]) -> np.ndarray:
-        """Replay one row's recipe with its pin/member forces applied."""
-        pin_of: Dict[Tuple[int, int], Tuple] = {}
-        mout_of: Dict[int, Tuple] = {}
-        for entry in entries:
-            if entry[0] == "pin":
-                _tag, mi, pin, mset, mclr = entry
-                pin_of[(mi, pin)] = (mset, mclr)
-            else:
-                _tag, mi, mset, mclr = entry
-                mout_of[mi] = (mset, mclr)
-        vals: List[np.ndarray] = []
-        for j, (kind, s0, s1) in enumerate(op.recipe):
-            def operand(code: int, pin: int) -> np.ndarray:
-                base = (ext_view[code][row] if code >= 0
-                        else vals[-code - 1])
-                pm = pin_of.get((j, pin))
-                if pm is not None:
-                    base = (base | pm[0][:, None]) & ~pm[1][:, None]
-                return base
-            a = operand(s0, 0)
-            if kind == "xor":
-                r = a ^ operand(s1, 1)
-            elif kind == "and":
-                r = a & operand(s1, 1)
-            elif kind == "or":
-                r = a | operand(s1, 1)
-            elif kind == "not":
-                r = ~a
-            else:  # buf
-                r = a.copy()
-            mm = mout_of.get(j)
-            if mm is not None:
-                r = (r | mm[0][:, None]) & ~mm[1][:, None]
-            vals.append(r)
-        return vals[-1]

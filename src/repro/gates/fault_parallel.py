@@ -341,8 +341,9 @@ def program_and_golden(
     :class:`~repro.cache.ArtifactCache` passed as ``cache`` persists it
     across processes; its fused view is built here too.  The golden
     machine is simulated here every time: it costs less than loading or
-    storing its matrix.  Golden stays the boolean ``(nets, T)`` matrix;
-    the cone sweep widens only the rows it reads to 64-lane words.
+    storing its matrix.  Golden stays the boolean ``(nets, T)`` matrix:
+    each chunk of a cone sweep casts only the golden rows it reads (its
+    seed and boundary rows, and observed outputs) to 64-lane words.
     The two stages are the ``gates.compile`` and ``gates.golden``
     spans.
     """

@@ -14,8 +14,9 @@ the same iterative-deepening verdict loop as
 first stage grades the serial driver's wide cone batches, not slices of
 them.
 
-A worker crash or timeout falls back to the parent-side serial loop,
-so the result is always the exact missed-fault list.
+A pool that cannot start or a worker that dies falls back to the
+parent-side serial loop, so the result is always the exact missed-fault
+list.
 
 When telemetry is enabled the pool propagates the trace into each
 worker (see :mod:`repro.telemetry.propagate`): the ``gates.fault_batch``
@@ -75,7 +76,6 @@ def gate_level_missed_parallel(
     faults: Sequence,
     *,
     jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
 ) -> List:
     """Exact missed-fault list, one shard of whole cone batches per
     worker.
@@ -105,7 +105,7 @@ def gate_level_missed_parallel(
                     for indices in chunk]
 
         blocks = parallel_map(
-            _grade_shard, shards, jobs=n_jobs, timeout=timeout,
+            _grade_shard, shards, jobs=n_jobs,
             initializer=_init_gate_worker, initargs=(nl, raw, table),
             serial_fallback=_serial, label="gates.fault_pool")
 

@@ -3,10 +3,11 @@
 The randomized equivalence suite (``test_gates_equivalence.py``) pins
 the event engine's verdicts, detection times and signatures to the
 reference oracle; these tests pin the pieces it is built from —
-super-gate fusion, the workspace buffer-reuse contract, unexcited
-faults, input-ordered missed lists, the telemetry counters and a cone
-sweep that reads no clock — so a regression localizes to the broken
-layer instead of surfacing as a distant verdict mismatch.
+super-gate fusion, the workspace buffer-reuse contract, the fault
+forces patched inside super-gates, unexcited faults, input-ordered
+missed lists, the telemetry counters and a cone sweep that reads no
+clock — so a regression localizes to the broken layer instead of
+surfacing as a distant verdict mismatch.
 """
 
 import itertools
@@ -37,7 +38,7 @@ from repro.gates.fault_parallel import _grade_cone_batch
 from repro.gates.gatesim import pack_input_bits
 from repro.telemetry import Telemetry, set_telemetry
 
-from helpers import SMALL_COEFSETS, build_small_design
+from helpers import SMALL_COEFSETS, build_small_design, chunk_end_times
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +150,54 @@ class TestWorkspaceReuse:
             got, _stats = _grade_cone_batch(prog, golden, batch, 64, ws)
             expect = _ref_verdicts(nl, raw, batch)
             assert np.array_equal(got, expect), i
+
+
+class TestMemberForces:
+    def test_shared_input_pins_and_internal_nets(self):
+        """Forces inside a super-gate stay exact at one word and at
+        several: a stuck pin on an external input that another member
+        of the same super-gate also reads (the force must reach only its
+        own member's read), and stuck fused-internal nets (member-output
+        forces)."""
+        nl, prog, raw, golden, faults = _batch_setup(
+            "plain", np.random.default_rng(20261018))
+        fused = fused_program(prog)
+        shared = set()
+        for groups in fused.levels:
+            for g in groups:
+                readers = {}
+                for mi, (kind, s0, s1) in enumerate(g.recipe):
+                    srcs = (s0, s1) if kind in ("xor", "and", "or") else (s0,)
+                    for pin, src in enumerate(srcs):
+                        if src >= 0:
+                            readers.setdefault(src, []).append((mi, pin))
+                for pins in readers.values():
+                    if len({mi for mi, _pin in pins}) > 1:
+                        shared.update((row[mi], pin)
+                                      for row in g.elem.tolist()
+                                      for mi, pin in pins)
+        pin_faults = [f for f in faults if f.lines[0] == "pins"
+                      and len(f.lines[1]) == 1
+                      and tuple(map(int, f.lines[1][0])) in shared]
+        internal = [f for f in faults if f.lines[0] == "net"
+                    and int(f.lines[1]) in fused.internal_loc]
+        assert pin_faults and internal
+        batch = pin_faults + internal
+        first = np.concatenate([
+            fault_parallel_reference(nl, raw, batch[i:i + 64])
+            for i in range(0, len(batch), 64)])
+        # Short chunks: a pin force leaking into another member's read
+        # mostly moves a detection by a few vectors, not its verdict.
+        times = chunk_end_times(first, len(raw), chunk=8)
+        ws = ConeWorkspace()
+        for size in (64, len(batch)):
+            for i in range(0, len(batch), size):
+                part = batch[i:i + size]
+                got_times = np.full(len(part), -1, dtype=np.int64)
+                got, _stats = _grade_cone_batch(prog, golden, part, 8, ws,
+                                                first_detect=got_times)
+                assert np.array_equal(got, _ref_verdicts(nl, raw, part))
+                assert np.array_equal(got_times, times[i:i + size])
 
 
 class TestFrontierSkip:
