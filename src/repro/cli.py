@@ -34,18 +34,12 @@ Commands
               ``validate`` (ledger integrity, or ``--schema FILE...``
               for report files), and ``watch`` (live progress of a
               service job over the SSE stream).
-``top``       Live fleet dashboard over ``/v1/fleet``: per-worker
-              throughput, shard progress, liveness and firing alerts
-              (``--once`` prints a single frame for scripts).
-``alerts``    ``check`` evaluates an SLO alert-rule file against a
-              live fleet endpoint, a saved fleet snapshot or a saved
-              loadtest report; nonzero exit on any breach.
 
 Global flags: ``--version``, ``-v/--verbose`` (repeatable),
 ``--profile`` (log a telemetry summary for any command) and
 ``--trace-out PATH`` (stream telemetry events as JSON Lines).
 Every command that records a run (``profile``, ``sweep``, ``bench``,
-``serve``, ``cluster``, ``loadtest``, ``alerts check``) takes
+``serve``, ``cluster``, ``loadtest``) takes
 ``--ledger-dir PATH`` / ``--no-ledger`` controlling where (whether)
 the run is recorded in the run ledger.
 """
@@ -340,20 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--events-keepalive", type=float, default=15.0,
                        help="seconds between SSE keepalive comments on "
                             "idle /v1/events streams (default 15)")
-    serve.add_argument("--heartbeat-interval", type=float, default=2.0,
-                       help="seconds between fleet heartbeats "
-                            "(0 = disable the health plane; default 2)")
-    serve.add_argument("--heartbeat-to", default=None, metavar="URL",
-                       help="also push each heartbeat to this upstream "
-                            "serve endpoint, aggregating the fleet view "
-                            "there")
-    serve.add_argument("--alert-rules", default=None, metavar="PATH",
-                       help="JSON alert-rule file (repro-alert-rules/1) "
-                            "evaluated against the merged fleet metrics "
-                            "on every heartbeat")
-    serve.add_argument("--worker-id", default=None,
-                       help="stable worker name in heartbeats and fleet "
-                            "views (default host:port)")
 
     cluster = sub.add_parser(
         "cluster", parents=[cache_flags, ledger_flags],
@@ -486,8 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="FILE",
                        help="instead of the ledger, validate these JSON "
                             "report files against their embedded schema "
-                            "tags (bench/cluster/loadtest/fleet "
-                            "reports)")
+                            "tags (bench/cluster/loadtest reports)")
 
     r_watch = runs_sub.add_parser(
         "watch", help="render a service job's live progress")
@@ -504,41 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "then, even while the stream stays alive "
                               "(0 = wait forever)")
 
-    top = sub.add_parser(
-        "top",
-        help="live fleet dashboard: per-worker throughput, progress, "
-             "liveness and firing alerts")
-    top.add_argument("--url", default="http://127.0.0.1:8337",
-                     help="service base URL "
-                          "(default http://127.0.0.1:8337)")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="refresh interval in seconds (default 2)")
-    top.add_argument("--duration", type=float, default=0.0,
-                     help="stop after N seconds (0 = until Ctrl-C)")
-    top.add_argument("--once", action="store_true",
-                     help="print one frame and exit (for scripts/CI)")
-
-    alerts = sub.add_parser(
-        "alerts",
-        help="evaluate SLO alert rules against fleet metrics")
-    alerts_sub = alerts.add_subparsers(dest="alerts_command",
-                                       required=True)
-    a_check = alerts_sub.add_parser(
-        "check", parents=[ledger_flags],
-        help="exit nonzero when any rule in a rule file is breached")
-    a_check.add_argument("--rules", required=True, metavar="PATH",
-                         help="JSON alert-rule file "
-                              "(repro-alert-rules/1)")
-    source = a_check.add_mutually_exclusive_group(required=True)
-    source.add_argument("--url", default=None,
-                        help="evaluate against a live /v1/fleet "
-                             "endpoint")
-    source.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="evaluate against a saved fleet snapshot "
-                             "JSON file")
-    source.add_argument("--loadtest", default=None, metavar="PATH",
-                        help="evaluate against a saved loadtest report "
-                             "(loadtest.* metric namespace)")
     return parser
 
 
@@ -1093,10 +1037,7 @@ def _cmd_serve(args) -> int:
         drain_deadline=args.drain_deadline,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
         ledger_dir=args.ledger_dir, no_ledger=args.no_ledger,
-        events_keepalive=args.events_keepalive,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_to=args.heartbeat_to, alert_rules=args.alert_rules,
-        worker_id=args.worker_id)
+        events_keepalive=args.events_keepalive)
 
     telemetry = None
     if args.access_log:
@@ -1124,18 +1065,6 @@ def _runs_ledger(args) -> RunLedger:
 
 def _headline_metric(record) -> str:
     """The one number worth a column in ``runs list``."""
-    if record.get("kind") == "alert":
-        # Alert records are the incident history: the transition and
-        # rule name say more than any single number.
-        if "ok" in record:  # an `alerts check` gate record
-            verdict = "ok" if record["ok"] else "FAILED"
-            return (f"check {verdict} "
-                    f"({len(record.get('violations') or [])} violation(s))")
-        event = str(record.get("event", "alert")).split(".")[-1]
-        name = record.get("config", {}).get("alert", "?")
-        value = record.get("value")
-        detail = "" if value is None else f" (value {value:g})"
-        return f"{event}: {name}{detail}"
     for label, path in (("faults/s", "faults_per_sec"),
                         ("coverage", "coverage"),
                         ("speedup", "speedup"),
@@ -1490,150 +1419,6 @@ def _cmd_loadtest(args) -> int:
     return 0
 
 
-def _render_fleet(doc, url: str) -> str:
-    """One ``repro top`` frame from a ``/v1/fleet`` snapshot."""
-    from datetime import datetime, timezone
-
-    totals = doc.get("totals") or {}
-    generated = doc.get("generated_unix")
-    stamp = ""
-    if generated:
-        stamp = datetime.fromtimestamp(
-            float(generated),
-            tz=timezone.utc).strftime("%Y-%m-%d %H:%M:%SZ")
-    lines = [f"repro top — {url}  {stamp}".rstrip()]
-    lines.append(
-        f"workers {totals.get('workers', 0)}  "
-        f"({totals.get('live', 0)} live, "
-        f"{totals.get('suspect', 0)} suspect, "
-        f"{totals.get('dead', 0)} dead)   "
-        f"{totals.get('faults_per_sec', 0.0):,.0f} faults/s   "
-        f"queue {totals.get('queue_depth', 0)}   "
-        f"inflight {totals.get('inflight', 0)}")
-    for alert in doc.get("alerts") or []:
-        lines.append(f"ALERT [{alert.get('severity', '?')}] "
-                     f"{alert.get('alert', '?')}: {alert.get('rule', '')} "
-                     f"(value {alert.get('value')})")
-    lines.append("")
-    lines.append(f"{'WORKER':<26} {'STATE':<8} {'PID':>7} {'BEATS':>6} "
-                 f"{'FAULTS/S':>10} {'QUEUE':>6} {'MISS':>5}  PROGRESS")
-    for worker in doc.get("workers") or []:
-        progress = ""
-        for name, cursor in sorted((worker.get("progress") or {}).items()):
-            done = float(cursor.get("done", 0))
-            total = cursor.get("total")
-            if total:
-                progress = f"{name} {100.0 * done / float(total):5.1f}%"
-                break  # one stream with a known total says it best
-            progress = f"{name} {done:g}"
-        queue = worker.get("queue_depth")
-        queue = "-" if queue is None else str(queue)
-        lines.append(
-            f"{str(worker.get('worker', '?')):<26.26} "
-            f"{str(worker.get('state', '?')):<8} "
-            f"{worker.get('pid', 0):>7} "
-            f"{worker.get('beats', 0):>6} "
-            f"{worker.get('faults_per_sec', 0.0):>10,.0f} "
-            f"{queue:>6} "
-            f"{worker.get('missed_beats', 0.0):>5.1f}  "
-            f"{progress}".rstrip())
-    return "\n".join(lines)
-
-
-def _cmd_top(args) -> int:
-    import time
-
-    from .service.client import ServiceClient, ServiceClientError
-
-    client = ServiceClient(args.url, client_id="repro-top",
-                           timeout=max(5.0, args.interval * 2))
-    is_tty = sys.stdout.isatty() and not args.once
-    deadline = (time.monotonic() + args.duration
-                if args.duration > 0 else None)
-    failures = 0
-    try:
-        while True:
-            try:
-                doc = client.fleet()
-            except (ServiceClientError, OSError) as exc:
-                failures += 1
-                if args.once or failures >= 3:
-                    print(f"repro: fleet endpoint unavailable at "
-                          f"{args.url}: {exc}", file=sys.stderr)
-                    return 1
-            else:
-                failures = 0
-                frame = _render_fleet(doc, args.url)
-                if is_tty:
-                    # Home + clear-to-end keeps the frame flicker-free.
-                    print(f"\x1b[H\x1b[2J{frame}", flush=True)
-                else:
-                    print(frame)
-                if args.once:
-                    return 0
-            if deadline is not None and time.monotonic() >= deadline:
-                return 0
-            time.sleep(max(args.interval, 0.2))
-    except KeyboardInterrupt:
-        if is_tty:
-            print()
-        return 0
-
-
-def _cmd_alerts_check(args) -> int:
-    import json
-    import time
-
-    from .telemetry.alerts import check_rules, load_rules
-
-    rules = load_rules(args.rules)
-    doc = None
-    if args.url:
-        from .service.client import ServiceClient
-
-        source = args.url
-        doc = ServiceClient(args.url,
-                            client_id="repro-alerts-check").fleet()
-    elif args.snapshot:
-        source = args.snapshot
-        with open(args.snapshot, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        from .cluster.loadtest import loadtest_alert_values
-
-        source = args.loadtest
-        with open(args.loadtest, "r", encoding="utf-8") as fh:
-            values = loadtest_alert_values(json.load(fh))
-    if doc is not None:
-        # The serve-side engine's own merged values: the totals alone
-        # would silently skip every counter and histogram rule.
-        values = doc.get("values")
-        if not isinstance(values, dict):
-            raise ReproError(f"fleet snapshot {source} has no 'values' "
-                             "field; capture it from a current "
-                             "`repro serve` /v1/fleet")
-    violations = check_rules(rules, values)
-    for violation in violations:
-        print(f"alert check FAILED: {violation}", file=sys.stderr)
-    _ledger_append(args, build_record(
-        "alert",
-        config={"rules": args.rules, "source": source,
-                "rule_names": [r.name for r in rules]},
-        created_unix=time.time(),
-        git_sha=current_git_sha(),
-        extra={"violations": violations,
-               "checked": len(rules),
-               "ok": not violations}))
-    if violations:
-        return 1
-    print(f"alert check ok ({len(rules)} rule(s) against {source})")
-    return 0
-
-
-def _cmd_alerts(args) -> int:
-    return {"check": _cmd_alerts_check}[args.alerts_command](args)
-
-
 def _dispatch(args, tel: Optional[Telemetry]) -> int:
     if args.command == "sweep":
         return _cmd_sweep(args)
@@ -1647,10 +1432,6 @@ def _dispatch(args, tel: Optional[Telemetry]) -> int:
         return _cmd_loadtest(args)
     if args.command == "runs":
         return _cmd_runs(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "alerts":
-        return _cmd_alerts(args)
     if args.command == "recommend":
         return _cmd_recommend(args)
 

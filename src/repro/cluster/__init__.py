@@ -24,7 +24,7 @@ universe grades to bit-identical results.  This package exploits that:
 """
 
 from .coordinator import ClusterCoordinator, ClusterReport, run_cluster_sweep
-from .loadtest import LoadtestReport, loadtest_alert_values, run_loadtest
+from .loadtest import LoadtestReport, run_loadtest
 from .shards import (
     MergedGrade,
     Shard,
@@ -43,7 +43,6 @@ __all__ = [
     "coverage_checkpoints",
     "grade_shard",
     "LoadtestReport",
-    "loadtest_alert_values",
     "merge_shard_results",
     "MergedGrade",
     "plan_shards",

@@ -65,6 +65,9 @@ logger = logging.getLogger("repro.cluster")
 
 CLUSTER_SCHEMA = "repro-cluster-sweep/1"
 
+#: An endpoint's liveness, from its own dispatch outcomes.
+WORKER_STATES = ("live", "suspect", "dead")
+
 
 @dataclass
 class WorkerTally:

@@ -17,6 +17,7 @@ dispatcher threads actually impose.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -27,7 +28,7 @@ from ..errors import ClusterError
 from ..service.client import ServiceBusy, ServiceClient, ServiceClientError
 
 __all__ = ["DEFAULT_MIX", "LOADTEST_SCHEMA", "LoadtestReport",
-           "loadtest_alert_values", "run_loadtest"]
+           "run_loadtest"]
 
 LOADTEST_SCHEMA = "repro-loadtest/1"
 
@@ -46,8 +47,9 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an ascending sequence (0 if empty)."""
     if not sorted_values:
         return 0.0
-    rank = max(1, int(round(q / 100.0 * len(sorted_values) + 0.5)))
-    return float(sorted_values[min(rank, len(sorted_values)) - 1])
+    n = len(sorted_values)
+    rank = min(max(math.ceil(q * n / 100.0), 1), n)
+    return float(sorted_values[rank - 1])
 
 
 def _latency_doc(latencies: Sequence[float]) -> Dict[str, float]:
@@ -62,25 +64,6 @@ def _latency_doc(latencies: Sequence[float]) -> Dict[str, float]:
         "mean": float(sum(ordered) / len(ordered)),
         "max": float(ordered[-1]),
     }
-
-
-def loadtest_alert_values(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Flat metric dict of a loadtest report for alert-rule evaluation.
-
-    Keys follow the ``loadtest.*`` namespace so the same rule files
-    that watch live fleet metrics can also gate a loadtest report
-    (``repro alerts check --loadtest report.json``).  A field missing
-    from the report is left out: the rule's ``missing`` policy decides.
-    """
-    values = {f"loadtest.{key}": float(doc[key])
-              for key in ("requests", "completed", "busy_rate",
-                          "error_rate", "throughput_jobs_per_second")
-              if key in doc}
-    lat = doc.get("latency_seconds") or {}
-    values.update({f"loadtest.{q}_seconds": float(lat[q])
-                   for q in ("p50", "p90", "p99", "mean", "max")
-                   if q in lat})
-    return values
 
 
 @dataclass
@@ -157,10 +140,6 @@ class LoadtestReport:
             failures.append(f"completed {self.completed} jobs, below "
                             f"threshold {min_completed}")
         return failures
-
-    def alert_values(self) -> Dict[str, float]:
-        """Flat metric dict for alert-rule evaluation."""
-        return loadtest_alert_values(self.to_doc())
 
     def to_doc(self) -> Dict[str, Any]:
         by_kind: Dict[str, Dict[str, Any]] = {}

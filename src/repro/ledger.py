@@ -61,7 +61,8 @@ LEDGER_SCHEMA = "repro-ledger/1"
 LEDGER_FILE = "ledger.jsonl"
 
 #: Run kinds the registry recognizes.  Nothing writes ``bench-schedule``
-#: any more; it stays so ledgers that already hold such records validate.
+#: or ``alert`` any more; they stay so ledgers that already hold such
+#: records validate.
 RUN_KINDS = ("sweep", "bench-parallel", "bench-gates", "bench-schedule",
              "profile", "service-job", "cluster-sweep", "loadtest", "alert")
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, Iterable, List
 
+from .cluster.coordinator import WORKER_STATES
 from .errors import ReproError
-from .telemetry.fleet import WORKER_STATES
 
 __all__ = ["REPORT_SCHEMAS", "ReportSchemaError", "validate_report",
            "validate_report_file", "validate_report_files"]
@@ -152,29 +152,8 @@ def _check_loadtest(doc: Dict[str, Any]) -> None:
             f"requests = {doc['requests']}")
 
 
-def _check_fleet(doc: Dict[str, Any]) -> None:
-    _require(doc, ("generated_unix", "workers", "totals", "values"),
-             "fleet report")
-    totals = doc["totals"]
-    _require(totals, ("workers", "live", "suspect", "dead"),
-             "fleet report [totals]")
-    for worker in doc["workers"]:
-        _require(worker, ("worker", "state", "last_seen_unix", "pid"),
-                 "fleet report [workers]")
-        if worker["state"] not in WORKER_STATES:
-            raise ReportSchemaError(
-                f"fleet report: worker {worker['worker']!r} has unknown "
-                f"state {worker['state']!r}")
-    counted = sum(int(totals[state]) for state in WORKER_STATES)
-    if counted != totals["workers"]:
-        raise ReportSchemaError(
-            f"fleet report: live+suspect+dead = {counted} != workers = "
-            f"{totals['workers']}")
-
-
 #: schema tag -> structural validator.
 REPORT_SCHEMAS: Dict[str, Callable[[Dict[str, Any]], None]] = {
-    "repro-fleet/1": _check_fleet,
     "repro-bench-parallel/1": _check_bench_parallel,
     "repro-bench-gatesim/3": _check_bench_gatesim,
     "repro-cluster-sweep/1": _check_cluster_sweep,

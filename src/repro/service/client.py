@@ -259,14 +259,6 @@ class ServiceClient:
         finally:
             conn.close()
 
-    def fleet(self) -> Dict[str, Any]:
-        """The live fleet health snapshot (``GET /v1/fleet``)."""
-        return self._checked("GET", "/v1/fleet")
-
-    def heartbeat(self, beat: Dict[str, Any]) -> Dict[str, Any]:
-        """Push one worker heartbeat (``POST /v1/fleet/heartbeat``)."""
-        return self._checked("POST", "/v1/fleet/heartbeat", beat)
-
     def healthz(self) -> Dict[str, Any]:
         return self._checked("GET", "/healthz")
 

@@ -17,17 +17,9 @@ Routes
 ``GET    /v1/jobs/{id}/result`` the result document alone
 ``DELETE /v1/jobs/{id}``        cancel a queued job
 ``GET    /v1/events``           server-sent-events stream of job state
-                                transitions, live progress snapshots and
-                                ``fleet.*`` / ``alert.*`` health events;
+                                transitions and live progress snapshots;
                                 ``?job=ID`` filters to one job and ends
                                 the stream when that job finishes
-``GET    /v1/fleet``            live fleet health snapshot: every known
-                                worker's liveness, throughput, progress
-                                cursors and the currently-firing alerts
-                                (``repro-fleet/1``)
-``POST   /v1/fleet/heartbeat``  ingest one worker heartbeat
-                                (``repro-heartbeat/1``) — how downstream
-                                workers report into an aggregating serve
 ``GET    /healthz``             liveness (always 200 while the process runs)
 ``GET    /readyz``              readiness (503 while warming or draining)
 ``GET    /metrics``             telemetry counters/gauges/histograms; JSON by
@@ -385,18 +377,6 @@ class HttpApi:
         if path == "/v1/events":
             # GET is intercepted in handle() (streaming response).
             return _error_reply(405, f"{method} not allowed on {path}")
-        if path == "/v1/fleet":
-            if method != "GET":
-                return _error_reply(405, f"{method} not allowed on {path}")
-            return self.service.fleet_snapshot()
-        if path == "/v1/fleet/heartbeat":
-            if method != "POST":
-                return _error_reply(405, f"{method} not allowed on {path}")
-            try:
-                ack = self.service.ingest_heartbeat(self._json_body(body))
-            except ReproError as exc:
-                return _error_reply(400, str(exc))
-            return 200, ack, {}
         if path == "/v1/jobs":
             if method != "POST":
                 return _error_reply(405, f"{method} not allowed on {path}")

@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ServiceError
 from ..experiments import ExperimentContext
-from ..telemetry import (AlertEngine, FleetView, Telemetry, TraceContext,
-                         build_heartbeat, get_telemetry, load_rules,
+from ..telemetry import (Telemetry, TraceContext, get_telemetry,
                          prometheus_exposition, set_telemetry)
 from .events import EventBroker
 from .http import HttpApi, _error_reply, job_reply, negotiate_media_type, \
@@ -63,10 +61,6 @@ class ServiceConfig:
     ledger_dir: Optional[str] = None  # run-ledger root; None = default dir
     no_ledger: bool = False     # skip run-ledger records entirely
     events_keepalive: float = 15.0  # SSE keepalive comment interval
-    heartbeat_interval: float = 2.0  # fleet heartbeat period; 0 = off
-    heartbeat_to: Optional[str] = None  # push beats to this serve URL too
-    alert_rules: Optional[str] = None   # JSON rule file for the alerter
-    worker_id: Optional[str] = None     # fleet identity; default host:port
 
 
 class EvaluationService:
@@ -88,18 +82,6 @@ class EvaluationService:
         self.pool.on_finished = self._record_finished
         self.ledger = None
         self._git_sha: Optional[str] = None
-        # Fleet health plane: this process beats into its own view (so
-        # a single node is already observable) and, when heartbeat_to
-        # names an upstream serve, pushes the same beats there for the
-        # aggregated fleet picture.  Alert rules load eagerly so a bad
-        # rule file fails startup, not the first evaluation.
-        interval = cfg.heartbeat_interval
-        self.fleet = FleetView(
-            default_interval=interval if interval > 0 else 2.0)
-        self.alerts = AlertEngine(
-            load_rules(cfg.alert_rules) if cfg.alert_rules else [])
-        self._hb_seq = 0
-        self._hb_task: Optional["asyncio.Task"] = None
         self.api = HttpApi(self)
         self.started_unix = time.time()
         self.ready = False
@@ -142,8 +124,8 @@ class EvaluationService:
         active = self.telemetry if self.telemetry is not None \
             else get_telemetry()
         if active.enabled:
-            # Satellite of the fleet plane: SSE queue overflow becomes
-            # a real counter on /metrics instead of a silent field.
+            # SSE queue overflow is a counter on /metrics from startup,
+            # 0 included, so silent drops cannot hide.
             self.events.drop_counter = active.counter(
                 "service.events_dropped")
         if not self.config.no_ledger:
@@ -164,9 +146,6 @@ class EvaluationService:
         self.pool.start()
         loop = asyncio.get_running_loop()
         loop.create_task(self._warmup(loop), name="repro-warmup")
-        if self.config.heartbeat_interval > 0:
-            self._hb_task = loop.create_task(self._heartbeat_loop(),
-                                             name="repro-heartbeat")
         logger.info("service listening on http://%s:%d", self.host,
                     self.port)
         return self.host, self.port
@@ -208,9 +187,6 @@ class EvaluationService:
         """Stop intake, drain with a deadline, flush, close."""
         self.draining = True
         self.ready = False
-        if self._hb_task is not None:
-            self._hb_task.cancel()
-            self._hb_task = None
         # Wake every SSE stream so watchers disconnect promptly instead
         # of waiting out a keepalive interval.
         self.events.publish("shutdown", {"reason": "draining"})
@@ -370,135 +346,6 @@ class EvaluationService:
         except Exception:
             logger.exception("run-ledger record failed for job %s", job.id)
 
-    # ------------------------------------------------------------------
-    # Fleet health plane
-    # ------------------------------------------------------------------
-    @property
-    def worker_id(self) -> str:
-        """This process's fleet identity (stable across beats)."""
-        if self.config.worker_id:
-            return self.config.worker_id
-        if self.host is not None and self.port is not None:
-            return f"{self.host}:{self.port}"
-        return f"pid-{os.getpid()}"
-
-    async def _heartbeat_loop(self) -> None:
-        """Beat every interval until the service starts draining."""
-        interval = self.config.heartbeat_interval
-        loop = asyncio.get_running_loop()
-        while not self.draining:
-            try:
-                beat = self._build_beat()
-                self.ingest_heartbeat(beat)
-                if self.config.heartbeat_to:
-                    # Push on the default executor: a slow or absent
-                    # upstream must not stall the event loop or occupy
-                    # a job-worker thread.
-                    await loop.run_in_executor(
-                        None, self._push_beat, beat)
-            except asyncio.CancelledError:  # pragma: no cover - shutdown
-                raise
-            except Exception:
-                logger.exception("heartbeat failed; will retry")
-            await asyncio.sleep(interval)
-
-    def _build_beat(self) -> Dict[str, Any]:
-        tel = self.telemetry if self.telemetry is not None \
-            else get_telemetry()
-        self._hb_seq += 1
-        return build_heartbeat(
-            tel, worker=self.worker_id, seq=self._hb_seq,
-            interval=self.config.heartbeat_interval,
-            queue_depth=len(self.queue),
-            inflight=self.pool.inflight_jobs(),
-            started_unix=self.started_unix,
-            extra={"ready": int(self.ready),
-                   "events_dropped": self.events.dropped})
-
-    def _push_beat(self, beat: Dict[str, Any]) -> None:
-        from .client import ServiceClient, ServiceClientError
-
-        try:
-            ServiceClient(self.config.heartbeat_to,
-                          client_id=self.worker_id,
-                          timeout=max(1.0,
-                                      self.config.heartbeat_interval)
-                          ).heartbeat(beat)
-        except (ServiceClientError, OSError) as exc:
-            tel = get_telemetry()
-            if tel.enabled:
-                tel.counter("service.heartbeat_push_errors").add(1)
-            logger.debug("heartbeat push to %s failed: %s",
-                         self.config.heartbeat_to, exc)
-
-    def ingest_heartbeat(self, beat: Dict[str, Any]) -> Dict[str, Any]:
-        """Merge one beat (local or POSTed), publish fleet/alert events.
-
-        Runs on the event loop.  Every beat also sweeps liveness and
-        re-evaluates the alert rules, so a worker going quiet is
-        detected as long as *anyone* still beats.
-        """
-        self._sweep_and_alert(self.fleet.observe(beat), always=True)
-        return {"ok": True, "worker": str(beat.get("worker")),
-                "workers": len(self.fleet.workers)}
-
-    def _sweep_and_alert(self, transitions: List[Tuple[str, Dict[str, Any]]],
-                         always: bool) -> None:
-        """Sweep liveness, publish the fleet transitions, then evaluate
-        the alert rules and publish and ledger-record their transitions.
-
-        The rules are evaluated on every beat (``always``), otherwise
-        only when the sweep changed a worker's state: each evaluation
-        counts toward a rule's ``for_beats``, and polling an unchanged
-        fleet is not a beat.
-        """
-        swept = self.fleet.sweep()
-        for name, data in transitions + swept:
-            self.events.publish(name, data)
-            if name == "fleet.worker":
-                logger.info("fleet: worker %s is %s (%s)",
-                            data.get("worker"), data.get("state"),
-                            data.get("reason"))
-        if not (always or swept):
-            return
-        for name, data in self.alerts.evaluate(self.fleet.merged_values()):
-            self.events.publish(name, data)
-            log = logger.warning if name == "alert.fired" else logger.info
-            log("%s: %s (%s; value %s)", name, data.get("alert"),
-                data.get("rule"), data.get("value"))
-            self._record_alert(name, data)
-
-    def _record_alert(self, event_name: str, data: Dict[str, Any]) -> None:
-        """One best-effort ledger record per alert transition."""
-        if self.ledger is None:
-            return
-        try:
-            from ..ledger import build_record
-
-            self.ledger.append(build_record(
-                "alert",
-                config={"alert": data.get("alert"),
-                        "rule": data.get("rule"),
-                        "severity": data.get("severity")},
-                created_unix=time.time(),
-                git_sha=self._git_sha,
-                extra={"event": event_name,
-                       "value": data.get("value"),
-                       "threshold": data.get("threshold"),
-                       "worker_id": self.worker_id,
-                       "description": data.get("description")}))
-        except Exception:
-            logger.exception("run-ledger record failed for %s", event_name)
-
-    def fleet_snapshot(self):
-        """The ``GET /v1/fleet`` reply (sweeps liveness first, and
-        re-evaluates the alert rules when that changed a worker)."""
-        self._sweep_and_alert([], always=False)
-        doc = self.fleet.snapshot()
-        doc["alerts"] = self.alerts.active()
-        doc["worker_id"] = self.worker_id
-        return 200, doc, {}
-
     def healthz(self):
         return 200, {"status": "ok",
                      "uptime_seconds": time.time() - self.started_unix}, {}
@@ -521,7 +368,9 @@ class EvaluationService:
                                       ("application/json", "text/plain"))
         if chosen == "text/plain":
             # Prometheus scrape: instrument snapshots plus the live
-            # service-level gauges, in text exposition format.
+            # service-level gauges, in text exposition format.  Drops
+            # are the service.events_dropped counter; a gauge of the
+            # same name would replace it.
             events.extend({"type": "gauge", "name": f"service.{name}",
                            "value": value} for name, value in (
                 ("uptime_seconds", time.time() - self.started_unix),
@@ -531,13 +380,8 @@ class EvaluationService:
                 ("inflight", self.pool.inflight),
                 ("events_subscribers", self.events.subscribers),
                 ("events_published", self.events.published),
-                ("events_dropped", self.events.dropped),
             ))
-            text = prometheus_exposition(events)
-            if self.fleet.workers:
-                # Per-worker-labelled fleet series ride the same scrape.
-                text += self.fleet.prometheus()
-            return 200, text, {}
+            return 200, prometheus_exposition(events), {}
         counters: Dict[str, Any] = {}
         gauges: Dict[str, Any] = {}
         histograms: Dict[str, Any] = {}
@@ -571,8 +415,6 @@ class EvaluationService:
                     "dropped": self.events.dropped,
                 },
                 "ledger": None if self.ledger is None else self.ledger.path,
-                "fleet": dict(self.fleet.counts(),
-                              alerts_firing=len(self.alerts.active())),
             },
             "counters": counters,
             "gauges": gauges,

@@ -209,9 +209,6 @@ class WorkerPool:
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_coalesced = 0
-        #: Currently-running job id -> kind (fleet heartbeats report
-        #: these as the worker's inflight set).
-        self.running: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -245,10 +242,6 @@ class WorkerPool:
     def inflight(self) -> int:
         return len(self._inflight)
 
-    def inflight_jobs(self, limit: int = 16) -> List[str]:
-        """Ids of jobs running right now (bounded for heartbeat size)."""
-        return sorted(self.running)[:limit]
-
     # ------------------------------------------------------------------
     # Worker loop
     # ------------------------------------------------------------------
@@ -274,7 +267,6 @@ class WorkerPool:
         tel = get_telemetry()
         job.state = JobState.RUNNING
         job.started = self.store.clock()
-        self.running[job.id] = job.kind
         fut = self._inflight.get(job.cache_key)
         if fut is not None:
             job.coalesced = True
@@ -323,7 +315,6 @@ class WorkerPool:
         """Resolve ``job`` from ``fut`` when the computation lands."""
 
         def _finish(f: "asyncio.Future[Outcome]") -> None:
-            self.running.pop(job.id, None)
             if job.state.finished or f.cancelled():
                 return  # e.g. failed/cancelled by an abort() race
             status, value = f.result()

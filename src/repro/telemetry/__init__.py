@@ -21,14 +21,6 @@ or from the CLI with ``python -m repro --profile ...``,
 See ``docs/telemetry.md`` for naming conventions and how to add a sink.
 """
 
-from .alerts import (
-    ALERT_RULES_SCHEMA,
-    AlertEngine,
-    AlertRule,
-    check_rules,
-    load_rules,
-    parse_rules,
-)
 from .collector import (
     NULL_TELEMETRY,
     NullTelemetry,
@@ -44,13 +36,6 @@ from .export import (
     chrome_trace_events,
     prometheus_exposition,
     write_chrome_trace,
-)
-from .fleet import (
-    FLEET_SCHEMA,
-    HEARTBEAT_SCHEMA,
-    FleetView,
-    WorkerHealth,
-    build_heartbeat,
 )
 from .metrics import NULL_INSTRUMENT, Counter, Gauge, Histogram
 from .progress import ProgressState, ProgressStream, progress_eta
@@ -69,14 +54,7 @@ from .spans import Span, format_duration, format_span_tree, new_trace_id
 from .zones import ZoneTracer
 
 __all__ = [
-    "ALERT_RULES_SCHEMA",
-    "AlertEngine",
-    "AlertRule",
     "Counter",
-    "FLEET_SCHEMA",
-    "FleetView",
-    "HEARTBEAT_SCHEMA",
-    "WorkerHealth",
     "Gauge",
     "Histogram",
     "InMemorySink",
@@ -93,8 +71,6 @@ __all__ = [
     "TelemetrySink",
     "TraceContext",
     "ZoneTracer",
-    "build_heartbeat",
-    "check_rules",
     "child_collector",
     "chrome_trace_document",
     "chrome_trace_events",
@@ -102,10 +78,8 @@ __all__ = [
     "format_duration",
     "format_span_tree",
     "get_telemetry",
-    "load_rules",
     "load_trace",
     "new_trace_id",
-    "parse_rules",
     "progress_eta",
     "prometheus_exposition",
     "reconstruct_spans",

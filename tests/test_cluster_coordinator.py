@@ -130,25 +130,53 @@ class _InstantClient:
 
 
 class _LiveClient(_InstantClient):
-    """An :class:`_InstantClient` that answers only once the dead
-    endpoint has been contacted three times."""
+    """An :class:`_InstantClient` that answers only once
+    ``ready(contacts)`` holds."""
 
-    def __init__(self, contacts):
+    def __init__(self, contacts, ready):
         super().__init__()
         self.contacts = contacts
+        self.ready = ready
 
     def job(self, job_id, wait=None):
         with self.contacts["cond"]:
             self.contacts["cond"].wait_for(
-                lambda: self.contacts["n"] >= 3, timeout=20.0)
+                lambda: self.ready(self.contacts), timeout=20.0)
         return super().job(job_id, wait)
+
+
+class _RecoveringClient(_InstantClient):
+    """Refuses its first two submits, then answers ``healthz`` and
+    grades like an :class:`_InstantClient`; counts its probes and the
+    submits it accepts."""
+
+    def __init__(self, contacts):
+        super().__init__()
+        self.contacts = contacts
+        self.refused = 0
+
+    def submit(self, kind, params):
+        with self.contacts["cond"]:
+            if self.refused < 2:
+                self.refused += 1
+                raise ConnectionRefusedError("refused")
+            self.contacts["accepted"] += 1
+            self.contacts["cond"].notify_all()
+        return super().submit(kind, params)
+
+    def healthz(self):
+        with self.contacts["cond"]:
+            self.contacts["probes"] += 1
+            self.contacts["cond"].notify_all()
+        return {"status": "ok"}
 
 
 class TestFence:
     def test_dead_endpoint_cannot_spend_other_shards_retries(self):
         contacts = {"n": 0, "cond": threading.Condition()}
         clients = {"dead": _DeadClient(contacts),
-                   "live": _LiveClient(contacts)}
+                   "live": _LiveClient(contacts,
+                                       lambda c: c["n"] >= 3)}
         coord = ClusterCoordinator(
             ["dead", "live"], {}, total=4, test_length=8, max_retries=2,
             poll=0.01, backoff_base=0.05,
@@ -164,6 +192,29 @@ class TestFence:
         assert tallies["dead"].state == "dead"
         assert tallies["live"].shards == 2
         assert report.merged.total == 4
+
+    def test_dead_endpoint_recovers_after_a_successful_probe(self):
+        contacts = {"probes": 0, "accepted": 0,
+                    "cond": threading.Condition()}
+        # The live endpoint holds its first shard until the flaky one
+        # has been probed and has accepted a shard after that, so shards
+        # stay pending while the flaky endpoint refuses two submits
+        # (dead, so fenced), is probed, and comes back to grade one.
+        clients = {"flaky": _RecoveringClient(contacts),
+                   "live": _LiveClient(contacts,
+                                       lambda c: c["accepted"] >= 1)}
+        coord = ClusterCoordinator(
+            ["flaky", "live"], {}, total=6, test_length=8, max_retries=2,
+            poll=0.01, backoff_base=0.05,
+            client_factory=lambda ep: clients[ep])
+        report = coord.run([Shard(0, (0, 1)), Shard(1, (2, 3)),
+                            Shard(2, (4, 5))])
+        tallies = {w.endpoint: w for w in report.workers}
+        assert contacts["probes"] >= 1
+        assert tallies["flaky"].state == "live"
+        assert tallies["flaky"].failures == 2
+        assert tallies["flaky"].shards >= 1
+        assert report.merged.total == 6
 
 
 class TestFaultsLimit:

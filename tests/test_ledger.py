@@ -24,6 +24,16 @@ def bench_record(fps, day=0, **over):
         git_sha="b2fb45b98c20cfc89265c3f8e2558d36caddb85c", **over)
 
 
+def old_alert_record():
+    """An ``alert`` record as a service wrote one on a rule firing."""
+    return build_record(
+        "alert", config={"alert": "dead-workers", "rule": "dead >= 1",
+                         "severity": "page"},
+        created_unix=1754500000.0,
+        extra={"event": "alert.fired", "value": 1.0, "threshold": 1.0,
+               "worker_id": "w1"})
+
+
 class TestRecords:
     def test_build_is_valid_and_content_addressed(self):
         rec = bench_record(100000.0)
@@ -47,12 +57,13 @@ class TestRecords:
         with pytest.raises(LedgerError, match="unknown run kind"):
             validate_record(rec)
         assert "bench-gates" in RUN_KINDS
-        # No command writes bench-schedule records any more; ledgers
-        # that already hold them must keep validating.
+        # No command writes bench-schedule or alert records any more;
+        # ledgers that already hold them must keep validating.
         validate_record(build_record(
             "bench-schedule", config={"design": "LP", "bins": 1024},
             created_unix=1754500000.0,
             bench={"rank_correlation": 0.8367}))
+        validate_record(old_alert_record())
 
     def test_missing_fields_rejected(self):
         with pytest.raises(LedgerError, match="missing required"):
@@ -204,6 +215,15 @@ class TestRunsCli:
         rid = out.strip().splitlines()[-1].split()[0]
         assert main(["runs", "--ledger-dir", ledger_dir, "show", rid]) == 0
         assert "config_fingerprint" in capsys.readouterr().out
+
+    def test_old_alert_record_lists_without_headline(self, ledger_dir,
+                                                     capsys):
+        RunLedger(ledger_dir).append(old_alert_record())
+        assert main(["runs", "--ledger-dir", ledger_dir, "list",
+                     "--kind", "alert"]) == 0
+        line, = capsys.readouterr().out.strip().splitlines()
+        assert line.split()[1] == "alert"
+        assert line.split()[-1] == "-"
 
     def test_trend_check_passes_on_stable_history(self, ledger_dir, capsys):
         rc = main(["runs", "--ledger-dir", ledger_dir, "trend",

@@ -33,6 +33,11 @@ class TestUnits:
         assert _percentile(values, 99) == 4.0
         assert _percentile([], 99) == 0.0
         assert _percentile([7.0], 50) == 7.0
+        # Rank ceil(q/100 * n): an exact q*n/100 = k picks the k-th
+        # value, never the one above it.
+        assert _percentile([1.0, 2.0], 50) == 1.0
+        assert _percentile([float(v) for v in range(1, 11)], 90) == 9.0
+        assert _percentile([float(v) for v in range(1, 101)], 99) == 99.0
 
     def test_vary_preserves_and_bounds(self):
         import random

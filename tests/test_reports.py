@@ -71,24 +71,7 @@ def _loadtest():
     }
 
 
-def _fleet():
-    return {
-        "schema": "repro-fleet/1",
-        "generated_unix": 1700000000.0,
-        "beats": 12,
-        "workers": [
-            {"worker": "w1", "state": "live", "pid": 100,
-             "last_seen_unix": 1700000000.0},
-            {"worker": "w2", "state": "dead", "pid": 200,
-             "last_seen_unix": 1699999990.0},
-        ],
-        "totals": {"workers": 2, "live": 1, "suspect": 0, "dead": 1},
-        "values": {"fleet.workers": 2.0, "fleet.workers.dead": 1.0},
-    }
-
-
 _VALID = {
-    "repro-fleet/1": _fleet,
     "repro-bench-parallel/1": _bench_parallel,
     "repro-bench-gatesim/3": _bench_gatesim,
     "repro-cluster-sweep/1": _cluster_sweep,
@@ -172,24 +155,6 @@ class TestRejections:
         doc = _loadtest()
         doc["completed"] = 5
         with pytest.raises(ReportSchemaError, match="requests"):
-            validate_report(doc)
-
-    def test_fleet_unknown_state(self):
-        doc = _fleet()
-        doc["workers"][0]["state"] = "zombie"
-        with pytest.raises(ReportSchemaError, match="unknown state"):
-            validate_report(doc)
-
-    def test_fleet_bad_accounting(self):
-        doc = _fleet()
-        doc["totals"]["live"] = 2
-        with pytest.raises(ReportSchemaError, match="workers"):
-            validate_report(doc)
-
-    def test_fleet_without_alert_values(self):
-        doc = _fleet()
-        del doc["values"]
-        with pytest.raises(ReportSchemaError, match="values"):
             validate_report(doc)
 
 

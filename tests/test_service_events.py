@@ -173,3 +173,42 @@ class TestLiveProgress:
         assert {"subscribers", "published", "dropped"} <= set(events)
         assert events["published"] >= 1
         assert doc["service"]["ledger"]  # isolated dir from conftest
+
+
+class TestKeepalive:
+    def test_client_stream_tolerates_fast_keepalives(self, client):
+        # The module service comments after every 0.5 s of silence.
+        # Around and between two jobs the parsed stream must surface
+        # their job events, complete and in order, and nothing else.
+        seen = []
+
+        def watch():
+            finished = 0
+            for event in client.events(timeout=5, deadline=60):
+                seen.append(event)
+                if event["event"] == "job" \
+                        and event["data"]["state"] == "done":
+                    finished += 1
+                    if finished == 2:
+                        return
+
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        deadline = time.monotonic() + 30.0
+        while not client.metrics()["service"]["events"]["subscribers"]:
+            assert time.monotonic() < deadline, "stream never subscribed"
+            time.sleep(0.05)
+        jobs = []
+        for _ in range(2):
+            time.sleep(1.5)  # an idle stream: keepalive comments only
+            job = client.submit("spectrum", {"generator": "ramp",
+                                             "width": 8, "points": 2})
+            client.wait(job["id"], timeout=60)
+            jobs.append(job["id"])
+        watcher.join(timeout=30)
+        assert not watcher.is_alive()
+        assert [(e["event"], e["data"]["job"], e["data"]["state"])
+                for e in seen] == [("job", job_id, state)
+                                   for job_id in jobs
+                                   for state in ("queued", "running",
+                                                 "done")]
