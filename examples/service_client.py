@@ -3,8 +3,8 @@
 Starts an in-process evaluation service on an ephemeral port (the same
 machinery `repro serve` runs), then drives it through the bundled
 stdlib HTTP client: a generator ranking, a burst of spectrum requests
-submitted before any is read back, a duplicate submission that shares
-the first one's computation, and a look at /metrics — finishing with a
+submitted before any is read back, a repeated submission that must
+give the same result, and a look at /metrics — finishing with a
 graceful drain.
 
 Against an already-running server, point ServiceClient at it instead:
@@ -43,19 +43,17 @@ def drive(client: ServiceClient) -> None:
         print(f"  {spec['generator']:12s} {peak[0]:8.2f} dB "
               f"at f={peak[1]:.3f}")
 
-    # --- a duplicate submission, coalesced onto the running job ------
+    # --- a repeated submission: its own job, the same answer ---------
     first = client.submit("rank", {"design": "LP"})
-    duplicate = client.submit("rank", {"design": "LP"})
+    repeat = client.submit("rank", {"design": "LP"})
     a = client.wait(first["id"], timeout=120)
-    b = client.wait(duplicate["id"], timeout=120)
-    print(f"\nduplicate submission: {first['id']} and {duplicate['id']}, "
-          f"coalesced {b['coalesced']}, same result "
-          f"{a['result'] == b['result']}")
+    b = client.wait(repeat["id"], timeout=120)
+    print(f"\nrepeated submission: {first['id']} and {repeat['id']}, "
+          f"same result {a['result'] == b['result']}")
 
     # --- what the server saw -----------------------------------------
     metrics = client.metrics()["service"]
     print(f"server totals: {metrics['jobs_done']} done, "
-          f"{metrics['jobs_coalesced']} coalesced, "
           f"queue {metrics['queue_depth']}/{metrics['queue_capacity']}")
 
 

@@ -24,9 +24,6 @@ Commands
               ``serve`` endpoints and merge the verdicts, coverage
               checkpoints and MISR signature back bit-identically;
               ``--verify`` re-grades single-node and asserts identity.
-``loadtest``  Replay job traffic against a service endpoint; report
-              latency percentiles, throughput and 429 rates, with
-              ``--check`` thresholds for CI.
 ``report``    Markdown paper report, or ``--trace`` for an HTML run
               report rendered from a JSONL telemetry trace.
 ``runs``      Query the append-only run ledger: ``list``, ``show``,
@@ -39,9 +36,8 @@ Global flags: ``--version``, ``-v/--verbose`` (repeatable),
 ``--profile`` (log a telemetry summary for any command) and
 ``--trace-out PATH`` (stream telemetry events as JSON Lines).
 Every command that records a run (``profile``, ``sweep``, ``bench``,
-``serve``, ``cluster``, ``loadtest``) takes
-``--ledger-dir PATH`` / ``--no-ledger`` controlling where (whether)
-the run is recorded in the run ledger.
+``serve``, ``cluster``) takes ``--ledger-dir PATH`` / ``--no-ledger``
+controlling where (whether) the run is recorded in the run ledger.
 """
 
 from __future__ import annotations
@@ -381,42 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--out", default=None, metavar="PATH",
                          help="write the cluster report as JSON")
 
-    loadtest = sub.add_parser(
-        "loadtest", parents=[ledger_flags],
-        help="replay job traffic against a service endpoint; report "
-             "latency percentiles, throughput and 429 rates")
-    loadtest.add_argument("--url", default="http://127.0.0.1:8337",
-                          help="service base URL "
-                               "(default http://127.0.0.1:8337)")
-    loadtest.add_argument("--concurrency", type=int, default=4,
-                          help="closed-loop client threads (default 4)")
-    loadtest.add_argument("--duration", type=float, default=10.0,
-                          help="wall-clock seconds to drive traffic "
-                               "(default 10)")
-    loadtest.add_argument("--kinds", default=None,
-                          help="comma-separated job kinds to replay "
-                               "(default: the full built-in mix)")
-    loadtest.add_argument("--seed", type=int, default=0,
-                          help="seed of the per-client size perturbation")
-    loadtest.add_argument("--job-timeout", type=float, default=60.0,
-                          help="per-job turnaround deadline (default 60s)")
-    loadtest.add_argument("--check", action="store_true",
-                          help="exit nonzero when a threshold below is "
-                               "violated (or nothing completed)")
-    loadtest.add_argument("--max-p99", type=float, default=None,
-                          help="--check: max p99 turnaround seconds")
-    loadtest.add_argument("--min-throughput", type=float, default=None,
-                          help="--check: min completed jobs per second")
-    loadtest.add_argument("--max-busy-rate", type=float, default=None,
-                          help="--check: max fraction of 429-rejected "
-                               "requests")
-    loadtest.add_argument("--max-error-rate", type=float, default=None,
-                          help="--check: max fraction of failed requests")
-    loadtest.add_argument("--min-completed", type=int, default=1,
-                          help="--check: min completed jobs (default 1)")
-    loadtest.add_argument("--out", default=None, metavar="PATH",
-                          help="write the loadtest report as JSON")
-
     runs = sub.add_parser(
         "runs", parents=[ledger_dir_flag],
         help="query the run ledger; watch live service jobs")
@@ -466,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="FILE",
                        help="instead of the ledger, validate these JSON "
                             "report files against their embedded schema "
-                            "tags (bench/cluster/loadtest reports)")
+                            "tags (bench and cluster reports)")
 
     r_watch = runs_sub.add_parser(
         "watch", help="render a service job's live progress")
@@ -1360,65 +1320,6 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_loadtest(args) -> int:
-    import json
-    import time
-
-    from .cluster.loadtest import run_loadtest
-
-    kinds = tuple(k.strip() for k in args.kinds.split(",")
-                  if k.strip()) if args.kinds else ()
-    report = run_loadtest(
-        args.url, concurrency=args.concurrency, duration=args.duration,
-        kinds=kinds, seed=args.seed, job_timeout=args.job_timeout)
-    doc = report.to_doc()
-    lat = doc["latency_seconds"]
-    print(f"loadtest {args.url}: {doc['concurrency']} client(s) for "
-          f"{report.elapsed_seconds:.1f}s")
-    print(f"  {doc['requests']} requests: {doc['completed']} completed, "
-          f"{doc['busy']} busy (429/503), {doc['errors']} errors")
-    print(f"  throughput {doc['throughput_jobs_per_second']:.2f} jobs/s  "
-          f"busy rate {100.0 * doc['busy_rate']:.1f}%")
-    print(f"  turnaround p50 {lat['p50']:.3f}s  p90 {lat['p90']:.3f}s  "
-          f"p99 {lat['p99']:.3f}s  max {lat['max']:.3f}s")
-    for kind, entry in doc["by_kind"].items():
-        klat = entry["latency_seconds"]
-        print(f"  {kind:12s} {entry['requests']:5d} requests  "
-              f"p50 {klat['p50']:.3f}s  p99 {klat['p99']:.3f}s  "
-              f"{entry['busy']} busy  {entry['errors']} errors")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"wrote loadtest report to {args.out}")
-    _ledger_append(args, build_record(
-        "loadtest",
-        config={"url": args.url, "concurrency": args.concurrency,
-                "duration": args.duration, "kinds": sorted(kinds),
-                "seed": args.seed},
-        created_unix=time.time(),
-        git_sha=current_git_sha(),
-        duration_seconds=report.elapsed_seconds,
-        extra={"requests": doc["requests"],
-               "completed": doc["completed"],
-               "busy": doc["busy"], "errors": doc["errors"],
-               "busy_rate": doc["busy_rate"],
-               "throughput_jobs_per_second":
-                   doc["throughput_jobs_per_second"],
-               "latency_seconds": lat}))
-    if args.check:
-        failures = report.check(
-            max_p99=args.max_p99, min_throughput=args.min_throughput,
-            max_busy_rate=args.max_busy_rate,
-            max_error_rate=args.max_error_rate,
-            min_completed=args.min_completed)
-        for failure in failures:
-            print(f"loadtest check FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("loadtest check ok")
-    return 0
-
-
 def _dispatch(args, tel: Optional[Telemetry]) -> int:
     if args.command == "sweep":
         return _cmd_sweep(args)
@@ -1428,8 +1329,6 @@ def _dispatch(args, tel: Optional[Telemetry]) -> int:
         return _cmd_serve(args)
     if args.command == "cluster":
         return _cmd_cluster(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
     if args.command == "runs":
         return _cmd_runs(args)
     if args.command == "recommend":

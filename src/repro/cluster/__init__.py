@@ -17,14 +17,10 @@ universe grades to bit-identical results.  This package exploits that:
 * :mod:`~repro.cluster.coordinator` — dispatches shards to a fleet of
   ``repro serve`` workers, retries failures with capped backoff,
   re-dispatches stragglers, grafts worker trace payloads into one span
-  tree and appends a ``cluster-sweep`` ledger record;
-* :mod:`~repro.cluster.loadtest` — replays job traffic against a
-  serve/cluster endpoint and reports p50/p90/p99 latency, throughput
-  and 429 rates with ``--check`` thresholds.
+  tree and appends a ``cluster-sweep`` ledger record.
 """
 
 from .coordinator import ClusterCoordinator, ClusterReport, run_cluster_sweep
-from .loadtest import LoadtestReport, run_loadtest
 from .shards import (
     MergedGrade,
     Shard,
@@ -42,12 +38,10 @@ __all__ = [
     "combine_partials",
     "coverage_checkpoints",
     "grade_shard",
-    "LoadtestReport",
     "merge_shard_results",
     "MergedGrade",
     "plan_shards",
     "run_cluster_sweep",
-    "run_loadtest",
     "Shard",
     "shard_signature_partial",
     "single_node_grade",

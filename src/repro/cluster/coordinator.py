@@ -9,6 +9,9 @@ through the existing HTTP+JSON job protocol as a ``grade-shard`` job:
   failed it) while the failing dispatcher sleeps an exponentially
   growing, jittered, capped backoff; a shard that exhausts
   ``max_retries`` aborts the run with :class:`~repro.errors.ClusterError`.
+  A submission the worker refuses at admission (a 4xx other than 429)
+  would be refused anywhere, so it aborts the run at once and leaves
+  the endpoint's liveness alone.
 * **Straggler re-dispatch** — once the queue is empty, an idle
   dispatcher speculatively duplicates the longest-inflight shard after a
   deadline (``straggler_factor`` x the median completed-shard time, at
@@ -137,6 +140,10 @@ class _Task:
     shard: Shard
     attempt: int = 0
     avoid: Optional[str] = None
+
+
+class _Rejected(Exception):
+    """A worker refused a shard's submission (a non-busy 4xx)."""
 
 
 @dataclass
@@ -286,7 +293,12 @@ class ClusterCoordinator:
         if ctx is not None:
             params["trace"] = {"trace_id": ctx.trace_id,
                                "span_id": ctx.span_id}
-        job_id = client.submit("grade-shard", params)["id"]
+        try:
+            job_id = client.submit("grade-shard", params)["id"]
+        except ServiceClientError as exc:
+            if isinstance(exc, ServiceBusy) or not 400 <= exc.status < 500:
+                raise
+            raise _Rejected(str(exc)) from exc
         t0 = time.monotonic()
         try:
             while True:
@@ -384,6 +396,14 @@ class ClusterCoordinator:
                               endpoint=endpoint, attempt=task.attempt,
                               faults=len(task.shard)):
                     result = self._execute(endpoint, client, task)
+            except _Rejected as exc:
+                with self._cond:
+                    self._inflight.pop((sid, endpoint), None)
+                    if self._fatal is None:
+                        self._fatal = ClusterError(
+                            f"shard {sid} rejected by {endpoint}: {exc}")
+                    self._cond.notify_all()
+                return
             except (ClusterError, ServiceBusy, ServiceClientError,
                     OSError, TimeoutError) as exc:
                 consecutive_failures += 1

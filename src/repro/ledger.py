@@ -60,9 +60,9 @@ LEDGER_SCHEMA = "repro-ledger/1"
 #: File name inside the ledger directory.
 LEDGER_FILE = "ledger.jsonl"
 
-#: Run kinds the registry recognizes.  Nothing writes ``bench-schedule``
-#: or ``alert`` any more; they stay so ledgers that already hold such
-#: records validate.
+#: Run kinds the registry recognizes.  Nothing writes ``bench-schedule``,
+#: ``loadtest`` or ``alert`` any more; they stay so ledgers that already
+#: hold such records validate.
 RUN_KINDS = ("sweep", "bench-parallel", "bench-gates", "bench-schedule",
              "profile", "service-job", "cluster-sweep", "loadtest", "alert")
 

@@ -1,7 +1,7 @@
 """Schema validators for the machine-readable report files.
 
-Every ``repro bench``/``cluster``/``loadtest`` invocation writes a JSON
-report stamped with a ``schema`` tag (``repro-bench-parallel/1``, ...).
+Every ``repro bench``/``cluster`` invocation writes a JSON report
+stamped with a ``schema`` tag (``repro-bench-parallel/1``, ...).
 CI used to re-assert each report's shape with a per-file inline Python
 heredoc; those checks live here now, behind one dispatcher
 (:func:`validate_report`) and one CLI entry point
@@ -131,33 +131,11 @@ def _check_cluster_sweep(doc: Dict[str, Any]) -> None:
             f"{shard_faults} faults, report claims {doc['faults']}")
 
 
-def _check_loadtest(doc: Dict[str, Any]) -> None:
-    _require(doc, ("url", "concurrency", "duration_seconds", "requests",
-                   "completed", "busy", "errors", "throughput_jobs_per_"
-                   "second", "latency_seconds", "by_kind"),
-             "loadtest report")
-    _positive(doc, ("concurrency", "duration_seconds"), "loadtest report")
-    latency = doc["latency_seconds"]
-    _require(latency, ("p50", "p90", "p99", "mean", "max"),
-             "loadtest report [latency_seconds]")
-    if not (latency["p50"] <= latency["p90"] <= latency["p99"]
-            <= latency["max"]):
-        raise ReportSchemaError(
-            f"loadtest report: latency percentiles are not monotonic: "
-            f"{latency}")
-    accounted = doc["completed"] + doc["busy"] + doc["errors"]
-    if accounted != doc["requests"]:
-        raise ReportSchemaError(
-            f"loadtest report: completed+busy+errors = {accounted} != "
-            f"requests = {doc['requests']}")
-
-
 #: schema tag -> structural validator.
 REPORT_SCHEMAS: Dict[str, Callable[[Dict[str, Any]], None]] = {
     "repro-bench-parallel/1": _check_bench_parallel,
     "repro-bench-gatesim/3": _check_bench_gatesim,
     "repro-cluster-sweep/1": _check_cluster_sweep,
-    "repro-loadtest/1": _check_loadtest,
 }
 
 

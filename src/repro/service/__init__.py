@@ -1,4 +1,4 @@
-"""Async BIST evaluation service: job queue, coalescing, backpressure.
+"""Async BIST evaluation service: job queue, workers, backpressure.
 
 This package wraps the existing library pipeline — spectrum analysis,
 generator ranking, fault grading, generator recommendation and exact
@@ -11,8 +11,7 @@ submitted, queued and polled instead of run inline:
 * :mod:`repro.service.queue` — one bounded FIFO queue with
   backpressure (429 + ``Retry-After``).
 * :mod:`repro.service.workers` — worker pool that runs each job alone
-  through :func:`~repro.service.workers.execute_job` and coalesces
-  identical requests onto one computation.
+  through its own :func:`~repro.service.workers.execute_job` call.
 * :mod:`repro.service.http` — the thin HTTP/1.1 layer and routes,
   including the ``GET /v1/events`` SSE stream.
 * :mod:`repro.service.events` — thread-safe broker fanning job state

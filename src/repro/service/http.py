@@ -2,7 +2,7 @@
 
 Implemented straight on :func:`asyncio.start_server` streams — no
 framework, no dependencies — because the API surface is small and the
-hard problems (queueing, coalescing, shutdown) live elsewhere.  One
+hard problems (queueing, shutdown) live elsewhere.  One
 request per connection (responses carry ``Connection: close``), bodies
 and responses are JSON.
 
@@ -258,7 +258,9 @@ class HttpApi:
             try:
                 length = int(headers["content-length"])
             except ValueError:
-                raise _HttpError("bad Content-Length", status=400) from None
+                length = -1
+            if length < 0:
+                raise _HttpError("bad Content-Length", status=400)
         if length > MAX_BODY_BYTES:
             raise _HttpError("request body too large", status=413)
         body = await reader.readexactly(length) if length else b""

@@ -4,11 +4,8 @@ A :class:`Job` is one client request — rank, grade, spectrum,
 recommend or grade-shard — flowing through the states ``queued ->
 running -> done | failed | cancelled``.  Parameters are validated and
 canonicalized at admission (:func:`canonical_params`), so everything
-downstream — the queue, the coalescer, the workers — sees one spelling
-per request, and the job's :attr:`~Job.cache_key` (a
-:func:`~repro.cache.keys.stable_hash` over kind + canonical params) is
-the coalescing identity: two jobs with equal keys are the same
-computation.
+downstream — the queue, the workers — sees one spelling per request.
+Every admitted job runs its own computation.
 
 The :class:`JobStore` owns every job the service has admitted and
 retains finished jobs for a TTL, so clients can poll results after
@@ -25,7 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
 
-from ..cache.keys import stable_hash
 from ..errors import ServiceError
 from ..resolve import resolve_design, resolve_generator, resolve_generator_key
 from ..telemetry import TraceContext
@@ -201,14 +197,12 @@ class Job:
     kind: str
     params: Dict[str, Any]
     client: str
-    cache_key: str
     state: JobState = JobState.QUEUED
     created: float = 0.0
     started: Optional[float] = None
     finished: Optional[float] = None
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
-    coalesced: bool = False
     #: Latest progress snapshot (stream name -> progress doc), written
     #: by the worker thread while the job runs; plain dict assignment so
     #: pollers on the event loop always see a consistent snapshot.
@@ -237,7 +231,6 @@ class Job:
             "client": self.client,
             "state": self.state.value,
             "created_unix": self.created,
-            "coalesced": self.coalesced,
         }
         if self.trace is not None:
             doc["trace_id"] = self.trace.trace_id
@@ -283,17 +276,11 @@ class JobStore:
                client: str = "anonymous") -> Job:
         """Admit a request as a new queued job."""
         self.purge()
-        canon = canonical_params(kind, params)
-        # The coordinator's trace pointer names *where spans hang*, not
-        # *what is computed* — exclude it from the coalescing identity
-        # so identical shards from different runs share one future.
-        keyed = {k: v for k, v in canon.items() if k != "trace"}
         job = Job(
             id=f"j-{self._prefix}-{next(self._seq):06d}",
             kind=kind,
-            params=canon,
+            params=canonical_params(kind, params),
             client=client,
-            cache_key=stable_hash({"kind": kind, "params": keyed}),
             created=self.clock(),
         )
         self._jobs[job.id] = job

@@ -212,13 +212,11 @@ class EvaluationService:
         summary = {
             "done": self.pool.jobs_done,
             "failed": self.pool.jobs_failed,
-            "coalesced": self.pool.jobs_coalesced,
             "clean": int(drained),
         }
-        logger.info("drain %s: %d done, %d failed (%d coalesced)",
+        logger.info("drain %s: %d done, %d failed",
                     "complete" if drained else "ABORTED",
-                    summary["done"], summary["failed"],
-                    summary["coalesced"])
+                    summary["done"], summary["failed"])
         if self._stopped is not None:
             self._stopped.set()
         return summary
@@ -264,8 +262,7 @@ class EvaluationService:
             tel.counter("service.jobs.submitted").add(1)
             tel.gauge("service.queue_depth").set(len(self.queue))
         self.events.publish("job", {"job": job.id, "kind": job.kind,
-                                    "state": job.state.value,
-                                    "coalesced": False})
+                                    "state": job.state.value})
         return job_reply(job, 202)
 
     async def poll(self, job_id: str, query: Dict[str, list]):
@@ -322,8 +319,7 @@ class EvaluationService:
 
             extra: Dict[str, Any] = {"job_id": job.id,
                                      "state": job.state.value,
-                                     "client": job.client,
-                                     "coalesced": job.coalesced}
+                                     "client": job.client}
             if job.error is not None:
                 extra["error"] = job.error
             bench = None
@@ -407,7 +403,6 @@ class EvaluationService:
                 "jobs": self.store.counts(),
                 "jobs_done": self.pool.jobs_done,
                 "jobs_failed": self.pool.jobs_failed,
-                "jobs_coalesced": self.pool.jobs_coalesced,
                 "avg_service_seconds": self.queue.avg_service_seconds,
                 "events": {
                     "subscribers": self.events.subscribers,
@@ -442,6 +437,5 @@ class EvaluationService:
         self.pool.executor.shutdown(wait=True)
         announce(f"drain {'complete' if summary.get('clean') else 'ABORTED'}:"
                  f" {summary.get('done', 0)} done,"
-                 f" {summary.get('failed', 0)} failed,"
-                 f" {summary.get('coalesced', 0)} coalesced")
+                 f" {summary.get('failed', 0)} failed")
         return summary

@@ -2,17 +2,13 @@
 
 A fixed set of asyncio worker tasks pull jobs off the
 :class:`~repro.service.queue.JobQueue` one at a time, oldest first.
-Each job is evaluated by :func:`execute_job` — the only way the service
-computes anything — on a thread-pool executor, so the event loop (and
-therefore intake, polling and health endpoints) stays responsive.
-
-* **Coalescing** — jobs are keyed by
-  :attr:`~repro.service.jobs.Job.cache_key`; only one computation runs
-  per key, and a duplicate that arrives while it runs waits on the
-  same future instead of computing again.
-* **Caching** — the shared :class:`~repro.experiments.ExperimentContext`
-  is cache-backed, so results also persist across requests and
-  restarts via :mod:`repro.cache`.
+Each job gets its own :func:`execute_job` call — the only way the
+service computes anything — on a thread-pool executor, so the event
+loop (and therefore intake, polling and health endpoints) stays
+responsive.  The call runs under the job's own trace and feeds the
+job's own progress streams.  The shared
+:class:`~repro.experiments.ExperimentContext` is cache-backed, so
+artifacts persist across requests and restarts via :mod:`repro.cache`.
 
 Nothing here forks: the executor threads share the process with the
 event loop, and forking a threaded process can stall its BLAS threads
@@ -204,11 +200,11 @@ class WorkerPool:
         self.on_finished = None
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service")
-        self._inflight: Dict[str, "asyncio.Future[Outcome]"] = {}
         self._tasks: List["asyncio.Task"] = []
+        #: Jobs running on the executor right now.
+        self.inflight = 0
         self.jobs_done = 0
         self.jobs_failed = 0
-        self.jobs_coalesced = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -238,10 +234,6 @@ class WorkerPool:
                 self.jobs_failed += 1
         self.executor.shutdown(wait=False, cancel_futures=True)
 
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
     # ------------------------------------------------------------------
     # Worker loop
     # ------------------------------------------------------------------
@@ -261,24 +253,10 @@ class WorkerPool:
                     self.jobs_failed += 1
 
     async def _run_job(self, job: Job) -> None:
-        """Run ``job`` on the executor, or attach it to the running
-        computation of the same cache key."""
+        """Run ``job`` on the executor and finish it with the outcome."""
         loop = asyncio.get_running_loop()
-        tel = get_telemetry()
         job.state = JobState.RUNNING
         job.started = self.store.clock()
-        fut = self._inflight.get(job.cache_key)
-        if fut is not None:
-            job.coalesced = True
-            self.jobs_coalesced += 1
-            if tel.enabled:
-                tel.counter("service.jobs.coalesced").add(1)
-            self._attach(job, fut)
-            self._publish_state(job)
-            return
-        fut = loop.create_future()
-        self._inflight[job.cache_key] = fut
-        self._attach(job, fut)
         self._publish_state(job)
 
         def _on_progress(state) -> None:
@@ -293,50 +271,41 @@ class WorkerPool:
                 self.events.publish(
                     "progress", dict(doc, job=job.id, stream=state.name))
 
+        self.inflight += 1
         try:
             outcome, payload = await loop.run_in_executor(
                 self.executor, _execute_traced, self.context, job.kind,
                 job.params, job.trace, _on_progress)
         except Exception as exc:  # executor itself failed
             outcome, payload = ("error", f"{type(exc).__name__}: {exc}"), None
+        finally:
+            self.inflight -= 1
+        tel = get_telemetry()
         if tel.enabled:
             tel.absorb(payload)
-        self._inflight.pop(job.cache_key, None)
-        if not fut.done():
-            fut.set_result(outcome)
+        if job.state.finished:
+            return  # e.g. failed by an abort() race
+        status, value = outcome
+        now = self.store.clock()
+        if status == "ok":
+            job.finish(JobState.DONE, now, result=value)
+            self.jobs_done += 1
+        else:
+            job.finish(JobState.FAILED, now, error=str(value))
+            self.jobs_failed += 1
+        self.queue.observe_service_seconds(now - job.started)
+        if tel.enabled:
+            tel.counter(f"service.jobs.{job.state.value}").add(1)
+            tel.counter(f"service.jobs.kind.{job.kind}").add(1)
+        self._publish_state(job)
+        if self.on_finished is not None:
+            try:
+                self.on_finished(job)
+            except Exception:
+                logger.exception("on_finished hook failed for job %s",
+                                 job.id)
 
     def _publish_state(self, job: Job) -> None:
         if self.events is not None:
             self.events.publish("job", {"job": job.id, "kind": job.kind,
-                                        "state": job.state.value,
-                                        "coalesced": job.coalesced})
-
-    def _attach(self, job: Job, fut: "asyncio.Future[Outcome]") -> None:
-        """Resolve ``job`` from ``fut`` when the computation lands."""
-
-        def _finish(f: "asyncio.Future[Outcome]") -> None:
-            if job.state.finished or f.cancelled():
-                return  # e.g. failed/cancelled by an abort() race
-            status, value = f.result()
-            now = self.store.clock()
-            if status == "ok":
-                job.finish(JobState.DONE, now, result=value)
-                self.jobs_done += 1
-            else:
-                job.finish(JobState.FAILED, now, error=str(value))
-                self.jobs_failed += 1
-            if job.started is not None:
-                self.queue.observe_service_seconds(now - job.started)
-            tel = get_telemetry()
-            if tel.enabled:
-                tel.counter(f"service.jobs.{job.state.value}").add(1)
-                tel.counter(f"service.jobs.kind.{job.kind}").add(1)
-            self._publish_state(job)
-            if self.on_finished is not None:
-                try:
-                    self.on_finished(job)
-                except Exception:
-                    logger.exception("on_finished hook failed for job %s",
-                                     job.id)
-
-        fut.add_done_callback(_finish)
+                                        "state": job.state.value})

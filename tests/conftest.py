@@ -22,7 +22,6 @@ _SLOW_MODULES = {
     "test_cluster_coordinator",
     "test_cluster_merge",
     "test_gates_equivalence",
-    "test_loadtest",
     "test_service_e2e",
     "test_service_events",
     "test_service_fleet",

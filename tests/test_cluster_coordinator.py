@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import Shard, run_cluster_sweep, shard_signature_partial
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.errors import ClusterError
+from repro.service.client import ServiceBusy, ServiceClientError
 from repro.service.lifecycle import ServiceConfig
 from repro.service.testing import ServiceThread
 
@@ -215,6 +216,58 @@ class TestFence:
         assert tallies["flaky"].failures == 2
         assert tallies["flaky"].shards >= 1
         assert report.merged.total == 6
+
+
+class _RejectingClient:
+    """Refuses every submission with a 400, and counts them."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, kind, params):
+        self.submits += 1
+        raise ServiceClientError(
+            400, "parameter 'misr_width' must be in [4, 24], got 2")
+
+
+class _BusyOnceClient(_InstantClient):
+    """Answers its first submit with a 429, then grades."""
+
+    def __init__(self):
+        super().__init__()
+        self.busy = 0
+
+    def submit(self, kind, params):
+        if not self.busy:
+            self.busy += 1
+            raise ServiceBusy(429, "queue full", None, 0.01)
+        return super().submit(kind, params)
+
+
+class TestRejectedSubmit:
+    def test_a_rejected_submit_ends_the_sweep_at_once(self):
+        client = _RejectingClient()
+        coord = ClusterCoordinator(
+            ["w"], {}, total=2, test_length=8, max_retries=4,
+            poll=0.01, backoff_base=0.05,
+            client_factory=lambda ep: client)
+        with pytest.raises(ClusterError,
+                           match=r"'misr_width' must be in \[4, 24\]"):
+            coord.run([Shard(0, (0, 1))])
+        assert client.submits == 1
+        assert coord.attempts == 1
+        assert coord.tallies["w"].state == "live"
+        assert coord.tallies["w"].failures == 0
+
+    def test_a_busy_submit_is_retried(self):
+        client = _BusyOnceClient()
+        coord = ClusterCoordinator(
+            ["w"], {}, total=2, test_length=8, max_retries=4,
+            poll=0.01, backoff_base=0.05,
+            client_factory=lambda ep: client)
+        report = coord.run([Shard(0, (0, 1))])
+        assert report.merged.total == 2
+        assert report.retries == 1
 
 
 class TestFaultsLimit:

@@ -34,6 +34,22 @@ def old_alert_record():
                "worker_id": "w1"})
 
 
+def old_loadtest_record():
+    """A ``loadtest`` record as ``repro loadtest`` wrote one."""
+    return build_record(
+        "loadtest",
+        config={"url": "http://127.0.0.1:8337", "concurrency": 2,
+                "duration": 10.0, "kinds": ["spectrum"], "seed": 0},
+        created_unix=1754500000.0,
+        git_sha="b2fb45b98c20cfc89265c3f8e2558d36caddb85c",
+        duration_seconds=10.2,
+        extra={"requests": 41, "completed": 41, "busy": 0, "errors": 0,
+               "busy_rate": 0.0, "throughput_jobs_per_second": 4.02,
+               "latency_seconds": {"p50": 0.41, "p90": 0.62,
+                                   "p99": 0.7, "mean": 0.45,
+                                   "max": 0.7}})
+
+
 class TestRecords:
     def test_build_is_valid_and_content_addressed(self):
         rec = bench_record(100000.0)
@@ -57,13 +73,14 @@ class TestRecords:
         with pytest.raises(LedgerError, match="unknown run kind"):
             validate_record(rec)
         assert "bench-gates" in RUN_KINDS
-        # No command writes bench-schedule or alert records any more;
-        # ledgers that already hold them must keep validating.
+        # No command writes bench-schedule, loadtest or alert records
+        # any more; ledgers that already hold them must keep validating.
         validate_record(build_record(
             "bench-schedule", config={"design": "LP", "bins": 1024},
             created_unix=1754500000.0,
             bench={"rank_correlation": 0.8367}))
         validate_record(old_alert_record())
+        validate_record(old_loadtest_record())
 
     def test_missing_fields_rejected(self):
         with pytest.raises(LedgerError, match="missing required"):

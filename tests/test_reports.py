@@ -59,23 +59,10 @@ def _cluster_sweep():
     }
 
 
-def _loadtest():
-    return {
-        "schema": "repro-loadtest/1", "url": "http://s:1",
-        "concurrency": 2, "duration_seconds": 5.0, "requests": 10,
-        "completed": 8, "busy": 1, "errors": 1,
-        "throughput_jobs_per_second": 1.6,
-        "latency_seconds": {"p50": 0.1, "p90": 0.2, "p99": 0.3,
-                            "mean": 0.15, "max": 0.3},
-        "by_kind": {},
-    }
-
-
 _VALID = {
     "repro-bench-parallel/1": _bench_parallel,
     "repro-bench-gatesim/3": _bench_gatesim,
     "repro-cluster-sweep/1": _cluster_sweep,
-    "repro-loadtest/1": _loadtest,
 }
 
 
@@ -145,26 +132,14 @@ class TestRejections:
         with pytest.raises(ReportSchemaError, match="unknown state"):
             validate_report(doc)
 
-    def test_loadtest_non_monotonic_percentiles(self):
-        doc = _loadtest()
-        doc["latency_seconds"]["p90"] = 0.05
-        with pytest.raises(ReportSchemaError, match="monotonic"):
-            validate_report(doc)
-
-    def test_loadtest_bad_accounting(self):
-        doc = _loadtest()
-        doc["completed"] = 5
-        with pytest.raises(ReportSchemaError, match="requests"):
-            validate_report(doc)
-
 
 class TestFiles:
     def test_validate_file_and_summary(self, tmp_path):
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(_loadtest()))
-        assert validate_report_file(str(path)) == "repro-loadtest/1"
+        path.write_text(json.dumps(_cluster_sweep()))
+        assert validate_report_file(str(path)) == "repro-cluster-sweep/1"
         lines = validate_report_files([str(path)])
-        assert lines == [f"{path}: repro-loadtest/1 ok"]
+        assert lines == [f"{path}: repro-cluster-sweep/1 ok"]
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ReportSchemaError):

@@ -29,7 +29,7 @@ from repro.telemetry import Telemetry, set_telemetry
 
 # 20 mixed jobs: every (kind, params) also evaluated directly against
 # the library for the equality check.  Several specs repeat across
-# clients on purpose — they exercise the coalescer.
+# clients; each repeat is a job of its own.
 JOB_SPECS = [
     ("rank", {"design": "LP", "vectors": 256}),
     ("rank", {"design": "BP", "vectors": 256}),
@@ -208,6 +208,34 @@ def test_draining_service_refuses_submissions(ctx):
             pass  # listener already closed: equally refused
         else:
             pytest.fail("draining service accepted a submission")
+
+
+def test_identical_shards_are_jobs_of_their_own():
+    """Two identical grade-shard jobs, submitted back to back under two
+    coordinator traces: each runs its own computation, streams its own
+    progress and returns spans of its own trace only."""
+    params = {"design": "LP", "vectors": 64, "indices": list(range(64)),
+              "total": 64}
+    traces = ("a" * 32, "b" * 32)
+    config = ServiceConfig(port=0, no_cache=True, workers=2)
+    with ServiceThread(config, context=ExperimentContext()) as svc:
+        client = svc.client("twins")
+        client.wait_ready(120)
+        jobs = [client.submit("grade-shard", dict(
+            params, trace={"trace_id": trace_id, "span_id": None}))
+            for trace_id in traces]
+        docs = [client.wait(job["id"], timeout=300) for job in jobs]
+
+    results = []
+    for trace_id, doc in zip(traces, docs):
+        assert doc["state"] == "done", doc
+        assert doc["progress"]["gates.grade"]["fraction"] == 1.0, doc
+        result = dict(doc["result"])
+        spans = result.pop("trace")["spans"]
+        assert spans
+        assert {span["trace"] for span in spans} == {trace_id}
+        results.append(result)
+    assert results[0] == results[1]
 
 
 # ----------------------------------------------------------------------

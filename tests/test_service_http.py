@@ -193,6 +193,13 @@ class TestErrorPaths:
                b"Content-Length: 9999999\r\n\r\n")
         assert raw_request(svc, req).startswith(b"HTTP/1.1 413")
 
+    def test_negative_content_length_400(self, svc):
+        req = (b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+               b"Content-Length: -5\r\n\r\n")
+        head, _, payload = raw_request(svc, req).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(payload)["error"] == "bad Content-Length"
+
     def test_bad_wait_param_400(self, svc, client):
         job = client.submit("spectrum", {"generator": "ramp", "width": 8,
                                          "points": 2})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import JOB_KINDS, Job, JobState, JobStore, canonical_params
+from repro.service import JOB_KINDS, JobState, JobStore, canonical_params
 
 
 class FakeClock:
@@ -63,13 +63,14 @@ class TestCanonicalParams:
         with pytest.raises(ReproError):
             canonical_params("rank", {"design": "XXL"})
 
-    def test_equivalent_spellings_share_cache_key(self):
-        store = JobStore()
-        a = store.create("grade", {"design": "lp", "generator": "lfsr1"})
-        b = store.create("grade", {"design": "LP", "generator": "LFSR-1"})
-        assert a.cache_key == b.cache_key
-        c = store.create("grade", {"design": "BP", "generator": "LFSR-1"})
-        assert c.cache_key != a.cache_key
+    def test_equivalent_spellings_canonicalize_alike(self):
+        a = canonical_params("grade", {"design": "lp", "generator": "lfsr1"})
+        b = canonical_params("grade", {"design": "LP",
+                                       "generator": "LFSR-1"})
+        assert a == b
+        c = canonical_params("grade", {"design": "BP",
+                                       "generator": "LFSR-1"})
+        assert c != a
 
 
 class TestJobStore:
