@@ -28,22 +28,13 @@ Package map
 ``repro.bist``        MISR compaction, sessions, generator selection
 ``repro.experiments`` drivers for every table and figure
 ``repro.telemetry``   spans, metrics, sinks, test-zone tracing
+
+Subpackages load on first attribute access (PEP 562), so importing one
+module loads only what it imports: a grading worker process that
+imports :mod:`repro.parallel.gatework` never loads ``scipy``.
 """
 
-from . import (
-    analysis,
-    bist,
-    csd,
-    errors,
-    experiments,
-    faultsim,
-    filters,
-    fixedpoint,
-    gates,
-    generators,
-    rtl,
-    telemetry,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -62,3 +53,13 @@ __all__ = [
     "telemetry",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -16,6 +16,7 @@ against live workers.
 
 from __future__ import annotations
 
+import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from ..gates.fault_parallel import (
 from ..gates.faults import GateFaultTable, schedule_fault_batches
 from ..generators.base import match_width
 from ..resolve import make_generator
-from ..telemetry import get_telemetry
+from ..telemetry import get_telemetry, traced
 from .signature import (
     combine_partials,
     shard_signature_partial,
@@ -98,7 +99,8 @@ def grading_problem(ctx, design: str, generator: str, vectors: int,
 class PreparedProblem:
     """A :func:`grading_problem`'s netlist, universe and stimulus, plus
     the program and golden waves its shards are graded against (the
-    program memoizes its fused view)."""
+    program memoizes its fused view).  ``token`` is minted per build:
+    grading processes holding a problem know it by its token."""
 
     key: Tuple[str, str, int, int]
     netlist: Any
@@ -106,6 +108,7 @@ class PreparedProblem:
     stimulus: np.ndarray
     program: Any
     golden: np.ndarray
+    token: str
 
 
 def prepared_problem(ctx, design: str, generator: str, vectors: int,
@@ -115,7 +118,9 @@ def prepared_problem(ctx, design: str, generator: str, vectors: int,
     The first call for a ``(design, generator, vectors, width)`` builds
     the problem, later calls reuse it.  The context holds at most one:
     a call for another key replaces it, and a build that raises keeps
-    nothing.  Callers hold ``ctx.grading_lock``.  Counts
+    nothing.  Callers hold ``ctx.grading_lock`` for the call; a shard
+    graded in worker processes needs it no longer (a replaced problem
+    lives on in the jobs still grading it).  Counts
     ``service.problems.built`` and ``service.problems.reused``.
     """
     key = (design, generator, int(vectors), int(width))
@@ -129,7 +134,8 @@ def prepared_problem(ctx, design: str, generator: str, vectors: int,
     _dsg, nl, faults, stimulus = grading_problem(ctx, *key)
     program, golden = program_and_golden(nl, stimulus, cache=ctx.cache)
     held = ctx.grading_memo = PreparedProblem(key, nl, faults, stimulus,
-                                              program, golden)
+                                              program, golden,
+                                              uuid.uuid4().hex)
     if tel.enabled:
         tel.counter("service.problems.built").add(1)
     return held
@@ -176,6 +182,7 @@ def grade_shard(
     chunk: Optional[int] = None,
     program=None,
     net_waves: Optional[np.ndarray] = None,
+    executor=None,
 ) -> Dict[str, Any]:
     """Grade one shard — the worker side of the ``grade-shard`` job.
 
@@ -185,7 +192,9 @@ def grade_shard(
     JSON-able result: per-index verdicts, detection times and the MISR
     signature *partial* for the shard's global stream positions.
     ``program``/``net_waves`` are a :class:`PreparedProblem`'s, handed
-    to :func:`gate_level_missed` so the shard builds neither.
+    to :func:`gate_level_missed` so the shard builds neither, and
+    ``executor`` (a :class:`~repro.parallel.gatework.PooledBatches` of
+    that problem) grades its cone batches in worker processes.
     """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     bad = (idx < 0) | (idx >= len(faults)) | (idx >= total)
@@ -199,7 +208,7 @@ def grade_shard(
     detect = np.full(idx.size, -1, dtype=np.int64)
     gate_level_missed(nl, input_raw, faults[idx],
                       chunk=chunk, detect_times=detect, program=program,
-                      net_waves=net_waves)
+                      net_waves=net_waves, executor=executor)
     indices = idx.tolist()
     times = detect.tolist()
     partial = shard_signature_partial(
@@ -262,6 +271,7 @@ class MergedGrade:
                 and self.checkpoints == other.checkpoints)
 
 
+@traced("cluster.merge")
 def merge_shard_results(
     total: int,
     results: Sequence[Dict[str, Any]],

@@ -36,6 +36,7 @@ from ..generators.variants import (
     Type2Lfsr,
 )
 from ..rtl.build import FilterDesign
+from ..telemetry import get_telemetry
 
 __all__ = ["ExperimentConfig", "ExperimentContext", "DEFAULT_CONFIG"]
 
@@ -109,7 +110,8 @@ class ExperimentContext:
     def _build_design(self, name: str) -> FilterDesign:
         from ..cache import cached_design
 
-        design = cached_design(self.cache, name, _DESIGN_BUILDERS[name])
+        with get_telemetry().span("rtl.design", design=name):
+            design = cached_design(self.cache, name, _DESIGN_BUILDERS[name])
         # The JSON snapshot omits the filter spec the figures annotate
         # with; reattach it for cache-rehydrated designs.
         if "spec" not in design.extra:

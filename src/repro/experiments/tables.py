@@ -15,7 +15,7 @@ from ..analysis.compatibility import classify_ratio, compatibility_ratio
 from ..analysis.spectrum import generator_spectrum
 from ..analysis.testzones import difficult_test_table
 from ..filters.stats import design_statistics
-from ..telemetry import traced
+from ..telemetry import get_telemetry, traced
 from .config import ExperimentContext
 from .render import ascii_table
 
@@ -147,15 +147,17 @@ def table3(ctx: Optional[ExperimentContext] = None) -> TableResult:
     order = ["LFSR-1", "LFSR-2", "LFSR-D", "LFSR-M", "Ramp"]
     headers = ["generator", "LP", "BP", "HP"]
     rows = []
+    coefficients = [ctx.designs[d].coefficients for d in DESIGN_ORDER]
+    tel = get_telemetry()
     for gname in order:
         gen = gens[gname]
-        freqs, power = generator_spectrum(gen)
         cells = [gname]
-        for dname in DESIGN_ORDER:
-            h = ctx.designs[dname].coefficients
-            sigma_y2, flat = compatibility_ratio(freqs, power, h)
-            ratio = sigma_y2 / flat
-            cells.append(f"{classify_ratio(ratio)} ({ratio:.2f})")
+        with tel.span("analysis.compat", generator=gname):
+            freqs, power = generator_spectrum(gen)
+            for h in coefficients:
+                sigma_y2, flat = compatibility_ratio(freqs, power, h)
+                ratio = sigma_y2 / flat
+                cells.append(f"{classify_ratio(ratio)} ({ratio:.2f})")
         rows.append(cells)
     paper_rows = [[g, *PAPER_TABLE3[g]] for g in order]
     return TableResult(

@@ -29,11 +29,14 @@ op view :class:`_FlatProgram`, folds gates into fewer, wider groups,
 and chunk evaluation carves every temporary out of a persistent
 :class:`ConeWorkspace`.
 
-Compiling is cheap (milliseconds) and cached on the netlist object by
+A program is memoized on the netlist object by
 :func:`compiled_program`; the artifact cache can additionally persist
 programs across processes
-(:func:`repro.cache.pipeline.cached_gate_program`).  Golden waveforms
-are re-simulated instead: that is cheaper than storing or loading them.
+(:func:`repro.cache.pipeline.cached_gate_program`).  On LP, compiling
+takes about 0.07 s and fusing (:func:`repro.gates.eventsim.fuse_program`)
+about 0.29 s; the cache persists the compiled program only, so a hit
+skips the first and not the second.  Golden waveforms are
+re-simulated instead: that is cheaper than storing or loading them.
 """
 
 from __future__ import annotations

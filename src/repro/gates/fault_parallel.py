@@ -37,7 +37,8 @@ counters ``gates.cone_nets``, ``gates.chunks_skipped`` and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -58,9 +59,11 @@ from .netlist import GateNetlist
 __all__ = [
     "DEFAULT_CHUNK",
     "DEFAULT_WORDS",
+    "LocalBatches",
     "fault_parallel_reference",
     "gate_level_missed",
     "gate_level_missed_reference",
+    "grade_batch",
     "program_and_golden",
 ]
 
@@ -250,6 +253,47 @@ def _emit_batch_stats(tel, n_faults: int, stats: Dict[str, int]) -> None:
             tel.counter(f"gates.{key}").add(stats[key])
 
 
+#: One graded batch: its verdicts, its chunk-end detection times (or
+#: ``None`` when not asked for) and its drop statistics.
+BatchResult = Tuple[np.ndarray, Optional[np.ndarray], Dict[str, int]]
+
+
+def grade_batch(prog: CompiledNetlist, golden: np.ndarray,
+                lines: FaultLines, length: int, chunk: int,
+                ws: ConeWorkspace, times: bool) -> BatchResult:
+    """Grade one cone batch on the stimulus prefix ``[0, length)``,
+    under its ``gates.fault_batch`` span.
+
+    The unit of work of every executor: :class:`LocalBatches` calls it
+    in this process, and :mod:`repro.parallel.gatework` calls it in
+    worker processes.
+    """
+    first_detect = (np.full(len(lines), -1, dtype=np.int64) if times
+                    else None)
+    with get_telemetry().span("gates.fault_batch", faults=len(lines),
+                              prefix=length):
+        verdicts, stats = _grade_cone_batch(
+            prog, golden, lines, chunk, ws, length=length,
+            first_detect=first_detect)
+    return verdicts, first_detect, stats
+
+
+class LocalBatches:
+    """The in-process batch executor: grades a stage's batches one
+    after another, all on one :class:`ConeWorkspace`."""
+
+    def __init__(self, prog: CompiledNetlist, golden: np.ndarray):
+        self.prog = prog
+        self.golden = golden
+        self.ws = ConeWorkspace()
+
+    def grade_stage(self, batches: Sequence[FaultLines], length: int,
+                    chunk: int, times: bool) -> Iterator[BatchResult]:
+        for lines in batches:
+            yield grade_batch(self.prog, self.golden, lines, length, chunk,
+                              self.ws, times)
+
+
 def _grade_verdicts(
     prog: CompiledNetlist,
     golden: np.ndarray,
@@ -259,6 +303,7 @@ def _grade_verdicts(
     words: Optional[int] = None,
     detect_times: Optional[np.ndarray] = None,
     on_batch: Optional[Callable[[Dict[str, int]], None]] = None,
+    executor=None,
 ) -> np.ndarray:
     """The iterative-deepening verdict loop behind every exact grade.
 
@@ -271,20 +316,27 @@ def _grade_verdicts(
     survivors straight from the table's columns.  Returns verdicts
     aligned with ``faults``.
 
-    Emits one ``gates.fault_batch`` span and the per-batch counters,
-    nothing run-level: :func:`gate_level_missed` owns the progress
-    stream and the throughput gauge, so pool workers grading a slice of
-    a larger run never publish a stream whose ``total`` is their slice.
-    ``on_batch`` receives a record per graded batch: its ``prefix``
-    and ``dropped`` count, and the running ``detected``/``finalized``
-    totals.
+    ``executor`` grades each stage's batches: anything with
+    :meth:`LocalBatches.grade_stage`'s signature that yields one
+    :data:`BatchResult` per batch, in order
+    (:class:`repro.parallel.gatework.PooledBatches` grades them in
+    worker processes).  The default grades them in this process.  The
+    batches are the same either way, so verdicts, detection times and
+    every counter are too.
+
+    Emits the per-batch counters, nothing run-level:
+    :func:`gate_level_missed` owns the progress stream and the
+    throughput gauge.  ``on_batch`` receives a record per graded batch:
+    its ``prefix`` and ``dropped`` count, and the running
+    ``detected``/``finalized`` totals.
     """
     tel = get_telemetry()
     length = golden.shape[1]
     chunk_len = min(DEFAULT_CHUNK if chunk is None else max(1, int(chunk)),
                     max(length, 1))
     n_words = DEFAULT_WORDS if words is None else max(1, int(words))
-    ws = ConeWorkspace()
+    if executor is None:
+        executor = LocalBatches(prog, golden)
     verdicts = np.zeros(len(faults), dtype=bool)
     remaining = np.arange(len(faults))
     finalized = 0
@@ -294,24 +346,20 @@ def _grade_verdicts(
         stage_words = (EVENT_STAGE1_WORDS
                        if words is None and stage_len == stages[0]
                        else n_words)
-        for batch in schedule_fault_batches(faults[remaining],
-                                            64 * stage_words):
-            idx = remaining[batch]
-            first_detect = (np.full(len(batch), -1, dtype=np.int64)
-                            if detect_times is not None else None)
-            with tel.span("gates.fault_batch", faults=len(batch),
-                          prefix=stage_len):
-                batch_verdicts, stats = _grade_cone_batch(
-                    prog, golden, faults.lines.take(idx),
-                    chunk_len, ws, length=stage_len,
-                    first_detect=first_detect)
+        batches = [remaining[batch] for batch in schedule_fault_batches(
+            faults[remaining], 64 * stage_words)]
+        graded = executor.grade_stage(
+            [faults.lines.take(idx) for idx in batches], stage_len,
+            chunk_len, detect_times is not None)
+        for idx, (batch_verdicts, first_detect, stats) in zip(batches,
+                                                               graded):
             verdicts[idx] = batch_verdicts
             if first_detect is not None:
                 hit = first_detect >= 0
                 detect_times[idx[hit]] = first_detect[hit]
             if tel.enabled:
-                _emit_batch_stats(tel, len(batch), stats)
-            finalized += (len(batch) if final
+                _emit_batch_stats(tel, len(idx), stats)
+            finalized += (len(idx) if final
                           else int(batch_verdicts.sum()))
             if on_batch is not None:
                 on_batch({
@@ -372,6 +420,7 @@ def gate_level_missed(
     detect_times: Optional[np.ndarray] = None,
     program: Optional[CompiledNetlist] = None,
     net_waves: Optional[np.ndarray] = None,
+    executor=None,
 ) -> List[EnumeratedFault]:
     """Exact gate-level missed-fault list over an arbitrary universe.
 
@@ -399,6 +448,11 @@ def gate_level_missed(
     pass both or neither.  A service grading many shards of one problem
     builds the pair once, and ``repro bench --gates`` uses this to time
     the compile/golden/grade phases separately.
+
+    ``executor`` grades each deepening stage's batches (see
+    :func:`_grade_verdicts`); a
+    :class:`~repro.parallel.gatework.PooledBatches` executor is bound to
+    this ``program``/``net_waves`` pair.
     """
     tel = get_telemetry()
     raw = np.asarray(input_raw, dtype=np.int64)
@@ -427,7 +481,8 @@ def gate_level_missed(
 
         verdicts = _grade_verdicts(
             program, net_waves, table, chunk=chunk, words=words,
-            detect_times=detect_times, on_batch=after_batch)
+            detect_times=detect_times, on_batch=after_batch,
+            executor=executor)
         missed = [faults[i] for i in np.flatnonzero(~verdicts).tolist()]
     if tel.enabled and span.duration > 0:
         tel.gauge("gates.faults_per_sec").set(n_faults / span.duration)

@@ -9,8 +9,9 @@ independent.  This package supplies the substrate:
   fallback;
 * :mod:`~repro.parallel.sweep` — design x generator coverage grids
   (the CLI's ``repro sweep`` / ``repro bench``);
-* :mod:`~repro.parallel.gatework` — distributed exact gate-level
-  cross-validation batches.
+* :mod:`~repro.parallel.gatework` — exact gate-level grading, one
+  cone batch per worker task (the CLI's ``--jobs`` pool and the
+  evaluation service's grading processes).
 """
 
 from .gatework import gate_level_missed_parallel

@@ -1,130 +1,302 @@
-"""Distributed exact gate-level fault grading.
+"""Exact gate-level grading in worker processes, one cone batch a task.
 
-A full-universe grade is thousands of independent cone passes over one
-shared netlist and input sequence.  This module packs the cone-aware
-schedule into one shard of whole cone batches per worker
-(:func:`repro.cluster.shards.plan_shards`, the packer the service and
-the cluster use) and fans the shards out across the process pool: the
-(netlist, inputs, faults) payload ships once per worker through the
-pool initializer, tasks are shard index lists, and verdicts come back
-as boolean arrays.  Each worker compiles the netlist program and
-simulates the golden machine once, lazily, then grades its shard with
-the same iterative-deepening verdict loop as
-:func:`repro.gates.fault_parallel.gate_level_missed` — so a shard's
-first stage grades the serial driver's wide cone batches, not slices of
-them.
+The iterative-deepening driver
+(:func:`repro.gates.fault_parallel._grade_verdicts`) stays in the
+dispatching process: it schedules each stage's cone batches, drops
+detected faults and captures detection times.  A
+:class:`PooledBatches` executor grades a stage's batches in a pool of
+worker processes, one task per batch: the batch's fault lines, its
+stage length, the chunk and the token of its problem.  The batches are
+the serial run's, so verdicts, chunk-end detection times, MISR
+signatures and every work counter are the same for any process count.
 
-A pool that cannot start or a worker that dies falls back to the
-parent-side serial loop, so the result is always the exact missed-fault
-list.
+Each worker holds one problem: the compiled program, fused view
+included, and golden, which the worker re-simulates from the program
+and the stimulus.  The token is minted per problem build, so a rebuilt
+or replaced problem is never taken for a stale one.  The first tasks
+of a problem carry it pickled, one per worker; a worker that still
+lacks it answers ``None`` and gets the batch again with the problem.
+So the program is pickled once per build in the dispatching process
+and unpickled at most once per build in each worker.
 
-When telemetry is enabled the pool propagates the trace into each
-worker (see :mod:`repro.telemetry.propagate`): the ``gates.fault_batch``
-spans a worker's verdict loop emits merge back under the dispatching
-``gates.fault_pool`` span, so pooled and serial-fallback runs produce
-identically shaped span trees — the only difference is the ``pid`` on
-the batch spans.  Only the parent publishes the ``gates.grade``
-progress stream, the ``gates.faults_per_sec`` gauge and, once per run,
-the ``gates.lut_fused_levels`` counter of the program the shards were
-graded with.
+:func:`grading_pool` starts the workers, in two places:
+
+* the evaluation service starts a ``spawn`` pool at its first
+  ``grade-shard`` job (:class:`repro.service.workers.GradingProcesses`).
+  The service is threaded, and a fork could stall BLAS on another
+  thread; ``spawn`` starts each worker with a fresh interpreter, and no
+  server process.  This module imports no ``scipy``, so a worker is
+  ready in a fraction of a second;
+* :func:`gate_level_missed_parallel` (``repro profile --exact --jobs
+  N``) owns a ``fork`` pool for one call from the single-threaded CLI.
+  The parent builds the program and golden first, and its workers
+  inherit them.
+
+Every worker exits as soon as the process that started it dies, so a
+killed parent leaves no worker behind.  A worker that dies breaks its
+pool: the batches it left are graded in the dispatching process
+(``parallel.fallbacks``).
+
+With telemetry on, each batch's ``gates.fault_batch`` span is recorded
+in the process that grades it and merged back under the dispatching
+span, and every batch graded in a worker counts as
+``gates.batches_pooled``.  The per-batch work counters, the
+``gates.grade`` progress stream and the throughput gauge stay with the
+driver.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import logging
+import multiprocessing
+import multiprocessing.connection
+import os
+import pickle
+import threading
+import uuid
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
-from ..gates.eventsim import fused_program
-from ..gates.fault_parallel import _grade_verdicts, program_and_golden
-from ..gates.faults import GateFaultTable
-from ..gates.netlist import GateNetlist
-from ..telemetry import get_telemetry
-from .pool import parallel_map, resolve_jobs
+from ..gates.compiled import ConeWorkspace, golden_net_waves
+from ..gates.fault_parallel import (BatchResult, LocalBatches,
+                                    gate_level_missed, grade_batch,
+                                    program_and_golden)
+from ..gates.faults import FaultLines
+from ..gates.gatesim import pack_input_bits
+from ..telemetry import (TraceContext, child_collector, get_telemetry,
+                         set_telemetry)
+from .pool import resolve_jobs
 
-__all__ = ["gate_level_missed_parallel"]
+__all__ = ["PooledBatches", "gate_level_missed_parallel", "grading_pool",
+           "run_batch"]
 
-#: Per-worker payload installed by :func:`_init_gate_worker`.
-_GATE_STATE: Dict[str, Any] = {}
+logger = logging.getLogger(__name__)
 
-
-def _init_gate_worker(nl: GateNetlist, raw: np.ndarray,
-                      faults: GateFaultTable) -> None:
-    _GATE_STATE["payload"] = (nl, raw, faults)
-    _GATE_STATE.pop("compiled", None)
-
-
-def _grade(prog, golden: np.ndarray, faults: GateFaultTable,
-           indices: Sequence[int]) -> Tuple[np.ndarray, int]:
-    """One shard's verdicts and the program's fused level count."""
-    verdicts = _grade_verdicts(prog, golden,
-                               faults[np.asarray(indices, dtype=np.int64)])
-    return verdicts, fused_program(prog).stats["levels_fused"]
+#: The one problem this worker process holds: its ``token``,
+#: ``program``, ``golden`` and cone workspace ``ws``.
+_HELD: Dict[str, Any] = {}
 
 
-def _grade_shard(indices: Sequence[int]) -> Tuple[np.ndarray, int]:
-    nl, raw, faults = _GATE_STATE["payload"]
-    state = _GATE_STATE.get("compiled")
-    if state is None:
-        state = _GATE_STATE["compiled"] = program_and_golden(nl, raw)
-    return _grade(*state, faults, indices)
+def _exit_with_parent() -> None:
+    """Exit once the parent dies: its sentinel turns readable then."""
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+
+def _hold(token: str, program, golden: np.ndarray) -> None:
+    _HELD.clear()
+    _HELD.update(token=token, program=program, golden=golden,
+                 ws=ConeWorkspace())
+
+
+def _init_worker(held: Optional[Tuple[str, Any, np.ndarray]]) -> None:
+    """Worker start: exit when the parent dies; hold ``held``, the
+    ``(token, program, golden)`` a forking parent built."""
+    # A forked worker inherits the parent's collector, sinks included.
+    set_telemetry(None)
+    threading.Thread(target=_exit_with_parent, name="repro-parent-watch",
+                     daemon=True).start()
+    if held is not None:
+        _hold(*held)
+
+
+def _ready() -> int:
+    return os.getpid()
+
+
+def run_batch(lines: FaultLines, token: str, length: int, chunk: int,
+              times: bool, trace: Optional[TraceContext],
+              problem: Optional[bytes] = None):
+    """Worker side: grade one cone batch of problem ``token``.
+
+    Returns the :data:`~repro.gates.fault_parallel.BatchResult` and the
+    telemetry payload of the batch's span, or ``None`` when this worker
+    holds another problem and ``problem`` (the pickled program and
+    stimulus) was not sent.
+    """
+    if _HELD.get("token") != token:
+        if problem is None:
+            return None
+        _HELD.clear()  # free the old golden before building the new one
+        program, stimulus = pickle.loads(problem)
+        golden = golden_net_waves(
+            program, pack_input_bits(stimulus, len(program.input_bits)))
+        _hold(token, program, golden)
+    with child_collector(trace) as handle:
+        result = grade_batch(_HELD["program"], _HELD["golden"], lines,
+                             length, chunk, _HELD["ws"], times)
+    return result, handle.payload
+
+
+def grading_pool(processes: int, method: str,
+                 held: Optional[Tuple[str, Any, np.ndarray]] = None
+                 ) -> ProcessPoolExecutor:
+    """A pool of ``processes`` grading workers, started now with the
+    ``method`` start method; ``held`` is handed to every worker (pass
+    it only to a ``fork`` pool, which inherits it unpickled)."""
+    pool = ProcessPoolExecutor(
+        max_workers=processes,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_init_worker, initargs=(held,))
+    # A spawn pool starts a worker per submit that finds none idle, so
+    # this starts them all now instead of when the first batches wait.
+    for _ in range(processes):
+        pool.submit(_ready)
+    return pool
+
+
+class PooledBatches:
+    """Batch executor: grades one problem's cone batches in a grading
+    pool of ``processes`` workers.
+
+    ``token``, ``program``, ``stimulus`` and ``golden`` are the
+    problem's; ``held`` says the workers were started holding it.
+    Once the pool is broken, batches are graded in this process, and
+    ``on_broken(pool)`` runs before each stage of them; it may raise to
+    refuse.  One instance may serve several threads at once.
+    """
+
+    def __init__(self, pool: ProcessPoolExecutor, processes: int,
+                 token: str, program, stimulus: np.ndarray,
+                 golden: np.ndarray, *, held: bool = False,
+                 on_broken: Optional[Callable[[ProcessPoolExecutor],
+                                              None]] = None):
+        self.pool = pool
+        self.token = token
+        self.program = program
+        self.stimulus = np.asarray(stimulus, dtype=np.int64)
+        self.golden = golden
+        self.on_broken = on_broken
+        self._broken = False
+        self._unsent = 0 if held else processes
+        self._pickled: Optional[bytes] = None
+        self._lock = threading.Lock()
+
+    def _problem(self, asked: bool) -> Optional[bytes]:
+        """The pickled problem for the next task: sent with the first
+        task per worker, and to a worker that asked for it."""
+        with self._lock:
+            if not asked:
+                if self._unsent <= 0:
+                    return None
+                self._unsent -= 1
+            if self._pickled is None:
+                self._pickled = pickle.dumps(
+                    (self.program, self.stimulus),
+                    protocol=pickle.HIGHEST_PROTOCOL)
+            return self._pickled
+
+    def _submit(self, lines: FaultLines, task: tuple,
+                problem: Optional[bytes]) -> Optional[Future]:
+        try:
+            return self.pool.submit(run_batch, lines, *task, problem)
+        except (BrokenExecutor, RuntimeError):  # broken or shut down
+            return None
+
+    def _fallback(self, batches: Sequence[FaultLines], length: int,
+                  chunk: int, times: bool) -> Iterator[BatchResult]:
+        if not self._broken:
+            self._broken = True
+            logger.warning("grading pool broke; grading its %d unfinished "
+                           "batches in-process", len(batches))
+            tel = get_telemetry()
+            if tel.enabled:
+                tel.counter("parallel.fallbacks").add(1)
+        if self.on_broken is not None:
+            self.on_broken(self.pool)
+        return LocalBatches(self.program, self.golden).grade_stage(
+            batches, length, chunk, times)
+
+    def grade_stage(self, batches: Sequence[FaultLines], length: int,
+                    chunk: int, times: bool) -> Iterator[BatchResult]:
+        if self._broken:
+            yield from self._fallback(batches, length, chunk, times)
+            return
+        tel = get_telemetry()
+        # Captured under the driver's span, so batch spans merge there.
+        task = (self.token, length, chunk, times, TraceContext.current())
+        futures: List[Optional[Future]] = [
+            self._submit(lines, task, self._problem(False))
+            for lines in batches]
+        try:
+            for k, future in enumerate(futures):
+                out = self._result(future, batches[k], task)
+                if out is None:
+                    yield from self._fallback(batches[k:], length, chunk,
+                                              times)
+                    return
+                result, payload = out
+                if tel.enabled:
+                    tel.absorb(payload)
+                    tel.counter("gates.batches_pooled").add(1)
+                yield result
+        finally:
+            for future in futures:
+                if future is not None:
+                    future.cancel()
+
+    def _result(self, future: Optional[Future], lines: FaultLines,
+                task: tuple):
+        """A batch's :func:`run_batch` answer, or ``None`` once the
+        pool is broken."""
+        try:
+            while future is not None:
+                out = future.result()
+                if out is not None:
+                    return out
+                # The worker holds another problem: send it this one.
+                future = self._submit(lines, task, self._problem(True))
+        except BrokenExecutor:
+            pass
+        return None
 
 
 def gate_level_missed_parallel(
-    nl: GateNetlist,
+    nl,
     input_raw: Sequence[int],
     faults: Sequence,
     *,
     jobs: Optional[int] = None,
 ) -> List:
-    """Exact missed-fault list, one shard of whole cone batches per
-    worker.
+    """Exact missed-fault list, each cone batch graded in one of
+    ``jobs`` worker processes.
 
     Drop-in parallel counterpart of
-    :func:`repro.gates.fault_parallel.gate_level_missed`; identical
-    verdicts, about ``jobs`` independent tasks of at most
-    ``ceil(F / jobs)`` faults each.
+    :func:`repro.gates.fault_parallel.gate_level_missed`, with the same
+    batches, verdicts and counters.  Program and golden are built here,
+    before the pool forks, so the workers inherit them.  A pool that
+    cannot start grades in-process (``parallel.pool_failures``).
     """
-    # Imported here: repro.cluster loads the service client, which the
-    # process pool has no other use for.
-    from ..cluster.shards import plan_shards
-
-    table = GateFaultTable.of(faults)
     tel = get_telemetry()
-    with tel.span("gates.fault_parallel_pool", faults=len(table),
-                  vectors=len(input_raw), jobs=jobs) as span:
-        raw = np.asarray(input_raw, dtype=np.int64)
+    raw = np.asarray(input_raw, dtype=np.int64)
+    with tel.span("gates.fault_parallel_pool", faults=len(faults),
+                  vectors=len(raw), jobs=jobs):
         n_jobs = resolve_jobs(jobs)
-        shards = [shard.indices for shard in plan_shards(
-            table, max_faults=max(1, -(-len(table) // n_jobs)))]
-
-        def _serial(chunk: Sequence[Sequence[int]]
-                    ) -> List[Tuple[np.ndarray, int]]:
-            prog, golden = program_and_golden(nl, raw)
-            return [_grade(prog, golden, table, indices)
-                    for indices in chunk]
-
-        blocks = parallel_map(
-            _grade_shard, shards, jobs=n_jobs,
-            initializer=_init_gate_worker, initargs=(nl, raw, table),
-            serial_fallback=_serial, label="gates.fault_pool")
-
-        # Verdicts scatter back by index, so results are independent of
-        # the schedule.
-        verdicts = np.zeros(len(table), dtype=bool)
-        done = 0
-        for indices, (block, _levels) in zip(shards, blocks):
-            verdicts[np.asarray(indices, dtype=np.int64)] = block
-            done += len(indices)
-            if tel.enabled:
-                tel.progress("gates.grade", done, len(table),
-                             detected=int(verdicts.sum()),
-                             coverage=float(verdicts.sum())
-                             / max(1, len(table)))
-        if tel.enabled and blocks:
-            # Every shard was graded with the same fused program.
-            tel.counter("gates.lut_fused_levels").add(blocks[0][1])
-        missed = [faults[i] for i in np.flatnonzero(~verdicts).tolist()]
-    if tel.enabled and span.duration > 0:
-        tel.gauge("gates.faults_per_sec").set(len(table) / span.duration)
-    return missed
+        program, golden = program_and_golden(nl, raw)
+        executor: Optional[PooledBatches] = None
+        if n_jobs > 1:
+            token = uuid.uuid4().hex
+            forks = "fork" in multiprocessing.get_all_start_methods()
+            try:
+                pool = grading_pool(
+                    n_jobs, "fork" if forks else "spawn",
+                    held=(token, program, golden) if forks else None)
+            except (OSError, ValueError) as exc:
+                logger.warning("cannot start grading processes (%s); "
+                               "grading in-process", exc)
+                if tel.enabled:
+                    tel.counter("parallel.pool_failures").add(1)
+            else:
+                executor = PooledBatches(pool, n_jobs, token, program, raw,
+                                         golden, held=forks)
+        try:
+            return gate_level_missed(nl, raw, faults, program=program,
+                                     net_waves=golden, executor=executor)
+        finally:
+            if executor is not None:
+                executor.pool.shutdown(wait=True, cancel_futures=True)

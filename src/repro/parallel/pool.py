@@ -24,8 +24,8 @@ commands.  A fork copies only the calling thread, and OpenBLAS's fork
 handler then waits on BLAS worker threads: if another thread of the
 parent is inside a BLAS call (a NumPy matrix product), that call can
 stall for good.  The evaluation service runs jobs on executor threads
-and therefore never calls this; a pool owned by a threaded process
-must use the ``forkserver`` or ``spawn`` start method instead.
+and therefore never calls this; its grading processes are a ``spawn``
+pool (:mod:`repro.parallel.gatework`).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _run_chunk(fn: Callable, chunk: Sequence,
     return results, handle.payload
 
 
-def _terminate_workers(executor: ProcessPoolExecutor) -> None:
+def terminate_workers(executor: ProcessPoolExecutor) -> None:
     """Hard-stop worker processes so shutdown cannot block on a hang."""
     for proc in list(getattr(executor, "_processes", {}).values()):
         try:
@@ -185,7 +185,7 @@ def parallel_map(
                     chunk_out, payload = future.result(timeout=timeout)
                 except FutureTimeoutError:
                     degraded = f"chunk timed out after {timeout:.1f}s"
-                    _terminate_workers(executor)
+                    terminate_workers(executor)
                     break
                 except BrokenExecutor as exc:
                     degraded = f"worker pool broke: {exc or 'worker died'}"

@@ -12,7 +12,11 @@ artifacts persist across requests and restarts via :mod:`repro.cache`.
 
 Nothing here forks: the executor threads share the process with the
 event loop, and forking a threaded process can stall its BLAS threads
-(see :mod:`repro.parallel.pool`).
+(see :mod:`repro.parallel.pool`).  ``grade-shard`` jobs grade their
+cone batches in :class:`GradingProcesses`, a pool of worker processes
+started with the ``spawn`` method: each worker is a fresh interpreter
+launched by fork-and-exec in one call, with no server process, and the
+service never calls ``os.fork``.
 
 All results are bit-identical to calling the library directly — the
 end-to-end suite asserts it.
@@ -22,7 +26,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.spectrum import generator_spectrum, power_db
@@ -33,7 +39,7 @@ from ..telemetry import TraceContext, child_collector, get_telemetry
 from .jobs import Job, JobState, JobStore
 from .queue import JobQueue, QueueClosedError
 
-__all__ = ["WorkerPool", "execute_job"]
+__all__ = ["GradingProcesses", "WorkerPool", "execute_job"]
 
 logger = logging.getLogger("repro.service")
 
@@ -45,11 +51,15 @@ Outcome = Tuple[str, Any]
 # ----------------------------------------------------------------------
 # Synchronous evaluation (runs on executor threads)
 # ----------------------------------------------------------------------
-def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
+def execute_job(ctx, kind: str, params: Dict[str, Any],
+                grading: Optional["GradingProcesses"] = None
+                ) -> Dict[str, Any]:
     """Evaluate one request against the library — the reference path.
 
     The service's answers are, by construction, exactly what a direct
     library call returns: every job the service runs goes through here.
+    ``grading`` is the service's :class:`GradingProcesses`; without it a
+    ``grade-shard`` job grades in this process.
     """
     if kind == "rank":
         design = ctx.designs[params["design"]]
@@ -88,58 +98,7 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
             "power_db": [float(p) for p in power_db(power[::step])],
         }
     if kind == "grade-shard":
-        from ..cluster.shards import grade_shard, prepared_problem
-
-        trace = params.get("trace")
-        ctx_trace = (TraceContext(trace["trace_id"], trace.get("span_id"))
-                     if trace else None)
-        # The shard runs under a *nested* child collector joined to the
-        # coordinator's trace; its payload rides home inside the result
-        # so a multi-node sweep grafts into one span tree.  Progress is
-        # forwarded to the service collector so the job document (which
-        # the coordinator polls) still updates live.
-        outer = get_telemetry()
-
-        def _forward(state) -> None:
-            if outer.enabled:
-                outer.progress(state.name, state.done, state.total,
-                               **state.fields)
-
-        # One shard at a time per service: the cone sweep holds the GIL,
-        # so two shards on two threads grade slower than one after the
-        # other, and every shard of a problem reads one prepared build.
-        with outer.span("service.grade_wait"):
-            ctx.grading_lock.acquire()
-        try:
-            problem = prepared_problem(
-                ctx, params["design"], params["generator"],
-                params["vectors"], params["width"])
-            for i in params["indices"]:
-                if i >= len(problem.faults):
-                    raise ServiceError(
-                        f"fault index {i} out of range for design "
-                        f"{params['design']} ({len(problem.faults)} faults)",
-                        status=400)
-            with child_collector(ctx_trace, on_progress=_forward) as handle:
-                doc = grade_shard(
-                    problem.netlist, problem.stimulus, problem.faults,
-                    params["indices"], params["total"],
-                    misr_width=params["misr_width"],
-                    chunk=params["chunk"] or None,
-                    program=problem.program, net_waves=problem.golden)
-        finally:
-            ctx.grading_lock.release()
-        doc.update({
-            "design": params["design"],
-            "generator": params["generator"],
-            "vectors": params["vectors"],
-            "width": params["width"],
-            "total": params["total"],
-            "misr_width": params["misr_width"],
-        })
-        if handle.payload is not None:
-            doc["trace"] = handle.payload
-        return doc
+        return _grade_shard_job(ctx, params, grading)
     if kind == "recommend":
         from ..schedule import recommend_generator
 
@@ -152,8 +111,81 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     raise ServiceError(f"unknown job kind {kind!r}", status=400)
 
 
+def _grade_shard_job(ctx, params: Dict[str, Any],
+                     grading: Optional["GradingProcesses"]
+                     ) -> Dict[str, Any]:
+    from ..cluster.shards import grade_shard, prepared_problem
+
+    if grading is not None:
+        grading.start()  # the workers start while the problem builds
+    outer = get_telemetry()
+    # Every shard of a problem reads one prepared build; the lock
+    # guards the build and its lookup.  Shards graded in worker
+    # processes run side by side; in-process grading stays one shard
+    # at a time, because the cone sweep holds the GIL.
+    with outer.span("service.grade_wait"):
+        ctx.grading_lock.acquire()
+    locked = True
+    try:
+        problem = prepared_problem(
+            ctx, params["design"], params["generator"],
+            params["vectors"], params["width"])
+        for i in params["indices"]:
+            if i >= len(problem.faults):
+                raise ServiceError(
+                    f"fault index {i} out of range for design "
+                    f"{params['design']} ({len(problem.faults)} faults)",
+                    status=400)
+        executor = None if grading is None else grading.batches(problem)
+        if executor is not None:
+            ctx.grading_lock.release()
+            locked = False
+
+        def grade() -> Dict[str, Any]:
+            return grade_shard(
+                problem.netlist, problem.stimulus, problem.faults,
+                params["indices"], params["total"],
+                misr_width=params["misr_width"],
+                chunk=params["chunk"] or None,
+                program=problem.program, net_waves=problem.golden,
+                executor=executor)
+
+        trace = params.get("trace")
+        if trace is None:
+            doc = grade()
+        else:
+            # A coordinator's shard runs under a *nested* child
+            # collector joined to the coordinator's trace; its payload
+            # rides home inside the result so a multi-node sweep grafts
+            # into one span tree.  Progress is forwarded to the job's
+            # collector so the job document (which the coordinator
+            # polls) still updates live.
+            def _forward(state) -> None:
+                if outer.enabled:
+                    outer.progress(state.name, state.done, state.total,
+                                   **state.fields)
+
+            ctx_trace = TraceContext(trace["trace_id"], trace.get("span_id"))
+            with child_collector(ctx_trace, on_progress=_forward) as handle:
+                doc = grade()
+            doc["trace"] = handle.payload
+    finally:
+        if locked:
+            ctx.grading_lock.release()
+    doc.update({
+        "design": params["design"],
+        "generator": params["generator"],
+        "vectors": params["vectors"],
+        "width": params["width"],
+        "total": params["total"],
+        "misr_width": params["misr_width"],
+    })
+    return doc
+
+
 def _execute_traced(ctx, kind: str, params: Dict[str, Any],
-                    trace: Optional[TraceContext], on_progress=None
+                    trace: Optional[TraceContext], on_progress=None,
+                    grading: Optional["GradingProcesses"] = None
                     ) -> Tuple[Outcome, Optional[Dict[str, Any]]]:
     """Executor entry point: one job, with trace propagation.
 
@@ -169,12 +201,112 @@ def _execute_traced(ctx, kind: str, params: Dict[str, Any],
     with child_collector(trace, on_progress=on_progress) as handle:
         with get_telemetry().span("service.job", kind=kind):
             try:
-                outcome: Outcome = ("ok", execute_job(ctx, kind, params))
+                outcome: Outcome = ("ok", execute_job(ctx, kind, params,
+                                                      grading))
             except Exception as exc:  # job-level isolation
                 logger.warning("job execution failed (%s %r): %s", kind,
                                params, exc)
                 outcome = ("error", f"{type(exc).__name__}: {exc}")
     return outcome, handle.payload
+
+
+# ----------------------------------------------------------------------
+# Grading processes
+# ----------------------------------------------------------------------
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+class GradingProcesses:
+    """The service's grading processes: one ``spawn`` pool of
+    ``processes`` workers (:mod:`repro.parallel.gatework`).
+
+    :meth:`start` starts it at the first ``grade-shard`` job, and a
+    service that never grades starts no process.  With fewer than two
+    processes there is no pool, and shards grade in-process.  A pool
+    that cannot start is counted (``parallel.pool_failures``) and the
+    job grades in-process; a pool that broke is dropped, and the next
+    job starts a fresh one.  :meth:`close` joins the workers at drain,
+    :meth:`terminate` kills them at an abort.
+    """
+
+    def __init__(self, processes: int):
+        self.processes = processes
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._bound = None
+        self._closed = False
+
+    def start(self) -> None:
+        """Start the pool unless it runs (or the service is closing)."""
+        from ..parallel import gatework
+
+        if self.processes < 2:
+            return
+        with self._lock:
+            if self._closed or self._pool is not None:
+                return
+            try:
+                self._pool = gatework.grading_pool(self.processes, "spawn")
+            except (OSError, ValueError) as exc:
+                logger.warning("cannot start grading processes (%s); "
+                               "grading in-process", exc)
+                tel = get_telemetry()
+                if tel.enabled:
+                    tel.counter("parallel.pool_failures").add(1)
+
+    def batches(self, problem):
+        """A batch executor grading ``problem`` (a
+        :class:`~repro.cluster.shards.PreparedProblem`) in the pool, or
+        ``None`` when there is no pool.  Jobs of one problem share it,
+        so the problem is pickled once per build."""
+        from ..parallel.gatework import PooledBatches
+
+        with self._lock:
+            pool, bound = self._pool, self._bound
+            if pool is None:
+                return None
+            if bound is None or bound.pool is not pool \
+                    or bound.token != problem.token:
+                bound = self._bound = PooledBatches(
+                    pool, self.processes, problem.token, problem.program,
+                    problem.stimulus, problem.golden,
+                    on_broken=self._discard)
+            return bound
+
+    def _close(self) -> Optional[ProcessPoolExecutor]:
+        with self._lock:
+            pool, self._pool, self._bound = self._pool, None, None
+            self._closed = True
+        return pool
+
+    def _discard(self, pool: ProcessPoolExecutor) -> None:
+        with self._lock:
+            if self._pool is pool:
+                self._pool, self._bound = None, None
+            closed = self._closed
+        pool.shutdown(wait=False)
+        if closed:
+            raise ServiceError("service shut down before completion")
+
+    def close(self) -> None:
+        """Drain: stop taking work and join the workers."""
+        pool = self._close()
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def terminate(self) -> None:
+        """Abort: stop taking work and kill the workers."""
+        from ..parallel.pool import terminate_workers
+
+        pool = self._close()
+        if pool is not None:
+            terminate_workers(pool)
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +332,9 @@ class WorkerPool:
         self.on_finished = None
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service")
+        #: Worker processes for ``grade-shard`` jobs, one per worker
+        #: thread the CPUs can keep busy.
+        self.grading = GradingProcesses(min(workers, usable_cpus()))
         self._tasks: List["asyncio.Task"] = []
         #: Jobs running on the executor right now.
         self.inflight = 0
@@ -216,12 +351,16 @@ class WorkerPool:
                 loop.create_task(self._worker(i), name=f"repro-worker-{i}"))
 
     async def join(self) -> None:
-        """Wait for every worker to finish draining (queue closed)."""
+        """Wait for every worker to finish draining (queue closed), then
+        join the grading processes."""
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
+        self.grading.close()
 
     async def abort(self) -> None:
-        """Deadline exceeded: cancel workers, fail whatever remains."""
+        """Deadline exceeded: kill the grading processes, cancel workers,
+        fail whatever remains."""
+        self.grading.terminate()
         for task in self._tasks:
             task.cancel()
         if self._tasks:
@@ -275,7 +414,7 @@ class WorkerPool:
         try:
             outcome, payload = await loop.run_in_executor(
                 self.executor, _execute_traced, self.context, job.kind,
-                job.params, job.trace, _on_progress)
+                job.params, job.trace, _on_progress, self.grading)
         except Exception as exc:  # executor itself failed
             outcome, payload = ("error", f"{type(exc).__name__}: {exc}"), None
         finally:

@@ -25,6 +25,7 @@ _SLOW_MODULES = {
     "test_service_e2e",
     "test_service_events",
     "test_service_fleet",
+    "test_service_grading",
     "test_service_http",
 }
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -280,11 +282,76 @@ class TestGatework:
             serial = tel.counter("gates.lut_fused_levels").value
         with telemetry_session() as tel:
             gate_level_missed_parallel(nl, raw, faults, jobs=2)
-            # Two 512-fault shards, one per worker; the count is added
-            # once per run, not once per shard.
-            assert tel.counter("parallel.tasks").value == 2
+            # Every batch went to a worker; the count is added once per
+            # run, not once per batch or worker.
+            batches = tel.counter("gates.fault_batches").value
+            assert tel.counter("gates.batches_pooled").value == batches >= 1
             pooled = tel.counter("gates.lut_fused_levels").value
         assert serial > 0 and pooled == serial
+
+    def test_a_worker_import_is_lean(self):
+        """A grading worker imports this module alone: neither ``scipy``
+        nor the analysis package loads, and the bare package loads no
+        subpackage until one is read."""
+        code = "\n".join((
+            "import sys",
+            "import repro",
+            "loaded = [m for m in sys.modules if m.startswith('repro.')]",
+            "assert not loaded, loaded",
+            "import repro.parallel.gatework",
+            "heavy = [m for m in sys.modules if m.split('.')[0] == 'scipy'",
+            "         or m.startswith('repro.analysis')]",
+            "assert not heavy, heavy",
+            "assert callable(repro.filters.lowpass_design)",
+        ))
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_pooled_grade_matches_serial(self, small_design):
+        """Batches graded in worker processes give the serial run's
+        verdicts, detection times and work counters."""
+        from repro.gates.fault_parallel import (gate_level_missed,
+                                                program_and_golden)
+        from repro.gates.faults import enumerate_cell_faults
+        from repro.gates.netlist import elaborate
+        from repro.generators import Type1Lfsr
+        from repro.parallel.gatework import PooledBatches, grading_pool
+        from repro.telemetry import telemetry_session
+
+        nl = elaborate(small_design.graph)
+        faults = enumerate_cell_faults(small_design.graph, nl)
+        raw = Type1Lfsr(small_design.input_fmt.width).sequence(600)
+        work = ("gates.fault_batches", "gates.faults_graded",
+                "gates.cone_nets", "gates.chunks_skipped",
+                "gates.faults_dropped", "gates.lane_vectors",
+                "gates.frontier_nets")
+        runs = []
+        for method in (None, "spawn"):
+            program, golden = program_and_golden(nl, raw)
+            executor = None
+            if method is not None:
+                # A pool that must be sent the problem, as a service's.
+                executor = PooledBatches(grading_pool(2, method), 2, "t",
+                                         program, raw, golden)
+            times = np.full(len(faults), -1, dtype=np.int64)
+            try:
+                with telemetry_session() as tel:
+                    missed = gate_level_missed(
+                        nl, raw, faults, detect_times=times,
+                        program=program, net_waves=golden,
+                        executor=executor)
+                    counts = {k: tel.counter(k).value for k in work}
+                    pooled = tel.counter("gates.batches_pooled").value
+            finally:
+                if executor is not None:
+                    executor.pool.shutdown(wait=True)
+            runs.append(([f.netlist_fault.label for f in missed], times,
+                         counts, pooled))
+        (serial, serial_times, serial_counts, none), (got, got_times,
+                                                      got_counts, pooled) = runs
+        assert got == serial and serial
+        np.testing.assert_array_equal(got_times, serial_times)
+        assert got_counts == serial_counts
+        assert none == 0 and pooled == serial_counts["gates.fault_batches"]
 
 
 class TestCliSweepBench:

@@ -24,7 +24,7 @@ from repro.errors import ServiceError
 from repro.experiments import ExperimentContext
 from repro.service import ServiceConfig, ServiceThread, canonical_params
 from repro.service.client import ServiceBusy, ServiceClient
-from repro.service.workers import execute_job
+from repro.service.workers import GradingProcesses, execute_job, usable_cpus
 from repro.telemetry import Telemetry, set_telemetry
 
 # 20 mixed jobs: every (kind, params) also evaluated directly against
@@ -166,7 +166,8 @@ def test_service_never_forks(ctx, monkeypatch):
     threads, and a fork from a threaded process can stall BLAS on
     another thread forever (see ``repro.parallel.pool``).  One rank job
     holds the only worker while four distinct grade jobs queue up
-    behind it; with ``os.fork`` refusing to run, every job must still
+    behind it, and a second service grades a shard in its grading
+    processes; with ``os.fork`` refusing to run, every job must still
     be answered exactly as ``execute_job`` answers it."""
     forks = []
 
@@ -185,11 +186,27 @@ def test_service_never_forks(ctx, monkeypatch):
         jobs = [client.submit(kind, params) for kind, params in specs]
         docs = [client.wait(job["id"], timeout=300) for job in jobs]
 
+    # A grade-shard job grades its batches in worker processes, which
+    # the service starts without forking.
+    shard = {"design": "LP", "vectors": 128, "indices": list(range(512)),
+             "total": 512}
+    with ServiceThread(ServiceConfig(port=0, no_cache=True,
+                                     workers=2)) as svc:
+        client = svc.client("no-fork-grading")
+        client.wait_ready(120)
+        job = client.submit("grade-shard", shard)
+        specs.append(("grade-shard", shard))
+        docs.append(client.wait(job["id"], timeout=300))
+        counters = client.metrics()["counters"]
+
     for (kind, params), doc in zip(specs, docs):
         assert doc["state"] == "done", doc
         direct = execute_job(ctx, kind, canonical_params(kind, params))
         assert doc["result"] == direct, (kind, params)
     assert forks == [], f"the service forked from threads {forks}"
+    if usable_cpus() >= 2:
+        assert counters["gates.batches_pooled"] == \
+            counters["gates.fault_batches"] > 0
 
 
 def test_draining_service_refuses_submissions(ctx):
@@ -239,7 +256,7 @@ def test_identical_shards_are_jobs_of_their_own():
 
 
 # ----------------------------------------------------------------------
-# grade-shard: one prepared problem per service, one shard at a time
+# grade-shard: one prepared problem per service
 # ----------------------------------------------------------------------
 def _shard_params(vectors, indices, total):
     return canonical_params("grade-shard", {
@@ -303,9 +320,10 @@ class TestPreparedProblem:
         assert merged.identical_to(single_node_grade(nl, raw,
                                                      faults[:total]))
 
-    def test_concurrent_jobs_share_one_build(self, enumerations, counters):
-        """More threads than cores and a short switch interval: the
-        jobs still build the problem once and answer alike."""
+    @staticmethod
+    def _run_concurrently(enumerations, counters, grading):
+        """Four threads, two jobs each, more threads than cores and a
+        short switch interval: one build, and alike answers."""
         calls, _fail = enumerations
         ctx = ExperimentContext()
         params = _shard_params(64, range(64), 64)
@@ -314,7 +332,8 @@ class TestPreparedProblem:
         def run():
             try:
                 for _ in range(2):
-                    results.append(execute_job(ctx, "grade-shard", params))
+                    results.append(execute_job(ctx, "grade-shard", params,
+                                               grading))
             except Exception as exc:  # surfaced after join
                 errors.append(exc)
 
@@ -335,6 +354,22 @@ class TestPreparedProblem:
         assert len(calls) == 1
         assert counters("service.problems.built") == 1
         assert counters("service.problems.reused") == 7
+
+    def test_concurrent_jobs_share_one_build(self, enumerations, counters):
+        """More threads than cores and a short switch interval: the
+        jobs still build the problem once and answer alike."""
+        self._run_concurrently(enumerations, counters, None)
+
+    def test_concurrent_jobs_share_one_pool(self, enumerations, counters):
+        """The same, with every job's batches sent to one pool of
+        grading processes through one shared executor."""
+        grading = GradingProcesses(2)
+        try:
+            self._run_concurrently(enumerations, counters, grading)
+        finally:
+            grading.close()
+        assert counters("gates.batches_pooled") == \
+            counters("gates.fault_batches") > 0
 
     def test_out_of_range_index_is_400_and_releases_the_lock(self):
         ctx = ExperimentContext()

@@ -365,18 +365,19 @@ class TestCliIntegration:
         from repro.cli import main
 
         trace = tmp_path / "pooled.json"
-        # 1024 faults = two BATCH-sized tasks, so the pool really runs.
+        # Each cone batch is one task of the pool.
         rc = main(["profile", "LP", "ramp", "--vectors", "48",
                    "--exact", "1024", "--jobs", "2",
                    "--export-trace", str(trace)])
         assert rc == 0
         doc = json.loads(trace.read_text())
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        (pool,) = [e for e in spans if e["name"] == "gates.fault_pool"]
+        (grade,) = [e for e in spans if e["name"] == "gates.fault_parallel"]
         batches = [e for e in spans
                    if e["name"] == "gates.fault_batch"
-                   and e["args"]["parent"] == pool["args"]["id"]]
-        assert batches, "no fault_batch spans under the pool span"
+                   and e["args"]["parent"] == grade["args"]["id"]]
+        assert batches, "no fault_batch spans under the grading span"
+        assert grade["pid"] not in {e["pid"] for e in batches}
         assert len({e["pid"] for e in spans}) >= 2, \
             "worker spans did not merge back"
 

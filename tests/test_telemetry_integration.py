@@ -130,6 +130,28 @@ class TestStageSpans:
         assert {"design", "coverage"} <= kinds
 
 
+    def test_design_compat_and_merge_spans(self):
+        from repro.cluster.shards import merge_shard_results
+        from repro.experiments import ExperimentContext
+        from repro.experiments.tables import table3
+
+        shard = {"shard": 0, "indices": [0, 1], "detected": [1, 0],
+                 "detect_times": [64, -1], "signature_partial": 0}
+        with telemetry_session() as tel:
+            table3(ExperimentContext())
+            merge_shard_results(2, [shard], test_length=64)
+        designs = _spans_named(tel.roots, "rtl.design")
+        assert sorted(sp.attrs["design"] for sp, _p in designs) == \
+            ["BP", "HP", "LP"]
+        compat = _spans_named(tel.roots, "analysis.compat")
+        assert [sp.attrs["generator"] for sp, _p in compat] == \
+            ["LFSR-1", "LFSR-2", "LFSR-D", "LFSR-M", "Ramp"]
+        assert {p.name for _s, p in compat} == {"experiments.table3"}
+        assert not any(_spans_named(sp.children, "rtl.design")
+                       for sp, _p in compat)
+        assert len(_spans_named(tel.roots, "cluster.merge")) == 1
+
+
 class TestZoneTracer:
     BETA = 0.25
     VECTORS = 256

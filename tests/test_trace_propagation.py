@@ -217,11 +217,12 @@ class TestGateworkPropagation:
             gate_level_missed_parallel(nl, raw, faults, jobs=2)
             (root,) = tel.roots
             assert root.name == "gates.fault_parallel_pool"
-            (pool,) = [c for c in root.children
-                       if c.name == "gates.fault_pool"]
-            batches = [s for s in pool.children
+            (grade,) = [c for c in root.children
+                        if c.name == "gates.fault_parallel"]
+            batches = [s for s in grade.children
                        if s.name == "gates.fault_batch"]
             assert batches, "worker batch spans did not merge back"
+            assert {s.pid for s in batches}.isdisjoint({os.getpid()})
             assert tel.counter("gates.faults_graded").value == len(faults)
 
     @pytest.mark.parametrize("jobs", [1, 2])
