@@ -12,25 +12,21 @@ signatures and every work counter are the same for any process count.
 
 Each worker holds one problem: the compiled program, fused view
 included, and golden, which the worker re-simulates from the program
-and the stimulus.  The token is minted per problem build, so a rebuilt
-or replaced problem is never taken for a stale one.  The first tasks
-of a problem carry it pickled, one per worker; a worker that still
-lacks it answers ``None`` and gets the batch again with the problem.
-So the program is pickled once per build in the dispatching process
-and unpickled at most once per build in each worker.
+and the stimulus.  Every task carries the problem's token and the
+program and stimulus, pickled once per problem build in the
+dispatching process; a worker unpickles them only when the token is
+not the one it holds, so at most once per build.  The token is minted
+per build, so a rebuilt or replaced problem is never taken for a stale
+one.
 
-:func:`grading_pool` starts the workers, in two places:
-
-* the evaluation service starts a ``spawn`` pool at its first
-  ``grade-shard`` job (:class:`repro.service.workers.GradingProcesses`).
-  The service is threaded, and a fork could stall BLAS on another
-  thread; ``spawn`` starts each worker with a fresh interpreter, and no
-  server process.  This module imports no ``scipy``, so a worker is
-  ready in a fraction of a second;
-* :func:`gate_level_missed_parallel` (``repro profile --exact --jobs
-  N``) owns a ``fork`` pool for one call from the single-threaded CLI.
-  The parent builds the program and golden first, and its workers
-  inherit them.
+:func:`grading_pool` starts the workers with the ``spawn`` method, in
+two places: the evaluation service starts a pool at its first
+``grade-shard`` job (:class:`repro.service.workers.GradingProcesses`),
+and :func:`gate_level_missed_parallel` (``repro profile --exact --jobs
+N``) owns one for a call.  The service is threaded, and a fork could
+stall BLAS on another thread; ``spawn`` starts each worker with a
+fresh interpreter, and no server process.  This module imports no
+``scipy``, so a worker is ready in a fraction of a second.
 
 Every worker exits as soon as the process that started it dies, so a
 killed parent leaves no worker behind.  A worker that dies breaks its
@@ -47,6 +43,7 @@ driver.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing
 import multiprocessing.connection
@@ -55,19 +52,17 @@ import pickle
 import threading
 import uuid
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, ContextManager, Dict, Iterator, List,
+                    Optional, Sequence)
 
 import numpy as np
 
 from ..gates.compiled import ConeWorkspace, golden_net_waves
-from ..gates.fault_parallel import (BatchResult, LocalBatches,
-                                    gate_level_missed, grade_batch,
-                                    program_and_golden)
+from ..gates.fault_parallel import (BatchResult, gate_level_missed,
+                                    grade_batch, program_and_golden)
 from ..gates.faults import FaultLines
 from ..gates.gatesim import pack_input_bits
-from ..telemetry import (TraceContext, child_collector, get_telemetry,
-                         set_telemetry)
+from ..telemetry import TraceContext, child_collector, get_telemetry
 from .pool import resolve_jobs
 
 __all__ = ["PooledBatches", "gate_level_missed_parallel", "grading_pool",
@@ -88,21 +83,10 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
 
-def _hold(token: str, program, golden: np.ndarray) -> None:
-    _HELD.clear()
-    _HELD.update(token=token, program=program, golden=golden,
-                 ws=ConeWorkspace())
-
-
-def _init_worker(held: Optional[Tuple[str, Any, np.ndarray]]) -> None:
-    """Worker start: exit when the parent dies; hold ``held``, the
-    ``(token, program, golden)`` a forking parent built."""
-    # A forked worker inherits the parent's collector, sinks included.
-    set_telemetry(None)
+def _init_worker() -> None:
+    """Worker start: exit as soon as the parent dies."""
     threading.Thread(target=_exit_with_parent, name="repro-parent-watch",
                      daemon=True).start()
-    if held is not None:
-        _hold(*held)
 
 
 def _ready() -> int:
@@ -110,39 +94,33 @@ def _ready() -> int:
 
 
 def run_batch(lines: FaultLines, token: str, length: int, chunk: int,
-              times: bool, trace: Optional[TraceContext],
-              problem: Optional[bytes] = None):
+              times: bool, trace: Optional[TraceContext], problem: bytes):
     """Worker side: grade one cone batch of problem ``token``.
 
-    Returns the :data:`~repro.gates.fault_parallel.BatchResult` and the
-    telemetry payload of the batch's span, or ``None`` when this worker
-    holds another problem and ``problem`` (the pickled program and
-    stimulus) was not sent.
+    ``problem`` is the pickled program and stimulus; it is unpickled
+    only when this worker holds another problem.  Returns the
+    :data:`~repro.gates.fault_parallel.BatchResult` and the telemetry
+    payload of the batch's span.
     """
     if _HELD.get("token") != token:
-        if problem is None:
-            return None
         _HELD.clear()  # free the old golden before building the new one
         program, stimulus = pickle.loads(problem)
         golden = golden_net_waves(
             program, pack_input_bits(stimulus, len(program.input_bits)))
-        _hold(token, program, golden)
+        _HELD.update(token=token, program=program, golden=golden,
+                     ws=ConeWorkspace())
     with child_collector(trace) as handle:
         result = grade_batch(_HELD["program"], _HELD["golden"], lines,
                              length, chunk, _HELD["ws"], times)
     return result, handle.payload
 
 
-def grading_pool(processes: int, method: str,
-                 held: Optional[Tuple[str, Any, np.ndarray]] = None
-                 ) -> ProcessPoolExecutor:
-    """A pool of ``processes`` grading workers, started now with the
-    ``method`` start method; ``held`` is handed to every worker (pass
-    it only to a ``fork`` pool, which inherits it unpickled)."""
+def grading_pool(processes: int) -> ProcessPoolExecutor:
+    """A ``spawn`` pool of ``processes`` grading workers, started now."""
     pool = ProcessPoolExecutor(
         max_workers=processes,
-        mp_context=multiprocessing.get_context(method),
-        initializer=_init_worker, initargs=(held,))
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_init_worker)
     # A spawn pool starts a worker per submit that finds none idle, so
     # this starts them all now instead of when the first batches wait.
     for _ in range(processes):
@@ -150,51 +128,48 @@ def grading_pool(processes: int, method: str,
     return pool
 
 
+def _answer(future: Optional[Future]):
+    """A task's :func:`run_batch` answer, or ``None`` when the task was
+    never sent or its pool broke."""
+    if future is None:
+        return None
+    try:
+        return future.result()
+    except BrokenExecutor:
+        return None
+
+
 class PooledBatches:
     """Batch executor: grades one problem's cone batches in a grading
-    pool of ``processes`` workers.
+    pool.
 
     ``token``, ``program``, ``stimulus`` and ``golden`` are the
-    problem's; ``held`` says the workers were started holding it.
-    Once the pool is broken, batches are graded in this process, and
-    ``on_broken(pool)`` runs before each stage of them; it may raise to
-    refuse.  One instance may serve several threads at once.
+    problem's; the program and stimulus are pickled once, here, and
+    sent with every task.  Once the pool is broken, batches are graded
+    in this process, each under ``lock``, so two threads never grade at
+    once; ``on_broken(pool)`` runs before each stage of them, and may
+    raise to refuse.  One instance may serve several threads at once.
     """
 
-    def __init__(self, pool: ProcessPoolExecutor, processes: int,
-                 token: str, program, stimulus: np.ndarray,
-                 golden: np.ndarray, *, held: bool = False,
+    def __init__(self, pool: ProcessPoolExecutor, token: str, program,
+                 stimulus: np.ndarray, golden: np.ndarray, *,
+                 lock: Optional[ContextManager] = None,
                  on_broken: Optional[Callable[[ProcessPoolExecutor],
                                               None]] = None):
         self.pool = pool
         self.token = token
         self.program = program
-        self.stimulus = np.asarray(stimulus, dtype=np.int64)
         self.golden = golden
+        self.problem = pickle.dumps(
+            (program, np.asarray(stimulus, dtype=np.int64)),
+            protocol=pickle.HIGHEST_PROTOCOL)
+        self.lock = contextlib.nullcontext() if lock is None else lock
         self.on_broken = on_broken
         self._broken = False
-        self._unsent = 0 if held else processes
-        self._pickled: Optional[bytes] = None
-        self._lock = threading.Lock()
 
-    def _problem(self, asked: bool) -> Optional[bytes]:
-        """The pickled problem for the next task: sent with the first
-        task per worker, and to a worker that asked for it."""
-        with self._lock:
-            if not asked:
-                if self._unsent <= 0:
-                    return None
-                self._unsent -= 1
-            if self._pickled is None:
-                self._pickled = pickle.dumps(
-                    (self.program, self.stimulus),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-            return self._pickled
-
-    def _submit(self, lines: FaultLines, task: tuple,
-                problem: Optional[bytes]) -> Optional[Future]:
+    def _submit(self, lines: FaultLines, task: tuple) -> Optional[Future]:
         try:
-            return self.pool.submit(run_batch, lines, *task, problem)
+            return self.pool.submit(run_batch, lines, *task)
         except (BrokenExecutor, RuntimeError):  # broken or shut down
             return None
 
@@ -209,8 +184,12 @@ class PooledBatches:
                 tel.counter("parallel.fallbacks").add(1)
         if self.on_broken is not None:
             self.on_broken(self.pool)
-        return LocalBatches(self.program, self.golden).grade_stage(
-            batches, length, chunk, times)
+        ws = ConeWorkspace()
+        for lines in batches:
+            with self.lock:  # never held across a yield
+                result = grade_batch(self.program, self.golden, lines,
+                                     length, chunk, ws, times)
+            yield result
 
     def grade_stage(self, batches: Sequence[FaultLines], length: int,
                     chunk: int, times: bool) -> Iterator[BatchResult]:
@@ -219,13 +198,12 @@ class PooledBatches:
             return
         tel = get_telemetry()
         # Captured under the driver's span, so batch spans merge there.
-        task = (self.token, length, chunk, times, TraceContext.current())
-        futures: List[Optional[Future]] = [
-            self._submit(lines, task, self._problem(False))
-            for lines in batches]
+        task = (self.token, length, chunk, times, TraceContext.current(),
+                self.problem)
+        futures = [self._submit(lines, task) for lines in batches]
         try:
             for k, future in enumerate(futures):
-                out = self._result(future, batches[k], task)
+                out = _answer(future)
                 if out is None:
                     yield from self._fallback(batches[k:], length, chunk,
                                               times)
@@ -240,21 +218,6 @@ class PooledBatches:
                 if future is not None:
                     future.cancel()
 
-    def _result(self, future: Optional[Future], lines: FaultLines,
-                task: tuple):
-        """A batch's :func:`run_batch` answer, or ``None`` once the
-        pool is broken."""
-        try:
-            while future is not None:
-                out = future.result()
-                if out is not None:
-                    return out
-                # The worker holds another problem: send it this one.
-                future = self._submit(lines, task, self._problem(True))
-        except BrokenExecutor:
-            pass
-        return None
-
 
 def gate_level_missed_parallel(
     nl,
@@ -268,35 +231,33 @@ def gate_level_missed_parallel(
 
     Drop-in parallel counterpart of
     :func:`repro.gates.fault_parallel.gate_level_missed`, with the same
-    batches, verdicts and counters.  Program and golden are built here,
-    before the pool forks, so the workers inherit them.  A pool that
-    cannot start grades in-process (``parallel.pool_failures``).
+    batches, verdicts and counters.  The workers start first, so they
+    boot while the program and golden are built here.  A pool that
+    cannot start grades in-process (``parallel.pool_failures``).  A
+    script that calls this needs an ``if __name__ == "__main__":``
+    guard, because a ``spawn`` worker re-imports the main script (and
+    runs its top-level imports again; ``python -m repro`` is exempt).
     """
     tel = get_telemetry()
     raw = np.asarray(input_raw, dtype=np.int64)
     with tel.span("gates.fault_parallel_pool", faults=len(faults),
                   vectors=len(raw), jobs=jobs):
         n_jobs = resolve_jobs(jobs)
-        program, golden = program_and_golden(nl, raw)
-        executor: Optional[PooledBatches] = None
+        pool: Optional[ProcessPoolExecutor] = None
         if n_jobs > 1:
-            token = uuid.uuid4().hex
-            forks = "fork" in multiprocessing.get_all_start_methods()
             try:
-                pool = grading_pool(
-                    n_jobs, "fork" if forks else "spawn",
-                    held=(token, program, golden) if forks else None)
+                pool = grading_pool(n_jobs)
             except (OSError, ValueError) as exc:
                 logger.warning("cannot start grading processes (%s); "
                                "grading in-process", exc)
                 if tel.enabled:
                     tel.counter("parallel.pool_failures").add(1)
-            else:
-                executor = PooledBatches(pool, n_jobs, token, program, raw,
-                                         golden, held=forks)
         try:
+            program, golden = program_and_golden(nl, raw)
+            executor = None if pool is None else PooledBatches(
+                pool, uuid.uuid4().hex, program, raw, golden)
             return gate_level_missed(nl, raw, faults, program=program,
                                      net_waves=golden, executor=executor)
         finally:
-            if executor is not None:
-                executor.pool.shutdown(wait=True, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)

@@ -121,8 +121,10 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
     outer = get_telemetry()
     # Every shard of a problem reads one prepared build; the lock
     # guards the build and its lookup.  Shards graded in worker
-    # processes run side by side; in-process grading stays one shard
-    # at a time, because the cone sweep holds the GIL.
+    # processes run side by side.  In-process grading holds the lock
+    # throughout, and a broken pool's fallback takes it for each batch,
+    # because the cone sweep holds the GIL and two threads grade slower
+    # than one.
     with outer.span("service.grade_wait"):
         ctx.grading_lock.acquire()
     locked = True
@@ -136,7 +138,8 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
                     f"fault index {i} out of range for design "
                     f"{params['design']} ({len(problem.faults)} faults)",
                     status=400)
-        executor = None if grading is None else grading.batches(problem)
+        executor = (None if grading is None
+                    else grading.batches(problem, ctx.grading_lock))
         if executor is not None:
             ctx.grading_lock.release()
             locked = False
@@ -251,7 +254,7 @@ class GradingProcesses:
             if self._closed or self._pool is not None:
                 return
             try:
-                self._pool = gatework.grading_pool(self.processes, "spawn")
+                self._pool = gatework.grading_pool(self.processes)
             except (OSError, ValueError) as exc:
                 logger.warning("cannot start grading processes (%s); "
                                "grading in-process", exc)
@@ -259,11 +262,12 @@ class GradingProcesses:
                 if tel.enabled:
                     tel.counter("parallel.pool_failures").add(1)
 
-    def batches(self, problem):
+    def batches(self, problem, lock):
         """A batch executor grading ``problem`` (a
         :class:`~repro.cluster.shards.PreparedProblem`) in the pool, or
         ``None`` when there is no pool.  Jobs of one problem share it,
-        so the problem is pickled once per build."""
+        so the problem is pickled once per build.  If the pool breaks,
+        the batches left grade in-process under ``lock``."""
         from ..parallel.gatework import PooledBatches
 
         with self._lock:
@@ -273,9 +277,8 @@ class GradingProcesses:
             if bound is None or bound.pool is not pool \
                     or bound.token != problem.token:
                 bound = self._bound = PooledBatches(
-                    pool, self.processes, problem.token, problem.program,
-                    problem.stimulus, problem.golden,
-                    on_broken=self._discard)
+                    pool, problem.token, problem.program, problem.stimulus,
+                    problem.golden, lock=lock, on_broken=self._discard)
             return bound
 
     def _close(self) -> Optional[ProcessPoolExecutor]:

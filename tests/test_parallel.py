@@ -308,7 +308,8 @@ class TestGatework:
 
     def test_pooled_grade_matches_serial(self, small_design):
         """Batches graded in worker processes give the serial run's
-        verdicts, detection times and work counters."""
+        verdicts, detection times and work counters, for each of two
+        problems graded on one pool in turn."""
         from repro.gates.fault_parallel import (gate_level_missed,
                                                 program_and_golden)
         from repro.gates.faults import enumerate_cell_faults
@@ -319,39 +320,89 @@ class TestGatework:
 
         nl = elaborate(small_design.graph)
         faults = enumerate_cell_faults(small_design.graph, nl)
-        raw = Type1Lfsr(small_design.input_fmt.width).sequence(600)
         work = ("gates.fault_batches", "gates.faults_graded",
                 "gates.cone_nets", "gates.chunks_skipped",
                 "gates.faults_dropped", "gates.lane_vectors",
                 "gates.frontier_nets")
-        runs = []
-        for method in (None, "spawn"):
+
+        def grade(raw, pool, token):
             program, golden = program_and_golden(nl, raw)
-            executor = None
-            if method is not None:
-                # A pool that must be sent the problem, as a service's.
-                executor = PooledBatches(grading_pool(2, method), 2, "t",
-                                         program, raw, golden)
+            executor = None if pool is None else PooledBatches(
+                pool, token, program, raw, golden)
             times = np.full(len(faults), -1, dtype=np.int64)
-            try:
-                with telemetry_session() as tel:
-                    missed = gate_level_missed(
-                        nl, raw, faults, detect_times=times,
-                        program=program, net_waves=golden,
-                        executor=executor)
-                    counts = {k: tel.counter(k).value for k in work}
-                    pooled = tel.counter("gates.batches_pooled").value
-            finally:
-                if executor is not None:
-                    executor.pool.shutdown(wait=True)
-            runs.append(([f.netlist_fault.label for f in missed], times,
-                         counts, pooled))
-        (serial, serial_times, serial_counts, none), (got, got_times,
-                                                      got_counts, pooled) = runs
-        assert got == serial and serial
-        np.testing.assert_array_equal(got_times, serial_times)
-        assert got_counts == serial_counts
-        assert none == 0 and pooled == serial_counts["gates.fault_batches"]
+            with telemetry_session() as tel:
+                missed = gate_level_missed(
+                    nl, raw, faults, detect_times=times, program=program,
+                    net_waves=golden, executor=executor)
+                counts = {k: tel.counter(k).value for k in work}
+                pooled = tel.counter("gates.batches_pooled").value
+            return [f.netlist_fault.label for f in missed], times, counts, \
+                pooled
+
+        pool = grading_pool(2)
+        try:
+            # The second problem replaces the first in every worker.
+            for token, length in (("a", 600), ("b", 200), ("c", 600)):
+                raw = Type1Lfsr(small_design.input_fmt.width).sequence(
+                    length)
+                serial, serial_times, serial_counts, none = grade(
+                    raw, None, None)
+                got, got_times, got_counts, pooled = grade(raw, pool, token)
+                assert got == serial and serial
+                np.testing.assert_array_equal(got_times, serial_times)
+                assert got_counts == serial_counts
+                assert none == 0
+                assert pooled == serial_counts["gates.fault_batches"]
+        finally:
+            pool.shutdown(wait=True)
+
+    def test_a_broken_pool_grades_in_process_under_the_lock(
+            self, small_design, monkeypatch):
+        """Once its pool is broken, an executor grades the batches left
+        in this process, each one under its lock, with the serial
+        verdicts; the fallback is counted once."""
+        import threading
+
+        from repro.gates import fault_parallel
+        from repro.gates.faults import enumerate_cell_faults
+        from repro.gates.netlist import elaborate
+        from repro.generators import Type1Lfsr
+        from repro.parallel import gatework
+        from repro.telemetry import telemetry_session
+
+        class ShutPool:
+            def submit(self, *_args):
+                raise RuntimeError("cannot schedule new futures after "
+                                   "shutdown")
+
+        nl = elaborate(small_design.graph)
+        faults = enumerate_cell_faults(small_design.graph, nl)
+        raw = Type1Lfsr(small_design.input_fmt.width).sequence(200)
+        program, golden = fault_parallel.program_and_golden(nl, raw)
+        serial = fault_parallel.gate_level_missed(
+            nl, raw, faults, program=program, net_waves=golden)
+        lock = threading.Lock()
+        locked = []
+        real = gatework.grade_batch
+
+        def grade_batch(*args):
+            locked.append(lock.locked())
+            return real(*args)
+
+        monkeypatch.setattr(gatework, "grade_batch", grade_batch)
+        broken = []
+        executor = gatework.PooledBatches(
+            ShutPool(), "t", program, raw, golden, lock=lock,
+            on_broken=broken.append)
+        with telemetry_session() as tel:
+            got = fault_parallel.gate_level_missed(
+                nl, raw, faults, program=program, net_waves=golden,
+                executor=executor)
+            fallbacks = tel.counter("parallel.fallbacks").value
+        assert [f.netlist_fault.label for f in got] == \
+            [f.netlist_fault.label for f in serial]
+        assert locked and all(locked) and not lock.locked()
+        assert fallbacks == 1 and broken
 
 
 class TestCliSweepBench:
