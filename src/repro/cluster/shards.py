@@ -99,7 +99,7 @@ def grading_problem(ctx, design: str, generator: str, vectors: int,
 class PreparedProblem:
     """A :func:`grading_problem`'s netlist, universe and stimulus, plus
     the program and golden waves its shards are graded against (the
-    program memoizes its fused view).  ``token`` is minted per build:
+    program memoizes its fused table).  ``token`` is minted per build:
     grading processes holding a problem know it by its token."""
 
     key: Tuple[str, str, int, int]

@@ -4,11 +4,13 @@ Elaborated netlists are feed-forward, so every net can be evaluated over
 the whole time axis at once.  The interpreters in :mod:`repro.gates.gatesim`
 historically walked ``nl.elements`` gate by gate in Python; this module
 lowers a :class:`~repro.gates.netlist.GateNetlist` once into a **levelized
-structure-of-arrays program**: nets are assigned topological levels, the
-elements of each level are grouped by gate kind, and evaluation becomes,
-per (level, kind) group, one fancy-indexed gather of the input waveforms
-out of a nets x time matrix and one vectorized numpy op — hundreds of
-gates per Python bytecode step instead of one.
+op table**: nets are assigned topological levels, the elements of each
+level are grouped by gate kind, and evaluation becomes, per (level, kind)
+group, one fancy-indexed gather of the input waveforms out of a nets x
+time matrix and one vectorized numpy op — hundreds of gates per Python
+bytecode step instead of one.  The table is plain arrays in CSR form
+(:class:`CompiledNetlist`): the ``gateprog`` cache entry stores them and
+a grading pool pickles them as they are.
 
 The same program drives three consumers:
 
@@ -18,30 +20,29 @@ The same program drives three consumers:
 * :func:`golden_net_waves` — the per-net golden waveform matrix the
   cone engine reads at cone boundaries;
 * :func:`repro.gates.eventsim.fuse_program` — the fused super-gate
-  program behind the fault-parallel (64 copies per ``uint64`` lane
+  table behind the fault-parallel (64 copies per ``uint64`` lane
   word, several words side by side) cone sweep of
   :func:`repro.gates.fault_parallel.gate_level_missed`.
 
 The ripple-carry adders of Table 1 designs levelize into hundreds of
 tiny levels, so per-group numpy dispatch overhead — not arithmetic — is
-the cost that matters.  Super-gate fusion, which reads the flattened
-op view :class:`_FlatProgram`, folds gates into fewer, wider groups,
-and chunk evaluation carves every temporary out of a persistent
-:class:`ConeWorkspace`.
+the cost that matters.  Super-gate fusion, which reads the flat op
+arrays, folds gates into fewer, wider groups, and chunk evaluation
+carves every temporary out of a persistent :class:`ConeWorkspace`.
 
 A program is memoized on the netlist object by
 :func:`compiled_program`; the artifact cache can additionally persist
 programs across processes
 (:func:`repro.cache.pipeline.cached_gate_program`).  On LP, compiling
-takes about 0.07 s and fusing (:func:`repro.gates.eventsim.fuse_program`)
-about 0.29 s; the cache persists the compiled program only, so a hit
+takes about 0.03 s and fusing (:func:`repro.gates.eventsim.fuse_program`)
+about 0.15 s; the cache persists the compiled program only, so a hit
 skips the first and not the second.  Golden waveforms are
 re-simulated instead: that is cheaper than storing or loading them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +52,6 @@ from .netlist import GateNetlist
 
 __all__ = [
     "OP_KINDS",
-    "LevelOp",
     "CompiledNetlist",
     "compile_netlist",
     "compiled_program",
@@ -63,102 +63,89 @@ __all__ = [
 #: Evaluation-order-stable op kinds; ``dff`` is the one-sample time shift.
 OP_KINDS = ("xor", "and", "or", "not", "buf", "dff")
 
+_KIND_CODE = {kind: code for code, kind in enumerate(OP_KINDS)}
+_DFF = _KIND_CODE["dff"]
 _TWO_INPUT = frozenset(("xor", "and", "or"))
 
 
 @dataclass
-class LevelOp:
-    """One (level, kind) group of the compiled program.
-
-    ``elem`` indexes into ``nl.gates`` (or ``nl.dffs`` for kind
-    ``"dff"``); the parallel ``out`` / ``in0`` / ``in1`` arrays carry the
-    group's net ids.  ``in1`` is ``None`` for one-input kinds.
-    """
-
-    kind: str
-    elem: np.ndarray
-    out: np.ndarray
-    in0: np.ndarray
-    in1: Optional[np.ndarray] = None
-
-
-@dataclass
 class CompiledNetlist:
-    """A levelized structure-of-arrays program for one netlist."""
+    """A levelized program for one netlist, as one CSR op table.
+
+    Op group ``g`` has kind ``OP_KINDS[grp_kind[g]]``, outputs at level
+    ``grp_level[g] + 1`` and ops ``[grp_off[g], grp_off[g + 1])`` of the
+    flat per-op arrays: ``elem`` indexes ``nl.gates`` (``nl.dffs`` for
+    kind ``"dff"``), ``out`` / ``in0`` / ``in1`` are net ids, and ``in1``
+    is -1 for one-input kinds.  ``net_level`` is every net's topological
+    level (0 for constants and inputs).  The ``gateprog`` cache entry
+    stores these arrays as they are.
+    """
 
     n_nets: int
     input_bits: np.ndarray
     output_bits: np.ndarray
-    #: ``levels[k]`` holds the LevelOps whose outputs are level ``k+1``.
-    levels: List[List[LevelOp]] = field(default_factory=list)
-    #: Topological level of every net (0 for constants and inputs).
-    net_level: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    #: ``gate_loc[g]`` -> (level_index, op_index, position) of gate ``g``.
-    gate_loc: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
+    net_level: np.ndarray
+    grp_kind: np.ndarray
+    grp_level: np.ndarray
+    grp_off: np.ndarray
+    elem: np.ndarray
+    out: np.ndarray
+    in0: np.ndarray
+    in1: np.ndarray
 
     @property
     def n_levels(self) -> int:
-        return len(self.levels)
+        return int(self.grp_level[-1]) + 1 if self.grp_level.size else 0
 
     def op_count(self) -> int:
-        return sum(len(op.out) for ops in self.levels for op in ops)
+        return len(self.out)
+
+    def op_kinds(self) -> np.ndarray:
+        """Every op's kind code."""
+        return np.repeat(self.grp_kind, np.diff(self.grp_off))
 
 
 def compile_netlist(nl: GateNetlist) -> CompiledNetlist:
-    """Lower a netlist to its levelized structure-of-arrays program.
+    """Lower a netlist to its levelized CSR program.
 
     Deterministic: groups follow ascending level, :data:`OP_KINDS` order
     within a level, and element creation order within a group.
     """
-    n_nets = nl.net_count
-    level = np.zeros(n_nets, dtype=np.int64)
-    buckets: Dict[Tuple[int, str], List[Tuple[int, int, int, int]]] = {}
-    max_level = 0
+    level = [0] * nl.net_count
+    rows: List[Tuple[int, int, int, int, int, int]] = []
     for elem_kind, idx in nl.elements:
         if elem_kind == "gate":
             gate = nl.gates[idx]
-            kind = gate.kind
-            if kind not in OP_KINDS:  # pragma: no cover - elaboration only
-                raise SimulationError(f"unknown gate kind {kind!r}")
-            out = gate.out
-            in0 = gate.ins[0]
-            in1 = gate.ins[1] if len(gate.ins) > 1 else -1
-            lvl = 1 + int(max(level[n] for n in gate.ins))
+            if gate.kind not in _KIND_CODE:  # pragma: no cover
+                raise SimulationError(f"unknown gate kind {gate.kind!r}")
+            ins = gate.ins
+            lvl = 1 + max(level[n] for n in ins)
+            row = (lvl, _KIND_CODE[gate.kind], idx, gate.out, ins[0],
+                   ins[1] if len(ins) > 1 else -1)
         else:
             dff = nl.dffs[idx]
-            kind, out, in0, in1 = "dff", dff.q, dff.d, -1
-            lvl = 1 + int(level[in0])
-        level[out] = lvl
-        max_level = max(max_level, lvl)
-        buckets.setdefault((lvl, kind), []).append((idx, out, in0, in1))
-
-    prog = CompiledNetlist(
-        n_nets=n_nets,
+            lvl = 1 + level[dff.d]
+            row = (lvl, _DFF, idx, dff.q, dff.d, -1)
+        level[row[3]] = lvl
+        rows.append(row)
+    table = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    # lexsort is stable: creation order within each (level, kind) group.
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    lvl, code = table[:, 0], table[:, 1]
+    starts = np.flatnonzero(np.diff(lvl * len(OP_KINDS) + code, prepend=-1))
+    return CompiledNetlist(
+        n_nets=nl.net_count,
         input_bits=np.asarray(nl.input_bits, dtype=np.int64),
         output_bits=np.asarray(nl.output_bits, dtype=np.int64),
-        net_level=level,
+        net_level=np.array(level, dtype=np.int64),
+        grp_kind=code[starts].astype(np.int8),
+        grp_level=lvl[starts] - 1,
+        grp_off=np.append(starts, len(table)),
+        elem=table[:, 2].copy(),
+        out=table[:, 3].copy(),
+        in0=table[:, 4].copy(),
+        in1=table[:, 5].copy(),
     )
-    for lvl in range(1, max_level + 1):
-        ops: List[LevelOp] = []
-        for kind in OP_KINDS:
-            rows = buckets.get((lvl, kind))
-            if not rows:
-                continue
-            arr = np.array(rows, dtype=np.int64)
-            op = LevelOp(
-                kind=kind,
-                elem=arr[:, 0].copy(),
-                out=arr[:, 1].copy(),
-                in0=arr[:, 2].copy(),
-                in1=arr[:, 3].copy() if kind in _TWO_INPUT else None,
-            )
-            if kind != "dff":
-                li, oi = len(prog.levels), len(ops)
-                for pos, gidx in enumerate(op.elem):
-                    prog.gate_loc[int(gidx)] = (li, oi, pos)
-            ops.append(op)
-        prog.levels.append(ops)
-    return prog
 
 
 def compiled_program(nl: GateNetlist) -> CompiledNetlist:
@@ -193,36 +180,46 @@ def simulate_waves(
     values[GateNetlist.CONST1] = True
     if len(prog.input_bits):
         values[prog.input_bits] = in_bits
-    if stuck_net is not None and prog.net_level[stuck_net] == 0:
-        values[stuck_net] = stuck_value
+    off = prog.grp_off.tolist()
+    # A stuck net is forced once its driving group has written it.
+    forced_group = -1
+    if stuck_net is not None:
+        if prog.net_level[stuck_net] == 0:
+            values[stuck_net] = stuck_value
+        else:
+            at = np.flatnonzero(prog.out == stuck_net)[0]
+            forced_group = int(np.searchsorted(off, at, "right")) - 1
+    overrides: Dict[int, List[Tuple[int, int]]] = {}
+    if stuck_pins:
+        is_gate = prog.op_kinds() != _DFF
+        for gidx, pins in stuck_pins.items():
+            at = int(np.flatnonzero(is_gate & (prog.elem == gidx))[0])
+            g = int(np.searchsorted(off, at, "right")) - 1
+            for pin in pins:
+                overrides.setdefault(g, []).append((at - off[g], int(pin)))
 
-    overrides: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for gidx, pins in (stuck_pins or {}).items():
-        li, oi, pos = prog.gate_loc[int(gidx)]
-        for pin in pins:
-            overrides.setdefault((li, oi), []).append((pos, int(pin)))
-
-    for li, ops in enumerate(prog.levels):
-        for oi, op in enumerate(ops):
-            a = values[op.in0]
-            b = values[op.in1] if op.in1 is not None else None
-            for pos, pin in overrides.get((li, oi), ()):
-                (a if pin == 0 else b)[pos] = stuck_value
-            if op.kind == "xor":
-                out = a ^ b
-            elif op.kind == "and":
-                out = a & b
-            elif op.kind == "or":
-                out = a | b
-            elif op.kind == "not":
-                out = ~a
-            elif op.kind == "buf":
-                out = a
-            else:  # dff: one-sample shift, reset value 0
-                out = np.zeros_like(a)
-                out[:, 1:] = a[:, :-1]
-            values[op.out] = out
-        if stuck_net is not None and prog.net_level[stuck_net] == li + 1:
+    for g, code in enumerate(prog.grp_kind.tolist()):
+        lo, hi = off[g], off[g + 1]
+        kind = OP_KINDS[code]
+        a = values[prog.in0[lo:hi]]
+        b = values[prog.in1[lo:hi]] if kind in _TWO_INPUT else None
+        for pos, pin in overrides.get(g, ()):
+            (a if pin == 0 else b)[pos] = stuck_value
+        if kind == "xor":
+            out = a ^ b
+        elif kind == "and":
+            out = a & b
+        elif kind == "or":
+            out = a | b
+        elif kind == "not":
+            out = ~a
+        elif kind == "buf":
+            out = a
+        else:  # dff: one-sample shift, reset value 0
+            out = np.zeros_like(a)
+            out[:, 1:] = a[:, :-1]
+        values[prog.out[lo:hi]] = out
+        if g == forced_group:
             values[stuck_net] = stuck_value
     return values
 
@@ -235,55 +232,6 @@ def golden_net_waves(prog: CompiledNetlist, in_bits: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Fault-parallel cone-restricted evaluation
 # ----------------------------------------------------------------------
-@dataclass
-class _FlatProgram:
-    """Level-ordered flat view of a program, read by super-gate fusion.
-
-    All per-op arrays are concatenated in (level, kind-group, position)
-    order; ``in1x`` duplicates ``in0`` for one-input kinds so readers
-    need no arity branches.
-    """
-
-    out: np.ndarray
-    in0: np.ndarray
-    in1x: np.ndarray
-    elem: np.ndarray
-    #: per level: (kind, flat_start, flat_end) of each kind group
-    group_slices: List[List[Tuple[str, int, int]]]
-
-
-def _flat_program(prog: CompiledNetlist) -> _FlatProgram:
-    flat = getattr(prog, "_flat", None)
-    if flat is not None:
-        return flat
-    outs: List[np.ndarray] = []
-    in0s: List[np.ndarray] = []
-    in1s: List[np.ndarray] = []
-    elems: List[np.ndarray] = []
-    group_slices: List[List[Tuple[str, int, int]]] = []
-    pos = 0
-    for ops in prog.levels:
-        groups: List[Tuple[str, int, int]] = []
-        for op in ops:
-            outs.append(op.out)
-            in0s.append(op.in0)
-            in1s.append(op.in1 if op.in1 is not None else op.in0)
-            elems.append(op.elem)
-            groups.append((op.kind, pos, pos + len(op.out)))
-            pos += len(op.out)
-        group_slices.append(groups)
-    empty = np.zeros(0, dtype=np.int64)
-    flat = _FlatProgram(
-        out=np.concatenate(outs) if outs else empty,
-        in0=np.concatenate(in0s) if in0s else empty,
-        in1x=np.concatenate(in1s) if in1s else empty,
-        elem=np.concatenate(elems) if elems else empty,
-        group_slices=group_slices,
-    )
-    prog._flat = flat  # type: ignore[attr-defined]
-    return flat
-
-
 class ConeWorkspace:
     """Reusable flat uint64 buffers for the chunk evaluator.
 

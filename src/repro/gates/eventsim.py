@@ -12,7 +12,9 @@ This module is the cone engine (``event``) behind
   re-levelized super-gate graph has fewer levels than the original
   program, cutting the per-level dispatch count.  Packed 64-lane words
   evaluate a super-gate by replaying its fused recipe (2-5 bitwise
-  ops).
+  ops).  The graph is one table of flat arrays
+  (:class:`FusedProgram`), so it pickles to a grading worker in a few
+  milliseconds; on LP, fusing takes about 0.15 s.
 
 * **cone sweep** (:class:`EventCone`) — a fault batch evaluates only
   the transitive fanout cone of its fault sites, renumbered into a
@@ -37,23 +39,19 @@ counter ``gates.frontier_nets``, levels removed by fusion as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .compiled import (
-    CompiledNetlist,
-    ConeWorkspace,
-    _TWO_INPUT,
-    _flat_program,
-)
+from .compiled import (OP_KINDS, CompiledNetlist, ConeWorkspace, _DFF,
+                       _KIND_CODE, _TWO_INPUT)
 
 __all__ = [
     "MAX_FUSE_DEPTH",
     "MAX_FUSE_INPUTS",
     "MAX_FUSE_MEMBERS",
-    "FusedGroup",
     "FusedProgram",
     "EventCone",
     "LineMasks",
@@ -79,76 +77,54 @@ _MKEYS = tuple(f"ev_m{j}" for j in range(MAX_FUSE_MEMBERS))
 
 
 @dataclass
-class FusedGroup:
-    """All super-gates of one level sharing one recipe.
+class FusedProgram:
+    """The super-gate graph lowered from one compiled program, as flat
+    arrays.
 
-    ``recipe`` is the member-op sequence: members are
-    ``(kind, src0, src1)`` with ``src >= 0`` naming an external slot and
-    ``src < 0`` the earlier member ``-(src + 1)``; one-input kinds
-    mirror ``src0`` into ``src1``.  ``out`` / ``ext`` / ``elem`` are
-    parallel arrays over the group's units: final output net, external
-    input nets (every unit has exactly ``n_ext`` distinct ones — the
-    slot count is part of the group key) and the original gate/dff
-    indices of each member.
+    One row per super-gate unit, in (level, group, position) order:
+    ``out`` is its output net, ``ext`` its external input nets, padded
+    to the widest slot count with the sentinel net id ``n_nets`` so cone
+    selection's "any input affected" test is one fancy index over a
+    boolean array with an always-False sentinel, and ``unit_group`` its
+    group.  Level ``l`` holds units ``[level_off[l], level_off[l + 1])``.
+
+    A group is all units of one level with one slot count
+    (``group_n_ext``) and one recipe: ``group_recipe[g]`` holds its
+    ``group_members[g]`` member ops as ``(kind, src0, src1)`` rows, then
+    ``-1`` padding.  ``kind`` is a code into
+    :data:`~repro.gates.compiled.OP_KINDS`, ``src >= 0`` names an
+    external slot and ``src < 0`` the earlier member ``-(src + 1)``;
+    one-input kinds mirror ``src0`` into ``src1``.
+
+    ``gate_unit`` / ``gate_member`` locate every original gate (the
+    pin-fault map); ``internal_unit`` / ``internal_member`` locate every
+    net absorbed inside a super-gate, whose waveform is never
+    materialized, so a net fault on it becomes a member-output force
+    (``-1`` elsewhere).
     """
 
-    recipe: Tuple[Tuple[str, int, int], ...]
-    n_ext: int
+    n_nets: int
+    output_bits: np.ndarray
     out: np.ndarray
     ext: np.ndarray
-    elem: np.ndarray
-
-    @property
-    def is_dff(self) -> bool:
-        return self.recipe[-1][0] == "dff"
-
-    @property
-    def n_members(self) -> int:
-        return len(self.recipe)
-
-
-@dataclass
-class FusedProgram:
-    """The super-gate graph lowered from one compiled program.
-
-    ``gate_loc`` locates every original gate's member position
-    ``(level, group, row, member)`` — the pin-fault injection map;
-    ``internal_loc`` locates nets absorbed inside a super-gate (their
-    waveforms are never materialized, so net faults on them become
-    member-output forces); ``out_loc`` locates every unit's final
-    output net.
-    """
-
-    prog: CompiledNetlist
-    n_nets: int
-    levels: List[List[FusedGroup]] = field(default_factory=list)
-    gate_loc: Dict[int, Tuple[int, int, int, int]] = field(
-        default_factory=dict)
-    internal_loc: Dict[int, Tuple[int, int, int, int]] = field(
-        default_factory=dict)
-    out_loc: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
-    stats: Dict[str, int] = field(default_factory=dict)
+    unit_group: np.ndarray
+    level_off: np.ndarray
+    group_n_ext: np.ndarray
+    group_members: np.ndarray
+    group_recipe: np.ndarray
+    gate_unit: np.ndarray
+    gate_member: np.ndarray
+    internal_unit: np.ndarray
+    internal_member: np.ndarray
+    stats: Dict[str, int]
 
     @property
     def n_levels(self) -> int:
-        return len(self.levels)
+        return len(self.level_off) - 1
 
-    def unit_count(self) -> int:
-        return sum(len(g.out) for groups in self.levels for g in groups)
-
-
-class _Unit:
-    """One super-gate under construction during the fusion sweep."""
-
-    __slots__ = ("members", "ext", "out", "depth", "absorbed", "internal")
-
-    def __init__(self, members, ext, out, depth, internal):
-        self.members = members      # [(kind, elem_idx, src0, src1)]
-        self.ext = ext              # ordered distinct external net ids
-        self.out = out
-        self.depth = depth
-        self.absorbed = False
-        self.internal = internal    # [(net, member_index)]
+    @property
+    def n_units(self) -> int:
+        return len(self.out)
 
 
 def fuse_program(prog: CompiledNetlist) -> FusedProgram:
@@ -162,143 +138,138 @@ def fuse_program(prog: CompiledNetlist) -> FusedProgram:
     re-levelized by longest path over the super-gate graph and grouped
     deterministically by ``(level, n_ext, recipe)``.
     """
-    flat = _flat_program(prog)
     n_nets = prog.n_nets
+    # A primary output counts as a read, so one reader means one gate.
+    readers = np.bincount(prog.in0, minlength=n_nets)
+    readers += np.bincount(prog.in1[prog.in1 >= 0], minlength=n_nets)
+    readers += np.bincount(prog.output_bits, minlength=n_nets)
+    sole = (readers == 1).tolist()
+    kind_of = prog.op_kinds().tolist()
+    outs, elems = prog.out.tolist(), prog.elem.tolist()
+    in0s, in1s = prog.in0.tolist(), prog.in1.tolist()
 
-    readers = np.zeros(n_nets, dtype=np.int64)
-    for groups in flat.group_slices:
-        for kind, s, e in groups:
-            np.add.at(readers, flat.in0[s:e], 1)
-            if kind in _TWO_INPUT:
-                np.add.at(readers, flat.in1x[s:e], 1)
-    if prog.output_bits.size:
-        np.add.at(readers, prog.output_bits, 1)
-    is_out = np.zeros(n_nets, dtype=bool)
-    is_out[prog.output_bits] = True
+    # Every unit by its output net: (members, ext, depth).  A member is
+    # (op, src0, src1), ``op`` indexing the flat op arrays; ``ext`` holds
+    # the unit's distinct external input nets.  Units are tuples of
+    # ints, which the garbage collector soon stops tracking.
+    unit_of: Dict[int, Tuple] = {}
+    absorbed = set()
+    for i, kind in enumerate(kind_of):
+        if kind == _DFF:
+            unit_of[outs[i]] = (((i, 0, 0),), (in0s[i],), 1)
+            continue
+        srcs = [in0s[i]] if in1s[i] < 0 else [in0s[i], in1s[i]]
+        members: List[Tuple[int, int, int]] = []
+        ext: List[int] = []
+        depth = 1
+        codes: List[int] = []
+        for pos, net in enumerate(srcs):
+            child = unit_of.get(net) if sole[net] else None
+            if child is not None:
+                cmembers, cext, cdepth = child
+                if (kind_of[cmembers[-1][0]] == _DFF
+                        or len(members) + len(cmembers) + 1
+                        > MAX_FUSE_MEMBERS
+                        or cdepth + 1 > MAX_FUSE_DEPTH
+                        or len(ext) + sum(n not in ext for n in cext)
+                        + len(srcs) - pos - 1 > MAX_FUSE_INPUTS):
+                    child = None
+            if child is None:
+                codes.append(_slot(net, ext))
+                continue
+            offset = len(members)
+            members.extend((op, _remap(a, cext, ext, offset),
+                            _remap(b, cext, ext, offset))
+                           for op, a, b in cmembers)
+            absorbed.add(net)
+            codes.append(-len(members))
+            depth = max(depth, cdepth + 1)
+        members.append((i, codes[0], codes[-1]))
+        unit_of[outs[i]] = (tuple(members), tuple(ext), depth)
 
-    unit_by_out: Dict[int, _Unit] = {}
-    order: List[_Unit] = []
-    for groups in flat.group_slices:
-        for kind, s, e in groups:
-            two = kind in _TWO_INPUT
-            for i in range(s, e):
-                out = int(flat.out[i])
-                eidx = int(flat.elem[i])
-                if kind == "dff":
-                    u = _Unit([("dff", eidx, 0, 0)], [int(flat.in0[i])],
-                              out, 1, [])
-                    unit_by_out[out] = u
-                    order.append(u)
-                    continue
-                srcs = ([int(flat.in0[i]), int(flat.in1x[i])] if two
-                        else [int(flat.in0[i])])
-                members: List[Tuple[str, int, int, int]] = []
-                ext: List[int] = []
-                internal: List[Tuple[int, int]] = []
-                depth = 1
-                codes: List[int] = []
-                for pos, net in enumerate(srcs):
-                    remaining = len(srcs) - pos - 1
-                    child = unit_by_out.get(net)
-                    fuse = (
-                        child is not None
-                        and not child.absorbed
-                        and child.members[-1][0] != "dff"
-                        and readers[net] == 1
-                        and not is_out[net]
-                        and len(members) + len(child.members) + 1
-                        <= MAX_FUSE_MEMBERS
-                        and max(depth, child.depth + 1) <= MAX_FUSE_DEPTH
-                    )
-                    if fuse:
-                        extra = [n for n in child.ext if n not in ext]
-                        if len(ext) + len(extra) + remaining \
-                                > MAX_FUSE_INPUTS:
-                            fuse = False
-                    if fuse:
-                        offset = len(members)
-                        for ck, ce, cs0, cs1 in child.members:
-                            members.append((ck, ce,
-                                            _remap(cs0, child.ext, ext,
-                                                   offset),
-                                            _remap(cs1, child.ext, ext,
-                                                   offset)))
-                        for nnet, mi in child.internal:
-                            internal.append((nnet, mi + offset))
-                        internal.append(
-                            (net, offset + len(child.members) - 1))
-                        child.absorbed = True
-                        codes.append(-(offset + len(child.members)))
-                        depth = max(depth, child.depth + 1)
-                    else:
-                        codes.append(_slot(net, ext))
-                s0 = codes[0]
-                s1 = codes[1] if two else codes[0]
-                members.append((kind, eidx, s0, s1))
-                u = _Unit(members, ext, out, depth, internal)
-                unit_by_out[out] = u
-                order.append(u)
-
-    roots = [u for u in order if not u.absorbed]
+    roots = [out for out in outs if out not in absorbed]
 
     # Re-levelize by longest path over super-gates: processing in the
     # original topological order guarantees every external input's
     # level is final before its readers are placed.
-    slevel = np.zeros(n_nets, dtype=np.int64)
-    buckets: Dict[Tuple[int, int, Tuple], List[_Unit]] = {}
-    max_lvl = 0
-    for u in roots:
-        lvl = 1 + max((int(slevel[n]) for n in u.ext), default=0)
-        slevel[u.out] = lvl
-        recipe = tuple((k, a, b) for k, _e, a, b in u.members)
-        buckets.setdefault((lvl, len(u.ext), recipe), []).append(u)
-        max_lvl = max(max_lvl, lvl)
+    slevel = [0] * n_nets
+    buckets: Dict[Tuple[int, int, Tuple], List[int]] = {}
+    for out in roots:
+        members, ext, _depth = unit_of[out]
+        lvl = 1 + max((slevel[n] for n in ext), default=0)
+        slevel[out] = lvl
+        recipe = tuple((OP_KINDS[kind_of[op]], a, b) for op, a, b in members)
+        buckets.setdefault((lvl, len(ext), recipe), []).append(out)
 
-    fused = FusedProgram(prog=prog, n_nets=n_nets,
-                         levels=[[] for _ in range(max_lvl)])
-    for key in sorted(buckets):
-        lvl, n_ext, recipe = key
-        units = buckets[key]
-        li = lvl - 1
-        gi = len(fused.levels[li])
-        group = FusedGroup(
-            recipe=recipe,
-            n_ext=n_ext,
-            out=np.array([u.out for u in units], dtype=np.int64),
-            ext=np.array([u.ext for u in units],
-                         dtype=np.int64).reshape(len(units), n_ext),
-            elem=np.array([[m[1] for m in u.members] for u in units],
-                          dtype=np.int64),
-        )
-        fused.levels[li].append(group)
-        for row, u in enumerate(units):
-            fused.out_loc[u.out] = (li, gi, row)
-            for mi, (mk, me, _a, _b) in enumerate(u.members):
-                if mk != "dff":
-                    fused.gate_loc[me] = (li, gi, row, mi)
-            for nnet, mi in u.internal:
-                fused.internal_loc[nnet] = (li, gi, row, mi)
+    # Emit the flat tables, groups in (level, n_ext, recipe) order.  A
+    # unit's fused-internal nets are the outputs of all its members but
+    # the last.
+    keys = sorted(buckets)
+    kmax = max((key[1] for key in keys), default=0)
+    n_gates = int(prog.elem[prog.op_kinds() != _DFF].max(initial=-1)) + 1
+    gate_unit, gate_member = [-1] * n_gates, [-1] * n_gates
+    internal_unit = [-1] * (n_nets + 1)
+    internal_member = [-1] * (n_nets + 1)
+    unit_out: List[int] = []
+    unit_ext: List[Tuple[int, ...]] = []
+    unit_level: List[int] = []
+    sizes: List[int] = []
+    recipes: List[List[Tuple[int, int, int]]] = []
+    for lvl, n_ext, recipe in keys:
+        units = buckets[lvl, n_ext, recipe]
+        sizes.append(len(units))
+        recipes.append([(_KIND_CODE[k], a, b) for k, a, b in recipe]
+                       + [(-1, -1, -1)] * (MAX_FUSE_MEMBERS - len(recipe)))
+        sentinels = (n_nets,) * (kmax - n_ext)
+        for out in units:
+            members, ext, _depth = unit_of[out]
+            row = len(unit_out)
+            unit_out.append(out)
+            unit_ext.append(ext + sentinels)
+            unit_level.append(lvl)
+            for mi, (op, _a, _b) in enumerate(members):
+                if kind_of[op] != _DFF:
+                    gate_unit[elems[op]], gate_member[elems[op]] = row, mi
+                if mi < len(members) - 1:
+                    internal_unit[outs[op]] = row
+                    internal_member[outs[op]] = mi
 
     n_ops = prog.op_count()
-    fused.stats = {
-        "orig_levels": prog.n_levels,
-        "fused_levels": max_lvl,
-        "levels_fused": prog.n_levels - max_lvl,
-        "units": len(roots),
-        "super_gates": sum(1 for u in roots if len(u.members) > 1),
-        "gates_absorbed": n_ops - len(roots),
-        "ops": n_ops,
-    }
-    return fused
+    max_lvl = keys[-1][0] if keys else 0
+    return FusedProgram(
+        n_nets=n_nets,
+        output_bits=prog.output_bits,
+        out=np.array(unit_out, dtype=np.int64),
+        ext=np.array(unit_ext, dtype=np.int64).reshape(len(unit_out), kmax),
+        unit_group=np.repeat(np.arange(len(keys)), sizes),
+        level_off=np.searchsorted(unit_level, np.arange(1, max_lvl + 2)),
+        group_n_ext=np.array([k[1] for k in keys], dtype=np.int64),
+        group_members=np.array([len(k[2]) for k in keys], dtype=np.int64),
+        group_recipe=np.array(recipes, dtype=np.int8).reshape(
+            len(keys), MAX_FUSE_MEMBERS, 3),
+        gate_unit=np.array(gate_unit, dtype=np.int64),
+        gate_member=np.array(gate_member, dtype=np.int64),
+        internal_unit=np.array(internal_unit, dtype=np.int64),
+        internal_member=np.array(internal_member, dtype=np.int64),
+        stats={
+            "orig_levels": prog.n_levels,
+            "fused_levels": max_lvl,
+            "levels_fused": prog.n_levels - max_lvl,
+            "units": len(roots),
+            "super_gates": sum(1 for out in roots
+                               if len(unit_of[out][0]) > 1),
+            "gates_absorbed": n_ops - len(roots),
+            "ops": n_ops,
+        },
+    )
 
 
 def _slot(net: int, ext: List[int]) -> int:
     """Index of ``net`` in the external slot list, appending if new."""
-    try:
+    if net in ext:
         return ext.index(net)
-    except ValueError:
-        ext.append(net)
-        return len(ext) - 1
+    ext.append(net)
+    return len(ext) - 1
 
 
 def _remap(code: int, child_ext: List[int], ext: List[int],
@@ -318,9 +289,6 @@ def fused_program(prog: CompiledNetlist) -> FusedProgram:
     return fused
 
 
-# ----------------------------------------------------------------------
-# Flat fused view for vectorized cone sweeps
-# ----------------------------------------------------------------------
 #: The ufunc that evaluates each recipe kind over packed lane words.
 _UFUNCS = {
     "xor": np.bitwise_xor,
@@ -331,108 +299,21 @@ _UFUNCS = {
 }
 
 
-def _steps(recipe: Tuple[Tuple[str, int, int], ...]
+@functools.lru_cache(maxsize=None)
+def _steps(recipe: Tuple[int, ...]
            ) -> Tuple[Tuple[np.ufunc, int, Optional[int]], ...]:
-    """A recipe as ``(ufunc, src0, src1)`` steps, ``src1`` ``None`` for
-    one-input kinds; a flop recipe has none."""
-    return tuple((_UFUNCS[kind], s0, s1 if kind in _TWO_INPUT else None)
-                 for kind, s0, s1 in recipe if kind != "dff")
-
-
-@dataclass
-class _FusedFlat:
-    """Level-ordered flat unit view: one row per super-gate.
-
-    ``ext`` is padded to the widest slot count with the sentinel net id
-    ``n_nets`` so cone selection's "any input affected" test is one
-    fancy index over a boolean array with an always-False sentinel.
-    Groups are numbered in (level, group) order: ``unit_group`` names
-    each unit's group, ``group_list`` / ``group_n_ext`` /
-    ``group_members`` describe each group and ``group_steps`` holds its
-    recipe resolved to ufuncs.  ``gate_unit`` / ``gate_member`` locate
-    every original gate (the pin-fault map), and ``internal_unit`` /
-    ``internal_member`` every fused-internal net (``-1`` for other
-    nets).
-    """
-
-    n_units: int
-    out: np.ndarray
-    ext: np.ndarray
-    level_bounds: List[Tuple[int, int]]
-    unit_group: np.ndarray
-    group_list: List[FusedGroup]
-    group_n_ext: np.ndarray
-    group_members: np.ndarray
-    group_steps: List[Tuple]
-    gate_unit: np.ndarray
-    gate_member: np.ndarray
-    internal_unit: np.ndarray
-    internal_member: np.ndarray
-
-
-def _fused_flat(fused: FusedProgram) -> _FusedFlat:
-    flat = getattr(fused, "_flat", None)
-    if flat is not None:
-        return flat
-    kmax = max((g.n_ext for groups in fused.levels for g in groups),
-               default=0)
-    outs: List[np.ndarray] = []
-    exts: List[np.ndarray] = []
-    level_bounds: List[Tuple[int, int]] = []
-    group_list: List[FusedGroup] = []
-    group_start: List[int] = []
-    group_of: Dict[Tuple[int, int], int] = {}
-    pos = 0
-    for li, groups in enumerate(fused.levels):
-        start = pos
-        for gi, g in enumerate(groups):
-            n = len(g.out)
-            outs.append(g.out)
-            padded = np.full((n, kmax), fused.n_nets, dtype=np.int64)
-            padded[:, :g.n_ext] = g.ext
-            exts.append(padded)
-            group_of[(li, gi)] = len(group_list)
-            group_list.append(g)
-            group_start.append(pos)
-            pos += n
-        level_bounds.append((start, pos))
-    starts = np.array(group_start, dtype=np.int64)
-    sizes = np.array([len(g.out) for g in group_list], dtype=np.int64)
-
-    def locate(locs: Dict[int, Tuple[int, int, int, int]], size: int
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        unit = np.full(size, -1, dtype=np.int64)
-        member = np.full(size, -1, dtype=np.int64)
-        for key, (li, gi, row, mi) in locs.items():
-            unit[key] = starts[group_of[(li, gi)]] + row
-            member[key] = mi
-        return unit, member
-
-    gate_unit, gate_member = locate(
-        fused.gate_loc, max(fused.gate_loc, default=-1) + 1)
-    internal_unit, internal_member = locate(fused.internal_loc,
-                                            fused.n_nets + 1)
-    flat = _FusedFlat(
-        n_units=pos,
-        out=(np.concatenate(outs) if outs
-             else np.zeros(0, dtype=np.int64)),
-        ext=(np.concatenate(exts) if exts
-             else np.zeros((0, 0), dtype=np.int64)),
-        level_bounds=level_bounds,
-        unit_group=np.repeat(np.arange(len(group_list)), sizes),
-        group_list=group_list,
-        group_n_ext=np.array([g.n_ext for g in group_list],
-                             dtype=np.int64),
-        group_members=np.array([g.n_members for g in group_list],
-                               dtype=np.int64),
-        group_steps=[_steps(g.recipe) for g in group_list],
-        gate_unit=gate_unit,
-        gate_member=gate_member,
-        internal_unit=internal_unit,
-        internal_member=internal_member,
-    )
-    fused._flat = flat  # type: ignore[attr-defined]
-    return flat
+    """A group's flattened recipe rows ``(kind, src0, src1, ...)`` as
+    ``(ufunc, src0, src1)`` steps, ``src1`` ``None`` for one-input
+    kinds; padding rows and a flop make none.  Cached: a design has a
+    few hundred distinct recipes, and every cone reuses them."""
+    steps = []
+    for j in range(0, len(recipe), 3):
+        code, s0, s1 = recipe[j:j + 3]
+        kind = OP_KINDS[code] if code >= 0 else None
+        if kind in _UFUNCS:
+            steps.append((_UFUNCS[kind], s0,
+                          s1 if kind in _TWO_INPUT else None))
+    return tuple(steps)
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +451,8 @@ class _EventOp:
     The op's units occupy cone rows ``[o0, o1)``.  ``flat_rows`` is the
     slot-major gather index of their operands in the row space, where
     every operand has a row: a cone unit, a seed or a boundary row.
-    ``steps`` is the group's recipe resolved to ufuncs, ``forces`` the
+    ``steps`` is the group's recipe resolved to ufuncs (none for a
+    flop), ``forces`` the
     :class:`_Forces` of each member (``None`` for unforced members), and
     ``obs_idx`` / ``obs_nets`` the rows driving a primary output.  A
     flop op keeps each row's last input sample of the previous chunk in
@@ -583,13 +465,13 @@ class _EventOp:
     forces: Optional[List[Optional[_Forces]]] = None
     carry: Optional[np.ndarray] = None
 
-    def __init__(self, group: FusedGroup, steps: Tuple, o0: int, o1: int,
+    def __init__(self, n_ext: int, steps: Tuple, o0: int, o1: int,
                  flat_rows: np.ndarray):
         self.steps = steps
-        self.n_ext = group.n_ext
+        self.n_ext = n_ext
         self.o0 = o0
         self.o1 = o1
-        self.is_dff = group.is_dff
+        self.is_dff = not steps
         self.flat_rows = flat_rows
 
 
@@ -618,46 +500,43 @@ class EventCone:
                  words: int = 1):
         self.words = words
         self.rows_evaluated = 0
-        prog = fused.prog
         n_nets = fused.n_nets
-        flat = _fused_flat(fused)
 
         # Net faults on fused-internal nets act as member-output forces
         # on their containing unit; every other masked net is marked
         # affected up front.
-        int_unit = flat.internal_unit[masks.net]
+        int_unit = fused.internal_unit[masks.net]
         internal = int_unit >= 0
         ext_stuck = masks.net[~internal]
-        pin_unit = flat.gate_unit[masks.pin_gate]
+        pin_unit = fused.gate_unit[masks.pin_gate]
 
         affected = np.zeros(n_nets + 1, dtype=bool)
         affected[ext_stuck] = True
-        forced_u = np.zeros(flat.n_units, dtype=bool)
+        forced_u = np.zeros(fused.n_units, dtype=bool)
         forced_u[pin_unit] = True
         forced_u[int_unit[internal]] = True
 
-        sel_all = np.zeros(flat.n_units, dtype=bool)
-        for s, e in flat.level_bounds:
-            if s == e:
-                continue
-            sel = affected[flat.ext[s:e]].any(axis=1)
+        sel_all = np.zeros(fused.n_units, dtype=bool)
+        bounds = fused.level_off.tolist()
+        for s, e in zip(bounds, bounds[1:]):
+            sel = affected[fused.ext[s:e]].any(axis=1)
             sel |= forced_u[s:e]
             if not sel.any():
                 continue
             sel_all[s:e] = sel
-            affected[flat.out[s:e][sel]] = True
+            affected[fused.out[s:e][sel]] = True
 
         # Rows: cone units in (level, group, position) order, then seed
         # rows; boundary rows follow once the ops' operands are known.
         units = np.flatnonzero(sel_all)
-        out = flat.out[units]
+        out = fused.out[units]
         n_sel = units.size
         row_of = np.full(n_nets + 1, -1, dtype=np.int64)
         row_of[out] = np.arange(n_sel)
         driven = np.zeros(n_nets + 1, dtype=bool)
         driven[out] = True
         is_output = np.zeros(n_nets + 1, dtype=bool)
-        is_output[prog.output_bits] = True
+        is_output[fused.output_bits] = True
         is_stuck = np.zeros(n_nets + 1, dtype=bool)
         is_stuck[ext_stuck] = True
 
@@ -672,17 +551,17 @@ class EventCone:
         self.seed_obs_idx = np.nonzero(is_output[seed])[0]
 
         # Ops: runs of one group among the cone units.
-        group = flat.unit_group[units]
+        group = fused.unit_group[units]
         o0 = np.flatnonzero(np.diff(group, prepend=-1))
         size = np.diff(o0, append=n_sel)
         op_of = np.repeat(np.arange(o0.size), size)
         rank = np.arange(n_sel) - o0[op_of]
-        k_op = flat.group_n_ext[group[o0]]
+        k_op = fused.group_n_ext[group[o0]]
         # Slot-major operand gather of every op, one after another:
         # op j's slot s of its unit at rank r lands at
         # start[j] + s * size[j] + r.
         start = np.concatenate(([0], np.cumsum(k_op * size)))
-        ext = flat.ext[units]
+        ext = fused.ext[units]
         slot = np.arange(ext.shape[1])
         valid = slot < k_op[op_of][:, None]
         at = (start[op_of][:, None] + slot * size[op_of][:, None]
@@ -701,7 +580,7 @@ class EventCone:
 
         # Scratch sizes: the widest operand gather, and per recipe
         # member the widest op whose recipe runs past it.
-        n_mem = flat.group_members[group[o0]]
+        n_mem = fused.group_members[group[o0]]
         self.ext_rows = int((k_op * size).max(initial=0))
         self.member_rows = [
             int(size[n_mem > j + 1].max())
@@ -714,14 +593,15 @@ class EventCone:
 
         # Each op's bounds in every flat array, as one row of ints.
         bounds = np.stack([
-            group[o0], o0, o1, start[:-1], start[1:],
+            k_op, o0, o1, start[:-1], start[1:],
             np.searchsorted(obs, o0), np.searchsorted(obs, o1),
         ], axis=1).tolist()
+        # Flat rows: nested lists would wake the garbage collector.
+        recipes = fused.group_recipe[group[o0]].reshape(o0.size, -1)
         self.ops: List[_EventOp] = []
-        groups = flat.group_list
-        for g, a, b, s0, s1, v0, v1 in bounds:
-            op = _EventOp(groups[g], flat.group_steps[g], a, b,
-                          flat_rows[s0:s1])
+        for (k, a, b, s0, s1, v0, v1), recipe in zip(bounds,
+                                                      recipes.tolist()):
+            op = _EventOp(k, _steps(tuple(recipe)), a, b, flat_rows[s0:s1])
             if v1 > v0:
                 op.obs_idx = obs_idx[v0:v1]
                 op.obs_nets = obs_nets[v0:v1]
@@ -743,8 +623,8 @@ class EventCone:
             np.searchsorted(units, int_unit[internal]), stuck))
         forced = _group_forces(
             op_of[f_unit],
-            np.concatenate((flat.gate_member[masks.pin_gate],
-                            flat.internal_member[masks.net[internal]],
+            np.concatenate((fused.gate_member[masks.pin_gate],
+                            fused.internal_member[masks.net[internal]],
                             n_mem[op_of[stuck]] - 1)),
             rank[f_unit],
             np.concatenate((masks.pin,

@@ -387,7 +387,7 @@ def program_and_golden(
     The program comes through
     :func:`~repro.cache.pipeline.cached_gate_program`, so an
     :class:`~repro.cache.ArtifactCache` passed as ``cache`` persists it
-    across processes; its fused view is built here too.  The golden
+    across processes; its fused table is built here too.  The golden
     machine is simulated here every time: it costs less than loading or
     storing its matrix.  Golden stays the boolean ``(nets, T)`` matrix:
     each chunk of a cone sweep casts only the golden rows it reads (its

@@ -10,12 +10,13 @@ stage length, the chunk and the token of its problem.  The batches are
 the serial run's, so verdicts, chunk-end detection times, MISR
 signatures and every work counter are the same for any process count.
 
-Each worker holds one problem: the compiled program, fused view
+Each worker holds one problem: the compiled program, fused table
 included, and golden, which the worker re-simulates from the program
 and the stimulus.  Every task carries the problem's token and the
 program and stimulus, pickled once per problem build in the
-dispatching process; a worker unpickles them only when the token is
-not the one it holds, so at most once per build.  The token is minted
+dispatching process; both are plain arrays, so pickling and
+unpickling take milliseconds.  A worker unpickles them only when the
+token is not the one it holds, so at most once per build.  The token is minted
 per build, so a rebuilt or replaced problem is never taken for a stale
 one.
 

@@ -162,7 +162,8 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
             # rides home inside the result so a multi-node sweep grafts
             # into one span tree.  Progress is forwarded to the job's
             # collector so the job document (which the coordinator
-            # polls) still updates live.
+            # polls) still updates live, and the metrics merge into it
+            # too, so this service's /metrics counts the grading.
             def _forward(state) -> None:
                 if outer.enabled:
                     outer.progress(state.name, state.done, state.total,
@@ -172,6 +173,7 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
             with child_collector(ctx_trace, on_progress=_forward) as handle:
                 doc = grade()
             doc["trace"] = handle.payload
+            outer.absorb({"metrics": handle.payload["metrics"]})
     finally:
         if locked:
             ctx.grading_lock.release()

@@ -11,11 +11,13 @@ surfacing as a distant verdict mismatch.
 """
 
 import itertools
+import pickle
 import time
 
 import numpy as np
 import pytest
 
+from repro.filters import lowpass_design
 from repro.gates import (
     elaborate,
     enumerate_cell_faults,
@@ -25,6 +27,7 @@ from repro.gates import (
     gate_level_missed_reference,
 )
 from repro.gates.compiled import (
+    OP_KINDS,
     ConeWorkspace,
     compiled_program,
     golden_net_waves,
@@ -34,7 +37,7 @@ from repro.gates.eventsim import (
     MAX_FUSE_MEMBERS,
     fuse_program,
 )
-from repro.gates.fault_parallel import _grade_cone_batch
+from repro.gates.fault_parallel import _grade_cone_batch, program_and_golden
 from repro.gates.gatesim import pack_input_bits
 from repro.telemetry import Telemetry, set_telemetry
 
@@ -46,51 +49,98 @@ def rng():
     return np.random.default_rng(20260807)
 
 
+#: LP's fusion statistics: a changed super-gate graph shows here first.
+LP_FUSION = {"orig_levels": 481, "fused_levels": 466, "levels_fused": 15,
+             "units": 9666, "super_gates": 2554, "gates_absorbed": 5196,
+             "ops": 14862}
+
+_FUSION_INPUTS = sorted(SMALL_COEFSETS) + ["LP"]
+
+
+def _program(key):
+    design = lowpass_design() if key == "LP" else build_small_design(key)
+    return compiled_program(elaborate(design.graph))
+
+
 class TestFusion:
-    @pytest.mark.parametrize("key", sorted(SMALL_COEFSETS))
+    @pytest.mark.parametrize("key", _FUSION_INPUTS)
     def test_fusion_invariants(self, key):
-        design = build_small_design(key)
-        prog = compiled_program(elaborate(design.graph))
-        fused = fuse_program(prog)
+        fused = fuse_program(_program(key))
         stats = fused.stats
         assert stats["fused_levels"] <= stats["orig_levels"]
         assert stats["levels_fused"] == (stats["orig_levels"]
                                          - stats["fused_levels"])
         assert fused.n_levels == stats["fused_levels"]
-        assert fused.unit_count() == stats["units"]
+        assert fused.n_units == stats["units"]
         assert stats["units"] + stats["gates_absorbed"] == stats["ops"]
         # Fusion must actually bite on these multiplier-heavy designs.
         assert stats["super_gates"] > 0
         assert stats["levels_fused"] > 0
+        if key == "LP":
+            assert stats == LP_FUSION
 
-    @pytest.mark.parametrize("key", sorted(SMALL_COEFSETS)[:2])
+    @pytest.mark.parametrize("key", sorted(SMALL_COEFSETS)[:2] + ["LP"])
     def test_groups_respect_budgets_and_tables(self, key):
-        design = build_small_design(key)
-        prog = compiled_program(elaborate(design.graph))
+        prog = _program(key)
         fused = fuse_program(prog)
-        seen_outs = set()
-        for groups in fused.levels:
-            for g in groups:
-                assert g.n_ext <= MAX_FUSE_INPUTS
-                assert g.n_members <= MAX_FUSE_MEMBERS
-                assert g.ext.shape == (len(g.out), g.n_ext)
-                # External slots of one unit are distinct nets.
-                for row in g.ext:
-                    assert len(set(row.tolist())) == g.n_ext
-                for net in g.out.tolist():
-                    assert net not in seen_outs  # single driver
-                    seen_outs.add(net)
+        n_ext = fused.group_n_ext[fused.unit_group]
+        assert fused.group_n_ext.max() <= MAX_FUSE_INPUTS
+        assert fused.group_members.max() <= MAX_FUSE_MEMBERS
+        # Units run in level order; each level holds whole groups.
+        assert np.all(np.diff(fused.unit_group) >= 0)
+        level = np.repeat(np.arange(fused.n_levels),
+                          np.diff(fused.level_off))
+        assert len(level) == fused.n_units
+        assert not np.any(np.diff(level)[np.diff(fused.unit_group) == 0])
+        # External slots of one unit are distinct nets, then sentinels.
+        for row, k in zip(fused.ext.tolist(), n_ext.tolist()):
+            assert len(set(row[:k])) == k and prog.n_nets not in row[:k]
+            assert row[k:] == [prog.n_nets] * (len(row) - k)
+        # Every unit output has a single driver.
+        assert len(np.unique(fused.out)) == fused.n_units
         # Every original combinational gate is locatable for pin-fault
-        # injection, and every unit output for stuck-at injection.
-        assert len(fused.gate_loc) + len(
-            [1 for gs in fused.levels for g in gs if g.is_dff
-             for _ in g.out]) == fused.stats["ops"]
-        assert len(fused.out_loc) == fused.unit_count()
+        # injection at a member of its unit, and every absorbed gate's
+        # output is a fused-internal net.
+        located = np.flatnonzero(fused.gate_unit >= 0)
+        flops = np.count_nonzero(
+            fused.group_recipe[fused.unit_group, 0, 0]
+            == OP_KINDS.index("dff"))
+        assert located.size + flops == fused.stats["ops"]
+        members = fused.group_members[fused.unit_group]
+        assert np.all(fused.gate_member[located]
+                      < members[fused.gate_unit[located]])
+        assert (np.count_nonzero(fused.internal_unit >= 0)
+                == fused.stats["gates_absorbed"])
 
     def test_fused_program_memoizes_on_program(self):
         design = build_small_design("plain")
         prog = compiled_program(elaborate(design.graph))
         assert fused_program(prog) is fused_program(prog)
+
+    def test_shipped_problem_is_arrays_only(self):
+        """The program a grading pool pickles, its fused table included,
+        holds only arrays, ints and the stats dict, and survives a
+        pickle round trip."""
+        design = build_small_design("plain")
+        nl = elaborate(design.graph)
+        prog, _golden = program_and_golden(nl, np.arange(64))
+        fused = vars(prog)["_fused"]
+        for obj in (prog, fused):
+            for name, value in vars(obj).items():
+                if name == "_fused":
+                    continue
+                if name == "stats":
+                    value = list(value.values())
+                    assert all(type(v) is int for v in value), value
+                    continue
+                assert type(value) is int or (
+                    type(value) is np.ndarray and value.dtype != object), name
+        copy = pickle.loads(pickle.dumps(prog))
+        assert "_fused" in vars(copy)
+        for obj, back in ((prog, copy), (fused, fused_program(copy))):
+            for name, value in vars(obj).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, getattr(back, name)), name
 
 
 def _batch_setup(key, rng, n_vectors=160):
@@ -162,25 +212,30 @@ class TestMemberForces:
         nl, prog, raw, golden, faults = _batch_setup(
             "plain", np.random.default_rng(20261018))
         fused = fused_program(prog)
+        gates = np.flatnonzero(fused.gate_unit >= 0)
+        gate_at = dict(zip(zip(fused.gate_unit[gates].tolist(),
+                               fused.gate_member[gates].tolist()),
+                           gates.tolist()))
         shared = set()
-        for groups in fused.levels:
-            for g in groups:
-                readers = {}
-                for mi, (kind, s0, s1) in enumerate(g.recipe):
-                    srcs = (s0, s1) if kind in ("xor", "and", "or") else (s0,)
-                    for pin, src in enumerate(srcs):
-                        if src >= 0:
-                            readers.setdefault(src, []).append((mi, pin))
-                for pins in readers.values():
-                    if len({mi for mi, _pin in pins}) > 1:
-                        shared.update((row[mi], pin)
-                                      for row in g.elem.tolist()
-                                      for mi, pin in pins)
+        for g, (n_mem, recipe) in enumerate(zip(
+                fused.group_members.tolist(), fused.group_recipe.tolist())):
+            readers = {}
+            for mi, (kind, s0, s1) in enumerate(recipe[:n_mem]):
+                srcs = ((s0, s1) if OP_KINDS[kind] in ("xor", "and", "or")
+                        else (s0,))
+                for pin, src in enumerate(srcs):
+                    if src >= 0:
+                        readers.setdefault(src, []).append((mi, pin))
+            units = np.flatnonzero(fused.unit_group == g).tolist()
+            for pins in readers.values():
+                if len({mi for mi, _pin in pins}) > 1:
+                    shared.update((gate_at[u, mi], pin) for u in units
+                                  for mi, pin in pins)
         pin_faults = [f for f in faults if f.lines[0] == "pins"
                       and len(f.lines[1]) == 1
                       and tuple(map(int, f.lines[1][0])) in shared]
         internal = [f for f in faults if f.lines[0] == "net"
-                    and int(f.lines[1]) in fused.internal_loc]
+                    and fused.internal_unit[int(f.lines[1])] >= 0]
         assert pin_faults and internal
         batch = pin_faults + internal
         first = np.concatenate([

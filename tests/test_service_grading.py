@@ -97,6 +97,25 @@ def test_a_dead_worker_falls_back_and_the_next_job_gets_a_fresh_pool(
         counters["gates.fault_batches"] - after_death["gates.fault_batches"]
 
 
+def test_a_traced_job_counts_its_grading_on_metrics():
+    """A coordinator-traced job's spans ride home in its trace, and its
+    grading counters still count on the service's own /metrics."""
+    config = ServiceConfig(port=0, no_cache=True, workers=2)
+    with ServiceThread(config) as svc:
+        client = svc.client("traced")
+        client.wait_ready(120)
+        doc = client.wait(client.submit("grade-shard", {
+            "design": "LP", "vectors": 128, "indices": list(range(256)),
+            "total": 256, "trace": {"trace_id": "ab" * 16}})["id"],
+            timeout=300)
+        counters = client.metrics()["counters"]
+    assert doc["state"] == "done", doc
+    assert doc["result"]["trace"]["spans"]
+    assert counters["gates.fault_batches"] > 0
+    assert counters["gates.batches_pooled"] == \
+        counters["gates.fault_batches"]
+
+
 def test_abort_terminates_the_grading_processes():
     config = ServiceConfig(port=0, no_cache=True, workers=2,
                            drain_deadline=0.05)
