@@ -597,7 +597,9 @@ class EventCone:
             np.searchsorted(obs, o0), np.searchsorted(obs, o1),
         ], axis=1).tolist()
         # Flat rows: nested lists would wake the garbage collector.
-        recipes = fused.group_recipe[group[o0]].reshape(o0.size, -1)
+        # The width is spelled out: an empty cone has no -1 to infer.
+        recipes = fused.group_recipe[group[o0]].reshape(
+            o0.size, 3 * MAX_FUSE_MEMBERS)
         self.ops: List[_EventOp] = []
         for (k, a, b, s0, s1, v0, v1), recipe in zip(bounds,
                                                       recipes.tolist()):

@@ -280,6 +280,37 @@ class TestFrontierSkip:
         assert np.array_equal(got, expect)
         assert not got.any()
 
+    @pytest.mark.parametrize("key", ["plain", "leading_negative"])
+    def test_batch_of_unread_nets_has_an_empty_cone(self, rng, key):
+        """Stuck-ats on nets no gate reads (primary outputs, and bits a
+        later shift drops) select no cone unit: the outputs are observed
+        through their seed rows alone, and the rest stay missed."""
+        design = build_small_design(key)
+        nl = elaborate(design.graph)
+        prog = compiled_program(nl)
+        read = np.zeros(prog.n_nets, dtype=bool)
+        read[prog.in0] = True
+        read[prog.in1[prog.in1 >= 0]] = True
+        unread = [f for f in enumerate_cell_faults(design.graph, nl)
+                  if f.netlist_fault.lines[0] == "net"
+                  and not read[int(f.netlist_fault.lines[1])]]
+        nets = {int(f.netlist_fault.lines[1]) for f in unread}
+        assert nets & set(prog.output_bits.tolist())
+        assert nets - set(prog.output_bits.tolist())
+        raw = rng.integers(-2048, 2048, size=128)
+        waves = golden_net_waves(
+            prog, pack_input_bits(raw, len(nl.input_bits)))
+        batch = [f.netlist_fault for f in unread]
+        got, _stats = _grade_cone_batch(prog, waves, batch, 64,
+                                        ConeWorkspace())
+        assert np.array_equal(got, _ref_verdicts(nl, raw, batch))
+        assert got.any() and not got.all()
+        keys = [[(f.node_id, f.bit, f.cell_fault) for f in missed]
+                for missed in (gate_level_missed(nl, raw, unread),
+                               gate_level_missed_reference(nl, raw,
+                                                           unread))]
+        assert keys[0] == keys[1]
+
     def test_missed_list_stays_input_ordered(self, rng):
         """The early-exit paths scatter verdicts back by index: missed
         lists preserve enumeration order, not cone-batch order."""
