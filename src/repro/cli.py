@@ -345,28 +345,18 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--faults", type=_at_least(0), default=0,
                          help="restrict to the first N enumerated faults "
                               "(0 = the full fault universe)")
-    cluster.add_argument("--shard-faults", type=int, default=4096,
+    cluster.add_argument("--shard-faults", type=_at_least(1), default=4096,
                          help="max faults per shard; whole cone batches "
                               "are never split (default 4096)")
-    cluster.add_argument("--chunk", type=int, default=0,
-                         help="time-chunk length for detection times "
-                              "(0 = engine default)")
     cluster.add_argument("--misr-width", type=int, default=16,
                          help="MISR signature compaction width "
                               "(default 16)")
     cluster.add_argument("--shard-timeout", type=float, default=600.0,
                          help="seconds before one shard attempt is "
                               "abandoned and re-dispatched (default 600)")
-    cluster.add_argument("--max-retries", type=int, default=4,
-                         help="attempts per shard before the sweep fails "
+    cluster.add_argument("--max-retries", type=_at_least(0), default=4,
+                         help="retries per shard before the sweep fails "
                               "(default 4)")
-    cluster.add_argument("--straggler-factor", type=float, default=3.0,
-                         help="speculate a shard once it runs this "
-                              "multiple of the median shard time "
-                              "(default 3.0)")
-    cluster.add_argument("--straggler-min", type=float, default=60.0,
-                         help="floor on the straggler deadline in "
-                              "seconds (default 60)")
     cluster.add_argument("--poll", type=float, default=2.0,
                          help="long-poll interval against workers "
                               "(default 2s)")
@@ -1264,11 +1254,8 @@ def _cmd_cluster(args) -> int:
         design=args.design, generator=args.generator,
         vectors=args.vectors, width=args.width,
         faults_limit=args.faults, shard_faults=args.shard_faults,
-        chunk=args.chunk,
         misr_width=args.misr_width, shard_timeout=args.shard_timeout,
-        max_retries=args.max_retries,
-        straggler_factor=args.straggler_factor,
-        straggler_min=args.straggler_min, poll=args.poll,
+        max_retries=args.max_retries, poll=args.poll,
         verify=args.verify, cache=cache)
     doc = report.to_doc()
     merged = report.merged
@@ -1279,9 +1266,7 @@ def _cmd_cluster(args) -> int:
           f"({merged.total - merged.detected} missed)  "
           f"signature {doc['signature']}")
     print(f"  {doc['shards']} shard(s), {doc['attempts']} attempt(s), "
-          f"{doc['retries']} retried, {doc['speculated']} speculated, "
-          f"{doc['duplicates']} duplicate result(s)  "
-          f"in {doc['elapsed_seconds']:.2f}s")
+          f"{doc['retries']} retried  in {doc['elapsed_seconds']:.2f}s")
     for worker in doc["workers"]:
         print(f"  worker {worker['endpoint']}: {worker['state']}, "
               f"{worker['shards']} shard(s), {worker['faults']} faults, "
@@ -1314,7 +1299,6 @@ def _cmd_cluster(args) -> int:
                "shards": doc["shards"],
                "attempts": doc["attempts"],
                "retries": doc["retries"],
-               "speculated": doc["speculated"],
                "workers": doc["workers"],
                "shard_timings": doc["shard_timings"]}))
     return 0

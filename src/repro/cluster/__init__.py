@@ -15,9 +15,9 @@ universe grades to bit-identical results.  This package exploits that:
   XOR-merge to exactly the signature a single MISR clocking the full
   canonical response stream would produce;
 * :mod:`~repro.cluster.coordinator` — dispatches shards to a fleet of
-  ``repro serve`` workers, retries failures with capped backoff,
-  re-dispatches stragglers, grafts worker trace payloads into one span
-  tree and appends a ``cluster-sweep`` ledger record.
+  ``repro serve`` workers, retries failures with capped backoff (the
+  one way a shard is recovered, so each is delivered once) and grafts
+  worker trace payloads into one span tree.
 """
 
 from .coordinator import ClusterCoordinator, ClusterReport, run_cluster_sweep

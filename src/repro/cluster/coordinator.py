@@ -4,20 +4,16 @@ The coordinator plans cone-aligned shards (:mod:`~repro.cluster.shards`),
 runs one dispatcher thread per worker endpoint, and drives each shard
 through the existing HTTP+JSON job protocol as a ``grade-shard`` job:
 
-* **Retry with capped backoff** — a failed or timed-out shard goes back
-  on the queue (preferring a *different* endpoint than the one that just
+* **Retry with capped backoff**, the only way a shard is recovered — a
+  shard runs on one endpoint at a time and is delivered once.  A failed
+  or timed-out attempt (a 429/503 submit included) goes back on the
+  queue (preferring a *different* endpoint than the one that just
   failed it) while the failing dispatcher sleeps an exponentially
   growing, jittered, capped backoff; a shard that exhausts
   ``max_retries`` aborts the run with :class:`~repro.errors.ClusterError`.
   A submission the worker refuses at admission (a 4xx other than 429)
   would be refused anywhere, so it aborts the run at once and leaves
   the endpoint's liveness alone.
-* **Straggler re-dispatch** — once the queue is empty, an idle
-  dispatcher speculatively duplicates the longest-inflight shard after a
-  deadline (``straggler_factor`` x the median completed-shard time, at
-  least ``straggler_min``); the merge layer deduplicates by shard id and
-  cross-checks that duplicate deliveries agree, so speculation can only
-  add safety, never skew.
 * **Liveness from dispatch outcomes** — an endpoint is ``suspect``
   after one failed shard in a row, ``dead`` after two, ``live`` after a
   completed shard.  A dead endpoint is fenced while another is not
@@ -105,8 +101,6 @@ class ClusterReport:
     shard_timings: List[Dict[str, Any]]
     attempts: int = 0
     retries: int = 0
-    speculated: int = 0
-    duplicates: int = 0
     elapsed_seconds: float = 0.0
     verified: Optional[bool] = None
 
@@ -124,8 +118,6 @@ class ClusterReport:
             "shards": self.shards,
             "attempts": self.attempts,
             "retries": self.retries,
-            "speculated": self.speculated,
-            "duplicates": self.duplicates,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
             "workers": [w.to_doc() for w in self.workers],
             "shard_timings": list(self.shard_timings),
@@ -146,15 +138,6 @@ class _Rejected(Exception):
     """A worker refused a shard's submission (a non-busy 4xx)."""
 
 
-@dataclass
-class _Inflight:
-    """One running attempt, keyed by ``(shard_id, endpoint)`` — a
-    speculated shard legitimately runs on two endpoints at once."""
-
-    started: float
-    progress_done: int = 0
-
-
 class ClusterCoordinator:
     """Drives a planned shard list through a worker fleet."""
 
@@ -170,8 +153,6 @@ class ClusterCoordinator:
         max_retries: int = 4,
         backoff_base: float = 0.5,
         backoff_cap: float = 15.0,
-        straggler_factor: float = 3.0,
-        straggler_min: float = 60.0,
         poll: float = 2.0,
         client_factory: Optional[Callable[[str], ServiceClient]] = None,
     ):
@@ -189,23 +170,19 @@ class ClusterCoordinator:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.straggler_factor = straggler_factor
-        self.straggler_min = straggler_min
         self.poll = poll
         self._client_factory = client_factory or (
             lambda ep: ServiceClient(
                 ep, client_id=f"cluster-{os.getpid()}",
-                timeout=max(30.0, poll + 10.0), retries=3))
+                timeout=max(30.0, poll + 10.0)))
         self._rng = random.Random(0x5EED)
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._pending: List[_Task] = []
-        self._inflight: Dict[Any, _Inflight] = {}  # (sid, endpoint) keys
+        self._inflight: Dict[int, int] = {}  # shard id -> faults graded
         self._results: List[Dict[str, Any]] = []
         self._done_ids: set = set()
-        self._speculated_ids: set = set()
-        self._completed_seconds: List[float] = []
         self._fatal: Optional[ClusterError] = None
         self._payloads: List[Dict[str, Any]] = []
 
@@ -213,46 +190,18 @@ class ClusterCoordinator:
         self.shard_timings: List[Dict[str, Any]] = []
         self.attempts = 0
         self.retries = 0
-        self.speculated = 0
-        self.duplicates = 0
 
     # ------------------------------------------------------------------
     # Scheduling decisions (all under the lock)
     # ------------------------------------------------------------------
-    def _straggler_deadline(self) -> float:
-        if not self._completed_seconds:
-            return max(self.straggler_min, self.shard_timeout / 2.0)
-        times = sorted(self._completed_seconds)
-        median = times[len(times) // 2]
-        return max(self.straggler_min, self.straggler_factor * median)
-
     def _pick(self, endpoint: str) -> Optional[_Task]:
-        """Next task for ``endpoint``: queued work first (preferring
-        shards that did not just fail here), then a straggler to
-        speculate on; ``None`` means wait."""
+        """Next queued task for ``endpoint``, preferring shards that did
+        not just fail here; ``None`` means wait."""
         for i, task in enumerate(self._pending):
             if task.avoid != endpoint:
                 return self._pending.pop(i)
-        if self._pending:  # only avoid-matching tasks left: take one
-            return self._pending.pop(0)
-        deadline = self._straggler_deadline()
-        now = time.monotonic()
-        candidates = [
-            (info.started, sid, ep)
-            for (sid, ep), info in self._inflight.items()
-            if sid not in self._speculated_ids and ep != endpoint
-            and sid not in self._done_ids
-            and now - info.started > deadline
-        ]
-        if not candidates:
-            return None
-        _started, sid, holder = min(candidates)
-        self._speculated_ids.add(sid)
-        self.speculated += 1
-        logger.warning("cluster: speculatively re-dispatching straggler "
-                       "shard %d (running on %s) to %s", sid, holder,
-                       endpoint)
-        return _Task(self._shards_by_id[sid], attempt=0, avoid=holder)
+        # Only avoid-matching tasks left: take one.
+        return self._pending.pop(0) if self._pending else None
 
     def _finished(self) -> bool:
         return (self._fatal is not None
@@ -271,11 +220,7 @@ class ClusterCoordinator:
         if not tel.enabled:
             return
         done = sum(len(self._shards_by_id[sid]) for sid in self._done_ids)
-        live: Dict[int, int] = {}
-        for (sid, _ep), info in self._inflight.items():
-            if sid not in self._done_ids:
-                live[sid] = max(live.get(sid, 0), info.progress_done)
-        partial = sum(live.values())
+        partial = sum(self._inflight.values())
         tel.progress("cluster.grade", min(done + partial, self.total),
                      self.total, shards_done=len(self._done_ids),
                      shards=len(self._shards_by_id))
@@ -311,10 +256,8 @@ class ClusterCoordinator:
                 stream = (doc.get("progress") or {}).get("gates.grade")
                 if stream is not None:
                     with self._lock:
-                        info = self._inflight.get(
-                            (shard.shard_id, endpoint))
-                        if info is not None:
-                            info.progress_done = int(stream.get("done", 0))
+                        self._inflight[shard.shard_id] = int(
+                            stream.get("done", 0))
                         self._emit_progress(tel)
                 if doc.get("state") in ("done", "failed", "cancelled"):
                     break
@@ -373,8 +316,7 @@ class ClusterCoordinator:
                     self._cond.wait(timeout=1.0)
                 if task is not None:
                     sid = task.shard.shard_id
-                    self._inflight[(sid, endpoint)] = _Inflight(
-                        time.monotonic())
+                    self._inflight[sid] = 0
                     self.attempts += 1
             if task is None:
                 # Fenced, and the last failure's backoff is already
@@ -398,7 +340,7 @@ class ClusterCoordinator:
                     result = self._execute(endpoint, client, task)
             except _Rejected as exc:
                 with self._cond:
-                    self._inflight.pop((sid, endpoint), None)
+                    self._inflight.pop(sid, None)
                     if self._fatal is None:
                         self._fatal = ClusterError(
                             f"shard {sid} rejected by {endpoint}: {exc}")
@@ -415,10 +357,8 @@ class ClusterCoordinator:
                     tally.failures += 1
                     tally.state = ("dead" if consecutive_failures >= 2
                                    else "suspect")
-                    self._inflight.pop((sid, endpoint), None)
-                    if sid in self._done_ids:
-                        pass  # a speculative twin already delivered it
-                    elif task.attempt >= self.max_retries:
+                    self._inflight.pop(sid, None)
+                    if task.attempt >= self.max_retries:
                         self._fatal = ClusterError(
                             f"shard {sid} failed after "
                             f"{task.attempt + 1} attempts; last error "
@@ -439,14 +379,9 @@ class ClusterCoordinator:
             with self._cond:
                 if payload is not None:
                     self._payloads.append(payload)
-                duplicate = sid in self._done_ids
-                if duplicate:
-                    self.duplicates += 1
                 self._results.append(result)
                 self._done_ids.add(sid)
-                self._inflight.pop((sid, endpoint), None)
-                if not duplicate:
-                    self._completed_seconds.append(seconds)
+                self._inflight.pop(sid, None)
                 tally.state = "live"
                 tally.shards += 1
                 tally.faults += len(task.shard)
@@ -457,7 +392,6 @@ class ClusterCoordinator:
                     "attempt": task.attempt,
                     "faults": len(task.shard),
                     "seconds": round(seconds, 6),
-                    "duplicate": duplicate,
                 })
                 self._emit_progress(tel)
                 self._cond.notify_all()
@@ -506,8 +440,6 @@ class ClusterCoordinator:
             shard_timings=self.shard_timings,
             attempts=self.attempts,
             retries=self.retries,
-            speculated=self.speculated,
-            duplicates=self.duplicates,
             elapsed_seconds=time.monotonic() - t0,
         )
 
@@ -521,12 +453,9 @@ def run_cluster_sweep(
     width: int = 12,
     faults_limit: int = 0,
     shard_faults: int = DEFAULT_SHARD_FAULTS,
-    chunk: int = 0,
     misr_width: int = DEFAULT_MISR_WIDTH,
     shard_timeout: float = 600.0,
     max_retries: int = 4,
-    straggler_factor: float = 3.0,
-    straggler_min: float = 60.0,
     poll: float = 2.0,
     verify: bool = False,
     cache=None,
@@ -566,19 +495,14 @@ def run_cluster_sweep(
         "vectors": vectors,
         "width": width,
     }
-    if chunk:
-        job_params["chunk"] = chunk
     coordinator = ClusterCoordinator(
         endpoints, job_params, total=len(faults), test_length=len(raw),
         misr_width=misr_width, shard_timeout=shard_timeout,
-        max_retries=max_retries, straggler_factor=straggler_factor,
-        straggler_min=straggler_min, poll=poll,
-        client_factory=client_factory)
+        max_retries=max_retries, poll=poll, client_factory=client_factory)
     report = coordinator.run(shards)
     if verify:
-        oracle = single_node_grade(
-            nl, raw, faults, misr_width=misr_width, cache=cache,
-            chunk=chunk or None)
+        oracle = single_node_grade(nl, raw, faults, misr_width=misr_width,
+                                   cache=cache)
         report.verified = report.merged.identical_to(oracle)
         if not report.verified:
             raise ClusterError(

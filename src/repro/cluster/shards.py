@@ -7,11 +7,11 @@ the schedule's cone locality inside each worker, and carrying global
 indices makes the merge trivial and order-free: verdicts and detection
 times scatter back by index, the MISR signature merges by XOR of
 per-shard partials (:mod:`repro.cluster.signature`), and coverage
-checkpoints are a pure function of the merged detection times.  The whole pipeline is
-bit-identical to a single-node :func:`gate_level_missed` run for *any*
-partition, permutation or duplicated re-dispatch — the property the
-merge-determinism suite asserts and the CI cluster-smoke job re-proves
-against live workers.
+checkpoints are a pure function of the merged detection times.  The
+whole pipeline is bit-identical to a single-node
+:func:`gate_level_missed` run for *any* partition and delivery order —
+the property the merge-determinism suite asserts and the CI
+cluster-smoke job re-proves against live workers.
 """
 
 from __future__ import annotations
@@ -178,8 +178,6 @@ def grade_shard(
     total: int,
     *,
     misr_width: int = DEFAULT_MISR_WIDTH,
-    misr_poly: int = 0,
-    chunk: Optional[int] = None,
     program=None,
     net_waves: Optional[np.ndarray] = None,
     executor=None,
@@ -206,13 +204,12 @@ def grade_shard(
         raise ClusterError(
             f"fault index {i} >= signature stream length {total}")
     detect = np.full(idx.size, -1, dtype=np.int64)
-    gate_level_missed(nl, input_raw, faults[idx],
-                      chunk=chunk, detect_times=detect, program=program,
-                      net_waves=net_waves, executor=executor)
+    gate_level_missed(nl, input_raw, faults[idx], detect_times=detect,
+                      program=program, net_waves=net_waves,
+                      executor=executor)
     indices = idx.tolist()
     times = detect.tolist()
-    partial = shard_signature_partial(
-        misr_width, indices, times, total, poly=misr_poly)
+    partial = shard_signature_partial(misr_width, indices, times, total)
     return {
         "indices": indices,
         "detected": (detect >= 0).astype(np.int64).tolist(),
@@ -281,32 +278,18 @@ def merge_shard_results(
 ) -> MergedGrade:
     """Fold per-shard results into one :class:`MergedGrade`.
 
-    Duplicate deliveries of the same shard (straggler re-dispatch) are
-    deduplicated by shard id — and cross-checked: a duplicate that
-    *disagrees* with the first delivery means a worker graded wrong, so
-    the merge refuses rather than silently picking one.  The merge also
-    refuses on overlap or gaps: every fault index must be covered by
-    exactly one surviving shard.
+    Every fault index must be covered by exactly one result: the merge
+    refuses gaps and overlaps, a second delivery of a shard included, so
+    no signature partial is ever XORed in twice.
     """
     verdicts = np.zeros(total, dtype=bool)
     detect_times = np.full(total, -1, dtype=np.int64)
-    seen: Dict[Any, Dict[str, Any]] = {}
     covered = np.zeros(total, dtype=bool)
     partials: List[int] = []
     for res in results:
         sid = res.get("shard")
         if sid is None:
             raise ClusterError("shard result is missing its shard id")
-        first = seen.get(sid)
-        if first is not None:
-            for field in ("indices", "detected", "detect_times",
-                          "signature_partial"):
-                if first.get(field) != res.get(field):
-                    raise ClusterError(
-                        f"duplicate deliveries of shard {sid} disagree "
-                        f"on {field!r}")
-            continue
-        seen[sid] = res
         idx = np.asarray(res["indices"], dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= total):
             raise ClusterError(
@@ -337,9 +320,7 @@ def single_node_grade(
     faults: GateFaultTable,
     *,
     misr_width: int = DEFAULT_MISR_WIDTH,
-    misr_poly: int = 0,
     cache=None,
-    chunk: Optional[int] = None,
 ) -> MergedGrade:
     """The single-node oracle the fleet must reproduce bit for bit.
 
@@ -349,14 +330,13 @@ def single_node_grade(
     exercise both sides of the signature identity.
     """
     detect = np.full(len(faults), -1, dtype=np.int64)
-    gate_level_missed(nl, input_raw, faults, cache=cache, chunk=chunk,
+    gate_level_missed(nl, input_raw, faults, cache=cache,
                       detect_times=detect)
     test_length = int(len(input_raw))
     return MergedGrade(
         verdicts=detect >= 0,
         detect_times=detect,
-        signature=stream_signature(misr_width, [int(t) for t in detect],
-                                   poly=misr_poly),
+        signature=stream_signature(misr_width, [int(t) for t in detect]),
         checkpoints=coverage_checkpoints(detect, len(faults), test_length),
         test_length=test_length,
     )

@@ -123,12 +123,11 @@ def _check_cluster_sweep(doc: Dict[str, Any]) -> None:
             raise ReportSchemaError(
                 f"cluster-sweep report: endpoint {worker['endpoint']!r} "
                 f"has unknown state {worker['state']!r}")
-    shard_faults = sum(t["faults"] for t in doc["shard_timings"]
-                       if not t.get("duplicate"))
+    shard_faults = sum(t["faults"] for t in doc["shard_timings"])
     if shard_faults != doc["faults"]:
         raise ReportSchemaError(
-            f"cluster-sweep report: non-duplicate shard timings cover "
-            f"{shard_faults} faults, report claims {doc['faults']}")
+            f"cluster-sweep report: shard timings cover {shard_faults} "
+            f"faults, report claims {doc['faults']}")
 
 
 #: schema tag -> structural validator.

@@ -14,15 +14,14 @@ plain HTTP + JSON, one request per connection.
     print(doc["result"]["proposed_scheme"])
 
 Overload (429 queue full, 503 draining) raises :class:`ServiceBusy`
-carrying the server's ``Retry-After`` hint; ``retries=`` folds the
-backoff loop in.
+carrying the server's ``Retry-After`` hint; the caller decides whether
+and when to try again.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import random
 import time
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
@@ -54,39 +53,20 @@ class ServiceBusy(ServiceClientError):
 class ServiceClient:
     """Minimal synchronous client for one service endpoint.
 
-    ``retries`` opts into transparent 429/503 handling: instead of
-    surfacing the first :class:`ServiceBusy` to the caller, each request
-    is retried up to that many times, sleeping the server's
-    ``Retry-After`` hint grown exponentially per attempt, jittered
-    (0.5x-1x, so synchronized clients desynchronize) and capped at
-    ``retry_cap`` seconds.  A 429 means the request was *rejected before
-    admission*, so retrying a submit is safe.  The default ``retries=0``
-    preserves the original raise-on-first-429 contract.
+    Every request is sent once: a 429 or 503 raises :class:`ServiceBusy`
+    at once, and retrying is the caller's decision.
     """
 
     def __init__(self, base_url: str, *, client_id: str = "anonymous",
-                 timeout: float = 60.0, retries: int = 0,
-                 retry_cap: float = 10.0):
+                 timeout: float = 60.0):
         split = urlsplit(base_url if "//" in base_url
                          else f"http://{base_url}")
         if split.scheme not in ("", "http"):
             raise ReproError(f"only http:// is supported, got {base_url!r}")
-        if retries < 0:
-            raise ReproError(f"retries must be >= 0, got {retries}")
-        if retry_cap <= 0:
-            raise ReproError(f"retry_cap must be positive, got {retry_cap}")
         self.host = split.hostname or "127.0.0.1"
         self.port = split.port or 80
         self.client_id = client_id
         self.timeout = timeout
-        self.retries = retries
-        self.retry_cap = retry_cap
-
-    def _busy_backoff(self, exc: "ServiceBusy", attempt: int) -> float:
-        """Sleep duration before retry ``attempt`` (0-based): the
-        server's hint, doubled per attempt, jittered, capped."""
-        base = max(exc.retry_after, 0.05) * (2.0 ** attempt)
-        return min(base, self.retry_cap) * random.uniform(0.5, 1.0)
 
     # ------------------------------------------------------------------
     # Transport
@@ -114,18 +94,6 @@ class ServiceClient:
     def _checked(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None,
                  ok: Tuple[int, ...] = (200, 202)) -> Dict[str, Any]:
-        for attempt in range(self.retries + 1):
-            try:
-                return self._checked_once(method, path, body, ok)
-            except ServiceBusy as exc:
-                if attempt >= self.retries:
-                    raise
-                time.sleep(self._busy_backoff(exc, attempt))
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _checked_once(self, method: str, path: str,
-                      body: Optional[Dict[str, Any]] = None,
-                      ok: Tuple[int, ...] = (200, 202)) -> Dict[str, Any]:
         status, headers, doc = self._request(method, path, body)
         if status in ok:
             return doc
@@ -154,9 +122,6 @@ class ServiceClient:
         if wait is not None:
             path += f"?wait={wait:g}"
         return self._checked("GET", path)
-
-    def result(self, job_id: str) -> Dict[str, Any]:
-        return self._checked("GET", f"/v1/jobs/{job_id}/result")
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._checked("DELETE", f"/v1/jobs/{job_id}")

@@ -13,8 +13,9 @@ Routes
                                 grade-shard — exact gate-level grading
                                 and the cluster coordinator's unit of
                                 dispatch, see :mod:`repro.cluster`)
-``GET    /v1/jobs/{id}``        poll; ``?wait=SECONDS`` long-polls
-``GET    /v1/jobs/{id}/result`` the result document alone
+``GET    /v1/jobs/{id}``        poll; ``?wait=SECONDS`` long-polls;
+                                a finished job carries ``result`` or
+                                ``error``
 ``DELETE /v1/jobs/{id}``        cancel a queued job
 ``GET    /v1/events``           server-sent-events stream of job state
                                 transitions and live progress snapshots;
@@ -50,7 +51,6 @@ from urllib.parse import parse_qs, urlsplit
 from ..errors import ReproError, ServiceError
 from ..telemetry import TraceContext, get_telemetry
 from .events import sse_frame
-from .jobs import JobState
 
 __all__ = ["HttpApi", "negotiate_media_type"]
 
@@ -66,7 +66,7 @@ _STATUS_TEXT = {
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
-_JOB_PATH = re.compile(r"/v1/jobs/([A-Za-z0-9_.-]+)(/result)?")
+_JOB_PATH = re.compile(r"/v1/jobs/([A-Za-z0-9_.-]+)")
 
 #: (status, payload, extra headers) triple every handler returns.  The
 #: payload is normally a JSON-able dict; a plain ``str`` is sent as-is
@@ -385,12 +385,10 @@ class HttpApi:
             return self.service.submit(self._json_body(body), headers)
         m = _JOB_PATH.fullmatch(path)
         if m:
-            job_id, want_result = m.group(1), bool(m.group(2))
-            if method == "GET" and not want_result:
-                return await self.service.poll(job_id, query)
+            job_id = m.group(1)
             if method == "GET":
-                return self.service.result(job_id)
-            if method == "DELETE" and not want_result:
+                return await self.service.poll(job_id, query)
+            if method == "DELETE":
                 return self.service.cancel(job_id)
             return _error_reply(405, f"{method} not allowed on {path}")
         return _error_reply(404, f"no route for {path}")
@@ -413,16 +411,3 @@ def job_reply(job, status: int = 200) -> Reply:
     """A job snapshot as a handler reply (shared by several routes)."""
     return status, job.to_dict(), {}
 
-
-def result_reply(job) -> Reply:
-    """The ``/result`` document, or the right error for its state."""
-    if job.state is JobState.DONE:
-        return 200, {"id": job.id, "result": job.result}, {}
-    if job.state is JobState.FAILED:
-        return 200, {"id": job.id, "error": job.error,
-                     "state": job.state.value}, {}
-    if job.state is JobState.CANCELLED:
-        return 409, {"id": job.id, "state": job.state.value,
-                     "error": "job was cancelled"}, {}
-    return 409, {"id": job.id, "state": job.state.value,
-                 "error": "job has not finished"}, {}

@@ -165,8 +165,6 @@ def canonical_params(kind: str, params: Optional[Dict[str, Any]]
         out["total"] = _int_param(params, "total", 0, 1, MAX_SHARD_TOTAL)
         out["misr_width"] = _int_param(params, "misr_width", 16,
                                        MIN_MISR_WIDTH, MAX_MISR_WIDTH)
-        # 0 = the engine's default time-chunk length.
-        out["chunk"] = _int_param(params, "chunk", 0, 0, MAX_VECTORS)
         out["indices"] = _index_list(params, "indices", out["total"])
         trace = _trace_param(params)
         if trace is not None:

@@ -29,8 +29,7 @@ from ..experiments import ExperimentContext
 from ..telemetry import (Telemetry, TraceContext, get_telemetry,
                          prometheus_exposition, set_telemetry)
 from .events import EventBroker
-from .http import HttpApi, _error_reply, job_reply, negotiate_media_type, \
-    result_reply
+from .http import HttpApi, _error_reply, job_reply, negotiate_media_type
 from .jobs import Job, JobState, JobStore
 from .queue import JobQueue
 from .workers import WorkerPool
@@ -283,12 +282,6 @@ class EvaluationService:
             except asyncio.TimeoutError:
                 pass
         return job_reply(job, 200)
-
-    def result(self, job_id: str):
-        job = self.store.get(job_id)
-        if job is None:
-            return _error_reply(404, f"no such job {job_id!r}")
-        return result_reply(job)
 
     def cancel(self, job_id: str):
         job = self.store.get(job_id)

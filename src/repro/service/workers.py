@@ -149,7 +149,6 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
                 problem.netlist, problem.stimulus, problem.faults,
                 params["indices"], params["total"],
                 misr_width=params["misr_width"],
-                chunk=params["chunk"] or None,
                 program=problem.program, net_waves=problem.golden,
                 executor=executor)
 

@@ -126,6 +126,10 @@ _BAD_COUNTS = [
     ("--vectors", ["bench", "--vectors", "-1"]),
     ("--vectors", ["cluster", "http://127.0.0.1:9", "--vectors", "0"]),
     ("--faults", ["cluster", "http://127.0.0.1:9", "--faults", "-1"]),
+    ("--shard-faults", ["cluster", "http://127.0.0.1:9",
+                        "--shard-faults", "0"]),
+    ("--max-retries", ["cluster", "http://127.0.0.1:9",
+                       "--max-retries", "-1"]),
     ("--last", ["runs", "trend", "--metric", "faults_per_sec",
                 "--last", "0"]),
     ("--last", ["runs", "trend", "--metric", "faults_per_sec",
@@ -161,8 +165,10 @@ class TestCountFlags:
                 args.bins, args.vectors) == (0, 0, 0, 2, 1)
         assert parse(["profile", "LP", "lfsr1", "--exact", "0"]).exact == 0
         assert parse(["spectrum", "--points", "1"]).points == 1
-        assert parse(["cluster", "http://127.0.0.1:9",
-                      "--faults", "0"]).faults == 0
+        args = parse(["cluster", "http://127.0.0.1:9", "--faults", "0",
+                      "--shard-faults", "1", "--max-retries", "0"])
+        assert (args.faults, args.shard_faults, args.max_retries) \
+            == (0, 1, 0)
 
 
 class TestBenchNow:

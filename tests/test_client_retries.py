@@ -1,10 +1,11 @@
-"""ServiceClient's opt-in 429/503 retry loop (no live server needed)."""
+"""ServiceClient sends each request once: a 429/503 raises
+:class:`ServiceBusy` with the server's ``Retry-After`` hint at once, and
+retrying is the caller's decision (no live server needed)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError
 from repro.service.client import ServiceBusy, ServiceClient
 
 
@@ -30,69 +31,27 @@ def _no_sleep(monkeypatch):
     return slept
 
 
-class TestConstruction:
-    def test_defaults_off(self):
-        client = ServiceClient("http://127.0.0.1:1")
-        assert client.retries == 0
-        assert client.retry_cap == 10.0
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            ServiceClient("http://127.0.0.1:1", retries=-1)
-        with pytest.raises(ReproError):
-            ServiceClient("http://127.0.0.1:1", retry_cap=0.0)
-
-
 class TestRetryLoop:
     def test_zero_retries_raises_immediately(self, monkeypatch):
         client = ServiceClient("http://x:1")
         calls = _scripted(monkeypatch, client,
-                          [(429, {"retry-after": "0.2"})])
-        slept = _no_sleep(monkeypatch)
-        with pytest.raises(ServiceBusy):
-            client.submit("rank", {})
-        assert len(calls) == 1
-        assert slept == []
-
-    def test_busy_then_success(self, monkeypatch):
-        client = ServiceClient("http://x:1", retries=3)
-        calls = _scripted(monkeypatch, client,
                           [(429, {"retry-after": "0.2"}),
-                           (503, {"retry-after": "0.4"}),
-                           (202, {})])
+                           (503, {"retry-after": "5"})])
         slept = _no_sleep(monkeypatch)
-        doc = client.submit("rank", {})
-        assert doc == {"state": "queued"}
-        assert len(calls) == 3
-        assert len(slept) == 2
-        # attempt 0: hint 0.2 -> [0.1, 0.2]; attempt 1: 0.4*2 -> [0.4, 0.8]
-        assert 0.1 <= slept[0] <= 0.2
-        assert 0.4 <= slept[1] <= 0.8
-
-    def test_exhaustion_raises_last_busy(self, monkeypatch):
-        client = ServiceClient("http://x:1", retries=2)
-        calls = _scripted(monkeypatch, client,
-                          [(429, {"retry-after": "0.1"})] * 5)
-        slept = _no_sleep(monkeypatch)
-        with pytest.raises(ServiceBusy):
+        with pytest.raises(ServiceBusy) as excinfo:
             client.submit("rank", {})
-        assert len(calls) == 3  # initial + 2 retries
-        assert len(slept) == 2
-
-    def test_backoff_capped(self, monkeypatch):
-        client = ServiceClient("http://x:1", retries=1, retry_cap=0.5)
-        exc = ServiceBusy(429, "busy", {}, retry_after=100.0)
-        for attempt in range(4):
-            assert client._busy_backoff(exc, attempt) <= 0.5
-
-    def test_backoff_floors_tiny_hints(self):
-        client = ServiceClient("http://x:1", retries=1)
-        exc = ServiceBusy(429, "busy", {}, retry_after=0.0)
-        assert client._busy_backoff(exc, 0) >= 0.025  # 0.05 * 0.5 jitter
+        assert excinfo.value.status == 429
+        assert excinfo.value.retry_after == 0.2
+        with pytest.raises(ServiceBusy) as excinfo:
+            client.submit("rank", {})
+        assert excinfo.value.status == 503
+        assert excinfo.value.retry_after == 5.0
+        assert len(calls) == 2
+        assert slept == []
 
     def test_non_busy_errors_not_retried(self, monkeypatch):
         from repro.service.client import ServiceClientError
-        client = ServiceClient("http://x:1", retries=5)
+        client = ServiceClient("http://x:1")
         calls = _scripted(monkeypatch, client, [(500, {})])
         with pytest.raises(ServiceClientError) as excinfo:
             client.submit("rank", {})

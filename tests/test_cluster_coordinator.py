@@ -1,5 +1,5 @@
 """Coordinator against a live in-process fleet: dispatch, failure
-reassignment, dead endpoints, and single-node identity."""
+reassignment, dead and draining endpoints, and single-node identity."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from repro.cluster import Shard, run_cluster_sweep, shard_signature_partial
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.errors import ClusterError
-from repro.service.client import ServiceBusy, ServiceClientError
+from repro.service.client import ServiceBusy, ServiceClient, ServiceClientError
 from repro.service.lifecycle import ServiceConfig
 from repro.service.testing import ServiceThread
 
@@ -41,9 +41,8 @@ class TestFleetSweep:
         doc = report.to_doc()
         assert doc["signature"].startswith("0x")
         assert all(w["state"] == "live" for w in doc["workers"])
-        assert sum(w["shards"] for w in doc["workers"]) >= report.shards
-        assert sum(t["faults"] for t in doc["shard_timings"]
-                   if not t["duplicate"]) == 600
+        assert sum(w["shards"] for w in doc["workers"]) == report.shards
+        assert sum(t["faults"] for t in doc["shard_timings"]) == 600
 
     def test_later_sweeps_grade_their_own_stimulus(self, fleet):
         # Sweeps from one process against one worker, each with other
@@ -270,6 +269,62 @@ class TestRejectedSubmit:
         assert report.retries == 1
 
 
+class _DrainingFleet:
+    """Scripted transport for two endpoints: host ``a`` answers every
+    submit with 503 and ``Retry-After: 5``, as a draining worker does;
+    host ``b`` accepts each job and returns it done, graded like an
+    :class:`_InstantClient`.  ``b`` holds its answers until ``a`` has
+    refused a submit, so ``a`` is sure to get an attempt."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.submits = {"a": 0, "b": 0}
+        self.graded = _InstantClient()
+
+    def request(self, client, method, path, body=None):
+        if path == "/healthz":
+            return 200, {}, {"status": "ok"}
+        if method == "POST":
+            with self.cond:
+                self.submits[client.host] += 1
+                self.cond.notify_all()
+            if client.host == "a":
+                return 503, {"retry-after": "5"}, {"error": "draining"}
+            return 202, {}, self.graded.submit(body["kind"], body["params"])
+        with self.cond:
+            self.cond.wait_for(lambda: self.submits["a"] >= 1, timeout=20.0)
+        job_id = path.split("?")[0].rsplit("/", 1)[1]
+        return 200, {}, self.graded.job(job_id)
+
+
+class TestDrainingWorker:
+    def test_a_draining_workers_shard_moves_at_once(self, monkeypatch):
+        import repro.service.client as client_module
+
+        fleet = _DrainingFleet()
+        monkeypatch.setattr(
+            ServiceClient, "_request",
+            lambda self, method, path, body=None:
+                fleet.request(self, method, path, body))
+        slept = []
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        # The default client factory: a 503 fails the attempt at once,
+        # with no client-side sleeping and resubmitting first.
+        coord = ClusterCoordinator(
+            ["http://a:1", "http://b:2"], {}, total=4, test_length=8,
+            poll=0.01, backoff_base=0.05)
+        report = coord.run([Shard(0, (0, 1)), Shard(1, (2, 3))])
+        tallies = {w.endpoint: w for w in report.workers}
+        assert report.merged.total == 4
+        assert tallies["http://b:2"].shards == 2
+        assert {t["endpoint"] for t in report.shard_timings} \
+            == {"http://b:2"}
+        assert tallies["http://a:1"].shards == 0
+        # Every attempt on A failed, each after exactly one submit.
+        assert fleet.submits["a"] == tallies["http://a:1"].failures >= 1
+        assert slept == []
+
+
 class TestFaultsLimit:
     def test_negative_faults_limit_rejected_before_dispatch(self):
         # A negative limit would slice faults from the end; it must fail
@@ -295,16 +350,6 @@ class TestSchedulingUnits:
                                    (4, 4.0), (10, 4.0)):
             measured = coord._backoff(consecutive)
             assert 0.5 * delay <= measured <= 1.5 * delay
-
-    def test_straggler_deadline_floors_and_scales(self):
-        coord = self._coordinator(straggler_factor=3.0, straggler_min=5.0,
-                                  shard_timeout=100.0)
-        # No completions yet: half the shard timeout.
-        assert coord._straggler_deadline() == 50.0
-        coord._completed_seconds = [1.0, 1.0, 1.0]
-        assert coord._straggler_deadline() == 5.0  # floor wins
-        coord._completed_seconds = [2.0, 10.0, 4.0]
-        assert coord._straggler_deadline() == 12.0  # 3x median
 
     def test_requires_endpoints(self):
         with pytest.raises(ClusterError):

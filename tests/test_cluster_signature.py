@@ -79,7 +79,7 @@ class TestPartials:
 
     def test_duplicate_partial_cancels(self):
         # XORing a duplicated shard wipes its contribution — the reason
-        # the merge deduplicates by shard id instead of blindly XORing.
+        # the merge refuses a second delivery of a shard.
         partial = shard_signature_partial(16, [0], [0x123], 4)
         assert partial != 0
         assert combine_partials([partial, partial]) == 0

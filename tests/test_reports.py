@@ -52,9 +52,8 @@ def _cluster_sweep():
                      "shards": 2, "faults": 10, "busy_seconds": 1.0,
                      "failures": 0}],
         "shard_timings": [
-            {"shard": 0, "faults": 6, "duplicate": False},
-            {"shard": 1, "faults": 4, "duplicate": False},
-            {"shard": 1, "faults": 4, "duplicate": True},
+            {"shard": 0, "faults": 6},
+            {"shard": 1, "faults": 4},
         ],
     }
 

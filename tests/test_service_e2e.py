@@ -67,8 +67,7 @@ def test_mixed_load_matches_direct_calls(ctx):
 
         def drive(client_idx, specs):
             client = ServiceClient(svc.base_url,
-                                   client_id=f"client-{client_idx}",
-                                   retries=12)
+                                   client_id=f"client-{client_idx}")
             try:
                 submitted = [(seq, spec, client.submit(spec[0], spec[1]))
                              for seq, spec in enumerate(specs)]

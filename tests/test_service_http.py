@@ -99,8 +99,6 @@ class TestJobEndpoints:
         done = client.wait(job["id"], timeout=60)
         assert done["state"] == "done"
         assert done["result"]["generator"] == "LFSR-1/8"
-        again = client.result(job["id"])
-        assert again["result"] == done["result"]
 
     def test_long_poll_returns_finished_job(self, client):
         job = client.submit("rank", {"design": "LP", "vectors": 128})
@@ -116,22 +114,10 @@ class TestJobEndpoints:
         doc = client.cancel(job["id"])
         assert doc["state"] == "done"  # finishing won the race; no 409
 
-    def test_result_before_finish_is_409(self, client):
-        # Immediately asking for a rank job's result races ahead of the
-        # worker with near-certainty, but tolerate a DONE if the machine
-        # is absurdly fast.
-        job = client.submit("rank", {"design": "HP", "vectors": 256})
-        try:
-            doc = client.result(job["id"])
-            assert "result" in doc
-        except ServiceClientError as err:
-            assert err.status == 409
-        client.wait(job["id"], timeout=60)
-
 
 class TestErrorPaths:
     def test_unknown_job_404(self, client):
-        for call in (client.job, client.result, client.cancel):
+        for call in (client.job, client.cancel):
             with pytest.raises(ServiceClientError) as err:
                 call("j-nope-000000")
             assert err.value.status == 404

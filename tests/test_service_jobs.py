@@ -57,6 +57,14 @@ class TestCanonicalParams:
             canonical_params("rank", params)
         assert err.value.status == 400
 
+    def test_grade_shard_takes_no_chunk(self):
+        params = {"total": 4, "indices": [0, 1]}
+        assert "chunk" not in canonical_params("grade-shard", params)
+        with pytest.raises(ServiceError,
+                           match="unknown parameter.*chunk") as err:
+            canonical_params("grade-shard", dict(params, chunk=64))
+        assert err.value.status == 400
+
     def test_unknown_name_is_http_400(self):
         # Resolver errors must surface as client errors, not 500s.
         from repro.errors import ReproError
