@@ -424,9 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r_watch.add_argument("--url", default="http://127.0.0.1:8337",
                          help="service base URL "
                               "(default http://127.0.0.1:8337)")
-    r_watch.add_argument("--interval", type=float, default=2.0,
-                         help="poll interval when the event stream is "
-                              "unavailable (default 2s)")
     r_watch.add_argument("--timeout", type=float, default=0.0,
                          help="overall deadline in seconds: exit "
                               "nonzero if the job is not terminal by "
@@ -1167,7 +1164,6 @@ def _cmd_runs_watch(args) -> int:
                 if args.timeout > 0 else None)
     timed_out = False
     final_state = None
-    poll_reason = None
     try:
         for event in client.events(args.job, deadline=args.timeout
                                    if args.timeout > 0 else None):
@@ -1187,34 +1183,18 @@ def _cmd_runs_watch(args) -> int:
                     break
             elif name == "shutdown":
                 break
-    except TimeoutError as exc:
-        # The stream going quiet before the deadline is a transport
-        # problem, not expiry — poll the job instead.
-        if deadline is not None and time.monotonic() >= deadline:
-            timed_out = True
-        else:
-            poll_reason = exc
     except (ServiceClientError, OSError) as exc:
-        if isinstance(exc, ServiceClientError) and exc.status == 404:
-            print(f"repro: no such job {args.job!r} at {args.url}",
-                  file=sys.stderr)
-            return 1
-        poll_reason = exc
-    if poll_reason is not None:
-        logger.info("event stream unavailable (%s); falling back to "
-                    "polling", poll_reason)
-        while final_state is None and not timed_out:
-            if deadline is not None and time.monotonic() >= deadline:
-                timed_out = True
-                break
-            doc = client.job(args.job,
-                             wait=min(max(args.interval, 0.1), 30.0))
-            for stream, pdoc in sorted((doc.get("progress") or {}).items()):
-                render(stream, pdoc)
-            if doc.get("state") in ("done", "failed", "cancelled"):
-                final_state = doc["state"]
+        # A stream that fails before the deadline (a refused
+        # connection, an unknown job, a silent socket) ends the watch.
+        if deadline is None or time.monotonic() < deadline:
+            if isinstance(exc, ServiceClientError) and exc.status == 404:
+                print(f"repro: no such job {args.job!r} at {args.url}",
+                      file=sys.stderr)
             else:
-                time.sleep(max(args.interval, 0.1))
+                print(f"repro: event stream of job {args.job} at "
+                      f"{args.url} failed: {exc}", file=sys.stderr)
+            return 1
+        timed_out = True
     if is_tty:
         print()
     if timed_out:

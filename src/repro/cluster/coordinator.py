@@ -429,8 +429,7 @@ class ClusterCoordinator:
         if self._fatal is not None:
             raise self._fatal
         merged = merge_shard_results(
-            self.total, self._results, test_length=self.test_length,
-            misr_width=self.misr_width)
+            self.total, self._results, test_length=self.test_length)
         return ClusterReport(
             merged=merged,
             params=dict(self.job_params, total=self.total,

@@ -274,7 +274,6 @@ def merge_shard_results(
     results: Sequence[Dict[str, Any]],
     *,
     test_length: int,
-    misr_width: int = DEFAULT_MISR_WIDTH,
 ) -> MergedGrade:
     """Fold per-shard results into one :class:`MergedGrade`.
 

@@ -30,7 +30,7 @@ from typing import Iterable, List, Sequence
 import numpy as np
 
 from ..errors import GeneratorError
-from ..generators.polynomials import default_poly, degree
+from ..generators.polynomials import default_poly
 
 __all__ = [
     "combine_partials",
@@ -44,21 +44,18 @@ __all__ = [
 Matrix = List[int]
 
 
-def resolve_poly(width: int, poly: int = 0) -> int:
-    """The MISR feedback polynomial, defaulting like :class:`Misr`."""
+def resolve_poly(width: int) -> int:
+    """The MISR feedback polynomial: :class:`Misr`'s default for
+    ``width``."""
     if width < 2:
         raise GeneratorError(f"MISR width must be >= 2, got {width}")
-    poly = poly or default_poly(width)
-    if degree(poly) != width:
-        raise GeneratorError(
-            f"polynomial degree {degree(poly)} != width {width}")
-    return poly
+    return default_poly(width)
 
 
-def step_matrix(width: int, poly: int = 0) -> Matrix:
+def step_matrix(width: int) -> Matrix:
     """One MISR clock as a linear map: shift left, fold the poly on a
     set MSB (injection of the input word is handled separately)."""
-    poly = resolve_poly(width, poly)
+    poly = resolve_poly(width)
     mask = (1 << width) - 1
     low = poly & mask
     cols: Matrix = []
@@ -85,17 +82,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [mat_vec(a, col) for col in b]
 
 
-def _squarings(width: int, poly: int, max_exp: int) -> List[Matrix]:
+def _squarings(width: int, max_exp: int) -> List[Matrix]:
     """``[L, L^2, L^4, ...]`` covering exponents up to ``max_exp``."""
-    mats = [step_matrix(width, poly)]
+    mats = [step_matrix(width)]
     while (1 << len(mats)) <= max_exp:
         mats.append(mat_mul(mats[-1], mats[-1]))
     return mats
 
 
 def shard_signature_partial(width: int, positions: Sequence[int],
-                            words: Sequence[int], total: int,
-                            poly: int = 0) -> int:
+                            words: Sequence[int], total: int) -> int:
     """One shard's contribution to the full-stream MISR signature.
 
     ``positions`` are the global stream indices (0-based, ``< total``)
@@ -103,7 +99,7 @@ def shard_signature_partial(width: int, positions: Sequence[int],
     ``XOR_i L^(total-1-positions[i]) (words[i] & mask)``.  XOR the
     partials of a complete, non-overlapping partition together
     (:func:`combine_partials`) and you have exactly
-    ``Misr(width, poly).signature(full_stream)`` for a zero seed.
+    ``Misr(width).signature(full_stream)`` for a zero seed.
     """
     if len(positions) != len(words):
         raise GeneratorError(
@@ -111,7 +107,7 @@ def shard_signature_partial(width: int, positions: Sequence[int],
             f"{len(positions)} != {len(words)}")
     if total <= 0:
         return 0
-    poly = resolve_poly(width, poly)
+    mats = _squarings(width, max(total - 1, 1))
     mask = (1 << width) - 1
     pos = np.array([int(p) for p in positions], dtype=np.int64)
     bad = pos[(pos < 0) | (pos >= total)]
@@ -123,7 +119,7 @@ def shard_signature_partial(width: int, positions: Sequence[int],
     dtype = np.uint64 if width <= 64 else object
     vals = np.array([int(w) & mask for w in words], dtype=dtype)
     exps = (total - 1) - pos
-    for j, cols in enumerate(_squarings(width, poly, max(total - 1, 1))):
+    for j, cols in enumerate(mats):
         sel = np.flatnonzero((exps >> j) & 1)
         if not sel.size:
             continue
@@ -143,10 +139,9 @@ def combine_partials(partials: Iterable[int]) -> int:
     return sig
 
 
-def stream_signature(width: int, words: Sequence[int],
-                     poly: int = 0) -> int:
+def stream_signature(width: int, words: Sequence[int]) -> int:
     """The single-node oracle: clock a real :class:`Misr` over the
     stream (zero seed, matching the partial algebra)."""
     from ..bist.misr import Misr
 
-    return Misr(width, poly, seed=0).signature(words)
+    return Misr(width, seed=0).signature(words)

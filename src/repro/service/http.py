@@ -277,12 +277,6 @@ class HttpApi:
         terminal state — so ``repro runs watch`` terminates by itself.
         """
         service = self.service
-        broker = getattr(service, "events", None)
-        if broker is None:
-            status, payload, extra = _error_reply(
-                503, "event streaming is not enabled")
-            await self._respond(writer, status, payload, extra)
-            return status
         job_filter = None
         initial_job = None
         if query.get("job"):
@@ -298,7 +292,7 @@ class HttpApi:
                 "Cache-Control: no-cache\r\n"
                 "Connection: close\r\n\r\n")
         writer.write(head.encode("latin-1"))
-        queue = broker.subscribe()
+        queue = service.events.subscribe()
         tel = get_telemetry()
         if tel.enabled:
             tel.counter("service.events.streams").add(1)
@@ -339,7 +333,7 @@ class HttpApi:
         except ConnectionError:
             return 200  # client hung up; normal for a watch stream
         finally:
-            broker.unsubscribe(queue)
+            service.events.unsubscribe(queue)
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Any,

@@ -205,8 +205,9 @@ class Job:
     #: by the worker thread while the job runs; plain dict assignment so
     #: pollers on the event loop always see a consistent snapshot.
     progress: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    #: Where this job hangs in the submitting request's trace; the
-    #: worker's spans merge back under it (None when telemetry is off).
+    #: Where this job's spans hang, set at submit: the coordinator's
+    #: span for a traced ``grade-shard`` job, else the submitting
+    #: request's span.
     trace: Optional[TraceContext] = field(default=None, repr=False)
     done: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 

@@ -244,9 +244,12 @@ class EvaluationService:
         if params is not None and not isinstance(params, dict):
             raise ServiceError("'params' must be an object", status=400)
         job = self.store.create(kind, params, client=client)
-        # Captured inside the request span, so the worker's spans merge
-        # back under the request that submitted the job.
-        job.trace = TraceContext.current()
+        # Chosen once, so the job document, its ledger record and its
+        # spans name one trace: a coordinator's shard hangs under the
+        # coordinator's span, any other job under this request span.
+        remote = job.params.get("trace")
+        job.trace = (TraceContext.current() if remote is None
+                     else TraceContext(remote["trace_id"], remote["span_id"]))
         try:
             self.queue.put_nowait(job)
         except ServiceError:

@@ -118,14 +118,13 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
 
     if grading is not None:
         grading.start()  # the workers start while the problem builds
-    outer = get_telemetry()
     # Every shard of a problem reads one prepared build; the lock
     # guards the build and its lookup.  Shards graded in worker
     # processes run side by side.  In-process grading holds the lock
     # throughout, and a broken pool's fallback takes it for each batch,
     # because the cone sweep holds the GIL and two threads grade slower
     # than one.
-    with outer.span("service.grade_wait"):
+    with get_telemetry().span("service.grade_wait"):
         ctx.grading_lock.acquire()
     locked = True
     try:
@@ -144,35 +143,12 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
             ctx.grading_lock.release()
             locked = False
 
-        def grade() -> Dict[str, Any]:
-            return grade_shard(
-                problem.netlist, problem.stimulus, problem.faults,
-                params["indices"], params["total"],
-                misr_width=params["misr_width"],
-                program=problem.program, net_waves=problem.golden,
-                executor=executor)
-
-        trace = params.get("trace")
-        if trace is None:
-            doc = grade()
-        else:
-            # A coordinator's shard runs under a *nested* child
-            # collector joined to the coordinator's trace; its payload
-            # rides home inside the result so a multi-node sweep grafts
-            # into one span tree.  Progress is forwarded to the job's
-            # collector so the job document (which the coordinator
-            # polls) still updates live, and the metrics merge into it
-            # too, so this service's /metrics counts the grading.
-            def _forward(state) -> None:
-                if outer.enabled:
-                    outer.progress(state.name, state.done, state.total,
-                                   **state.fields)
-
-            ctx_trace = TraceContext(trace["trace_id"], trace.get("span_id"))
-            with child_collector(ctx_trace, on_progress=_forward) as handle:
-                doc = grade()
-            doc["trace"] = handle.payload
-            outer.absorb({"metrics": handle.payload["metrics"]})
+        doc = grade_shard(
+            problem.netlist, problem.stimulus, problem.faults,
+            params["indices"], params["total"],
+            misr_width=params["misr_width"],
+            program=problem.program, net_waves=problem.golden,
+            executor=executor)
     finally:
         if locked:
             ctx.grading_lock.release()
@@ -188,19 +164,22 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
 
 
 def _execute_traced(ctx, kind: str, params: Dict[str, Any],
-                    trace: Optional[TraceContext], on_progress=None,
+                    trace: TraceContext, on_progress,
                     grading: Optional["GradingProcesses"] = None
                     ) -> Tuple[Outcome, Optional[Dict[str, Any]]]:
-    """Executor entry point: one job, with trace propagation.
+    """Executor entry point: one job under its one child collector.
 
     Runs :func:`execute_job` on the executor thread inside a child
-    collector joined to ``trace`` (the span of the HTTP request that
-    submitted the job), wrapped in a ``service.job`` span; the payload
-    rides back so the event loop can graft it under that request.
-    ``on_progress`` observes the child collector's live progress
-    streams (fired on this executor thread) so the pool can surface
-    them on the job document while the job is still running.  A failing
-    job becomes an ``("error", message)`` outcome, never an exception.
+    collector joined to ``trace`` (chosen at submit: the coordinator's
+    span for a traced ``grade-shard`` job, else the span of the HTTP
+    request that submitted the job), wrapped in a ``service.job`` span.
+    ``on_progress`` observes the collector's live progress streams
+    (fired on this executor thread) so the pool can surface them on the
+    job document while the job is still running.  The payload rides
+    back so the event loop can absorb it; a coordinator's shard also
+    carries it home as its result's ``trace``, so a multi-node sweep
+    grafts into one span tree.  A failing job becomes an
+    ``("error", message)`` outcome, never an exception.
     """
     with child_collector(trace, on_progress=on_progress) as handle:
         with get_telemetry().span("service.job", kind=kind):
@@ -211,6 +190,8 @@ def _execute_traced(ctx, kind: str, params: Dict[str, Any],
                 logger.warning("job execution failed (%s %r): %s", kind,
                                params, exc)
                 outcome = ("error", f"{type(exc).__name__}: {exc}")
+    if outcome[0] == "ok" and "trace" in params:
+        outcome[1]["trace"] = handle.payload
     return outcome, handle.payload
 
 
@@ -320,15 +301,15 @@ class WorkerPool:
     """Asyncio workers + a thread-pool executor for the blocking work."""
 
     def __init__(self, queue: JobQueue, store: JobStore, context, *,
-                 workers: int = 2, events=None):
+                 workers: int = 2, events):
         if workers <= 0:
             raise ServiceError(f"workers must be positive, got {workers}")
         self.queue = queue
         self.store = store
         self.context = context
         self.workers = workers
-        #: Optional :class:`~repro.service.events.EventBroker`; job state
-        #: transitions and live progress snapshots are published to it.
+        #: The service's :class:`~repro.service.events.EventBroker`; job
+        #: state transitions and live progress snapshots go to it.
         self.events = events
         #: Optional hook called (on the event loop) with each job as it
         #: reaches a terminal state — the lifecycle layer hangs run-ledger
@@ -410,9 +391,8 @@ class WorkerPool:
             merged = dict(job.progress or {})
             merged[state.name] = doc
             job.progress = merged
-            if self.events is not None:
-                self.events.publish(
-                    "progress", dict(doc, job=job.id, stream=state.name))
+            self.events.publish(
+                "progress", dict(doc, job=job.id, stream=state.name))
 
         self.inflight += 1
         try:
@@ -449,6 +429,5 @@ class WorkerPool:
                                  job.id)
 
     def _publish_state(self, job: Job) -> None:
-        if self.events is not None:
-            self.events.publish("job", {"job": job.id, "kind": job.kind,
-                                        "state": job.state.value})
+        self.events.publish("job", {"job": job.id, "kind": job.kind,
+                                    "state": job.state.value})

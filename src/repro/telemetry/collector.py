@@ -154,10 +154,6 @@ class Telemetry:
             except TelemetryError as exc:
                 logger.warning("dropping unmergeable child metric %r: %s",
                                event.get("name"), exc)
-        for event in payload.get("progress") or ():
-            self._emit(event)
-            state = self.progress_streams.merge_event(event)
-            self.progress_streams.notify(state)
 
     def _graft(self, root: Span) -> None:
         stack = [root]
@@ -223,9 +219,8 @@ class Telemetry:
         ``total`` and any extra numeric fields (running coverage,
         dropped counts, ...) ride along.  Each update is emitted to the
         sinks as a flat ``progress`` event and pushed to in-process
-        subscribers (see :meth:`on_progress`); child collectors ship
-        their latest stream states back to the parent in the same
-        payload as spans and metrics.
+        subscribers (see :meth:`on_progress`).  Streams stay in this
+        collector: a child collector's payload carries none.
         """
         state = self.progress_streams.update(name, done, total, **fields)
         self.counter("telemetry.progress_updates").add(1)

@@ -6,19 +6,16 @@ ten-minute fault-grading job has got *right now*.  A progress stream
 does: a named, monotone ``done / total`` cursor with free-form numeric
 fields riding along (running coverage, faults dropped), published
 through :meth:`Telemetry.progress()
-<repro.telemetry.collector.Telemetry.progress>` and consumed three
-ways:
+<repro.telemetry.collector.Telemetry.progress>` and consumed two ways:
 
 * **listeners** — in-process subscribers (the evaluation service
   forwards updates onto job documents and the ``/v1/events`` SSE
   stream);
 * **sinks** — every update is also a flat ``progress`` event, so JSONL
-  traces replay the stream;
-* **payloads** — child collectors ship their latest stream states
-  across process boundaries exactly like spans and metric deltas, and
-  :meth:`Telemetry.absorb() <repro.telemetry.collector.Telemetry.absorb>`
-  merges them monotonically (``done`` never moves backwards), so a
-  crashed-then-fallback pool chunk cannot rewind a stream.
+  traces replay the stream.
+
+Streams stay in the collector that advanced them: a child collector's
+payload carries spans and metrics only.
 
 The paper's own method motivates the shape of the stream: detection
 quality is predicted and tracked *over test length* (PAPER.md §1.3),
@@ -34,11 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 __all__ = ["ProgressState", "ProgressStream", "progress_eta"]
-
-#: Fields a progress event always carries; everything else in the
-#: update is a free-form numeric annotation (coverage, dropped, ...).
-CORE_FIELDS = ("type", "name", "done", "total", "unix", "elapsed_seconds")
-
 
 def progress_eta(done: float, total: Optional[float],
                  elapsed: float) -> Optional[float]:
@@ -83,7 +75,7 @@ class ProgressState:
         return progress_eta(self.done, self.total, self.elapsed_seconds)
 
     def to_event(self) -> Dict[str, Any]:
-        """The flat ``progress`` event shipped to sinks and payloads."""
+        """The flat ``progress`` event emitted to sinks."""
         event: Dict[str, Any] = {
             "type": "progress",
             "name": self.name,
@@ -116,8 +108,7 @@ class ProgressStream:
     Owned by a :class:`~repro.telemetry.collector.Telemetry`; user code
     goes through ``tel.progress(name, done, total=...)`` rather than
     holding a stream directly.  Updates are monotone per name: ``done``
-    only advances (merging a stale cross-process snapshot is a no-op),
-    annotation fields adopt the newest values.
+    only advances, annotation fields adopt the newest values.
     """
 
     def __init__(self) -> None:
@@ -142,29 +133,9 @@ class ProgressStream:
                 state.fields[key] = value
         return state
 
-    def merge_event(self, event: Dict[str, Any]) -> ProgressState:
-        """Fold a shipped ``progress`` event into this registry.
-
-        Cross-process merge discipline: ``done`` is max-merged,
-        ``total`` adopted when present, extra fields adopted — so
-        replayed or out-of-order snapshots (e.g. a pool chunk that
-        crashed and was re-run serially in the parent) never rewind a
-        stream.
-        """
-        fields = {k: v for k, v in event.items() if k not in CORE_FIELDS}
-        return self.update(str(event["name"]), float(event["done"] or 0.0),
-                           event.get("total"), **fields)
-
     # ------------------------------------------------------------------
-    def get(self, name: str) -> Optional[ProgressState]:
-        return self._states.get(name)
-
     def states(self) -> Dict[str, ProgressState]:
         return dict(self._states)
-
-    def events(self) -> list:
-        """Latest state of every stream as payload-ready events."""
-        return [state.to_event() for state in self._states.values()]
 
     # ------------------------------------------------------------------
     def subscribe(self, listener: Callable[[ProgressState], None]

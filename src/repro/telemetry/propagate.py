@@ -63,7 +63,8 @@ class TraceContext:
 
 def collector_payload(tel: Telemetry,
                       span_events: Optional[list] = None) -> Dict[str, object]:
-    """A collector's session as one merge-ready payload dict.
+    """A collector's finished work as one merge-ready payload dict: its
+    ``spans``, its ``metrics`` and the ``pid`` that recorded them.
 
     ``span_events`` overrides the span-event list (e.g. an
     :class:`~repro.telemetry.sinks.InMemorySink`'s buffer, which has
@@ -79,7 +80,6 @@ def collector_payload(tel: Telemetry,
     return {
         "spans": list(span_events),
         "metrics": [inst.to_event() for inst in tel.metrics().values()],
-        "progress": tel.progress_streams.events(),
         "pid": os.getpid(),
     }
 
@@ -102,31 +102,17 @@ def child_collector(ctx: Optional[TraceContext], *, on_progress=None):
     ``None`` — the zero-cost discipline extends across processes.
     Otherwise a fresh :class:`Telemetry` joins ``ctx``'s trace, becomes
     the context-local current collector for the region, and the handle's
-    ``payload`` holds the merge-ready spans + metric deltas + progress
-    stream states on exit.
+    ``payload`` holds the merge-ready spans and metric deltas on exit.
 
     ``on_progress`` subscribes to the child's live progress updates for
-    the duration of the region — this is how a same-process dispatcher
-    (the evaluation service's executor threads) observes a running
-    job's progress *before* the payload lands; cross-process dispatch
-    gets the final states via the payload merge instead.  Progress is
-    an operational signal, not a profiling one, so ``on_progress``
-    forces a collector even with ``ctx=None``: the region still runs
-    instrumented (under a fresh throwaway trace) and the listener fires
-    live, but ``payload`` stays ``None`` — there is no parent trace to
-    merge into.
+    the duration of the region: this is how the evaluation service's
+    executor threads put a running job's progress on its job document.
+    Progress never rides in the payload, and with ``ctx=None`` there is
+    no collector to observe.
     """
     handle = _ChildHandle()
     if ctx is None:
-        if on_progress is None:
-            yield handle
-            return
-        # Progress-only side channel: nothing is exported or merged,
-        # the collector exists solely so tel.progress() has a home.
-        child = Telemetry(sinks=[])
-        child.on_progress(on_progress)
-        with use_telemetry(child):
-            yield handle
+        yield handle
         return
     sink = InMemorySink()
     child = Telemetry(sinks=[sink], trace_id=ctx.trace_id,

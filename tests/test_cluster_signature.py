@@ -41,10 +41,6 @@ class TestStepMatrix:
         with pytest.raises(GeneratorError):
             step_matrix(1)
 
-    def test_poly_degree_validation(self):
-        with pytest.raises(GeneratorError):
-            step_matrix(8, poly=0b111)  # degree 2 poly, width 8
-
 
 class TestPartials:
     @pytest.mark.parametrize("width", [2, 5, 8, 13, 16, 24])

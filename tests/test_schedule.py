@@ -257,12 +257,26 @@ class TestWatchTimeout:
             t0 = time.monotonic()
             rc = main(["runs", "watch", "job-hung",
                        "--url", f"http://127.0.0.1:{server.port}",
-                       "--timeout", "1.0", "--interval", "0.1"])
+                       "--timeout", "1.0"])
             elapsed = time.monotonic() - t0
         finally:
             server.close()
         assert rc == 1
         assert elapsed < 10.0
+
+    def test_watch_reports_a_failed_stream_on_one_line(self, capsys):
+        from repro.cli import main
+
+        # Bound but not listening: every connection is refused.
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.bind(("127.0.0.1", 0))
+            rc = main(["runs", "watch", "job-gone",
+                       "--url", f"http://127.0.0.1:{sock.getsockname()[1]}",
+                       "--timeout", "30"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1, err
+        assert err[0].startswith("repro: event stream of job job-gone"), err
 
     def test_events_deadline_raises(self):
         from repro.service.client import ServiceClient

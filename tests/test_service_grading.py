@@ -98,19 +98,36 @@ def test_a_dead_worker_falls_back_and_the_next_job_gets_a_fresh_pool(
 
 
 def test_a_traced_job_counts_its_grading_on_metrics():
-    """A coordinator-traced job's spans ride home in its trace, and its
-    grading counters still count on the service's own /metrics."""
+    """A coordinator-traced job runs under one collector joined to the
+    coordinator's span: its payload rides home as the result's trace,
+    and its grading counters count on the service's own /metrics."""
     config = ServiceConfig(port=0, no_cache=True, workers=2)
     with ServiceThread(config) as svc:
         client = svc.client("traced")
         client.wait_ready(120)
         doc = client.wait(client.submit("grade-shard", {
             "design": "LP", "vectors": 128, "indices": list(range(256)),
-            "total": 256, "trace": {"trace_id": "ab" * 16}})["id"],
+            "total": 256,
+            "trace": {"trace_id": "ab" * 16, "span_id": "c0ffee-1"}})["id"],
             timeout=300)
         counters = client.metrics()["counters"]
     assert doc["state"] == "done", doc
-    assert doc["result"]["trace"]["spans"]
+    assert doc["trace_id"] == "ab" * 16
+    trace = doc["result"]["trace"]
+    assert "progress" not in trace
+    assert trace["spans"]
+    assert {span["trace"] for span in trace["spans"]} == {"ab" * 16}
+    roots = [span for span in trace["spans"] if span["parent"] == "c0ffee-1"]
+    assert [span["name"] for span in roots] == ["service.job"]
+    children = {}
+    for span in trace["spans"]:
+        children.setdefault(span["parent"], []).append(span)
+    below, stack = set(), [roots[0]["id"]]
+    while stack:
+        for span in children.get(stack.pop(), ()):
+            below.add(span["name"])
+            stack.append(span["id"])
+    assert {"service.grade_wait", "gates.fault_parallel"} <= below, below
     assert counters["gates.fault_batches"] > 0
     assert counters["gates.batches_pooled"] == \
         counters["gates.fault_batches"]

@@ -1,18 +1,17 @@
 """Cross-process merge discipline of ``Telemetry.absorb``: histogram
 bucket merging around empty and partial snapshots, and the monotone
-progress cursor across a worker restart."""
+local progress cursor."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import Telemetry, collector_payload
+from repro.telemetry import Telemetry
 
 
-def payload(metrics=(), progress=()):
-    return {"spans": [], "metrics": list(metrics),
-            "progress": list(progress), "pid": 4242}
+def payload(metrics=()):
+    return {"spans": [], "metrics": list(metrics), "pid": 4242}
 
 
 class TestHistogramAbsorb:
@@ -74,34 +73,6 @@ class TestHistogramAbsorb:
 
 
 class TestProgressAbsorb:
-    def _progress_event(self, done, total=1000.0, **fields):
-        child = Telemetry()
-        child.progress("gates.grade", done, total, **fields)
-        return collector_payload(child)["progress"]
-
-    def test_restarted_worker_cannot_rewind_the_cursor(self):
-        tel = Telemetry()
-        tel.absorb(payload(progress=self._progress_event(800)))
-        assert tel.progress_streams.get("gates.grade").done == 800.0
-        # The worker restarted and re-graded from zero: its next shipped
-        # snapshot is behind the parent's high-water mark.
-        tel.absorb(payload(progress=self._progress_event(50)))
-        state = tel.progress_streams.get("gates.grade")
-        assert state.done == 800.0
-        # Once the rebooted worker passes the mark, the cursor moves.
-        tel.absorb(payload(progress=self._progress_event(900)))
-        assert tel.progress_streams.get("gates.grade").done == 900.0
-
-    def test_annotation_fields_adopt_newest_values(self):
-        tel = Telemetry()
-        tel.absorb(payload(progress=self._progress_event(10,
-                                                         coverage=0.1)))
-        tel.absorb(payload(progress=self._progress_event(5,
-                                                         coverage=0.4)))
-        state = tel.progress_streams.get("gates.grade")
-        assert state.done == 10.0  # max-merged
-        assert state.fields["coverage"] == 0.4  # newest annotation wins
-
     def test_local_update_is_monotone_too(self):
         tel = Telemetry()
         tel.progress("gates.grade", 10, 100)

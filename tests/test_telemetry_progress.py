@@ -1,4 +1,4 @@
-"""Progress streams, absorb-merge discipline, histogram edge cases."""
+"""Progress streams, progress-free payloads, histogram edge cases."""
 
 import numpy as np
 import pytest
@@ -71,16 +71,6 @@ class TestProgressStream:
         state = stream.update("grade", 20, coverage=0.25, dropped=3)
         assert state.fields == {"coverage": 0.25, "dropped": 3}
 
-    def test_merge_event_never_rewinds(self):
-        stream = ProgressStream()
-        stream.update("grade", 512, 1024)
-        merged = stream.merge_event({"type": "progress", "name": "grade",
-                                     "done": 256.0, "total": 1024.0,
-                                     "unix": 0.0, "elapsed_seconds": 1.0,
-                                     "coverage": 0.5})
-        assert merged.done == 512.0          # stale snapshot ignored
-        assert merged.fields["coverage"] == 0.5  # annotations still adopted
-
     def test_doc_carries_fraction_rate_eta(self):
         state = ProgressState(name="grade", done=250.0, total=1000.0,
                               updated_unix=1.0, elapsed_seconds=5.0)
@@ -96,58 +86,22 @@ class TestProgressStream:
 
 
 class TestAbsorbProgress:
-    def test_crashed_chunk_fallback_does_not_rewind(self):
-        """A pool chunk that died mid-flight ships a stale snapshot;
-        the parent's serial fallback has already finished the work."""
-        parent = Telemetry(sinks=[])
-        with parent.span("dispatch"):
-            ctx = TraceContext(trace_id=parent.trace_id)
-            # Worker chunk: progressed 256/1024, then "crashed" — its
-            # payload (captured at crash time) carries the stale cursor.
-            with child_collector(ctx) as handle:
-                from repro.telemetry import get_telemetry
-                get_telemetry().progress("gates.grade", 256, 1024,
-                                         coverage=0.5)
-            crashed_payload = handle.payload
-            # Parent re-ran the chunk serially and completed it.
-            parent.progress("gates.grade", 1024, 1024, coverage=0.93)
-            parent.absorb(crashed_payload)
-        state = parent.progress_streams.get("gates.grade")
-        assert state.done == 1024.0          # no rewind
-        assert state.fields["coverage"] == 0.5  # newest-write-wins field
-
-    def test_absorb_advances_and_notifies_listeners(self):
-        parent = Telemetry(sinks=[])
-        seen = []
-        parent.on_progress(lambda s: seen.append((s.name, s.done)))
-        parent.progress("grade", 100, 1000)
-        with parent.span("dispatch"):
-            ctx = TraceContext(trace_id=parent.trace_id)
-            with child_collector(ctx) as handle:
-                from repro.telemetry import get_telemetry
-                get_telemetry().progress("grade", 700, 1000)
-            parent.absorb(handle.payload)
-        assert parent.progress_streams.get("grade").done == 700.0
-        assert ("grade", 700.0) in seen
-
-    def test_untraced_on_progress_still_fires(self):
-        """ctx=None + a listener: progress flows, payload stays None."""
-        seen = []
-        with child_collector(None, on_progress=seen.append) as handle:
-            from repro.telemetry import get_telemetry
-            get_telemetry().progress("grade", 5, 10)
-        assert handle.payload is None
-        assert [s.done for s in seen] == [5.0]
-
     def test_untraced_without_listener_is_passthrough(self):
         with child_collector(None) as handle:
             pass
         assert handle.payload is None
 
-    def test_payload_carries_latest_stream_state(self):
-        tel = Telemetry(sinks=[])
-        tel.progress("grade", 10, 100)
-        tel.progress("grade", 60, 100)
-        events = collector_payload(tel)["progress"]
-        assert len(events) == 1
-        assert events[0]["done"] == 60.0
+    def test_payload_carries_no_progress(self):
+        """Streams stay in the collector that advanced them: a payload
+        is spans, metrics and pid, and absorbing one leaves the
+        parent's streams untouched."""
+        parent = Telemetry(sinks=[])
+        with parent.span("dispatch"):
+            ctx = TraceContext(trace_id=parent.trace_id)
+            with child_collector(ctx) as handle:
+                from repro.telemetry import get_telemetry
+                get_telemetry().progress("gates.grade", 700, 1000)
+            parent.absorb(handle.payload)
+        assert set(handle.payload) == {"spans", "metrics", "pid"}
+        assert set(collector_payload(parent)) == {"spans", "metrics", "pid"}
+        assert parent.progress_streams.states() == {}
