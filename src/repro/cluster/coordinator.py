@@ -21,10 +21,12 @@ through the existing HTTP+JSON job protocol as a ``grade-shard`` job:
   spending no shard's retry budget.  With every endpoint dead nothing
   is fenced, so ``max_retries`` ends the run.
 * **One span tree, live progress** — each dispatch runs under a
-  ``cluster.shard`` span carrying the coordinator's
-  :class:`~repro.telemetry.TraceContext`; workers return their span
-  payload inside the job result and the coordinator grafts it with
-  ``tel.absorb``, so a multi-node sweep renders exactly like a local one.
+  ``cluster.shard`` span, a child of the ``cluster.sweep`` span (every
+  dispatcher thread runs in a copy of the caller's context), carrying
+  the coordinator's :class:`~repro.telemetry.TraceContext`; workers
+  return their span payload inside the job result and the coordinator
+  grafts it with ``tel.absorb``, so a multi-node sweep renders exactly
+  like a local one.
   Live per-shard ``gates.grade`` progress from job documents is folded
   into the coordinator's monotone ``cluster.grade`` stream.
 
@@ -36,6 +38,7 @@ processes with a worker killed mid-run.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import os
 import random
@@ -413,8 +416,12 @@ class ClusterCoordinator:
         with tel.span("cluster.sweep", shards=len(shards),
                       faults=self.total,
                       workers=len(self.endpoints)):
+            # Each dispatcher runs in its own copy of this context, so
+            # its cluster.shard spans nest under cluster.sweep and a
+            # collector installed with use_telemetry reaches it.
             threads = [
-                threading.Thread(target=self._dispatcher, args=(ep,),
+                threading.Thread(target=contextvars.copy_context().run,
+                                 args=(self._dispatcher, ep),
                                  name=f"cluster-{i}", daemon=True)
                 for i, ep in enumerate(self.endpoints)
             ]

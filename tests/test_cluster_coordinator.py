@@ -13,6 +13,7 @@ from repro.errors import ClusterError
 from repro.service.client import ServiceBusy, ServiceClient, ServiceClientError
 from repro.service.lifecycle import ServiceConfig
 from repro.service.testing import ServiceThread
+from repro.telemetry import InMemorySink, Telemetry, use_telemetry
 
 #: Nothing listens here — connections are refused instantly, which is
 #: exactly the "worker died" failure mode the coordinator must survive.
@@ -215,6 +216,34 @@ class TestFence:
         assert tallies["flaky"].failures == 2
         assert tallies["flaky"].shards >= 1
         assert report.merged.total == 6
+
+
+class TestSpanTree:
+    def test_shard_spans_are_children_of_the_sweep_span(self):
+        """Dispatcher threads run in copies of the caller's context: the
+        collector installed with ``use_telemetry`` records every
+        ``cluster.shard`` span under the ``cluster.sweep`` span."""
+        sink = InMemorySink()
+        tel = Telemetry([sink])
+        clients = {ep: _InstantClient() for ep in ("w1", "w2")}
+        coord = ClusterCoordinator(
+            ["w1", "w2"], {}, total=6, test_length=8, max_retries=2,
+            poll=0.01, backoff_base=0.05,
+            client_factory=lambda ep: clients[ep])
+        with use_telemetry(tel):
+            coord.run([Shard(0, (0, 1)), Shard(1, (2, 3)),
+                       Shard(2, (4, 5))])
+        spans = sink.span_events()
+        sweep = [s for s in spans if s["name"] == "cluster.sweep"]
+        shards = [s for s in spans if s["name"] == "cluster.shard"]
+        assert len(sweep) == 1 and len(shards) == 3
+        assert {s["parent"] for s in shards} == {sweep[0]["id"]}
+        # Each submitted job names its own shard span as its parent.
+        sent = [params["trace"] for client in clients.values()
+                for params in client.params.values()]
+        assert sorted(t["span_id"] for t in sent) == sorted(
+            s["id"] for s in shards)
+        assert {t["trace_id"] for t in sent} == {tel.trace_id}
 
 
 class _RejectingClient:

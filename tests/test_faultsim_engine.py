@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.faultsim import (
     UNSEEN,
+    build_csa_universe,
     build_fault_universe,
     build_universe_from_cells,
     coverage_of_tracker,
@@ -22,10 +23,32 @@ from repro.generators import (
     UniformWhiteGenerator,
     match_width,
 )
-from repro.rtl import Node, OpKind
+from repro.rtl import Node, OpKind, carry_save_from_coefficients
 
-from helpers import build_small_design
+from helpers import SMALL_COEFSETS, build_small_design
 from test_fixedpoint_ops import oracle_codes
+
+
+def _oracle_operator(width, kind):
+    """One ripple operator and a universe of exactly its cells."""
+    node = Node(nid=3, kind=kind, srcs=(1, 2), fmt=Fixed(width, 0))
+    specs = []
+    for bit in range(width):
+        variant = variant_for_bit(bit, width, kind is OpKind.SUB)
+        specs.append((node.nid, bit, variant, variant.feasible_mask))
+    return node, build_universe_from_cells(specs, "oracle")
+
+
+def _first_codes(codes):
+    """(cells, 8): the first index of each code in each cell's row of
+    ``codes``, UNSEEN where it never occurs."""
+    first = np.full((len(codes), 8), UNSEEN, dtype=np.int64)
+    for bit, row in enumerate(codes):
+        for p in range(8):
+            hits = np.flatnonzero(row == p)
+            if len(hits):
+                first[bit, p] = hits[0]
+    return first
 
 
 class TestPatternTracker:
@@ -53,18 +76,14 @@ class TestPatternTracker:
                     expect = hits[0] if len(hits) else UNSEEN
                     assert tracker.first_seen[row, p] == expect
 
-    @pytest.mark.parametrize("width", range(2, 21))
+    @pytest.mark.parametrize("width", [*range(2, 21), 31, 32, 33, 40])
     @pytest.mark.parametrize("kind", [OpKind.ADD, OpKind.SUB])
     def test_first_seen_matches_ripple_oracle(self, width, kind, rng):
         """Word-level first occurrences vs a brute-force scan of the
         ripple oracle's codes, over a session fed in three segments."""
         is_sub = kind is OpKind.SUB
-        node = Node(nid=3, kind=kind, srcs=(1, 2), fmt=Fixed(width, 0))
-        specs = []
-        for bit in range(width):
-            variant = variant_for_bit(bit, width, is_sub)
-            specs.append((node.nid, bit, variant, variant.feasible_mask))
-        tracker = PatternTracker(build_universe_from_cells(specs, "oracle"))
+        node, universe = _oracle_operator(width, kind)
+        tracker = PatternTracker(universe)
         half = 1 << (width - 1)
         # Small operands first, so the upper cells' first occurrences of
         # most patterns fall in later segments, at non-zero offsets.
@@ -77,17 +96,59 @@ class TestPatternTracker:
             tracker.advance(length)
             a_all.append(a)
             b_all.append(b)
-        codes = oracle_codes(np.concatenate(a_all), np.concatenate(b_all),
-                             1 if is_sub else 0, width, invert_b=is_sub)
-        expected = np.full((width, 8), UNSEEN, dtype=np.int64)
-        for bit in range(width):
-            for p in range(8):
-                hits = np.flatnonzero(codes[bit] == p)
-                if len(hits):
-                    expected[bit, p] = hits[0]
+        expected = _first_codes(oracle_codes(
+            np.concatenate(a_all), np.concatenate(b_all),
+            1 if is_sub else 0, width, invert_b=is_sub))
         assert np.array_equal(tracker.first_seen, expected)
         if width >= 4:
             assert np.any((expected >= 40) & (expected != UNSEEN))
+
+    @pytest.mark.parametrize("kind", [OpKind.ADD, OpKind.SUB])
+    def test_slow_ramp_matches_ripple_oracle(self, kind):
+        """Slowly growing operands, like the Ramp's, reach the upper
+        cells' patterns block after block, in two segments whose lengths
+        are not multiples of 64: first occurrences fall past each
+        segment's first 64-vector block and in its partial last one."""
+        is_sub = kind is OpKind.SUB
+        width = 12
+        node, universe = _oracle_operator(width, kind)
+        tracker = PatternTracker(universe)
+        t = np.arange(1060)
+        a = 3 * t - 2048
+        b = 1000 - 2 * t
+        for segment in (slice(0, 700), slice(700, None)):
+            tracker.hook(node, a[segment], b[segment])
+            tracker.advance(len(t[segment]))
+        expected = _first_codes(
+            oracle_codes(a, b, 1 if is_sub else 0, width, invert_b=is_sub))
+        assert np.array_equal(tracker.first_seen, expected)
+        when = expected[expected != UNSEEN]
+        into_segment = np.where(when < 700, when, when - 700)
+        assert np.any(into_segment >= 64)
+        # The second segment is 360 vectors: its last block starts 320 in.
+        assert np.any(when >= 700 + 320)
+
+    def test_operator_observed_twice_keeps_earlier_times(self, rng):
+        """Two streams of one operator staged in one segment: every
+        (cell, pattern) keeps the earlier of its two first times."""
+        width = 10
+        node, universe = _oracle_operator(width, OpKind.ADD)
+        half = 1 << (width - 1)
+        streams = [(rng.integers(-span, span, size=150),
+                    rng.integers(-span, span, size=150))
+                   for span in (half >> 4, half)]
+        seen = []
+        for observed in (streams, streams[:1], streams[1:]):
+            tracker = PatternTracker(universe)
+            for a, b in observed:
+                tracker.hook(node, a, b)
+            tracker.advance(150)
+            seen.append(tracker.first_seen)
+        both, first, second = seen
+        assert np.array_equal(both, np.minimum(first, second))
+        shared = (first != UNSEEN) & (second != UNSEEN)
+        assert np.any(shared & (first < second))
+        assert np.any(shared & (second < first))
 
     def test_incremental_sessions_continue_indices(self, small_design, rng):
         uni = build_fault_universe(small_design.graph)
@@ -115,6 +176,34 @@ class TestPatternTracker:
         tracker = PatternTracker(uni)
         node = small_design.graph.arithmetic_nodes[0]
         assert tracker.untested_patterns(node.nid, 1) == list(range(8))
+
+
+class TestCarrySaveTracking:
+    def test_first_seen_matches_brute_force_of_observer_words(self, rng):
+        """A carry-save session (the ``observe_words`` path) vs a direct
+        scan of the cell input words its simulator hands the observer."""
+        csa = carry_save_from_coefficients(
+            SMALL_COEFSETS["plain"], name="csa-plain", coef_frac=8,
+            acc_frac=10, width=12, max_nonzeros=4)
+        universe = build_csa_universe(csa)
+        raw = rng.integers(-2048, 2048, size=300)
+        tracker = PatternTracker(universe)
+        words = []
+
+        def observer(node_id, width, a, b, c):
+            words.append((node_id, a.copy(), b.copy(), c.copy()))
+            tracker.observe_words(node_id, width, a, b, c)
+
+        csa.simulate(raw, observer=observer)
+        tracker.advance(len(raw))
+        expected = np.full_like(tracker.first_seen, UNSEEN)
+        for node_id, a, b, c in words:
+            codes = np.stack([(((a >> k) & 1) << 2) | (((b >> k) & 1) << 1)
+                              | ((c >> k) & 1) for k in range(csa.fmt.width)])
+            row = universe.cell_index[(node_id, 0)]
+            expected[row:row + len(codes)] = _first_codes(codes)
+        assert len(words) == csa.operator_count
+        assert np.array_equal(tracker.first_seen, expected)
 
 
 class TestCoverageResult:
