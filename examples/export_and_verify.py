@@ -46,7 +46,7 @@ def main() -> None:
     v_path = os.path.join(outdir, "lp_cut.v")
     save_verilog(netlist, v_path, module_name="lp_cut")
     print(f"Verilog netlist: {v_path} "
-          f"({netlist.gate_count} gates, {len(netlist.dffs)} flops)")
+          f"({netlist.gate_count} gates, {netlist.dff_count} flops)")
 
     # 3. VCD dump of the paper's tap-20 signal under the LFSR test
     tap20 = design.tap_accumulator(20)

@@ -89,10 +89,6 @@ def design_fingerprint(design) -> Dict[str, Any]:
     }
 
 
-#: Gate-kind codes for netlist fingerprints (stable across releases).
-_GATE_KIND_CODES = {"xor": 0, "and": 1, "or": 2, "not": 3, "buf": 4}
-
-
 def netlist_fingerprint(nl) -> Dict[str, Any]:
     """Content fingerprint of a :class:`~repro.gates.netlist.GateNetlist`.
 
@@ -100,25 +96,24 @@ def netlist_fingerprint(nl) -> Dict[str, Any]:
     connectivity, flip-flops, element order, and the input/output net
     lists — so two netlists fingerprint equal iff they simulate
     identically.  Net names and cell-site maps are excluded: they label
-    faults but never change a waveform.
+    faults but never change a waveform.  Gate kinds are the netlist's
+    ``GATE_KINDS`` codes (xor 0, and 1, or 2, not 3, buf 4), and
+    ``gate_ins`` lists each gate's operands followed by -1.
     """
-    ins_flat: list = []
-    for g in nl.gates:
-        ins_flat.extend(g.ins)
-        ins_flat.append(-1)  # arity separator
+    n = nl.gate_count
+    ins = np.stack([nl.in0, nl.in1, np.full(n, -1, dtype=np.int64)], axis=1)
+    keep = np.ones((n, 3), dtype=bool)
+    keep[:, 1] = nl.in1 >= 0
     return {
         "nets": int(nl.net_count),
-        "gate_kind": np.array([_GATE_KIND_CODES[g.kind] for g in nl.gates],
-                              dtype=np.int8),
-        "gate_out": np.array([g.out for g in nl.gates], dtype=np.int64),
-        "gate_ins": np.array(ins_flat, dtype=np.int64),
-        "dff": np.array([(d.d, d.q) for d in nl.dffs],
-                        dtype=np.int64).reshape(len(nl.dffs), 2),
-        "elements": np.array(
-            [(0 if kind == "gate" else 1, idx) for kind, idx in nl.elements],
-            dtype=np.int64).reshape(len(nl.elements), 2),
-        "input_bits": np.array(nl.input_bits, dtype=np.int64),
-        "output_bits": np.array(nl.output_bits, dtype=np.int64),
+        "gate_kind": np.asarray(nl.kind, dtype=np.int8),
+        "gate_out": np.asarray(nl.out, dtype=np.int64),
+        "gate_ins": ins[keep].astype(np.int64),
+        "dff": np.stack([nl.dff_d, nl.dff_q], axis=1).astype(np.int64),
+        "elements": np.stack([nl.elem_kind, nl.elem_index],
+                             axis=1).astype(np.int64),
+        "input_bits": np.asarray(nl.input_bits, dtype=np.int64),
+        "output_bits": np.asarray(nl.output_bits, dtype=np.int64),
     }
 
 

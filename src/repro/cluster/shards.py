@@ -203,6 +203,8 @@ def grade_shard(
                 f"fault index {i} out of range [0, {len(faults)})")
         raise ClusterError(
             f"fault index {i} >= signature stream length {total}")
+    if np.unique(idx).size != idx.size:
+        raise ClusterError("shard repeats a fault index")
     detect = np.full(idx.size, -1, dtype=np.int64)
     gate_level_missed(nl, input_raw, faults[idx], detect_times=detect,
                       program=program, net_waves=net_waves,
@@ -296,6 +298,8 @@ def merge_shard_results(
         if covered[idx].any():
             raise ClusterError(
                 f"shard {sid} overlaps an already-merged shard")
+        if np.unique(idx).size != idx.size:
+            raise ClusterError(f"shard {sid} repeats a fault index")
         covered[idx] = True
         verdicts[idx] = np.asarray(res["detected"], dtype=np.int64) > 0
         detect_times[idx] = np.asarray(res["detect_times"], dtype=np.int64)

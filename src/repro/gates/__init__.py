@@ -2,7 +2,7 @@
 the exact parallel-pattern fault-injection simulator."""
 
 from .cells import CellFault, CellVariant, VARIANT_KINDS, cell_variant, variant_for_bit
-from .netlist import Dff, Gate, GateNetlist, GateRef, elaborate
+from .netlist import GATE_KINDS, GateNetlist, elaborate
 from .gatesim import (
     NetlistFault,
     bits_to_raw,
@@ -39,10 +39,8 @@ __all__ = [
     "VARIANT_KINDS",
     "cell_variant",
     "variant_for_bit",
+    "GATE_KINDS",
     "GateNetlist",
-    "Gate",
-    "Dff",
-    "GateRef",
     "elaborate",
     "NetlistFault",
     "simulate_netlist",

@@ -2,7 +2,7 @@
 
 Elaborated netlists are feed-forward, so every net can be evaluated over
 the whole time axis at once.  The interpreters in :mod:`repro.gates.gatesim`
-historically walked ``nl.elements`` gate by gate in Python; this module
+historically walked the netlist's elements gate by gate in Python; this module
 lowers a :class:`~repro.gates.netlist.GateNetlist` once into a **levelized
 op table**: nets are assigned topological levels, the elements of each
 level are grouped by gate kind, and evaluation becomes, per (level, kind)
@@ -33,10 +33,12 @@ carves every temporary out of a persistent :class:`ConeWorkspace`.
 A program is memoized on the netlist object by
 :func:`compiled_program`; the artifact cache can additionally persist
 programs across processes
-(:func:`repro.cache.pipeline.cached_gate_program`).  On LP, compiling
-takes about 0.03 s and fusing (:func:`repro.gates.eventsim.fuse_program`)
-about 0.15 s; the cache persists the compiled program only, so a hit
-skips the first and not the second.  Golden waveforms are
+(:func:`repro.cache.pipeline.cached_gate_program`).  On LP, on a
+2-CPU host, elaborating takes about 3 ms, compiling about 4 ms (one
+pass over the netlist's columns) and fusing
+(:func:`repro.gates.eventsim.fuse_program`) about 0.08 s; the cache
+persists the compiled program only, so a hit skips the second and not
+the third.  Golden waveforms are
 re-simulated instead: that is cheaper than storing or loading them.
 """
 
@@ -47,8 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError
-from .netlist import GateNetlist
+from .netlist import GATE_KINDS, GateNetlist
 
 __all__ = [
     "OP_KINDS",
@@ -60,8 +61,9 @@ __all__ = [
     "ConeWorkspace",
 ]
 
-#: Evaluation-order-stable op kinds; ``dff`` is the one-sample time shift.
-OP_KINDS = ("xor", "and", "or", "not", "buf", "dff")
+#: Evaluation-order-stable op kinds: the netlist's gate kinds, same
+#: codes, plus ``dff``, the one-sample time shift.
+OP_KINDS = GATE_KINDS + ("dff",)
 
 _KIND_CODE = {kind: code for code, kind in enumerate(OP_KINDS)}
 _DFF = _KIND_CODE["dff"]
@@ -74,8 +76,8 @@ class CompiledNetlist:
 
     Op group ``g`` has kind ``OP_KINDS[grp_kind[g]]``, outputs at level
     ``grp_level[g] + 1`` and ops ``[grp_off[g], grp_off[g + 1])`` of the
-    flat per-op arrays: ``elem`` indexes ``nl.gates`` (``nl.dffs`` for
-    kind ``"dff"``), ``out`` / ``in0`` / ``in1`` are net ids, and ``in1``
+    flat per-op arrays: ``elem`` is a gate index of the netlist (a flop
+    index for kind ``"dff"``), ``out`` / ``in0`` / ``in1`` are net ids, and ``in1``
     is -1 for one-input kinds.  ``net_level`` is every net's topological
     level (0 for constants and inputs).  The ``gateprog`` cache entry
     stores these arrays as they are.
@@ -111,24 +113,31 @@ def compile_netlist(nl: GateNetlist) -> CompiledNetlist:
     Deterministic: groups follow ascending level, :data:`OP_KINDS` order
     within a level, and element creation order within a group.
     """
-    level = [0] * nl.net_count
-    rows: List[Tuple[int, int, int, int, int, int]] = []
-    for elem_kind, idx in nl.elements:
-        if elem_kind == "gate":
-            gate = nl.gates[idx]
-            if gate.kind not in _KIND_CODE:  # pragma: no cover
-                raise SimulationError(f"unknown gate kind {gate.kind!r}")
-            ins = gate.ins
-            lvl = 1 + max(level[n] for n in ins)
-            row = (lvl, _KIND_CODE[gate.kind], idx, gate.out, ins[0],
-                   ins[1] if len(ins) > 1 else -1)
-        else:
-            dff = nl.dffs[idx]
-            lvl = 1 + level[dff.d]
-            row = (lvl, _DFF, idx, dff.q, dff.d, -1)
-        level[row[3]] = lvl
-        rows.append(row)
-    table = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    # Every element as one op row, in creation order.
+    idx = nl.elem_index
+    is_dff = nl.elem_kind.astype(bool)
+    gate, dff = idx[~is_dff], idx[is_dff]
+    code = np.full(len(idx), _DFF, dtype=np.int64)
+    out = np.empty(len(idx), dtype=np.int64)
+    in0 = np.empty(len(idx), dtype=np.int64)
+    in1 = np.full(len(idx), -1, dtype=np.int64)
+    code[~is_dff] = nl.kind[gate]
+    out[~is_dff] = nl.out[gate]
+    in0[~is_dff] = nl.in0[gate]
+    in1[~is_dff] = nl.in1[gate]
+    out[is_dff] = nl.dff_q[dff]
+    in0[is_dff] = nl.dff_d[dff]
+    # One pass in creation order levelizes every net; the extra last
+    # slot is level 0 for the ``in1 == -1`` of one-input ops.
+    level = [0] * (nl.net_count + 1)
+    levels = []
+    for o, a, b in zip(out.tolist(), in0.tolist(), in1.tolist()):
+        la, lb = level[a], level[b]
+        lvl = 1 + (la if la > lb else lb)
+        level[o] = lvl
+        levels.append(lvl)
+    table = np.stack([np.array(levels, dtype=np.int64).reshape(-1), code,
+                      idx, out, in0, in1], axis=1)
     # lexsort is stable: creation order within each (level, kind) group.
     table = table[np.lexsort((table[:, 1], table[:, 0]))]
     lvl, code = table[:, 0], table[:, 1]
@@ -137,7 +146,7 @@ def compile_netlist(nl: GateNetlist) -> CompiledNetlist:
         n_nets=nl.net_count,
         input_bits=np.asarray(nl.input_bits, dtype=np.int64),
         output_bits=np.asarray(nl.output_bits, dtype=np.int64),
-        net_level=np.array(level, dtype=np.int64),
+        net_level=np.array(level[:-1], dtype=np.int64),
         grp_kind=code[starts].astype(np.int8),
         grp_level=lvl[starts] - 1,
         grp_off=np.append(starts, len(table)),

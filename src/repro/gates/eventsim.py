@@ -14,7 +14,8 @@ This module is the cone engine (``event``) behind
   evaluate a super-gate by replaying its fused recipe (2-5 bitwise
   ops).  The graph is one table of flat arrays
   (:class:`FusedProgram`), so it pickles to a grading worker in a few
-  milliseconds; on LP, fusing takes about 0.15 s.
+  milliseconds; on LP, fusing takes about 0.08 s on a 2-CPU host,
+  about ten times the elaboration and compile before it.
 
 * **cone sweep** (:class:`EventCone`) — a fault batch evaluates only
   the transitive fanout cone of its fault sites, renumbered into a

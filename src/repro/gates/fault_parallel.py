@@ -54,7 +54,7 @@ from .eventsim import LineMasks
 from .faults import (EnumeratedFault, FaultLines, GateFaultTable,
                      schedule_fault_batches)
 from .gatesim import NetlistFault, fault_lines, pack_input_bits
-from .netlist import GateNetlist
+from .netlist import GATE_KINDS, GateNetlist
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -527,14 +527,14 @@ def fault_parallel_reference(
     pin_masks = {k: (np.uint64(s), np.uint64(c))
                  for k, (s, c) in masks.items() if isinstance(k, tuple)}
 
+    kinds, outs = nl.kind.tolist(), nl.out.tolist()
+    in0, in1 = nl.in0.tolist(), nl.in1.tolist()
+    dff_d, dff_q = nl.dff_d.tolist(), nl.dff_q.tolist()
     # Reference-count nets so waveforms are freed after their last reader.
     reads: Dict[int, int] = {}
-    for gate in nl.gates:
-        for net in gate.ins:
-            reads[net] = reads.get(net, 0) + 1
-    for dff in nl.dffs:
-        reads[dff.d] = reads.get(dff.d, 0) + 1
-    for net in nl.output_bits:
+    for net in in0 + [n for n in in1 if n >= 0] + dff_d:
+        reads[net] = reads.get(net, 0) + 1
+    for net in nl.output_bits.tolist():
         reads[net] = reads.get(net, 0) + 1
 
     values: Dict[int, np.ndarray] = {}
@@ -556,43 +556,41 @@ def fault_parallel_reference(
     ones = np.full(length, _ALL_ONES, dtype=np.uint64)
     write(nl.CONST0, zero)
     write(nl.CONST1, ones)
-    for j, net in enumerate(nl.input_bits):
+    for j, net in enumerate(nl.input_bits.tolist()):
         bits = ((raw >> j) & 1).astype(bool)
         write(net, np.where(bits, _ALL_ONES, np.uint64(0)))
 
     # Constants and inputs may have zero registered reads (unused nets);
     # guard the refcount so `read` is never called on them implicitly.
-    for elem_kind, idx in nl.elements:
-        if elem_kind == "gate":
-            gate = nl.gates[idx]
+    for is_dff, idx in zip(nl.elem_kind.tolist(), nl.elem_index.tolist()):
+        if not is_dff:
+            kind = GATE_KINDS[kinds[idx]]
             ins = []
-            for pin, net in enumerate(gate.ins):
+            nets = (in0[idx],) if in1[idx] < 0 else (in0[idx], in1[idx])
+            for pin, net in enumerate(nets):
                 wave = read(net)
                 key = (idx, pin)
                 if key in pin_masks:
                     s, c = pin_masks[key]
                     wave = (wave | s) & ~c
                 ins.append(wave)
-            if gate.kind == "xor":
+            if kind == "xor":
                 out = ins[0] ^ ins[1]
-            elif gate.kind == "and":
+            elif kind == "and":
                 out = ins[0] & ins[1]
-            elif gate.kind == "or":
+            elif kind == "or":
                 out = ins[0] | ins[1]
-            elif gate.kind == "not":
+            elif kind == "not":
                 out = ~ins[0]
-            elif gate.kind == "buf":
+            else:  # buf
                 out = ins[0]
-            else:  # pragma: no cover - elaboration only emits these kinds
-                raise SimulationError(f"unknown gate kind {gate.kind!r}")
-            write(gate.out, out)
+            write(outs[idx], out)
         else:
-            dff = nl.dffs[idx]
-            d = read(dff.d)
+            d = read(dff_d[idx])
             q = np.empty_like(d)
             q[0] = 0
             q[1:] = d[:-1]
-            write(dff.q, q)
+            write(dff_q[idx], q)
 
     # Compare each copy's outputs against the fault-free machine.
     if golden is None:
@@ -600,7 +598,7 @@ def fault_parallel_reference(
 
         golden = simulate_netlist(nl, raw)["output"]
     diff = np.zeros(length, dtype=np.uint64)
-    for j, net in enumerate(nl.output_bits):
+    for j, net in enumerate(nl.output_bits.tolist()):
         good = ((golden >> j) & 1).astype(bool)
         good_wave = np.where(good, _ALL_ONES, np.uint64(0))
         diff |= read(net) ^ good_wave

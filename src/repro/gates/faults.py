@@ -17,16 +17,19 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
-from ..errors import FaultModelError, SimulationError
-from ..rtl.graph import Graph
+from ..errors import SimulationError
 from ..telemetry import get_telemetry
-from .cells import VARIANT_KINDS, CellFault
+from .cells import _NETLISTS, VARIANT_KINDS, CellFault
 from .gatesim import NetlistFault
-from .netlist import GateNetlist, _elaborate_cell
+from .netlist import GateNetlist
+
+if TYPE_CHECKING:
+    from ..rtl.graph import Graph
 
 __all__ = ["EnumeratedFault", "FaultLines", "GateFaultTable",
            "enumerate_cell_faults", "schedule_fault_batches"]
@@ -185,14 +188,32 @@ class _SiteTemplate:
     value: np.ndarray
 
 
+def _template_lines(kind: str) -> Dict[str, Tuple[str, object]]:
+    """Each site of a ``kind`` cell and its line, by template gate:
+    ``("net", k)`` is template gate ``k``'s output, ``("pins", ((k,
+    pin), ...))`` the pins a branch (one) or an input stem (all of the
+    cell's pins that read it) sticks."""
+    gates = _NETLISTS[kind][0]
+    driver = {out: k for k, (_kind, out, _ins) in enumerate(gates)}
+    pins: Dict[str, List[Tuple[int, int]]] = {}
+    for k, (_kind, _out, ins) in enumerate(gates):
+        for pin, branch in enumerate(ins):
+            pins.setdefault(branch, []).append((k, pin))
+            if "." in branch:  # a branch is also one of its stem's pins
+                pins.setdefault(branch.split(".")[0], []).append((k, pin))
+    lines: Dict[str, Tuple[str, object]] = {
+        site: ("pins", tuple(p)) for site, p in pins.items()}
+    lines.update((out, ("net", k)) for out, k in driver.items())
+    return lines
+
+
 @lru_cache(maxsize=None)
 def _site_template() -> _SiteTemplate:
     """The line template of every class in the shared class table.
 
-    Elaborates one cell of each variant into a scratch netlist and reads
-    its site map back, so the template is the elaborator's own.  A stem
-    fault's pins all lie in its own cell, so every line is a fixed
-    offset from the cell's first gate.
+    Read from the cell templates of :mod:`repro.gates.cells`, the same
+    tables elaboration tiles: a stem fault's pins all lie in its own
+    cell, so every line is a fixed offset from the cell's first gate.
     """
     from ..faultsim.dictionary import fault_class_table
 
@@ -200,16 +221,10 @@ def _site_template() -> _SiteTemplate:
     sites = [cf.name.rsplit("/", 1) for cf in table.faults]
     lines: List[Tuple[str, object]] = []
     for kind_id, kind in enumerate(VARIANT_KINDS):
-        scratch = GateNetlist()
-        a, b, c = (scratch.new_net(name) for name in "abc")
-        _elaborate_cell(scratch, kind, 0, 0, a, b, c)
-        site_lines = scratch.cell_sites[(0, 0)]
-        gate_of_net = {g.out: i for i, g in enumerate(scratch.gates)}
+        site_lines = _template_lines(kind)
         start = int(table.start[kind_id])
         for site, _value in sites[start:start + int(table.count[kind_id])]:
-            line_kind, payload = site_lines[site]
-            lines.append((line_kind, gate_of_net[payload]
-                          if line_kind == "net" else payload))
+            lines.append(site_lines[site])
     width = max([2] + [len(p) for k, p in lines if k == "pins"])
     net_gate = np.full(len(lines), -1, dtype=np.int64)
     pin_gate = np.full((len(lines), width), -1, dtype=np.int64)
@@ -243,16 +258,9 @@ def enumerate_cell_faults(graph: Graph, nl: GateNetlist) -> GateFaultTable:
 
     with get_telemetry().span("gates.enumerate") as span:
         universe = build_fault_universe(graph, prune_untestable=False)
-        try:
-            first = np.array([nl.cell_gates[cell] for cell in universe.cells],
-                             dtype=np.int64)
-        except KeyError as exc:
-            node_id, bit = exc.args[0]
-            raise FaultModelError(
-                f"no elaborated cell at node {node_id} bit {bit}") from None
         cells = np.array(universe.cells, dtype=np.int64).reshape(-1, 2)
-        gate_out = np.fromiter((g.out for g in nl.gates), dtype=np.int64,
-                               count=len(nl.gates))
+        first = nl.cell_gates[nl.cell_rows(cells[:, 0], cells[:, 1])]
+        gate_out = nl.out
         tmpl = _site_template()
         k = universe.fault_class
         g0 = first[universe.fault_cell]

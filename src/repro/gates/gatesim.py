@@ -75,12 +75,12 @@ def simulate_netlist(
     raw = np.asarray(input_raw, dtype=np.int64)
     length = len(raw)
     tel = get_telemetry()
-    with tel.span("gates.simulate_netlist", gates=len(nl.gates),
-                  dffs=len(nl.dffs), vectors=length,
+    with tel.span("gates.simulate_netlist", gates=nl.gate_count,
+                  dffs=nl.dff_count, vectors=length,
                   faulty=fault is not None) as span:
         result = _simulate_netlist_body(nl, raw, length, fault, observe_nets)
     if tel.enabled:
-        evals = len(nl.gates) * length
+        evals = nl.gate_count * length
         tel.counter("gates.simulations").add(1)
         tel.counter("gates.gate_evals").add(evals)
         if span.duration > 0:

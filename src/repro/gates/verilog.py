@@ -14,7 +14,7 @@ import re
 from typing import Dict, List
 
 from ..errors import DesignError
-from .netlist import GateNetlist
+from .netlist import GATE_KINDS, GateNetlist
 
 __all__ = ["netlist_to_verilog", "save_verilog", "generate_testbench"]
 
@@ -32,7 +32,7 @@ def _sanitize(name: str) -> str:
 def _unique_names(nl: GateNetlist) -> Dict[int, str]:
     seen: Dict[str, int] = {}
     names: Dict[int, str] = {}
-    for net, raw in enumerate(nl.names):
+    for net, raw in enumerate(nl.net_names()):
         base = _sanitize(raw)
         count = seen.get(base, 0)
         seen[base] = count + 1
@@ -43,7 +43,7 @@ def _unique_names(nl: GateNetlist) -> Dict[int, str]:
 def netlist_to_verilog(nl: GateNetlist, module_name: str = "filter_bist_cut"
                        ) -> str:
     """Render the netlist as one structural Verilog module."""
-    if not nl.input_bits or not nl.output_bits:
+    if not len(nl.input_bits) or not len(nl.output_bits):
         raise DesignError("netlist must have input and output buses")
     names = _unique_names(nl)
     in_width = len(nl.input_bits)
@@ -51,7 +51,7 @@ def netlist_to_verilog(nl: GateNetlist, module_name: str = "filter_bist_cut"
 
     lines: List[str] = []
     lines.append(f"// Generated by repro.gates.verilog — "
-                 f"{nl.gate_count} gates, {len(nl.dffs)} flops")
+                 f"{nl.gate_count} gates, {nl.dff_count} flops")
     lines.append(f"module {module_name} (")
     lines.append("    input  wire                 clk,")
     lines.append("    input  wire                 rst,")
@@ -63,44 +63,40 @@ def netlist_to_verilog(nl: GateNetlist, module_name: str = "filter_bist_cut"
     lines.append("  wire const1 = 1'b1;")
     lines.append("")
 
-    declared = {nl.CONST0, nl.CONST1}
-    for j, net in enumerate(nl.input_bits):
+    for j, net in enumerate(nl.input_bits.tolist()):
         lines.append(f"  wire {names[net]} = x[{j}];")
-        declared.add(net)
     lines.append("")
 
     # Registers first (their outputs are read by gates emitted below).
-    for dff in nl.dffs:
-        lines.append(f"  reg {names[dff.q]};")
-        declared.add(dff.q)
+    d_nets, q_nets = nl.dff_d.tolist(), nl.dff_q.tolist()
+    for q in q_nets:
+        lines.append(f"  reg {names[q]};")
     lines.append("")
 
-    for gate in nl.gates:
-        expr_inputs = [names[i] for i in gate.ins]
-        if gate.kind == "not":
-            expr = f"~{expr_inputs[0]}"
-        elif gate.kind == "buf":
-            expr = expr_inputs[0]
-        elif gate.kind in _OPS:
-            expr = f" {_OPS[gate.kind]} ".join(expr_inputs)
-        else:  # pragma: no cover - elaboration only emits these kinds
-            raise DesignError(f"unknown gate kind {gate.kind!r}")
-        lines.append(f"  wire {names[gate.out]} = {expr};")
-        declared.add(gate.out)
+    for code, out, a, b in zip(nl.kind.tolist(), nl.out.tolist(),
+                               nl.in0.tolist(), nl.in1.tolist()):
+        kind = GATE_KINDS[code]
+        if kind == "not":
+            expr = f"~{names[a]}"
+        elif kind == "buf":
+            expr = names[a]
+        else:
+            expr = f"{names[a]} {_OPS[kind]} {names[b]}"
+        lines.append(f"  wire {names[out]} = {expr};")
     lines.append("")
 
     lines.append("  always @(posedge clk) begin")
     lines.append("    if (rst) begin")
-    for dff in nl.dffs:
-        lines.append(f"      {names[dff.q]} <= 1'b0;")
+    for q in q_nets:
+        lines.append(f"      {names[q]} <= 1'b0;")
     lines.append("    end else begin")
-    for dff in nl.dffs:
-        lines.append(f"      {names[dff.q]} <= {names[dff.d]};")
+    for d, q in zip(d_nets, q_nets):
+        lines.append(f"      {names[q]} <= {names[d]};")
     lines.append("    end")
     lines.append("  end")
     lines.append("")
 
-    for j, net in enumerate(nl.output_bits):
+    for j, net in enumerate(nl.output_bits.tolist()):
         lines.append(f"  assign y[{j}] = {names[net]};")
     lines.append("")
     lines.append("endmodule")

@@ -244,6 +244,19 @@ class TestMergeRefusals:
                 merge_shard_results(len(faults), results + [second],
                                     test_length=len(raw))
 
+    def test_repeated_index_refused(self, lp_universe):
+        # A result that repeats an index would XOR that fault's term
+        # into the signature twice.
+        _nl, raw, faults = lp_universe
+        n = len(faults)
+        results = self._results(lp_universe,
+                                [[0, 1], list(range(2, n))])
+        first = results[0]
+        for key in ("indices", "detected", "detect_times"):
+            first[key] = [first[key][0]] + first[key]
+        with pytest.raises(ClusterError, match="shard 0 repeats"):
+            merge_shard_results(n, results, test_length=len(raw))
+
     def test_out_of_range_indices_refused(self, lp_universe):
         _nl, raw, faults = lp_universe
         n = len(faults)
@@ -260,6 +273,11 @@ class TestGradeShard:
             grade_shard(nl, raw, faults, [len(faults)], len(faults))
         with pytest.raises(ClusterError, match="stream length"):
             grade_shard(nl, raw, faults, [5], 5)
+
+    def test_repeated_index_refused(self, lp_universe):
+        nl, raw, faults = lp_universe
+        with pytest.raises(ClusterError, match="repeats"):
+            grade_shard(nl, raw, faults, [0, 0, 1], len(faults))
 
     def test_checkpoints_pure_function(self):
         times = np.array([-1, 64, 32, 64, -1], dtype=np.int64)

@@ -118,11 +118,11 @@ class TestUnreadOperatorBits:
 
         design = ctx.designs["LP"]
         nl = elaborate(design.graph)
-        read = ({net for gate in nl.gates for net in gate.ins}
-                | {dff.d for dff in nl.dffs} | set(nl.output_bits))
+        read = (set(nl.in0.tolist()) | set(nl.in1[nl.in1 >= 0].tolist())
+                | set(nl.dff_d.tolist()) | set(nl.output_bits.tolist()))
         unread = unread_operator_bits(design.graph)
         assert unread
         for nid, bits in unread.items():
-            assert nl.node_bits[nid][bits[0] - 1] in read
+            assert int(nl.node_bits[nid][bits[0] - 1]) in read
             for bit in bits:
-                assert nl.node_bits[nid][bit] not in read
+                assert int(nl.node_bits[nid][bit]) not in read

@@ -12,7 +12,10 @@ import pytest
 
 from repro.faultsim import build_fault_universe
 from repro.faultsim.dictionary import fault_class_table
+from repro.gates.cells import _NETLISTS
 from repro.gates import (
+    GATE_KINDS,
+    VARIANT_KINDS,
     GateFaultTable,
     elaborate,
     enumerate_cell_faults,
@@ -64,22 +67,38 @@ class TestReferenceDesigns:
         assert np.array_equal(table.bit, cells[universe.fault_cell, 1])
 
     def test_every_line_matches_the_netlist(self, design_table):
+        """Each row against ``cell_sites``, which walks the cell's
+        template by name over the gate columns (one site map per cell)."""
         _design, nl, table = design_table
         classes = fault_class_table().faults
         got = _row_lines(table)
+        sites = {}
         for i, (node, bit, k, value) in enumerate(zip(
                 table.node.tolist(), table.bit.tolist(),
                 table.fault_class.tolist(), table.lines.value.tolist())):
             site, stuck = classes[k].name.rsplit("/", 1)
-            assert got[i] == nl.cell_fault_line(node, bit, site), i
+            if (node, bit) not in sites:
+                sites[node, bit] = nl.cell_sites(node, bit)
+            assert got[i] == sites[node, bit][site], i
             assert value == int(stuck), i
+        node, bit = next(iter(sites))
+        site = classes[int(table.fault_class[0])].name.rsplit("/", 1)[0]
+        assert nl.cell_fault_line(node, bit, site) == sites[node, bit][site]
 
     def test_pins_lie_in_the_faults_own_cell(self, design_table):
         """Every pin fault has a pin, and each of its pins (both of a
         cell-input stem's) belongs to a gate of the fault's own cell."""
         _design, nl, table = design_table
-        cell_of = np.array([(g.cell.node_id, g.cell.bit) if g.cell
-                            else (-1, -1) for g in nl.gates])
+        # Each cell's gates: its variant's template length from its
+        # first gate; the gates outside every cell are inverters.
+        cell_of = np.full((nl.gate_count, 2), -1)
+        for node, bit, variant, first in zip(
+                nl.cell_node.tolist(), nl.cell_bit.tolist(),
+                nl.cell_variant.tolist(), nl.cell_gates.tolist()):
+            size = len(_NETLISTS[VARIANT_KINDS[variant]][0])
+            assert (cell_of[first:first + size] == -1).all()
+            cell_of[first:first + size] = (node, bit)
+        assert (nl.kind[cell_of[:, 0] < 0] == GATE_KINDS.index("not")).all()
         pins = table.lines.pin_gate
         has = pins >= 0
         assert np.array_equal(has.any(axis=1), table.lines.net < 0)

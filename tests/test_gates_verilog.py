@@ -41,8 +41,8 @@ class TestWellFormedness:
 
     def test_one_flop_per_register_bit(self, verilog):
         _, nl, text = verilog
-        assert len(re.findall(r"^\s*reg \w+;$", text, re.M)) == len(nl.dffs)
-        assert len(re.findall(r"<= 1'b0;", text)) == len(nl.dffs)
+        assert len(re.findall(r"^\s*reg \w+;$", text, re.M)) == nl.dff_count
+        assert len(re.findall(r"<= 1'b0;", text)) == nl.dff_count
 
     def test_identifiers_legal(self, verilog):
         _, _, text = verilog
@@ -81,12 +81,14 @@ class TestApi:
         save_verilog(nl, str(path), module_name="tiny")
         assert "module tiny" in path.read_text()
 
-    def test_name_collisions_resolved(self):
+    def test_name_collisions_resolved(self, monkeypatch):
         """Two netlist nets with the same sanitized name must get
         distinct Verilog identifiers."""
         design = build_small_design("plain")
         nl = elaborate(design.graph)
-        nl.names[5] = nl.names[4]  # force a collision
+        names = nl.net_names()
+        names[5] = names[4]  # force a collision
+        monkeypatch.setattr(nl, "net_names", lambda: list(names))
         text = netlist_to_verilog(nl)
         drivers = re.findall(r"^\s*(?:wire|reg) (\w+)", text, re.M)
         assert len(drivers) == len(set(drivers))
