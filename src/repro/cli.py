@@ -241,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(LFSR-1, LFSR-2, LFSR-D, LFSR-M, Ramp, Mixed)")
         p.add_argument("--vectors", type=_at_least(1), default=default_vectors)
         p.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = auto: $REPRO_JOBS or "
-                            "CPU count)")
+                       help="worker processes (0 = one per CPU this "
+                            "process may run on)")
 
     sweep = sub.add_parser(
         "sweep", parents=[cache_flags, ledger_flags],

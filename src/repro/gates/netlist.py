@@ -103,10 +103,6 @@ class GateNetlist:
     def net_count(self) -> int:
         return self.n_nets
 
-    def fault_site_count(self) -> int:
-        """Stuck-at sites: every gate output and every gate input pin."""
-        return 2 * self.gate_count + int(np.count_nonzero(self.in1 >= 0))
-
     def cell_rows(self, node: np.ndarray, bit: np.ndarray) -> np.ndarray:
         """The cell row of each ``(node[i], bit[i])``.
 

@@ -1,31 +1,35 @@
-"""Process-pool fan-out with chunked queues and serial fallback.
+"""One way to run tasks in worker processes, and to start the workers.
 
-:func:`parallel_map` is the execution primitive every fan-out in this
-package goes through.  Contract:
+Every fan-out of this package — the sweep's design x generator
+sessions and exact grading's cone batches — is a list of independent
+tasks whose answers the dispatching process consumes in order.
+:func:`pool_map` runs such a list over a process pool:
 
-* **Order-preserving** — results align with the input items regardless
-  of completion order.
-* **Deterministic** — workers receive only the task items, so a task's
-  result is a pure function of its item, never of worker identity or
-  completion order.
-* **Self-healing** — a worker crash (``BrokenProcessPool``), a chunk
-  timeout, or a pool that cannot even start (sandboxed environments)
-  degrades to in-process serial execution of the unfinished chunks
-  instead of failing the run.  Ordinary exceptions raised by the task
-  function are *not* swallowed; they propagate to the caller.
+* **Ordered** — answers come back in task order, whatever order the
+  workers finish in.
+* **Traced** — each task runs in a child collector joined to the
+  caller's current span, and its spans and metric deltas merge back
+  there, so a pooled run records one span tree.
+* **Self-healing** — once the pool breaks (a worker died) or refuses a
+  submit, that task and every later one run through the caller's
+  in-process function, with the same answers; the fallback is counted
+  once as ``parallel.fallbacks``.  A task that raises is not a pool
+  failure: the error propagates and the tasks not yet started are
+  cancelled.
 
-The pool prefers the ``fork`` start method where available so workers
-inherit warm per-process caches (reference designs, cell-variant
-tables); elsewhere it falls back to the platform default.
+:func:`start_pool` starts the workers.  A pool of fewer than two
+processes is no pool, and a platform that refuses to start processes
+(a sandbox) is logged and counted as ``parallel.pool_failures``; either
+way the caller gets ``None``, and :func:`pool_map` runs every task
+in-process.
 
-Because it forks, :func:`parallel_map` must only be called from a
-single-threaded process, such as the ``repro sweep`` and ``repro bench``
-commands.  A fork copies only the calling thread, and OpenBLAS's fork
-handler then waits on BLAS worker threads: if another thread of the
-parent is inside a BLAS call (a NumPy matrix product), that call can
-stall for good.  The evaluation service runs jobs on executor threads
-and therefore never calls this; its grading processes are a ``spawn``
-pool (:mod:`repro.parallel.gatework`).
+The sweep forks its workers so that they inherit the warm designs and
+universes of the dispatching process.  A fork copies only the calling
+thread, and OpenBLAS's fork handler then waits on BLAS worker threads:
+if another thread of the parent is inside a BLAS call, that call can
+stall for good.  So only single-threaded processes (``repro sweep`` and
+``repro bench``) fork; the evaluation service runs jobs on executor
+threads and grades in ``spawn`` workers (:mod:`repro.parallel.gatework`).
 """
 
 from __future__ import annotations
@@ -33,189 +37,124 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
 from ..errors import ParallelError
-from ..telemetry import TraceContext, child_collector, get_telemetry, set_telemetry
+from ..telemetry import TraceContext, child_collector, get_telemetry
 
-__all__ = ["parallel_map", "resolve_jobs", "default_chunk_size"]
+__all__ = ["pool_map", "resolve_jobs", "start_pool", "usable_cpus"]
 
 logger = logging.getLogger(__name__)
 
-T = TypeVar("T")
 R = TypeVar("R")
 
-#: Chunks per worker the default chunking aims for; >1 smooths load
-#: imbalance, small enough to keep per-chunk pickling overhead low.
-_CHUNKS_PER_WORKER = 4
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument > ``$REPRO_JOBS`` > CPU count.
+    """Worker count: ``0`` (or ``None``) means one per usable CPU.
 
-    ``0`` (or ``None``) means "auto"; the result is always >= 1, where
-    ``1`` selects the in-process serial path.
+    The result is always >= 1, where ``1`` runs in-process.
     """
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ParallelError(f"REPRO_JOBS must be an integer, "
-                                    f"got {env!r}")
-    if jobs is None or jobs == 0:
-        return max(1, os.cpu_count() or 1)
+    if not jobs:
+        return usable_cpus()
     if jobs < 0:
         raise ParallelError(f"jobs must be >= 0, got {jobs}")
     return jobs
 
 
-def default_chunk_size(n_items: int, n_jobs: int) -> int:
-    """Chunk items so each worker sees a handful of chunks."""
-    return max(1, -(-n_items // (n_jobs * _CHUNKS_PER_WORKER)))
+def start_pool(processes: int, method: str,
+               initializer: Optional[Callable] = None,
+               initargs: tuple = ()) -> Optional[ProcessPoolExecutor]:
+    """A pool of ``processes`` workers started by ``method``
+    (``"fork"``, ``"spawn"``), each running ``initializer(*initargs)``
+    first; every worker starts now.
 
-
-def _mp_context():
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _pool_initializer(initializer: Optional[Callable],
-                      initargs: Sequence) -> None:
-    """Worker bootstrap wrapped around the caller's initializer.
-
-    Under the ``fork`` start method workers inherit the parent's
-    process-global collector — including open sink file handles.  Clear
-    it first so worker telemetry flows only through the per-chunk child
-    collectors and never writes into the parent's sinks.
+    ``None`` with fewer than two processes, or when the platform
+    refuses to start them (``parallel.pool_failures``).
     """
-    set_telemetry(None)
-    if initializer is not None:
-        initializer(*initargs)
+    if processes < 2:
+        return None
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=processes,
+            mp_context=multiprocessing.get_context(method),
+            initializer=initializer, initargs=initargs)
+        # A spawn pool starts a worker per submit that finds none idle,
+        # so this starts them all now instead of when the first tasks
+        # wait.
+        for _ in range(processes):
+            pool.submit(os.getpid)
+    except (OSError, ValueError) as exc:
+        logger.warning("cannot start %d worker processes (%s); running "
+                       "in-process", processes, exc)
+        get_telemetry().counter("parallel.pool_failures").add(1)
+        return None
+    return pool
 
 
-def _run_chunk(fn: Callable, chunk: Sequence,
-               trace: Optional[TraceContext] = None
-               ) -> Tuple[List, Optional[Dict[str, object]]]:
-    """Top-level (hence picklable) chunk runner executed in workers.
-
-    When the dispatching process traced the fan-out, ``trace`` names the
-    span this chunk belongs under; the chunk then runs inside a child
-    collector and the second element of the return value is the
-    merge-ready telemetry payload (``None`` when telemetry is off).
-    """
+def _traced(fn: Callable, trace: Optional[TraceContext], *args):
+    """Worker side: ``fn(*args)`` in a child collector joined to
+    ``trace``; returns the answer and the telemetry payload (``None``
+    when the dispatcher traced nothing)."""
     with child_collector(trace) as handle:
-        results = [fn(item) for item in chunk]
-    return results, handle.payload
+        answer = fn(*args)
+    return answer, handle.payload
 
 
-def terminate_workers(executor: ProcessPoolExecutor) -> None:
-    """Hard-stop worker processes so shutdown cannot block on a hang."""
-    for proc in list(getattr(executor, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - racing process exit
-            pass
+def pool_map(pool: Optional[ProcessPoolExecutor], fn: Callable[..., R],
+             tasks: Iterable[tuple],
+             fallback: Callable[..., R]) -> Iterator[R]:
+    """Yield ``fn(*task)`` for each task, in order, computed in
+    ``pool``.
 
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    chunk_size: Optional[int] = None,
-    initializer: Optional[Callable] = None,
-    initargs: Sequence = (),
-    serial_fallback: Optional[Callable[[Sequence[T]], List[R]]] = None,
-    label: str = "parallel.map",
-) -> List[R]:
-    """Map ``fn`` over ``items`` across a process pool; ordered results.
-
-    ``fn`` (and ``initializer``) must be picklable module-level
-    callables.  ``timeout`` bounds each wait on an outstanding chunk;
-    on timeout or worker crash the unfinished chunks run serially in
-    the parent via ``serial_fallback`` (default: plain ``fn`` calls).
+    ``fn`` must be a picklable module-level function.  Tasks given a
+    pool count as ``parallel.tasks``.  Once ``pool`` breaks or refuses
+    a submit, that task and every later one yield
+    ``fallback(*task)``, computed here; with no pool, every task does.
+    No future is cancelled after a break: a broken pool fails its
+    pending futures on its own manager thread, which on Python 3.11
+    dies if one of them was cancelled meanwhile.
     """
-    items = list(items)
-    n_jobs = resolve_jobs(jobs)
-
-    def _default_fallback(chunk: Sequence[T]) -> List[R]:
-        return [fn(item) for item in chunk]
-
-    fallback = serial_fallback or _default_fallback
+    tasks = list(tasks)
     tel = get_telemetry()
-    with tel.span(label, tasks=len(items), jobs=n_jobs):
-        if not items:
-            return []
-        if n_jobs <= 1 or len(items) == 1:
-            return fallback(items)
-        if chunk_size is None:
-            chunk_size = default_chunk_size(len(items), n_jobs)
-        chunks = [items[i:i + chunk_size]
-                  for i in range(0, len(items), chunk_size)]
-        results: List[Optional[List[R]]] = [None] * len(chunks)
+    # Captured under the caller's span, so worker spans merge there.
+    trace = TraceContext.current()
+    futures: List[Future] = []
+    if pool is not None:
+        tel.counter("parallel.tasks").add(len(tasks))
         try:
-            executor = ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(chunks)),
-                mp_context=_mp_context(),
-                initializer=_pool_initializer,
-                initargs=(initializer, tuple(initargs)),
-            )
-        except (OSError, ValueError, PermissionError) as exc:
-            logger.warning("%s: cannot start process pool (%s); "
-                           "running serially", label, exc)
-            if tel.enabled:
-                tel.counter("parallel.pool_failures").add(1)
-            return fallback(items)
-
-        # Captured while the dispatching span above is open, so worker
-        # chunk spans merge back as its children — one tree end to end.
-        trace = TraceContext.current()
-        degraded: Optional[str] = None
-        try:
-            futures = {executor.submit(_run_chunk, fn, chunk, trace): idx
-                       for idx, chunk in enumerate(chunks)}
-            for future, idx in futures.items():
-                try:
-                    chunk_out, payload = future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    degraded = f"chunk timed out after {timeout:.1f}s"
-                    terminate_workers(executor)
-                    break
-                except BrokenExecutor as exc:
-                    degraded = f"worker pool broke: {exc or 'worker died'}"
-                    break
-                results[idx] = chunk_out
-                if tel.enabled:
-                    tel.absorb(payload)
-        finally:
-            # A broken pool (or one whose workers were just terminated)
-            # fails its pending futures on its own manager thread, which
-            # on Python 3.11 dies if one of them was cancelled meanwhile:
-            # only a map that raised cancels what is left.
-            executor.shutdown(wait=degraded is None,
-                              cancel_futures=degraded is None)
-
-        if degraded is not None:
-            unfinished = [idx for idx, r in enumerate(results) if r is None]
-            logger.warning("%s: %s; running %d/%d chunks serially",
-                           label, degraded, len(unfinished), len(chunks))
-            if tel.enabled:
-                tel.counter("parallel.fallbacks").add(1)
-                tel.counter("parallel.fallback_chunks").add(len(unfinished))
-            for idx in unfinished:
-                results[idx] = fallback(chunks[idx])
-        if tel.enabled:
-            tel.counter("parallel.tasks").add(len(items))
-            tel.counter("parallel.chunks").add(len(chunks))
-
-        out: List[R] = []
-        for chunk_result in results:
-            assert chunk_result is not None
-            out.extend(chunk_result)
-        return out
+            for task in tasks:
+                futures.append(pool.submit(_traced, fn, trace, *task))
+        except RuntimeError:  # a broken or shut-down pool refuses
+            pass
+    broken = pool is not None and len(futures) < len(tasks)
+    answered = 0
+    try:
+        for future in futures:
+            try:
+                answer, payload = future.result()
+            except BrokenExecutor:
+                broken = True
+                break
+            tel.absorb(payload)
+            answered += 1
+            yield answer
+    finally:
+        if not broken:
+            for future in futures:
+                future.cancel()
+    if broken:
+        logger.warning("worker pool broke; running %d of %d tasks "
+                       "in-process", len(tasks) - answered, len(tasks))
+        tel.counter("parallel.fallbacks").add(1)
+    for task in tasks[answered:]:
+        yield fallback(*task)

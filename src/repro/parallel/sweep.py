@@ -15,6 +15,8 @@ else — including every future run — loads it.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +24,8 @@ import numpy as np
 
 from ..errors import ParallelError
 from ..resolve import make_generator
-from .pool import parallel_map
+from ..telemetry import get_telemetry, set_telemetry
+from .pool import pool_map, resolve_jobs, start_pool
 
 __all__ = ["SweepTask", "SweepResult", "run_sweep"]
 
@@ -60,11 +63,18 @@ class SweepResult:
 #: Per-worker-process state installed by :func:`_init_sweep_worker`.
 _WORKER_CTX: Dict[str, Any] = {}
 
+#: Fork where the platform can, so workers inherit the warm context.
+_START = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+          else "spawn")
+
 
 def _init_sweep_worker(cache_dir: Optional[str],
                        max_bytes: Optional[int]) -> None:
     from ..experiments.config import ExperimentContext
 
+    # A forked worker inherits the parent's collector, open sink files
+    # included; its telemetry goes home only in task payloads.
+    set_telemetry(None)
     cache = None
     if cache_dir is not None:
         from ..cache import ArtifactCache
@@ -83,11 +93,7 @@ def _init_sweep_worker(cache_dir: Optional[str],
     _WORKER_CTX["ctx"] = ctx
 
 
-def _run_sweep_task(task: SweepTask) -> SweepResult:
-    ctx = _WORKER_CTX.get("ctx")
-    if ctx is None:  # spawned outside parallel_map's initializer
-        _init_sweep_worker(None, None)
-        ctx = _WORKER_CTX["ctx"]
+def _grade(ctx, task: SweepTask) -> SweepResult:
     gen = make_generator(task.generator, task.width, task.n_vectors)
     result = ctx.coverage(task.design, gen, task.n_vectors)
     return SweepResult(task=task,
@@ -96,24 +102,25 @@ def _run_sweep_task(task: SweepTask) -> SweepResult:
                        fault_count=result.universe.fault_count)
 
 
+def _run_sweep_task(task: SweepTask) -> SweepResult:
+    return _grade(_WORKER_CTX["ctx"], task)
+
+
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-def run_sweep(
-    context,
-    tasks: Sequence[SweepTask],
-    *,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-) -> List:
-    """Grade a grid of sessions, fanning out across worker processes.
+def run_sweep(context, tasks: Sequence[SweepTask], *,
+              jobs: Optional[int] = None) -> List:
+    """Grade a grid of sessions, fanning out across ``jobs`` worker
+    processes (:func:`~repro.parallel.pool.resolve_jobs`).
 
     ``context`` is the parent's
     :class:`~repro.experiments.config.ExperimentContext`; its designs
     and universes are materialized up front (so fork-started workers
     inherit them and the rehydrated results share the parent's universe
     objects), its cache configuration propagates to the workers, and
-    every graded session lands in its memo table.  Returns
+    every graded session lands in its memo table.  Sessions a pool
+    cannot grade are graded here.  Returns
     :class:`~repro.faultsim.engine.CoverageResult` objects aligned with
     ``tasks``.
     """
@@ -128,26 +135,22 @@ def run_sweep(
     cache = context.cache
     initargs = ((None, None) if cache is None
                 else (cache.root, cache.max_bytes))
-
-    def _serial(chunk: Sequence[SweepTask]) -> List[SweepResult]:
-        out = []
-        for task in chunk:
-            gen = make_generator(task.generator, task.width, task.n_vectors)
-            result = context.coverage(task.design, gen, task.n_vectors)
-            out.append(SweepResult(
-                task=task,
-                detect_time=np.asarray(result.detect_time, dtype=np.int64),
-                fault_count=result.universe.fault_count))
-        return out
-
-    _WORKER_CTX["parent"] = context  # inherited by fork-started workers
-    try:
-        raw = parallel_map(
-            _run_sweep_task, tasks, jobs=jobs, timeout=timeout,
-            initializer=_init_sweep_worker, initargs=initargs,
-            serial_fallback=_serial, label="parallel.sweep")
-    finally:
-        _WORKER_CTX.pop("parent", None)
+    n_jobs = resolve_jobs(jobs)
+    tel = get_telemetry()
+    with tel.span("parallel.sweep", tasks=len(tasks), jobs=n_jobs):
+        _WORKER_CTX["parent"] = context  # inherited by fork-started workers
+        try:
+            pool = start_pool(min(n_jobs, len(tasks)), _START,
+                              _init_sweep_worker, initargs)
+        finally:
+            _WORKER_CTX.pop("parent", None)
+        try:
+            raw = list(pool_map(pool, _run_sweep_task,
+                                [(task,) for task in tasks],
+                                functools.partial(_grade, context)))
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
     results = []
     for shipped in raw:

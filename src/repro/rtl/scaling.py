@@ -63,10 +63,6 @@ class ScalingReport:
     widths: Dict[int, int]
     iterations: int
 
-    def headroom_bits(self, graph: Graph) -> Dict[int, int]:
-        """Per-node count of upper bits beyond the L1 requirement."""
-        return redundant_sign_bits(graph)
-
 
 def _target_bound(resp: NodeResponse, mode: str, sigma_multiplier: float,
                   input_sigma: float, input_peak: float) -> float:

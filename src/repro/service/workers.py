@@ -13,10 +13,10 @@ artifacts persist across requests and restarts via :mod:`repro.cache`.
 Nothing here forks: the executor threads share the process with the
 event loop, and forking a threaded process can stall its BLAS threads
 (see :mod:`repro.parallel.pool`).  ``grade-shard`` jobs grade their
-cone batches in :class:`GradingProcesses`, a pool of worker processes
-started with the ``spawn`` method: each worker is a fresh interpreter
-launched by fork-and-exec in one call, with no server process, and the
-service never calls ``os.fork``.
+cone batches in :class:`~repro.parallel.gatework.GradingProcesses`, a
+pool of worker processes started with the ``spawn`` method: each
+worker is a fresh interpreter launched by fork-and-exec in one call,
+with no server process, and the service never calls ``os.fork``.
 
 All results are bit-identical to calling the library directly — the
 end-to-end suite asserts it.
@@ -26,20 +26,20 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.spectrum import generator_spectrum, power_db
 from ..bist.selection import propose_scheme, rank_generators
 from ..errors import ServiceError
+from ..parallel.gatework import GradingProcesses
+from ..parallel.pool import usable_cpus
 from ..resolve import make_generator
 from ..telemetry import TraceContext, child_collector, get_telemetry
 from .jobs import Job, JobState, JobStore
 from .queue import JobQueue, QueueClosedError
 
-__all__ = ["GradingProcesses", "WorkerPool", "execute_job"]
+__all__ = ["WorkerPool", "execute_job"]
 
 logger = logging.getLogger("repro.service")
 
@@ -52,13 +52,14 @@ Outcome = Tuple[str, Any]
 # Synchronous evaluation (runs on executor threads)
 # ----------------------------------------------------------------------
 def execute_job(ctx, kind: str, params: Dict[str, Any],
-                grading: Optional["GradingProcesses"] = None
+                grading: Optional[GradingProcesses] = None
                 ) -> Dict[str, Any]:
     """Evaluate one request against the library — the reference path.
 
     The service's answers are, by construction, exactly what a direct
     library call returns: every job the service runs goes through here.
-    ``grading`` is the service's :class:`GradingProcesses`; without it a
+    ``grading`` is the service's
+    :class:`~repro.parallel.gatework.GradingProcesses`; without it a
     ``grade-shard`` job grades in this process.
     """
     if kind == "rank":
@@ -112,7 +113,7 @@ def execute_job(ctx, kind: str, params: Dict[str, Any],
 
 
 def _grade_shard_job(ctx, params: Dict[str, Any],
-                     grading: Optional["GradingProcesses"]
+                     grading: Optional[GradingProcesses]
                      ) -> Dict[str, Any]:
     from ..cluster.shards import grade_shard, prepared_problem
 
@@ -137,8 +138,9 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
                     f"fault index {i} out of range for design "
                     f"{params['design']} ({len(problem.faults)} faults)",
                     status=400)
-        executor = (None if grading is None
-                    else grading.batches(problem, ctx.grading_lock))
+        executor = (None if grading is None else grading.batches(
+            problem.token, problem.program, problem.stimulus,
+            problem.golden, ctx.grading_lock))
         if executor is not None:
             ctx.grading_lock.release()
             locked = False
@@ -165,7 +167,7 @@ def _grade_shard_job(ctx, params: Dict[str, Any],
 
 def _execute_traced(ctx, kind: str, params: Dict[str, Any],
                     trace: TraceContext, on_progress,
-                    grading: Optional["GradingProcesses"] = None
+                    grading: Optional[GradingProcesses] = None
                     ) -> Tuple[Outcome, Optional[Dict[str, Any]]]:
     """Executor entry point: one job under its one child collector.
 
@@ -193,105 +195,6 @@ def _execute_traced(ctx, kind: str, params: Dict[str, Any],
     if outcome[0] == "ok" and "trace" in params:
         outcome[1]["trace"] = handle.payload
     return outcome, handle.payload
-
-
-# ----------------------------------------------------------------------
-# Grading processes
-# ----------------------------------------------------------------------
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity API
-        return os.cpu_count() or 1
-
-
-class GradingProcesses:
-    """The service's grading processes: one ``spawn`` pool of
-    ``processes`` workers (:mod:`repro.parallel.gatework`).
-
-    :meth:`start` starts it at the first ``grade-shard`` job, and a
-    service that never grades starts no process.  With fewer than two
-    processes there is no pool, and shards grade in-process.  A pool
-    that cannot start is counted (``parallel.pool_failures``) and the
-    job grades in-process; a pool that broke is dropped, and the next
-    job starts a fresh one.  :meth:`close` joins the workers at drain,
-    :meth:`terminate` kills them at an abort.
-    """
-
-    def __init__(self, processes: int):
-        self.processes = processes
-        self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._bound = None
-        self._closed = False
-
-    def start(self) -> None:
-        """Start the pool unless it runs (or the service is closing)."""
-        from ..parallel import gatework
-
-        if self.processes < 2:
-            return
-        with self._lock:
-            if self._closed or self._pool is not None:
-                return
-            try:
-                self._pool = gatework.grading_pool(self.processes)
-            except (OSError, ValueError) as exc:
-                logger.warning("cannot start grading processes (%s); "
-                               "grading in-process", exc)
-                tel = get_telemetry()
-                if tel.enabled:
-                    tel.counter("parallel.pool_failures").add(1)
-
-    def batches(self, problem, lock):
-        """A batch executor grading ``problem`` (a
-        :class:`~repro.cluster.shards.PreparedProblem`) in the pool, or
-        ``None`` when there is no pool.  Jobs of one problem share it,
-        so the problem is pickled once per build.  If the pool breaks,
-        the batches left grade in-process under ``lock``."""
-        from ..parallel.gatework import PooledBatches
-
-        with self._lock:
-            pool, bound = self._pool, self._bound
-            if pool is None:
-                return None
-            if bound is None or bound.pool is not pool \
-                    or bound.token != problem.token:
-                bound = self._bound = PooledBatches(
-                    pool, problem.token, problem.program, problem.stimulus,
-                    problem.golden, lock=lock, on_broken=self._discard)
-            return bound
-
-    def _close(self) -> Optional[ProcessPoolExecutor]:
-        with self._lock:
-            pool, self._pool, self._bound = self._pool, None, None
-            self._closed = True
-        return pool
-
-    def _discard(self, pool: ProcessPoolExecutor) -> None:
-        with self._lock:
-            if self._pool is pool:
-                self._pool, self._bound = None, None
-            closed = self._closed
-        pool.shutdown(wait=False)
-        if closed:
-            raise ServiceError("service shut down before completion")
-
-    def close(self) -> None:
-        """Drain: stop taking work and join the workers."""
-        pool = self._close()
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def terminate(self) -> None:
-        """Abort: stop taking work and kill the workers."""
-        from ..parallel.pool import terminate_workers
-
-        pool = self._close()
-        if pool is not None:
-            terminate_workers(pool)
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------

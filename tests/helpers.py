@@ -6,7 +6,9 @@ import numpy as np
 
 from repro.gates import DEFAULT_CHUNK, fault_parallel_reference
 from repro.gates.fault_parallel import _deepening_schedule
+from repro.parallel.pool import pool_map, start_pool
 from repro.rtl import design_from_coefficients
+from repro.telemetry import get_telemetry, set_telemetry
 
 #: A handful of coefficient sets exercising adds, subs, leading-negative
 #: taps, zero taps and single-digit taps.
@@ -24,6 +26,21 @@ def build_small_design(key: str = "plain", **kwargs):
                     max_nonzeros=4)
     defaults.update(kwargs)
     return design_from_coefficients(SMALL_COEFSETS[key], **defaults)
+
+
+def forked_map(fn, items, jobs, label="parallel.map"):
+    """``fn`` over ``items`` through :func:`repro.parallel.pool.pool_map`
+    in a fork pool of ``jobs`` workers, under a ``label`` span.  The
+    workers drop the inherited collector, and a task the pool cannot
+    run is computed here by ``fn`` itself."""
+    with get_telemetry().span(label):
+        pool = start_pool(min(jobs, len(items)), "fork", set_telemetry,
+                          (None,))
+        try:
+            return list(pool_map(pool, fn, [(x,) for x in items], fn))
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
 
 def reference_first_divergence(nl, raw, faults):

@@ -7,26 +7,25 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-import repro.parallel.pool as pool_module
 from repro.errors import ParallelError
 from repro.parallel import (
     SweepTask,
-    default_chunk_size,
     gate_level_missed_parallel,
-    parallel_map,
+    pool_map,
     resolve_jobs,
     run_sweep,
 )
+from repro.parallel import sweep as sweep_module
+from repro.parallel.pool import start_pool
 from repro.resolve import SWEEP_GENERATOR_KEYS, UnknownNameError, make_generator
+from repro.telemetry import telemetry_session
 
-from helpers import build_small_design
+from helpers import build_small_design, forked_map
 
 
 # ----------------------------------------------------------------------
@@ -48,10 +47,10 @@ def _crash_in_child(x):
     return x * x
 
 
-def _hang_in_child(x):
+def _sweep_task_dies_in_child(task):
     if multiprocessing.parent_process() is not None:
-        time.sleep(120)
-    return x * x
+        os._exit(13)
+    raise AssertionError("the sweep ran a worker task in the parent")
 
 
 class _SpyFuture:
@@ -72,33 +71,24 @@ class _SpyFuture:
 
 
 class _SpyPool:
-    """Stands in for ``ProcessPoolExecutor``: the first chunk's future
-    raises ``error``, later chunks run in-process; records shutdown."""
+    """Stands in for a ``ProcessPoolExecutor``: the first task's future
+    raises ``error``; later tasks run in-process, or with ``run=False``
+    fail the test if their answer is read."""
 
-    def __init__(self, error, **_kwargs):
+    def __init__(self, error, run=True):
         self.error = error
+        self.run = run
         self.futures = []
-        self.shutdown_args = None
-        self._processes = {}
 
     def submit(self, fn, *args):
-        outcome = self.error if not self.futures else fn(*args)
+        if not self.futures:
+            outcome = self.error
+        elif self.run:
+            outcome = fn(*args)
+        else:
+            outcome = AssertionError("an answer after the break was read")
         self.futures.append(_SpyFuture(outcome))
         return self.futures[-1]
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdown_args = (wait, cancel_futures)
-
-
-def _spy_pool(monkeypatch, error):
-    pools = []
-
-    def make(**kwargs):
-        pools.append(_SpyPool(error, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", make)
-    return pools
 
 
 class TestResolveJobs:
@@ -109,95 +99,86 @@ class TestResolveJobs:
         assert resolve_jobs(None) >= 1
         assert resolve_jobs(0) >= 1
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs(None) == 5
-        assert resolve_jobs(2) == 2  # explicit beats env
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        with pytest.raises(ParallelError):
-            resolve_jobs(None)
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        """Under an affinity mask (``taskset``, a container cpuset) the
+        machine has more CPUs than the process may run on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(0) == resolve_jobs(None) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(ParallelError):
             resolve_jobs(-1)
 
-    def test_chunk_size_covers_items(self):
-        for n, j in [(1, 1), (10, 4), (1000, 8), (7, 16)]:
-            size = default_chunk_size(n, j)
-            assert size >= 1
-            assert size * -(-n // size) >= n
-
 
 class TestParallelMap:
     def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        assert forked_map(_square, [], jobs=4) == []
 
     def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
+        assert list(pool_map(None, _boom, [(1,), (2,), (3,)],
+                             _square)) == [1, 4, 9]
 
     def test_ordered_results(self):
         items = list(range(40))
-        assert parallel_map(_square, items, jobs=2) == [x * x for x in items]
-
-    def test_explicit_chunk_size(self):
-        items = list(range(17))
-        out = parallel_map(_square, items, jobs=2, chunk_size=3)
-        assert out == [x * x for x in items]
+        assert forked_map(_square, items, jobs=2) == [x * x for x in items]
 
     def test_task_exception_propagates(self):
         with pytest.raises(ValueError, match="boom"):
-            parallel_map(_boom, [1, 2], jobs=2)
+            forked_map(_boom, [1, 2], jobs=2)
 
     def test_worker_crash_falls_back_serial(self):
         items = list(range(12))
-        out = parallel_map(_crash_in_child, items, jobs=2)
-        assert out == [x * x for x in items]
-
-    def test_timeout_falls_back_serial(self):
-        items = list(range(6))
-        out = parallel_map(_hang_in_child, items, jobs=2, timeout=1.0)
+        with telemetry_session() as tel:
+            out = forked_map(_crash_in_child, items, jobs=2)
+            assert tel.counter("parallel.fallbacks").value == 1
         assert out == [x * x for x in items]
 
     def test_custom_fallback_used_on_crash(self):
+        """The task whose worker died and every later one go through
+        the fallback, each once."""
         calls = []
 
-        def fallback(chunk):
-            calls.append(list(chunk))
-            return [x * x for x in chunk]
+        def fallback(x):
+            calls.append(x)
+            return x * x
 
         items = list(range(8))
-        out = parallel_map(_crash_in_child, items, jobs=2,
-                           serial_fallback=fallback)
+        pool = start_pool(2, "fork")
+        try:
+            out = list(pool_map(pool, _crash_in_child,
+                                [(x,) for x in items], fallback))
+        finally:
+            pool.shutdown()
         assert out == [x * x for x in items]
-        assert sum(len(c) for c in calls) == len(items)
+        assert calls == items[len(items) - len(calls):] and calls
 
-    @pytest.mark.parametrize("error", [BrokenProcessPool("worker died"),
-                                       FutureTimeoutError()],
-                             ids=["broken", "timeout"])
-    def test_degraded_pool_cancels_no_future(self, monkeypatch, error):
-        """A broken pool, or one whose hung workers were terminated,
-        fails its pending futures on its own manager thread; cancelling
-        them as well races it (on Python 3.11 that thread dies with
-        InvalidStateError).  So no future is cancelled, and the chunks
-        left over run serially."""
-        pools = _spy_pool(monkeypatch, error)
+    @pytest.mark.parametrize("error", [BrokenProcessPool("worker died")],
+                             ids=["broken"])
+    def test_degraded_pool_cancels_no_future(self, error):
+        """A broken pool fails its pending futures on its own manager
+        thread; cancelling them as well races it (on Python 3.11 that
+        thread dies with InvalidStateError).  So no future is
+        cancelled, and the tasks left over run in-process."""
+        spy = _SpyPool(error)
         items = list(range(8))
-        out = parallel_map(_square, items, jobs=2, timeout=5.0)
+        with telemetry_session() as tel:
+            out = list(pool_map(spy, _square, [(x,) for x in items],
+                                _square))
+            assert tel.counter("parallel.fallbacks").value == 1
         assert out == [x * x for x in items]
-        (spy,) = pools
-        assert len(spy.futures) > 1
+        assert len(spy.futures) == len(items)
         assert not any(f.cancelled for f in spy.futures)
-        assert spy.shutdown_args == (False, False)
 
-    def test_raising_map_cancels_the_rest(self, monkeypatch):
+    def test_raising_map_cancels_the_rest(self):
         """A task error is not a pool failure: it propagates, and the
-        shutdown cancels the chunks not yet started."""
-        pools = _spy_pool(monkeypatch, ValueError("boom"))
+        tasks not yet started are cancelled."""
+        spy = _SpyPool(ValueError("boom"))
         with pytest.raises(ValueError, match="boom"):
-            parallel_map(_square, list(range(8)), jobs=2)
-        assert pools[0].shutdown_args == (True, True)
+            list(pool_map(spy, _square, [(x,) for x in range(8)], _square))
+        assert len(spy.futures) == 8
+        assert all(f.cancelled for f in spy.futures[1:])
 
 
 class TestSweep:
@@ -223,6 +204,57 @@ class TestSweep:
         for s, p in zip(serial, parallel):
             np.testing.assert_array_equal(s.detect_time, p.detect_time)
             assert s.n_vectors == p.n_vectors
+
+    def test_a_pooled_sweep_grades_in_workers(self, ctx):
+        """Each session is graded in a worker process: its
+        ``faultsim.run`` span comes from a worker pid and merges under
+        the ``parallel.sweep`` span, and nothing falls back."""
+        ctx.reset_coverage()
+        tasks = [SweepTask("LP", "LFSR-1", 96), SweepTask("LP", "Ramp", 96)]
+        with telemetry_session() as tel:
+            run_sweep(ctx, tasks, jobs=2)
+            (sweep,) = [r for r in tel.roots if r.name == "parallel.sweep"]
+            runs = [c for c in sweep.children if c.name == "faultsim.run"]
+            assert len(runs) == len(tasks)
+            assert os.getpid() not in {c.pid for c in runs}
+            assert tel.counter("parallel.fallbacks").value == 0
+            assert tel.counter("parallel.tasks").value == len(tasks)
+        ctx.reset_coverage()
+
+    def test_a_sweep_whose_worker_dies_grades_in_process(self, ctx,
+                                                         monkeypatch):
+        tasks = [SweepTask("LP", "LFSR-1", 96), SweepTask("LP", "Ramp", 96)]
+        ctx.reset_coverage()
+        serial = run_sweep(ctx, tasks, jobs=1)
+        ctx.reset_coverage()
+        monkeypatch.setattr(sweep_module, "_run_sweep_task",
+                            _sweep_task_dies_in_child)
+        with telemetry_session() as tel:
+            healed = run_sweep(ctx, tasks, jobs=2)
+            assert tel.counter("parallel.fallbacks").value == 1
+        for s, h in zip(serial, healed):
+            np.testing.assert_array_equal(s.detect_time, h.detect_time)
+        ctx.reset_coverage()
+
+    def test_a_sweep_whose_pool_cannot_start_grades_in_process(
+            self, ctx, monkeypatch):
+        import repro.parallel.pool as pool_module
+
+        def refuse(**_kwargs):
+            raise OSError("no processes here")
+
+        tasks = [SweepTask("LP", "LFSR-1", 96), SweepTask("LP", "Ramp", 96)]
+        ctx.reset_coverage()
+        serial = run_sweep(ctx, tasks, jobs=1)
+        ctx.reset_coverage()
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse)
+        with telemetry_session() as tel:
+            healed = run_sweep(ctx, tasks, jobs=2)
+            assert tel.counter("parallel.pool_failures").value == 1
+            assert tel.counter("parallel.tasks").value == 0
+        for s, h in zip(serial, healed):
+            np.testing.assert_array_equal(s.detect_time, h.detect_time)
+        ctx.reset_coverage()
 
     def test_results_land_in_context_memo(self, ctx):
         ctx.reset_coverage()
@@ -315,8 +347,7 @@ class TestGatework:
         from repro.gates.faults import enumerate_cell_faults
         from repro.gates.netlist import elaborate
         from repro.generators import Type1Lfsr
-        from repro.parallel.gatework import PooledBatches, grading_pool
-        from repro.telemetry import telemetry_session
+        from repro.parallel.gatework import GradingProcesses
 
         nl = elaborate(small_design.graph)
         faults = enumerate_cell_faults(small_design.graph, nl)
@@ -325,10 +356,10 @@ class TestGatework:
                 "gates.faults_dropped", "gates.lane_vectors",
                 "gates.frontier_nets")
 
-        def grade(raw, pool, token):
+        def grade(raw, grading, token):
             program, golden = program_and_golden(nl, raw)
-            executor = None if pool is None else PooledBatches(
-                pool, token, program, raw, golden)
+            executor = None if grading is None else grading.batches(
+                token, program, raw, golden)
             times = np.full(len(faults), -1, dtype=np.int64)
             with telemetry_session() as tel:
                 missed = gate_level_missed(
@@ -339,7 +370,8 @@ class TestGatework:
             return [f.netlist_fault.label for f in missed], times, counts, \
                 pooled
 
-        pool = grading_pool(2)
+        grading = GradingProcesses(2)
+        grading.start()
         try:
             # The second problem replaces the first in every worker.
             for token, length in (("a", 600), ("b", 200), ("c", 600)):
@@ -347,14 +379,15 @@ class TestGatework:
                     length)
                 serial, serial_times, serial_counts, none = grade(
                     raw, None, None)
-                got, got_times, got_counts, pooled = grade(raw, pool, token)
+                got, got_times, got_counts, pooled = grade(raw, grading,
+                                                           token)
                 assert got == serial and serial
                 np.testing.assert_array_equal(got_times, serial_times)
                 assert got_counts == serial_counts
                 assert none == 0
                 assert pooled == serial_counts["gates.fault_batches"]
         finally:
-            pool.shutdown(wait=True)
+            grading.close()
 
     def test_a_broken_pool_grades_in_process_under_the_lock(
             self, small_design, monkeypatch):
@@ -403,6 +436,52 @@ class TestGatework:
             [f.netlist_fault.label for f in serial]
         assert locked and all(locked) and not lock.locked()
         assert fallbacks == 1 and broken
+
+
+    def test_no_pool_for_one_process_or_a_closed_owner(self):
+        from repro.parallel.gatework import GradingProcesses
+
+        single, closed = GradingProcesses(1), GradingProcesses(2)
+        closed.close()
+        for grading in (single, closed):
+            grading.start()
+            assert grading.batches("t", None, np.zeros(0),
+                                   np.zeros(0)) is None
+
+    def test_a_pool_that_breaks_cancels_no_batch(self, small_design):
+        """The pool breaks at the first batch: no future is cancelled,
+        that batch and every later one grade here with the serial
+        verdicts, and the fallback is counted once across stages."""
+        from repro.gates import fault_parallel
+        from repro.gates.faults import enumerate_cell_faults
+        from repro.gates.netlist import elaborate
+        from repro.generators import Type1Lfsr
+        from repro.parallel.gatework import PooledBatches
+
+        nl = elaborate(small_design.graph)
+        faults = enumerate_cell_faults(small_design.graph, nl)
+        raw = Type1Lfsr(small_design.input_fmt.width).sequence(600)
+        program, golden = fault_parallel.program_and_golden(nl, raw)
+        serial = fault_parallel.gate_level_missed(
+            nl, raw, faults, program=program, net_waves=golden)
+        spy = _SpyPool(BrokenProcessPool("worker died"), run=False)
+        executor = PooledBatches(spy, "t", program, raw, golden)
+        with telemetry_session() as tel:
+            got = fault_parallel.gate_level_missed(
+                nl, raw, faults, program=program, net_waves=golden,
+                executor=executor)
+            fallbacks = tel.counter("parallel.fallbacks").value
+            spans, prefixes = list(tel.roots), set()
+            while spans:
+                span = spans.pop()
+                spans.extend(span.children)
+                if span.name == "gates.fault_batch":
+                    prefixes.add(span.attrs["prefix"])
+        assert [f.netlist_fault.label for f in got] == \
+            [f.netlist_fault.label for f in serial]
+        assert fallbacks == 1 and len(prefixes) > 1
+        assert len(spy.futures) > 1
+        assert not any(f.cancelled for f in spy.futures)
 
 
 class TestCliSweepBench:

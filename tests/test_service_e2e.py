@@ -22,9 +22,11 @@ from repro.cluster.shards import (
 )
 from repro.errors import ServiceError
 from repro.experiments import ExperimentContext
+from repro.parallel.gatework import GradingProcesses
+from repro.parallel.pool import usable_cpus
 from repro.service import ServiceConfig, ServiceThread, canonical_params
 from repro.service.client import ServiceBusy, ServiceClient
-from repro.service.workers import GradingProcesses, execute_job, usable_cpus
+from repro.service.workers import execute_job
 from repro.telemetry import Telemetry, set_telemetry
 
 # 20 mixed jobs: every (kind, params) also evaluated directly against

@@ -1,7 +1,7 @@
 """A service's grading processes: their failure paths and lifetime.
 
 ``grade-shard`` jobs grade their cone batches in a pool of ``spawn``
-worker processes (:class:`repro.service.workers.GradingProcesses`).
+worker processes (:class:`repro.parallel.gatework.GradingProcesses`).
 Every failure of that pool must leave the job's answer exactly what
 ``execute_job`` gives on a plain context, and no worker process may
 outlive the service.
@@ -17,9 +17,11 @@ import pytest
 
 from repro.experiments import ExperimentContext
 from repro.parallel import gatework
+from repro.parallel import pool as pool_module
+from repro.parallel.pool import usable_cpus
 from repro.service import ServiceConfig, ServiceThread, canonical_params
 from repro.service.client import ServiceClient
-from repro.service.workers import execute_job, usable_cpus
+from repro.service.workers import execute_job
 
 pytestmark = pytest.mark.skipif(usable_cpus() < 2,
                                 reason="one usable CPU: no grading pool")
@@ -59,7 +61,7 @@ def test_a_pool_that_cannot_start_grades_in_process(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise OSError("no processes here")
 
-    monkeypatch.setattr(gatework, "grading_pool", refuse)
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse)
     config = ServiceConfig(port=0, no_cache=True, workers=2)
     with ServiceThread(config) as svc:
         client = svc.client("no-pool")

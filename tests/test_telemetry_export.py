@@ -1,6 +1,6 @@
 """Exporters and run reports: Chrome trace, Prometheus text, HTML.
 
-The round-trip tests drive a *real* two-process ``parallel_map`` run
+The round-trip tests drive a *real* two-process ``pool_map`` run
 through a JSONL sink, read the file back, and assert the exported
 Chrome trace preserves every span losslessly; the Prometheus output is
 held to a strict line-format checker (TYPE before samples, cumulative
@@ -16,7 +16,6 @@ import re
 import pytest
 
 from repro.errors import TelemetryError
-from repro.parallel import parallel_map
 from repro.telemetry import (
     Histogram,
     InMemorySink,
@@ -35,6 +34,8 @@ from repro.telemetry import (
 )
 from repro.telemetry.export import prometheus_name
 
+from helpers import forked_map
+
 
 def _pool_work(x):
     tel = get_telemetry()
@@ -50,8 +51,8 @@ def pool_trace(tmp_path):
     tel = Telemetry(sinks=[JsonlSink(str(path))])
     previous = set_telemetry(tel)
     try:
-        parallel_map(_pool_work, list(range(6)), jobs=2, chunk_size=2,
-                     label="parallel.export")
+        forked_map(_pool_work, list(range(6)), jobs=2,
+                   label="parallel.export")
     finally:
         set_telemetry(previous)
         tel.flush()

@@ -1,9 +1,9 @@
 """Cross-process trace propagation: one span tree end to end.
 
 Covers the propagation layer (TraceContext / child_collector / absorb),
-its integration with ``parallel_map`` (pooled vs serial-fallback tree
-shape parity), the gate-level pool, and the evaluation service's
-request → job chain.
+its integration with ``pool_map`` (pooled vs serial-fallback tree
+shape parity), the sweep's and the gate-level pools, and the
+evaluation service's request → job chain.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import os
 
 import pytest
 
-from repro.parallel import parallel_map
 from repro.telemetry import (
     InMemorySink,
     Telemetry,
@@ -25,6 +24,8 @@ from repro.telemetry import (
     telemetry_session,
     use_telemetry,
 )
+
+from helpers import forked_map
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +157,8 @@ class TestAbsorb:
 class TestParallelMapPropagation:
     def test_pooled_spans_merge_under_dispatch(self):
         with telemetry_session() as tel:
-            out = parallel_map(_traced_square, list(range(8)), jobs=2,
-                               chunk_size=2, label="parallel.traced")
+            out = forked_map(_traced_square, list(range(8)), jobs=2,
+                             label="parallel.traced")
             assert out == [x * x for x in range(8)]
             (root,) = tel.roots
             assert root.name == "parallel.traced"
@@ -174,11 +175,11 @@ class TestParallelMapPropagation:
     def test_fallback_tree_shape_matches_pooled(self):
         items = list(range(6))
         with telemetry_session() as pooled_tel:
-            pooled = parallel_map(_traced_square, items, jobs=2,
-                                  chunk_size=2, label="parallel.shape")
+            pooled = forked_map(_traced_square, items, jobs=2,
+                                label="parallel.shape")
         with telemetry_session() as fallback_tel:
-            degraded = parallel_map(_traced_crash_in_child, items, jobs=2,
-                                    chunk_size=2, label="parallel.shape")
+            degraded = forked_map(_traced_crash_in_child, items, jobs=2,
+                                  label="parallel.shape")
         assert pooled == degraded == [x * x for x in items]
         (pooled_root,) = pooled_tel.roots
         (fallback_root,) = fallback_tel.roots
@@ -190,17 +191,15 @@ class TestParallelMapPropagation:
     def test_serial_jobs1_shape_matches_pooled(self):
         items = list(range(4))
         with telemetry_session() as serial_tel:
-            parallel_map(_traced_square, items, jobs=1,
-                         label="parallel.shape")
+            forked_map(_traced_square, items, jobs=1, label="parallel.shape")
         with telemetry_session() as pooled_tel:
-            parallel_map(_traced_square, items, jobs=2, chunk_size=2,
-                         label="parallel.shape")
+            forked_map(_traced_square, items, jobs=2, label="parallel.shape")
         assert _tree_shape(serial_tel.roots[0]) == \
             _tree_shape(pooled_tel.roots[0])
 
     def test_disabled_telemetry_ships_no_payloads(self):
         assert not get_telemetry().enabled
-        assert parallel_map(_traced_square, [1, 2, 3], jobs=2) == [1, 4, 9]
+        assert forked_map(_traced_square, [1, 2, 3], jobs=2) == [1, 4, 9]
 
 
 class TestGateworkPropagation:
@@ -282,25 +281,31 @@ class TestServicePropagation:
 
 
 class TestWorkerInheritanceHygiene:
-    def test_forked_workers_do_not_write_parent_sinks(self, tmp_path):
-        """Workers must not inherit the parent's JSONL sink handle."""
+    def test_forked_workers_do_not_write_parent_sinks(self, tmp_path, ctx):
+        """Forked sweep workers must not inherit the parent's JSONL sink
+        handle."""
         import json
 
+        from repro.parallel import SweepTask, run_sweep
         from repro.telemetry import JsonlSink
 
         path = tmp_path / "trace.jsonl"
         tel = Telemetry(sinks=[JsonlSink(str(path))])
+        tasks = [SweepTask("LP", "LFSR-1", 64), SweepTask("LP", "Ramp", 64)]
+        ctx.reset_coverage()
         previous = set_telemetry(tel)
         try:
-            parallel_map(_traced_square, list(range(6)), jobs=2,
-                         chunk_size=2, label="parallel.hygiene")
+            run_sweep(ctx, tasks, jobs=2)
         finally:
             set_telemetry(previous)
             tel.flush()
             tel.close()
+            ctx.reset_coverage()
         events = [json.loads(line) for line in
                   path.read_text().splitlines() if line]
         # Every event arrived exactly once, through the parent collector.
-        names = [e["name"] for e in events if e["type"] == "span"]
-        assert names.count("work.item") == 6
-        assert names.count("parallel.hygiene") == 1
+        spans = [e for e in events if e["type"] == "span"]
+        names = [e["name"] for e in spans]
+        assert names.count("faultsim.run") == len(tasks)
+        assert names.count("parallel.sweep") == 1
+        assert {e["pid"] for e in spans} - {os.getpid()}
