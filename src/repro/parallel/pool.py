@@ -38,7 +38,7 @@ import logging
 import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 from ..errors import ParallelError
 from ..telemetry import TraceContext, child_collector, get_telemetry
@@ -71,8 +71,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def start_pool(processes: int, method: str,
-               initializer: Optional[Callable] = None,
+def start_pool(processes: int, method: str, initializer: Callable,
                initargs: tuple = ()) -> Optional[ProcessPoolExecutor]:
     """A pool of ``processes`` workers started by ``method``
     (``"fork"``, ``"spawn"``), each running ``initializer(*initargs)``
@@ -111,7 +110,7 @@ def _traced(fn: Callable, trace: Optional[TraceContext], *args):
 
 
 def pool_map(pool: Optional[ProcessPoolExecutor], fn: Callable[..., R],
-             tasks: Iterable[tuple],
+             tasks: Sequence[tuple],
              fallback: Callable[..., R]) -> Iterator[R]:
     """Yield ``fn(*task)`` for each task, in order, computed in
     ``pool``.
@@ -122,9 +121,9 @@ def pool_map(pool: Optional[ProcessPoolExecutor], fn: Callable[..., R],
     ``fallback(*task)``, computed here; with no pool, every task does.
     No future is cancelled after a break: a broken pool fails its
     pending futures on its own manager thread, which on Python 3.11
-    dies if one of them was cancelled meanwhile.
+    dies if one of them was cancelled meanwhile.  A task that raises
+    propagates, and the other futures are cancelled.
     """
-    tasks = list(tasks)
     tel = get_telemetry()
     # Captured under the caller's span, so worker spans merge there.
     trace = TraceContext.current()

@@ -28,7 +28,7 @@ def build_small_design(key: str = "plain", **kwargs):
     return design_from_coefficients(SMALL_COEFSETS[key], **defaults)
 
 
-def forked_map(fn, items, jobs, label="parallel.map"):
+def forked_map(fn, items, jobs, label="test.map"):
     """``fn`` over ``items`` through :func:`repro.parallel.pool.pool_map`
     in a fork pool of ``jobs`` workers, under a ``label`` span.  The
     workers drop the inherited collector, and a task the pool cannot

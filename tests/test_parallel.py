@@ -23,9 +23,9 @@ from repro.parallel import (
 from repro.parallel import sweep as sweep_module
 from repro.parallel.pool import start_pool
 from repro.resolve import SWEEP_GENERATOR_KEYS, UnknownNameError, make_generator
-from repro.telemetry import telemetry_session
+from repro.telemetry import set_telemetry, telemetry_session
 
-from helpers import build_small_design, forked_map
+from helpers import forked_map
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +145,7 @@ class TestParallelMap:
             return x * x
 
         items = list(range(8))
-        pool = start_pool(2, "fork")
+        pool = start_pool(2, "fork", set_telemetry, (None,))
         try:
             out = list(pool_map(pool, _crash_in_child,
                                 [(x,) for x in items], fallback))
